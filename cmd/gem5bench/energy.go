@@ -13,7 +13,7 @@ import (
 // must be — on the simulation hot path. The models register read-through
 // Formula stats, so attaching one adds registration work up front and
 // evaluation work at dump time, but nothing per event. The suite runs
-// the parsim configuration (8-core O3 on Ruby MESI_Two_Level) with and
+// parsim's fine configuration (8-core O3 on Ruby MESI_Two_Level) with and
 // without the matching preset attached; the with-energy wall time must
 // stay within a 2% budget of the baseline. It also re-checks the
 // determinism contract on the energy totals themselves: total joules
@@ -53,6 +53,7 @@ type energyResult struct {
 func energyPoint(workers, cores int, iters int64, m *energy.Model) (time.Duration, map[string]float64) {
 	ps := cpu.NewParallelSystem(cpu.Config{Model: cpu.O3, Cores: cores},
 		"ruby.MESI_Two_Level", mem.ClassicConfig{}, workers)
+	defer ps.Close()
 	if m != nil {
 		energy.Attach(ps.Stats(), m, energy.AttachOptions{})
 	}

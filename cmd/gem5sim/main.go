@@ -114,6 +114,8 @@ func runCLI(workload, kver, cpuModel, memSys string, cores int,
 		}, 0, kernel.BootOptions{Workers: parallel, Energy: emodel})
 		if parallel > 0 {
 			fmt.Printf("engine:      parallel (%d workers)\n", parallel)
+			fmt.Printf("windows:     %d (%d inline, %d pool), %d messages\n", res.Sched.Windows,
+				res.Sched.InlineWindows, res.Sched.PoolWindows, res.Sched.Messages)
 		}
 		fmt.Printf("outcome:     %s\n", res.Outcome)
 		fmt.Printf("sim seconds: %.6f\n", res.SimTicks.Seconds())

@@ -129,6 +129,7 @@ func runHackBack(r *Run) (*Results, error) {
 		}
 		detailed := cpu.NewParallelSystem(cpu.Config{Model: model, Cores: cores},
 			memKind, mem.ClassicConfig{}, r.Spec.Parallel)
+		defer detailed.Close()
 		if emodel != nil {
 			energy.Attach(detailed.Stats(), emodel, energy.AttachOptions{})
 		}

@@ -281,6 +281,7 @@ func execBinary(r *Run, bin []byte) (*Results, error) {
 		}
 		system := cpu.NewParallelSystem(cpu.Config{Model: model, Cores: cores},
 			memKind, mem.ClassicConfig{}, r.Spec.Parallel)
+		defer system.Close()
 		if emodel != nil {
 			energy.Attach(system.Stats(), emodel, energy.AttachOptions{})
 		}

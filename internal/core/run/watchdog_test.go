@@ -91,6 +91,35 @@ func TestWatchdogQuietOnProgress(t *testing.T) {
 	}
 }
 
+// TestWatchdogQuietOnSlowWindows: coarse windows (KVM batches, GPU
+// kernels) take milliseconds of host time each, so a handful of them
+// outlast a short stall deadline. Every completed window must count as
+// progress on its own, not only every batch of them.
+func TestWatchdogQuietOnSlowWindows(t *testing.T) {
+	const windows, perWindow, deadline = 40, 5 * time.Millisecond, 60 * time.Millisecond
+	s := sim.NewScheduler(1)
+	c := s.NewComponent("slow", sim.NewClock(1_000_000_000))
+	s.SetMaxWindow(1000)
+	done := 0
+	var tick func()
+	tick = func() {
+		time.Sleep(perWindow)
+		if done++; done < windows {
+			c.After(1000, tick)
+		}
+	}
+	c.Schedule(0, tick)
+
+	stop := watchSim("run-slow", s, deadline)
+	s.Run()
+	if serr := stop(); serr != nil {
+		t.Fatalf("watchdog canceled a simulation completing a window every %v: %v", perWindow, serr)
+	}
+	if done != windows {
+		t.Fatalf("run ended after %d of %d windows", done, windows)
+	}
+}
+
 // TestWatchdogDisabled: deadline 0 is a no-op supervisor.
 func TestWatchdogDisabled(t *testing.T) {
 	stop := watchSim("run-off", nil, 0)

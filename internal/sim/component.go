@@ -15,8 +15,9 @@ import "fmt"
 // repository's abstraction level.
 type Component struct {
 	name  string
+	index int // registration order: the scheduler's delivery tie-break
 	clock Clock
-	eq    *EventQueue
+	eq    EventQueue
 	sched *Scheduler
 	ports []*Port
 	stats *StatGroup
@@ -32,11 +33,28 @@ type Component struct {
 	windowEvents uint64
 }
 
+// Msg is what ports carry: a small fixed-size record that travels by
+// value from the sender's outbox through the receiver's event heap to its
+// handler, so a message costs no allocation and no boxing. The kernel
+// never looks inside; the two components a link connects agree on what
+// Kind, Op, Tag, Src, A and B mean (see mem.BackReq.Msg for the memory
+// protocol's encoding). Ref is the escape hatch for payloads too large
+// or too rare to deserve words of their own, such as a GPU kernel
+// launch; putting a non-pointer value there boxes it.
+type Msg struct {
+	Kind uint16 // message type within the link's protocol
+	Op   uint8  // protocol-defined sub-operation
+	Tag  uint8  // protocol-defined small state
+	Src  int32  // protocol-defined origin (e.g. core index)
+	A, B int64
+	Ref  any
+}
+
 // staged is one port message awaiting barrier delivery.
 type staged struct {
 	port *Port // sending port
 	when Tick  // absolute delivery tick at the receiver
-	msg  any
+	msg  Msg
 }
 
 // NewComponent creates a component registered with the scheduler.
@@ -46,8 +64,8 @@ func (s *Scheduler) NewComponent(name string, clock Clock) *Component {
 	}
 	c := &Component{
 		name:  name,
+		index: len(s.comps),
 		clock: clock,
-		eq:    NewEventQueue(),
 		sched: s,
 		stats: NewStatGroup(),
 	}
@@ -110,7 +128,7 @@ type Port struct {
 	name    string
 	latency Tick
 	peer    *Port
-	handler func(when Tick, msg any)
+	handler func(when Tick, msg Msg)
 }
 
 // Connect links two ports bidirectionally. Both ends keep their own
@@ -129,8 +147,10 @@ func Connect(a, b *Port) {
 }
 
 // OnReceive installs the port's delivery handler, invoked on the owning
-// component's local queue at the message's delivery tick.
-func (p *Port) OnReceive(fn func(when Tick, msg any)) { p.handler = fn }
+// component's local queue at the message's delivery tick. The handler is
+// bound once; each delivery is an event record naming the port, not a
+// fresh closure.
+func (p *Port) OnReceive(fn func(when Tick, msg Msg)) { p.handler = fn }
 
 // Owner returns the component the port belongs to.
 func (p *Port) Owner() *Component { return p.owner }
@@ -143,13 +163,13 @@ func (p *Port) String() string { return p.owner.name + "." + p.name }
 
 // Send stages msg for delivery to the connected peer at the sender's
 // local time plus the link latency.
-func (p *Port) Send(msg any) { p.SendAfter(0, msg) }
+func (p *Port) Send(msg Msg) { p.SendAfter(0, msg) }
 
 // SendAfter stages msg for delivery at now + latency + extra. The extra
 // delay models service time beyond the wire latency (e.g. a memory
 // controller replying after its access completes) without shrinking the
 // conservative window below the declared link latency.
-func (p *Port) SendAfter(extra Tick, msg any) {
+func (p *Port) SendAfter(extra Tick, msg Msg) {
 	if p.peer == nil {
 		panic(fmt.Sprintf("sim: send on unconnected port %s", p))
 	}

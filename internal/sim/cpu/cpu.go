@@ -97,6 +97,7 @@ type core struct {
 	insts    uint64
 	inflight []sim.Tick      // O3: completion times of outstanding misses
 	bpred    map[int64]uint8 // O3: per-PC 2-bit counters
+	stepFn   func()          // c.step bound once, so rescheduling allocates no closure
 }
 
 // batchInsts bounds how many instructions a core executes inside one
@@ -117,7 +118,9 @@ func NewSystem(cfg Config, m mem.System) *System {
 		stats:  sim.NewStatGroup(),
 	}
 	for i := 0; i < cfg.Cores; i++ {
-		s.cores = append(s.cores, &core{id: i, sys: s, bpred: make(map[int64]uint8)})
+		c := &core{id: i, sys: s, bpred: make(map[int64]uint8)}
+		c.stepFn = c.step
+		s.cores = append(s.cores, c)
 	}
 	s.simInsts = s.stats.Scalar("sim_insts", "total committed instructions")
 	s.perCore = s.stats.Vector("system.cpu.committedInsts", "per-core committed instructions", cfg.Cores)
@@ -194,8 +197,7 @@ func (s *System) Run(maxTicks sim.Tick) Result {
 	done := sim.RunScope()
 	for _, c := range s.cores {
 		if c.prog != nil && !c.done {
-			c := c
-			s.eq.Schedule(s.eq.Now(), func() { c.step() })
+			s.eq.Schedule(s.eq.Now(), c.stepFn)
 		}
 	}
 	if maxTicks == 0 {
@@ -277,7 +279,7 @@ func (c *core) stepKVM() {
 		eq.After(sim.Tick(executed*ticksPerInst), func() {})
 		return
 	}
-	eq.After(sim.Tick(executed*ticksPerInst), func() { c.step() })
+	eq.After(sim.Tick(executed*ticksPerInst), c.stepFn)
 }
 
 // stepSimple implements both simple CPUs. Atomic charges one cycle per
@@ -321,7 +323,7 @@ func (c *core) stepSimple(atomic bool) {
 		eq.Schedule(now, func() {}) // advance time past the final batch
 		return
 	}
-	eq.Schedule(now, func() { c.step() })
+	eq.Schedule(now, c.stepFn)
 }
 
 // O3 microarchitectural parameters (per gem5's default O3CPU scaled to
@@ -411,7 +413,7 @@ func (c *core) stepO3() {
 					eq.Schedule(now, func() {})
 					return
 				}
-				eq.Schedule(now, func() { c.step() })
+				eq.Schedule(now, c.stepFn)
 				return
 			}
 			if lat > o3MissThresh {
@@ -468,7 +470,7 @@ func (c *core) stepO3() {
 		eq.Schedule(now, func() {})
 		return
 	}
-	eq.Schedule(now, func() { c.step() })
+	eq.Schedule(now, c.stepFn)
 }
 
 // mispredicted consults and updates a per-PC 2-bit saturating counter

@@ -63,8 +63,11 @@ type pcore struct {
 	model Model
 	comp  *sim.Component
 	port  *sim.Port
-	l1    *mem.L1Front
-	store *mem.BackingStore // private functional replica
+	// stepFn is c.step bound once: evaluating the method value at every
+	// reschedule would allocate a closure per event.
+	stepFn func()
+	l1     *mem.L1Front
+	store  *mem.BackingStore // private functional replica
 
 	state isa.State
 	prog  *isa.Program
@@ -124,7 +127,8 @@ func NewParallelSystem(cfg Config, memKind string, mcfg mem.ClassicConfig, worke
 			"branch mispredictions (O3)")
 		c.port = comp.NewPort("mem", mem.CtrlLinkLat)
 		sim.Connect(c.port, ps.ctrl.CorePort(i))
-		c.port.OnReceive(func(when sim.Tick, msg any) { c.onMsg(when, msg) })
+		c.port.OnReceive(c.onMsg)
+		c.stepFn = c.step
 		ps.cores = append(ps.cores, c)
 		ps.groups = append(ps.groups, comp.Stats())
 	}
@@ -148,9 +152,13 @@ func NewParallelSystem(cfg Config, memKind string, mcfg mem.ClassicConfig, worke
 // Workers returns the scheduler's worker count.
 func (ps *ParallelSystem) Workers() int { return ps.sched.Workers() }
 
-// Scheduler exposes the underlying scheduler (benchmarks read its window
-// count).
+// Scheduler exposes the underlying scheduler (the run watchdog and the
+// benchmarks read its counters).
 func (ps *ParallelSystem) Scheduler() *sim.Scheduler { return ps.sched }
+
+// Close releases the scheduler's worker pool, if the run ever needed one.
+// Call it when the system is dropped; statistics stay readable afterwards.
+func (ps *ParallelSystem) Close() { ps.sched.Close() }
 
 // mergeStats refreshes the aggregate group from the per-component ones.
 // The scheduler calls it at window barriers, when every component is
@@ -178,12 +186,11 @@ func (ps *ParallelSystem) Run(maxTicks sim.Tick) Result {
 	done := sim.RunScope()
 	for _, c := range ps.cores {
 		if c.prog != nil && !c.done && c.wait == waitNone {
-			c := c
 			at := ps.resumeTick
 			if at < c.comp.Now() {
 				at = c.comp.Now()
 			}
-			c.comp.Schedule(at, c.step)
+			c.comp.Schedule(at, c.stepFn)
 		}
 	}
 	if maxTicks == 0 {
@@ -344,7 +351,7 @@ func (c *pcore) scheduleNext() {
 		c.comp.Schedule(c.bnow, func() {})
 		return
 	}
-	c.comp.Schedule(c.bnow, c.step)
+	c.comp.Schedule(c.bnow, c.stepFn)
 }
 
 // step starts a fresh batch.
@@ -377,7 +384,7 @@ func (c *pcore) atAtomic() bool {
 // sendReq stages a request to the controller at the batch's logical time
 // (plus the L1 lookup latency for cache-checked requests).
 func (c *pcore) sendReq(req mem.BackReq, lookupLat sim.Tick) {
-	c.port.SendAfter(c.bnow-c.comp.Now()+lookupLat, req)
+	c.port.SendAfter(c.bnow-c.comp.Now()+lookupLat, req.Msg())
 }
 
 // issueAtomic sends the AMOADD at the current PC to the controller. The
@@ -406,8 +413,8 @@ func (c *pcore) applyAtomic(at sim.Tick, resp mem.BackResp) {
 	c.state.Regs[0] = 0
 	c.state.PC++
 	c.store.WriteWord(resp.Addr, resp.Old+c.atomicDelta)
-	if ev := c.l1.Fill(resp); ev != nil {
-		c.port.Send(*ev)
+	if ev, ok := c.l1.Fill(resp); ok {
+		c.port.Send(ev.Msg())
 	}
 	c.insts++
 	c.simInsts.Inc()
@@ -417,14 +424,14 @@ func (c *pcore) applyAtomic(at sim.Tick, resp mem.BackResp) {
 }
 
 // onMsg dispatches one port message.
-func (c *pcore) onMsg(when sim.Tick, msg any) {
-	switch m := msg.(type) {
-	case mem.BackResp:
-		c.onResp(when, m)
-	case mem.CoherenceMsg:
-		c.l1.Coherence(m)
+func (c *pcore) onMsg(when sim.Tick, msg sim.Msg) {
+	switch msg.Kind {
+	case mem.MsgBackResp:
+		c.onResp(when, mem.BackRespOf(msg))
+	case mem.MsgCoherence:
+		c.l1.Coherence(mem.CoherenceOf(msg))
 	default:
-		panic(fmt.Sprintf("cpu: core received %T", msg))
+		panic(fmt.Sprintf("cpu: core received message kind %d", msg.Kind))
 	}
 }
 
@@ -435,8 +442,8 @@ func (c *pcore) onResp(at sim.Tick, resp mem.BackResp) {
 		c.applyAtomic(at, resp)
 		return
 	}
-	if ev := c.l1.Fill(resp); ev != nil {
-		c.port.Send(*ev)
+	if ev, ok := c.l1.Fill(resp); ok {
+		c.port.Send(ev.Msg())
 	}
 	c.outstanding--
 	if at > c.bnow {

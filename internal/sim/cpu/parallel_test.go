@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"gem5art/internal/sim/isa"
@@ -189,6 +190,59 @@ func TestParallelWorkerCountIndependence(t *testing.T) {
 		}
 		if dump != firstDump {
 			t.Errorf("workers=%d: stat dump diverges from workers=1", workers)
+		}
+	}
+}
+
+// TestParallelCoarseWindowsUseThePool is the traffic the worker pool
+// exists for: four KVM cores run the same atomic-free program, so they
+// stay in lockstep and every window in which they step holds four
+// 4096-instruction batches — tens of microseconds each. The scheduler's
+// cost gate must hand those windows to the pool (this is the test that
+// puts CPU-model code on pool goroutines under -race), and results must
+// not notice.
+func TestParallelCoarseWindowsUseThePool(t *testing.T) {
+	// The scheduler never splits a window over more goroutines than can
+	// run at once; give a one-CPU host room for a pool.
+	if prev := runtime.GOMAXPROCS(0); prev < 4 {
+		runtime.GOMAXPROCS(4)
+		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	}
+	prog := isa.Generate(isa.GenSpec{
+		Name:           "kvm-lockstep",
+		Seed:           11,
+		Iterations:     12_000,
+		BodyOps:        40,
+		Mix:            isa.Mix{Load: 0.2, Store: 0.1, Branch: 0.1, MulDiv: 0.05},
+		FootprintWords: 1 << 10,
+		StrideWords:    3,
+	})
+	var first Result
+	var firstDump string
+	for i, workers := range []int{1, 2, 4} {
+		ps := NewParallelSystem(Config{Model: KVM, Cores: 4}, "classic", mem.ClassicConfig{}, workers)
+		for c := 0; c < 4; c++ {
+			ps.LoadProgram(c, prog)
+		}
+		res := ps.Run(0)
+		dump := ps.Stats().Dump()
+		count := ps.Scheduler().Counters()
+		ps.Close()
+		if !res.Finished {
+			t.Fatalf("workers=%d: run did not finish", workers)
+		}
+		if i == 0 {
+			first, firstDump = res, dump
+			if count.PoolWindows != 0 {
+				t.Errorf("one worker used the pool: %+v", count)
+			}
+			continue
+		}
+		if count.PoolWindows == 0 {
+			t.Errorf("workers=%d: no window entered the pool (%+v)", workers, count)
+		}
+		if !reflect.DeepEqual(res, first) || dump != firstDump {
+			t.Errorf("workers=%d: result or stat dump diverges from workers=1", workers)
 		}
 	}
 }

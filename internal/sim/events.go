@@ -7,10 +7,7 @@
 // clock has a period of 1000 ticks.
 package sim
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // Tick is simulated time in picoseconds.
 type Tick uint64
@@ -50,34 +47,29 @@ func NewClock(hz uint64) Clock {
 // Cycles converts a cycle count to ticks.
 func (c Clock) Cycles(n uint64) Tick { return Tick(n) * c.Period }
 
-// event is one scheduled callback.
+// event is one scheduled record, stored by value in the queue's heap: a
+// callback (fn) or, when port is set, a port delivery whose message rides
+// in the record itself. Scheduling therefore allocates nothing — the only
+// memory an event owns is its slot in the heap's backing array, which the
+// queue reuses.
 type event struct {
 	when Tick
 	prio int    // lower runs first at equal tick
 	seq  uint64 // FIFO among equal (when, prio) for determinism
 	fn   func()
+	port *Port // receiving port of a delivery; nil for a callback
+	msg  Msg
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].when != h[j].when {
-		return h[i].when < h[j].when
+// before is the queue's total order: (when, prio, seq).
+func (e *event) before(o *event) bool {
+	if e.when != o.when {
+		return e.when < o.when
 	}
-	if h[i].prio != h[j].prio {
-		return h[i].prio < h[j].prio
+	if e.prio != o.prio {
+		return e.prio < o.prio
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() (popped any) {
-	old := *h
-	n := len(old)
-	popped = old[n-1]
-	*h = old[:n-1]
-	return
+	return e.seq < o.seq
 }
 
 // EventQueue is a deterministic discrete-event scheduler. It is not safe
@@ -85,7 +77,7 @@ func (h *eventHeap) Pop() (popped any) {
 type EventQueue struct {
 	now     Tick
 	seq     uint64
-	events  eventHeap
+	events  []event // binary min-heap by event.before
 	stopped bool
 }
 
@@ -107,8 +99,72 @@ func (q *EventQueue) ScheduleP(when Tick, prio int, fn func()) {
 	if when < q.now {
 		panic(fmt.Sprintf("sim: schedule at %d before now %d", when, q.now))
 	}
+	e := q.place(when, prio)
+	e.fn, e.port, e.msg = fn, nil, Msg{}
+}
+
+// deliver schedules a port message as an event on the receiving
+// component's queue; it is the barrier's counterpart of Schedule and
+// draws from the same seq counter, so deliveries order against local
+// events exactly as scheduled callbacks would.
+func (q *EventQueue) deliver(when Tick, port *Port, msg *Msg) {
+	if when < q.now {
+		panic(fmt.Sprintf("sim: delivery to %s at %d before now %d", port, when, q.now))
+	}
+	e := q.place(when, 0)
+	e.fn, e.port, e.msg = nil, port, *msg
+}
+
+// place opens the heap slot for a new event keyed (when, prio, next seq)
+// and returns it with the key filled in; the caller writes the payload in
+// place, so an event is never copied on its way in. Parents move down
+// into the hole rather than swapping. The new event carries the largest
+// seq so far, so on a (when, prio) tie it never overtakes a parent.
+func (q *EventQueue) place(when Tick, prio int) *event {
 	q.seq++
-	heap.Push(&q.events, &event{when: when, prio: prio, seq: q.seq, fn: fn})
+	q.events = append(q.events, event{})
+	h := q.events
+	i := len(h) - 1
+	for i > 0 {
+		parent := &h[(i-1)/2]
+		if when > parent.when || when == parent.when && prio >= parent.prio {
+			break
+		}
+		h[i] = *parent
+		i = (i - 1) / 2
+	}
+	e := &h[i]
+	e.when, e.prio, e.seq = when, prio, q.seq
+	return e
+}
+
+// removeTop deletes the earliest event: the last one sifts down from the
+// root, children moving up into the hole. The vacated slot's pointers are
+// cleared so the backing array does not pin closures or payloads.
+func (q *EventQueue) removeTop() {
+	h := q.events
+	n := len(h) - 1
+	if n > 0 {
+		last := &h[n]
+		i := 0
+		for {
+			child := 2*i + 1
+			if child >= n {
+				break
+			}
+			if r := child + 1; r < n && h[r].before(&h[child]) {
+				child = r
+			}
+			if !h[child].before(last) {
+				break
+			}
+			h[i] = h[child]
+			i = child
+		}
+		h[i] = *last
+	}
+	h[n].fn, h[n].port, h[n].msg.Ref = nil, nil, nil
+	q.events = h[:n]
 }
 
 // After schedules fn delay ticks from now.
@@ -127,9 +183,17 @@ func (q *EventQueue) Step() bool {
 	if len(q.events) == 0 {
 		return false
 	}
-	ev := heap.Pop(&q.events).(*event)
-	q.now = ev.when
-	ev.fn()
+	top := &q.events[0]
+	q.now = top.when
+	if port := top.port; port != nil {
+		msg := top.msg
+		q.removeTop()
+		port.handler(q.now, msg)
+	} else {
+		fn := top.fn
+		q.removeTop()
+		fn()
+	}
 	return true
 }
 
@@ -190,12 +254,16 @@ func (q *EventQueue) AdvanceTo(limit Tick) Tick {
 	return q.now
 }
 
-// peekWhen returns the tick of the next pending event.
-func (q *EventQueue) peekWhen() (Tick, bool) {
+// noEvent is nextWhen's answer for an empty queue. No event can sit
+// there: Scheduler.Run's limit is one tick below it.
+const noEvent = ^Tick(0)
+
+// nextWhen returns the tick of the next pending event, or noEvent.
+func (q *EventQueue) nextWhen() Tick {
 	if len(q.events) == 0 {
-		return 0, false
+		return noEvent
 	}
-	return q.events[0].when, true
+	return q.events[0].when
 }
 
 // runWindow executes events with tick < end (exclusive), never stopping

@@ -20,11 +20,22 @@ import (
 // PCIe doorbell write, and the device's conservative lookahead bound).
 const CmdLinkLat sim.Tick = 100_000 // 100 ns
 
+// MsgLaunch and MsgCompletion are the command link's sim.Msg kinds. Both
+// payloads are large and arrive once per kernel, so they ride in Msg.Ref
+// rather than in the record's words.
+const (
+	MsgLaunch uint16 = iota + 1
+	MsgCompletion
+)
+
 // Launch asks a Device to run one kernel.
 type Launch struct {
 	Kernel KernelDesc
 	Alloc  Allocator
 }
+
+// Msg packs the launch for the command port.
+func (l Launch) Msg() sim.Msg { return sim.Msg{Kind: MsgLaunch, Ref: l} }
 
 // Completion answers a Launch. Its arrival tick at the host is the
 // kernel's end-of-execution time (or the rejection time for an invalid
@@ -33,6 +44,12 @@ type Completion struct {
 	Result Result
 	Err    string // non-empty: the launch was rejected
 }
+
+// Msg packs the completion for the command port.
+func (c Completion) Msg() sim.Msg { return sim.Msg{Kind: MsgCompletion, Ref: c} }
+
+// CompletionOf unpacks a MsgCompletion.
+func CompletionOf(m sim.Msg) Completion { return m.Ref.(Completion) }
 
 // Device is the GPU as a simulation component.
 type Device struct {
@@ -57,7 +74,7 @@ func NewDevice(sched *sim.Scheduler, name string, cfg Config) *Device {
 	d.rejected = comp.Stats().Scalar(name+".rejected", "kernel launches rejected")
 	d.busy = comp.Stats().Scalar(name+".busyTicks", "ticks the device spent executing kernels")
 	d.cmd = comp.NewPort("cmd", CmdLinkLat)
-	d.cmd.OnReceive(func(when sim.Tick, msg any) { d.onCmd(msg) })
+	d.cmd.OnReceive(func(when sim.Tick, msg sim.Msg) { d.onCmd(msg) })
 	return d
 }
 
@@ -69,15 +86,15 @@ func (d *Device) Config() Config { return d.cfg }
 
 // onCmd services one Launch: simulate the kernel, serialize it behind
 // any kernel already occupying the device, and reply at its end time.
-func (d *Device) onCmd(msg any) {
-	m, ok := msg.(Launch)
-	if !ok {
-		panic(fmt.Sprintf("gpu: device received %T", msg))
+func (d *Device) onCmd(msg sim.Msg) {
+	m, ok := msg.Ref.(Launch)
+	if msg.Kind != MsgLaunch || !ok {
+		panic(fmt.Sprintf("gpu: device received message kind %d carrying %T", msg.Kind, msg.Ref))
 	}
 	res, err := Run(d.cfg, m.Kernel, m.Alloc)
 	if err != nil {
 		d.rejected.Inc()
-		d.cmd.Send(Completion{Err: err.Error()})
+		d.cmd.Send(Completion{Err: err.Error()}.Msg())
 		return
 	}
 	d.launches.Inc()
@@ -88,5 +105,5 @@ func (d *Device) onCmd(msg any) {
 	dur := d.comp.Clock().Cycles(res.Cycles)
 	d.busyUntil = start + dur
 	d.busy.Add(float64(dur))
-	d.cmd.SendAfter(d.busyUntil-d.comp.Now(), Completion{Result: res})
+	d.cmd.SendAfter(d.busyUntil-d.comp.Now(), Completion{Result: res}.Msg())
 }

@@ -27,11 +27,11 @@ func TestDeviceMatchesDirectRun(t *testing.T) {
 
 	var got []Completion
 	var at []sim.Tick
-	hp.OnReceive(func(when sim.Tick, msg any) {
-		got = append(got, msg.(Completion))
+	hp.OnReceive(func(when sim.Tick, msg sim.Msg) {
+		got = append(got, CompletionOf(msg))
 		at = append(at, when)
 	})
-	host.Schedule(0, func() { hp.Send(Launch{Kernel: deviceKernel(7), Alloc: Simple}) })
+	host.Schedule(0, func() { hp.Send(Launch{Kernel: deviceKernel(7), Alloc: Simple}.Msg()) })
 	sched.Run()
 
 	direct, err := Run(dev.Config(), deviceKernel(7), Simple)
@@ -60,10 +60,10 @@ func TestDeviceSerializesLaunches(t *testing.T) {
 	sim.Connect(hp, dev.CmdPort())
 
 	var at []sim.Tick
-	hp.OnReceive(func(when sim.Tick, msg any) { at = append(at, when) })
+	hp.OnReceive(func(when sim.Tick, msg sim.Msg) { at = append(at, when) })
 	host.Schedule(0, func() {
-		hp.Send(Launch{Kernel: deviceKernel(7), Alloc: Simple})
-		hp.Send(Launch{Kernel: deviceKernel(8), Alloc: Dynamic})
+		hp.Send(Launch{Kernel: deviceKernel(7), Alloc: Simple}.Msg())
+		hp.Send(Launch{Kernel: deviceKernel(8), Alloc: Dynamic}.Msg())
 	})
 	sched.Run()
 
@@ -91,8 +91,8 @@ func TestDeviceRejectsInvalidLaunch(t *testing.T) {
 	bad := deviceKernel(1)
 	bad.WavesPerWG = 1000 // exceeds CU capacity
 	var got []Completion
-	hp.OnReceive(func(when sim.Tick, msg any) { got = append(got, msg.(Completion)) })
-	host.Schedule(0, func() { hp.Send(Launch{Kernel: bad, Alloc: Simple}) })
+	hp.OnReceive(func(when sim.Tick, msg sim.Msg) { got = append(got, CompletionOf(msg)) })
+	host.Schedule(0, func() { hp.Send(Launch{Kernel: bad, Alloc: Simple}.Msg()) })
 	sched.Run()
 
 	if len(got) != 1 || got[0].Err == "" {

@@ -98,6 +98,12 @@ type Result struct {
 	// otherwise (plain boots keep the lean result the sweep machinery
 	// always had).
 	Stats map[string]float64
+	// Sched holds the scheduler's window and message totals for a boot on
+	// the parallel engine (zero on the monolithic one). They describe
+	// where the host executed windows, which varies with the worker count
+	// and the host, so they are diagnostics and never part of comparing
+	// two results.
+	Sched sim.Counters
 }
 
 // Expected returns the outcome the gem5 v20.1 compatibility model
@@ -316,8 +322,13 @@ func BootWith(s Spec, budget sim.Tick, opts BootOptions) (res Result) {
 
 	var system bootSystem
 	if opts.Workers > 0 {
-		system = cpu.NewParallelSystem(cpu.Config{Model: s.CPU, Cores: s.Cores},
+		ps := cpu.NewParallelSystem(cpu.Config{Model: s.CPU, Cores: s.Cores},
 			s.Mem, mem.ClassicConfig{}, opts.Workers)
+		defer func() {
+			res.Sched = ps.Scheduler().Counters()
+			ps.Close()
+		}()
+		system = ps
 		if opts.Energy != nil {
 			// The parallel engine's merged group already carries every
 			// core and controller counter.

@@ -1,6 +1,9 @@
 package kernel
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -224,5 +227,37 @@ func TestBootWithParallelDeterminism(t *testing.T) {
 	}
 	if a.SimTicks != b.SimTicks || a.Insts != b.Insts || a.Console != b.Console {
 		t.Fatalf("parallel boot diverges across workers:\n  1: %+v\n  4: %+v", a, b)
+	}
+}
+
+// parallelBootGolden is the SHA-256 over "spec|outcome|insts|ticks" lines
+// of the 120 multi-core TimingSimpleCPU/O3CPU boot cells, recorded on the
+// pre-rework component engine (container/heap events, boxed port
+// messages, every window through the pool). Engine changes must keep it:
+// a different hash means simulation results moved, not just host time.
+const parallelBootGolden = "72255c2f41ad2af55fbe5693a346e1990a12a1c1ad90e3b9f2745173561bbb8e"
+
+// TestParallelBootGolden pins the component engine's results on every
+// multi-core Timing/O3 cell of the sweep, at 1, 2 and 4 workers, against
+// the constant above.
+func TestParallelBootGolden(t *testing.T) {
+	var cells []Spec
+	for _, s := range Sweep() {
+		if Expected(s) != Unsupported && s.Cores >= 2 && (s.CPU == cpu.Timing || s.CPU == cpu.O3) {
+			cells = append(cells, s)
+		}
+	}
+	if len(cells) != 120 {
+		t.Fatalf("golden covers %d cells, want 120", len(cells))
+	}
+	for _, workers := range []int{1, 2, 4} {
+		h := sha256.New()
+		for _, s := range cells {
+			r := BootWith(s, 0, BootOptions{Workers: workers})
+			fmt.Fprintf(h, "%s|%s|%d|%d\n", s, r.Outcome, r.Insts, r.SimTicks)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != parallelBootGolden {
+			t.Errorf("workers=%d: boot digest %s, want %s", workers, got, parallelBootGolden)
+		}
 	}
 }

@@ -45,23 +45,52 @@ const (
 	ReqAtomic  // read-modify-write at the authoritative store
 )
 
+// The four message types of the core↔controller link, carried in
+// sim.Msg.Kind. Each type below has a Msg method that packs it into the
+// port's fixed-size record and an …Of function that unpacks it on the
+// other side; nothing is boxed, so a message costs no allocation.
+const (
+	MsgBackReq uint16 = iota + 1
+	MsgBackResp
+	MsgEvictNote
+	MsgCoherence
+)
+
 // BackReq is an L1 miss (or atomic) traveling core → controller.
 type BackReq struct {
-	ID    uint64
 	Core  int
 	Addr  int64
 	Kind  ReqKind
 	Delta int64 // ReqAtomic: value to add
 }
 
+// Msg packs the request for a port.
+func (r BackReq) Msg() sim.Msg {
+	return sim.Msg{Kind: MsgBackReq, Op: uint8(r.Kind), Src: int32(r.Core), A: r.Addr, B: r.Delta}
+}
+
+// BackReqOf unpacks a MsgBackReq.
+func BackReqOf(m sim.Msg) BackReq {
+	return BackReq{Core: int(m.Src), Addr: m.A, Kind: ReqKind(m.Op), Delta: m.B}
+}
+
 // BackResp answers a BackReq, controller → core. Its arrival tick at the
 // core is the access's completion time.
 type BackResp struct {
-	ID    uint64
 	Addr  int64
 	Kind  ReqKind
 	Grant LineState // state to install the line in (except ReqUpgrade)
 	Old   int64     // ReqAtomic: the word's value before the add
+}
+
+// Msg packs the response for a port.
+func (r BackResp) Msg() sim.Msg {
+	return sim.Msg{Kind: MsgBackResp, Op: uint8(r.Kind), Tag: uint8(r.Grant), A: r.Addr, B: r.Old}
+}
+
+// BackRespOf unpacks a MsgBackResp.
+func BackRespOf(m sim.Msg) BackResp {
+	return BackResp{Addr: m.A, Kind: ReqKind(m.Op), Grant: LineState(m.Tag), Old: m.B}
 }
 
 // EvictNote tells the directory a core silently dropped a line
@@ -72,11 +101,35 @@ type EvictNote struct {
 	State LineState
 }
 
+// Msg packs the note for a port.
+func (n EvictNote) Msg() sim.Msg {
+	return sim.Msg{Kind: MsgEvictNote, Tag: uint8(n.State), Src: int32(n.Core), A: n.Addr}
+}
+
+// EvictNoteOf unpacks a MsgEvictNote.
+func EvictNoteOf(m sim.Msg) EvictNote {
+	return EvictNote{Core: int(m.Src), Addr: m.A, State: LineState(m.Tag)}
+}
+
 // CoherenceMsg is a directory-initiated action on a core's L1
 // (fire-and-forget): invalidate or downgrade-to-Shared a line.
 type CoherenceMsg struct {
 	Addr       int64
 	Invalidate bool // false: downgrade to Shared
+}
+
+// Msg packs the action for a port.
+func (c CoherenceMsg) Msg() sim.Msg {
+	m := sim.Msg{Kind: MsgCoherence, A: c.Addr}
+	if c.Invalidate {
+		m.Op = 1
+	}
+	return m
+}
+
+// CoherenceOf unpacks a MsgCoherence.
+func CoherenceOf(m sim.Msg) CoherenceMsg {
+	return CoherenceMsg{Addr: m.A, Invalidate: m.Op != 0}
 }
 
 // L1Front is the core-local half of the split hierarchy: the private L1
@@ -146,23 +199,23 @@ func (f *L1Front) Probe(req Request) (sim.Tick, bool, BackReq) {
 	return 0, false, BackReq{Core: f.coreID, Addr: req.Addr, Kind: kind}
 }
 
-// Fill applies a controller response to the L1 and returns an eviction
-// note to forward to the directory, or nil.
-func (f *L1Front) Fill(resp BackResp) *EvictNote {
+// Fill applies a controller response to the L1 and reports whether an
+// eviction note must be forwarded to the directory.
+func (f *L1Front) Fill(resp BackResp) (EvictNote, bool) {
 	switch resp.Kind {
 	case ReqUpgrade:
 		if cl := f.cache.peek(lineAddr(resp.Addr)); cl != nil {
 			cl.state = Modified
 		}
-		return nil
+		return EvictNote{}, false
 	case ReqAtomic:
 		resp.Grant = Modified
 	}
 	victimTag, vs := f.cache.insert(resp.Addr, resp.Grant)
 	if f.ruby && vs != Invalid {
-		return &EvictNote{Core: f.coreID, Addr: victimTag, State: vs}
+		return EvictNote{Core: f.coreID, Addr: victimTag, State: vs}, true
 	}
-	return nil
+	return EvictNote{}, false
 }
 
 // Coherence applies a directory-initiated invalidate or downgrade.
@@ -195,11 +248,11 @@ type Controller struct {
 type ctrlRemote struct{ ctrl *Controller }
 
 func (c ctrlRemote) downgrade(core int, line int64) {
-	c.ctrl.ports[core].Send(CoherenceMsg{Addr: line})
+	c.ctrl.ports[core].Send(CoherenceMsg{Addr: line}.Msg())
 }
 
 func (c ctrlRemote) invalidate(core int, line int64) {
-	c.ctrl.ports[core].Send(CoherenceMsg{Addr: line, Invalidate: true})
+	c.ctrl.ports[core].Send(CoherenceMsg{Addr: line, Invalidate: true}.Msg())
 }
 
 // NewController builds the backside component for the named memory
@@ -225,7 +278,7 @@ func NewController(sched *sim.Scheduler, memKind string, cores int, cfg ClassicC
 	for i := 0; i < cores; i++ {
 		i := i
 		p := ctrl.comp.NewPort(fmt.Sprintf("core%d", i), CtrlLinkLat)
-		p.OnReceive(func(when sim.Tick, msg any) { ctrl.receive(i, msg) })
+		p.OnReceive(func(when sim.Tick, msg sim.Msg) { ctrl.receive(i, msg) })
 		ctrl.ports = append(ctrl.ports, p)
 	}
 	return ctrl
@@ -263,17 +316,19 @@ func (c *Controller) RowHitRate() float64 {
 }
 
 // receive handles one message from a core port.
-func (c *Controller) receive(core int, msg any) {
-	switch m := msg.(type) {
-	case BackReq:
-		m.Core = core
-		c.service(m)
-	case EvictNote:
+func (c *Controller) receive(core int, msg sim.Msg) {
+	switch msg.Kind {
+	case MsgBackReq:
+		req := BackReqOf(msg)
+		req.Core = core
+		c.service(req)
+	case MsgEvictNote:
 		if c.ruby != nil {
-			c.ruby.evictNotify(c.comp.Now(), m.Core, m.Addr, m.State)
+			n := EvictNoteOf(msg)
+			c.ruby.evictNotify(c.comp.Now(), n.Core, n.Addr, n.State)
 		}
 	default:
-		panic(fmt.Sprintf("mem: controller received %T", msg))
+		panic(fmt.Sprintf("mem: controller received message kind %d", msg.Kind))
 	}
 }
 
@@ -282,7 +337,7 @@ func (c *Controller) receive(core int, msg any) {
 func (c *Controller) service(req BackReq) {
 	now := c.comp.Now()
 	line := lineAddr(req.Addr)
-	resp := BackResp{ID: req.ID, Addr: req.Addr, Kind: req.Kind}
+	resp := BackResp{Addr: req.Addr, Kind: req.Kind}
 	var backLat sim.Tick
 	if req.Kind == ReqAtomic {
 		c.atomics.Inc()
@@ -319,5 +374,5 @@ func (c *Controller) service(req BackReq) {
 	if backLat > 2*CtrlLinkLat {
 		extra = backLat - 2*CtrlLinkLat
 	}
-	c.ports[req.Core].SendAfter(extra, resp)
+	c.ports[req.Core].SendAfter(extra, resp.Msg())
 }

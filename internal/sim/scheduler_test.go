@@ -2,9 +2,11 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 )
 
 // TestPortDelivery checks the basic port contract: a message sent at
@@ -18,16 +20,16 @@ func TestPortDelivery(t *testing.T) {
 	Connect(pa, pb)
 
 	var got []Tick
-	pb.OnReceive(func(when Tick, msg any) {
+	pb.OnReceive(func(when Tick, msg Msg) {
 		if when != b.Now() {
 			t.Errorf("handler when %d != local now %d", when, b.Now())
 		}
 		got = append(got, when)
 	})
-	pa.OnReceive(func(Tick, any) {})
+	pa.OnReceive(func(Tick, Msg) {})
 
-	a.Schedule(100, func() { pa.Send("x") })
-	a.Schedule(1000, func() { pa.SendAfter(250, "y") })
+	a.Schedule(100, func() { pa.Send(Msg{A: 1}) })
+	a.Schedule(1000, func() { pa.SendAfter(250, Msg{A: 2}) })
 	s.Run()
 
 	want := []Tick{600, 1750}
@@ -74,8 +76,8 @@ func TestSchedulerStop(t *testing.T) {
 	pa := a.NewPort("out", 1000)
 	pb := b.NewPort("in", 1000)
 	Connect(pa, pb)
-	pa.OnReceive(func(Tick, any) {})
-	pb.OnReceive(func(Tick, any) {})
+	pa.OnReceive(func(Tick, Msg) {})
+	pb.OnReceive(func(Tick, Msg) {})
 
 	var after bool
 	a.Schedule(100, func() { s.Stop() })
@@ -110,7 +112,7 @@ func TestUnconnectedSendPanics(t *testing.T) {
 			t.Fatal("Send on unconnected port did not panic")
 		}
 	}()
-	p.Send("x")
+	p.Send(Msg{})
 }
 
 func TestConnectValidation(t *testing.T) {
@@ -167,8 +169,8 @@ func buildChatterRing(s *Scheduler, n int, seed int64, horizon Tick) []*chatterL
 		Connect(outs[i], in)
 		j := (i + 1) % n
 		logi := logs[j]
-		in.OnReceive(func(when Tick, msg any) {
-			logi.add("recv@%d %v", when, msg)
+		in.OnReceive(func(when Tick, msg Msg) {
+			logi.add("recv@%d m%d.%d", when, msg.Src, msg.A)
 		})
 	}
 	for i := 0; i < n; i++ {
@@ -181,7 +183,7 @@ func buildChatterRing(s *Scheduler, n int, seed int64, horizon Tick) []*chatterL
 			count++
 			logs[i].add("tick@%d #%d", c.Now(), count)
 			if rng.Intn(3) == 0 {
-				outs[i].SendAfter(Tick(rng.Intn(200)), fmt.Sprintf("m%d.%d", i, count))
+				outs[i].SendAfter(Tick(rng.Intn(200)), Msg{Src: int32(i), A: int64(count)})
 			}
 			next := c.Now() + Tick(100+rng.Intn(400))
 			if next < horizon {
@@ -219,6 +221,48 @@ func TestSchedulerDeterminism(t *testing.T) {
 	}
 	for _, workers := range []int{2, 4, 8} {
 		got := run(workers)
+		for i := range ref {
+			if !reflect.DeepEqual(got[i], ref[i]) {
+				t.Fatalf("workers=%d: component %d history diverged from sequential\nseq: %v\npar: %v",
+					workers, i, tail(ref[i]), tail(got[i]))
+			}
+		}
+	}
+}
+
+// TestSchedulerDeterminismOnPool is TestSchedulerDeterminism with the
+// windows actually executing on pool goroutines. The chatter ring's
+// windows are far too cheap for the cost gate to split, so the test pins
+// the gate open: a huge inline estimate, a free pool, and no probe to
+// correct either.
+func TestSchedulerDeterminismOnPool(t *testing.T) {
+	needProcs(t, 8)
+	const n, seed, horizon = 7, 12345, Tick(300_000)
+	run := func(workers int) ([][]string, Counters) {
+		s := NewScheduler(workers)
+		defer s.Close()
+		s.inlinePer, s.poolPer, s.untilProbe = [2]time.Duration{time.Second, time.Second}, 0, math.MaxInt
+		logs := buildChatterRing(s, n, seed, horizon)
+		s.Run()
+		out := make([][]string, n)
+		for i, l := range logs {
+			out[i] = l.entries
+		}
+		return out, s.Counters()
+	}
+	ref, refCount := run(1)
+	if refCount.PoolWindows != 0 {
+		t.Fatalf("one worker used the pool: %+v", refCount)
+	}
+	for _, workers := range []int{2, 4, 8} {
+		got, count := run(workers)
+		if count.PoolWindows < count.Windows/4 {
+			t.Errorf("workers=%d: only %d of %d windows ran on the pool; the pinned gate should send every multi-component window there",
+				workers, count.PoolWindows, count.Windows)
+		}
+		if count.Windows != refCount.Windows || count.Messages != refCount.Messages {
+			t.Errorf("workers=%d: %+v, one worker %+v", workers, count, refCount)
+		}
 		for i := range ref {
 			if !reflect.DeepEqual(got[i], ref[i]) {
 				t.Fatalf("workers=%d: component %d history diverged from sequential\nseq: %v\npar: %v",

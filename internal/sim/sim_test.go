@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -35,6 +36,28 @@ func TestEventFIFOAtSameTick(t *testing.T) {
 		if v != i {
 			t.Fatalf("same-tick events ran out of insertion order: %v", order)
 		}
+	}
+
+	// Mixed priorities at one tick: priority classes run lowest first,
+	// and insertion order survives inside each class — through enough
+	// events that the heap sifts both ways.
+	q = NewEventQueue()
+	order = order[:0]
+	var want []int
+	for _, prio := range []int{-1, 0, 1} {
+		for i := 0; i < 30; i++ {
+			if i%3-1 == prio {
+				want = append(want, i)
+			}
+		}
+	}
+	for i := 0; i < 30; i++ {
+		i := i
+		q.ScheduleP(7, i%3-1, func() { order = append(order, i) })
+	}
+	q.Run()
+	if !reflect.DeepEqual(order, want) {
+		t.Fatalf("mixed-priority same-tick order = %v, want %v", order, want)
 	}
 }
 
@@ -114,22 +137,46 @@ func TestRunUntil(t *testing.T) {
 }
 
 func TestRandomOrderProperty(t *testing.T) {
-	// Property: events always execute in nondecreasing tick order no
-	// matter what order they were scheduled in.
+	// Property: whatever order events are scheduled in, with whatever mix
+	// of priorities, they execute in (tick, priority, insertion) order —
+	// the reference is a stable sort of the schedule calls. Half the
+	// events are scheduled from inside running events, so pushes
+	// interleave with pops.
+	type key struct {
+		when Tick
+		prio int
+		id   int
+	}
 	f := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		q := NewEventQueue()
-		var got []Tick
+		var got, want []key
 		count := int(n%64) + 1
+		var add func(k key, spawn int)
+		add = func(k key, spawn int) {
+			want = append(want, k)
+			q.ScheduleP(k.when, k.prio, func() {
+				got = append(got, k)
+				for j := 0; j < spawn; j++ {
+					// Strictly later, so the reference order stays a plain
+					// stable sort of all schedule calls.
+					add(key{q.Now() + 1 + Tick(rng.Intn(50)), rng.Intn(5) - 2, len(want)}, 0)
+				}
+			})
+		}
 		for i := 0; i < count; i++ {
-			w := Tick(rng.Intn(1000))
-			q.Schedule(w, func() { got = append(got, q.Now()) })
+			add(key{Tick(rng.Intn(1000)), rng.Intn(5) - 2, len(want)}, rng.Intn(2))
 		}
 		q.Run()
-		return sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) &&
-			len(got) == count
+		sort.SliceStable(want, func(i, j int) bool {
+			if want[i].when != want[j].when {
+				return want[i].when < want[j].when
+			}
+			return want[i].prio < want[j].prio
+		})
+		return reflect.DeepEqual(got, want)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -21,6 +21,12 @@ var (
 		"discrete events executed across all event queues")
 	simInstructions = telemetry.Default.Counter("gem5art_sim_instructions_total",
 		"instructions committed across all simulated systems")
+	simWindows = telemetry.Default.CounterVec("gem5art_sim_windows_total",
+		"scheduler windows executed, by where the cost gate placed them", "mode")
+	simWindowsInline = simWindows.With("inline")
+	simWindowsPool   = simWindows.With("pool")
+	simMessages      = telemetry.Default.Counter("gem5art_sim_messages_total",
+		"port messages delivered at scheduler window barriers")
 	simHostRate = telemetry.Default.Gauge("gem5art_sim_host_rate_ticks_per_second",
 		"simulated ticks advanced per host second in the most recent System.Run")
 	simActiveRuns = telemetry.Default.Gauge("gem5art_sim_active_runs",
@@ -47,6 +53,17 @@ func flushEvents(n uint64) {
 	if n > 0 && telemetryOn.Load() {
 		simEvents.Add(float64(n))
 	}
+}
+
+// flushWindows adds a batch of scheduler window and message counts to the
+// registry; pool of the windows ran on the worker pool, the rest inline.
+func flushWindows(windows, pool, messages uint64) {
+	if !telemetryOn.Load() {
+		return
+	}
+	simWindowsInline.Add(float64(windows - pool))
+	simWindowsPool.Add(float64(pool))
+	simMessages.Add(float64(messages))
 }
 
 // CountInstructions credits n committed instructions to the global

@@ -86,3 +86,38 @@ func TestBridgeStats(t *testing.T) {
 		t.Error("bridge did not read through to updated stat value")
 	}
 }
+
+// TestSchedulerCountersReachTelemetry checks the bridge from a
+// scheduler's read-through counters to the process-wide series: windows
+// (all inline on one worker) and delivered messages arrive exactly, and
+// the event counter still counts one per executed event, deliveries
+// included.
+func TestSchedulerCountersReachTelemetry(t *testing.T) {
+	inline, pool := simWindowsInline.Value(), simWindowsPool.Value()
+	msgs, events := simMessages.Value(), simEvents.Value()
+
+	p := newPingPong()
+	const rounds = 3 * counterPublishEvery // cross the publish cadence, end off it
+	p.s.RunUntil((rounds + 1) * p.round)
+	c := p.s.Counters()
+	if c.Windows == 0 || c.Messages == 0 || c.PoolWindows != 0 || c.InlineWindows != c.Windows {
+		t.Fatalf("counters after ping-pong: %+v", c)
+	}
+	if p.s.Windows() != c.Windows {
+		t.Errorf("Windows() = %d, Counters().Windows = %d", p.s.Windows(), c.Windows)
+	}
+	if got := simWindowsInline.Value() - inline; got != float64(c.Windows) {
+		t.Errorf("telemetry counted %g inline windows, scheduler %d", got, c.Windows)
+	}
+	if got := simWindowsPool.Value() - pool; got != 0 {
+		t.Errorf("telemetry counted %g pool windows on one worker", got)
+	}
+	if got := simMessages.Value() - msgs; got != float64(c.Messages) {
+		t.Errorf("telemetry counted %g messages, scheduler %d", got, c.Messages)
+	}
+	// One kick-off callback, then one delivery event per message except
+	// the last, which is still in flight at the limit.
+	if got := simEvents.Value() - events; got != float64(c.Messages) {
+		t.Errorf("telemetry counted %g events for %d deliveries + 1 callback - 1 in flight", got, c.Messages)
+	}
+}
