@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build fmt vet test race chaos bench parsim-race simbench ci
+.PHONY: build fmt vet test race chaos bench parsim-race microbench ci
 
 build:
 	$(GO) build ./...
@@ -96,11 +96,13 @@ bench:
 parsim-race:
 	$(GO) test -race -count=1 ./internal/sim/...
 
-# simbench compiles and runs the simulation kernel's microbenchmarks
-# (event chain, port ping-pong, one-active-of-nine window) for a fixed
-# 200 iterations: a smoke run that keeps them building and
-# allocation-free, not a timing.
-simbench:
-	$(GO) test -run '^$$' -bench . -benchtime 200x ./internal/sim/...
+# microbench compiles and runs the go-test microbenchmarks of the
+# simulation kernel (event chain, port ping-pong, one-active-of-nine
+# window) and of the store (journal append, 480-document batch commit
+# with its fsync count, count by plain index vs by scan at 10k
+# documents, the filter matcher) for a fixed 200 iterations: a smoke
+# run that keeps them building and shows allocs/op, not a timing.
+microbench:
+	$(GO) test -run '^$$' -bench . -benchtime 200x ./internal/sim/... ./internal/database/...
 
-ci: fmt vet build race simbench
+ci: fmt vet build race microbench

@@ -141,6 +141,7 @@ type Broker struct {
 	avoid   map[string]*brokerWorker
 	results map[string]JobResult
 	resCh   chan JobResult
+	sending sync.WaitGroup // deliveries in flight; Close and Kill wait for them before closing resCh
 	workers map[*brokerWorker]bool
 	byID    map[string]*brokerWorker // stable worker ID -> live session
 	done    chan struct{}
@@ -209,7 +210,9 @@ func NewBrokerWithOptions(addr string, opts BrokerOptions) (*Broker, error) {
 		if name == "" {
 			name = "broker_queue"
 		}
-		b.dq = &durableQueue{col: opts.DB.Collection(name)}
+		col := opts.DB.Collection(name)
+		col.CreateIndex("state") // durableQueue.depth counts by state
+		b.dq = &durableQueue{col: col}
 		pending, execs, results := b.dq.recover()
 		b.pending = pending
 		for id, n := range execs {
@@ -286,11 +289,16 @@ func (b *Broker) submit(j Job) bool {
 	}
 	if b.dq != nil {
 		if res, done := b.results[j.ID]; done {
+			b.sending.Add(1)
 			b.mu.Unlock()
 			// A replayed result is as recorded as a fresh one: any
 			// admission reservation made for this resubmit frees now.
 			b.release(j)
-			b.deliver(res)
+			// Like every other delivery, off the caller's goroutine: a
+			// fleet failover resubmits thousands of finished jobs and
+			// must not stall on a Results consumer that is itself waiting
+			// for the failover to finish.
+			go b.deliver(res)
 			return true
 		}
 		if _, ok := b.inFly[j.ID]; ok {
@@ -322,6 +330,8 @@ func (b *Broker) release(j Job) {
 }
 
 // Results returns the channel on which finished jobs are delivered.
+// Close and Kill close it, after the last delivery in flight has either
+// landed or given up, so a consumer ranging over it terminates.
 func (b *Broker) Results() <-chan JobResult { return b.resCh }
 
 // Result returns the recorded result for a job, if it has one — either
@@ -339,8 +349,12 @@ func (b *Broker) Result(id string) (JobResult, bool) {
 // leak waiting on a full channel. Results are recorded in b.results
 // (and the durable queue) before deliver is called, so nothing is lost
 // if the channel consumer is slow or absent — the channel is a
-// notification path, the results map is the source of truth.
+// notification path, the results map is the source of truth. The caller
+// has registered the delivery with b.sending.Add(1) under b.mu, having
+// seen the broker open there: that is what orders every send before
+// the close of resCh.
 func (b *Broker) deliver(res JobResult) {
+	defer b.sending.Done()
 	if res.Err == "" {
 		brokerJobs.With("ok").Inc()
 	} else {
@@ -357,7 +371,9 @@ func (b *Broker) deliver(res JobResult) {
 // callers polling Result see a terminal state. With a durable queue,
 // unfinished jobs are instead parked as pending in the store — a later
 // NewBrokerWithOptions over the same database resumes them. Any
-// goroutine blocked delivering a result is released rather than leaked.
+// goroutine blocked delivering a result is released rather than leaked,
+// and Results is closed once they are gone; results still buffered stay
+// receivable.
 func (b *Broker) Close() {
 	b.mu.Lock()
 	if b.closed {
@@ -398,14 +414,16 @@ func (b *Broker) Close() {
 	for _, w := range ws {
 		_ = w.conn.Close()
 	}
-	// Drain buffered results; everything delivered is also in b.results.
-	for {
-		select {
-		case <-b.resCh:
-		default:
-			return
-		}
-	}
+	b.closeResults()
+}
+
+// closeResults closes the result channel once no delivery can still
+// send on it. Close and Kill call it after setting b.closed and closing
+// b.done: no new delivery registers past the first, and every
+// registered one falls out through the second.
+func (b *Broker) closeResults() {
+	b.sending.Wait()
+	close(b.resCh)
 }
 
 // Kill stops the broker abruptly: listener and connections die, but no
@@ -430,6 +448,7 @@ func (b *Broker) Kill() {
 	for _, w := range ws {
 		_ = w.conn.Close()
 	}
+	b.closeResults()
 }
 
 func (b *Broker) accept() {
@@ -551,9 +570,12 @@ func (b *Broker) failAssignment(a *assignment, reason string) {
 	b.results[a.job.ID] = res
 	b.dq.saveDone(res, n)
 	delete(b.avoid, a.job.ID)
+	open := b.registerDeliveryLocked()
 	b.mu.Unlock()
 	b.release(a.job)
-	go b.deliver(res)
+	if open {
+		go b.deliver(res)
+	}
 	b.dispatch()
 }
 
@@ -867,6 +889,7 @@ func (b *Broker) finish(w *brokerWorker, env Envelope) {
 	res := JobResult{ID: env.ID, Err: env.Error, Output: env.Output}
 	b.results[env.ID] = res
 	b.dq.saveDone(res, b.started[env.ID])
+	open := b.registerDeliveryLocked()
 	b.mu.Unlock()
 	b.release(job)
 	if env.Worker != "" {
@@ -875,7 +898,21 @@ func (b *Broker) finish(w *brokerWorker, env Envelope) {
 	// Deliver on a separate goroutine so a slow Results consumer can
 	// never stall this worker's read loop (and with it heartbeat
 	// processing); the result is already durable above.
-	go b.deliver(res)
+	if open {
+		go b.deliver(res)
+	}
+}
+
+// registerDeliveryLocked accounts for one coming deliver call and
+// reports whether to make it: a result recorded after Close or Kill
+// stays in b.results (and the durable queue) and is not sent. Caller
+// holds b.mu.
+func (b *Broker) registerDeliveryLocked() bool {
+	if b.closed {
+		return false
+	}
+	b.sending.Add(1)
+	return true
 }
 
 // dispatch hands pending jobs to workers with free capacity, preferring

@@ -216,3 +216,46 @@ func waitUntil(t *testing.T, cond func() bool, what string) {
 	}
 	t.Fatalf("timed out waiting for %s", what)
 }
+
+// TestBrokerResubmitOfFinishedJobsNeverBlocks: a promoted broker is
+// handed every outstanding job again, most of them already finished.
+// Replaying their results must not stall Submit when nobody reads
+// Results yet — the fleet's failover resubmits under a lock its own
+// consumer waits on — even past the channel's 1024 slots.
+func TestBrokerResubmitOfFinishedJobsNeverBlocks(t *testing.T) {
+	db := database.MustOpen("")
+	defer db.Close()
+	const jobs = 1100 // more than the result channel holds
+	b1 := durableBroker(t, db, "127.0.0.1:0")
+	w, err := NewWorker(b1.Addr(), 8, map[string]JobHandler{
+		"echo": func(json.RawMessage) (any, error) { return 1, nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := func(i int) Job { return Job{ID: fmt.Sprintf("job-%d", i), Kind: "echo"} }
+	for i := 0; i < jobs; i++ {
+		b1.Submit(job(i))
+	}
+	collect(t, b1, jobs, 20*time.Second)
+	w.Close()
+	b1.Kill()
+
+	b2 := durableBroker(t, db, "127.0.0.1:0")
+	defer b2.Close()
+	submitted := make(chan struct{})
+	go func() {
+		for i := 0; i < jobs; i++ {
+			b2.Submit(job(i))
+		}
+		close(submitted)
+	}()
+	select {
+	case <-submitted:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Submit blocked replaying finished jobs to an unread Results channel")
+	}
+	if got := collect(t, b2, jobs, 5*time.Second); len(got) != jobs {
+		t.Fatalf("replayed %d results, want %d", len(got), jobs)
+	}
+}

@@ -209,24 +209,19 @@ func (f *Fleet) startShardGoroutines(s *shardState, b *tasks.Broker, sh *Shipper
 }
 
 // pump forwards one broker generation's results into the fleet's
-// deduplicated channel. When the broker dies it drains whatever is
-// buffered and exits; results that never reached the channel are
-// recovered through the durable queue on promotion.
+// deduplicated channel. A broker that dies closes its channel behind
+// whatever is buffered, so the pump drains that and exits; results that
+// never reached the channel are recovered through the durable queue on
+// promotion.
 func (f *Fleet) pump(b *tasks.Broker) {
 	defer f.wg.Done()
 	for {
 		select {
-		case res := <-b.Results():
-			f.deliverResult(res)
-		case <-b.Done():
-			for {
-				select {
-				case res := <-b.Results():
-					f.deliverResult(res)
-				default:
-					return
-				}
+		case res, ok := <-b.Results():
+			if !ok {
+				return // broker stopped and its buffer is drained
 			}
+			f.deliverResult(res)
 		case <-f.stop:
 			return
 		}

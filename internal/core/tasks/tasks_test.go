@@ -291,3 +291,43 @@ func TestBrokerQueuesBeyondCapacity(t *testing.T) {
 	close(release)
 	collect(t, b, 6, 5*time.Second)
 }
+
+// TestBrokerStopClosesResults: Close and Kill close Results once the
+// deliveries still in flight have let go, so a consumer ranging over
+// the channel drains what was buffered and terminates. 1200 unread
+// results overfill the channel's 1024 slots, which leaves deliverers
+// blocked on the send at the moment the broker stops.
+func TestBrokerStopClosesResults(t *testing.T) {
+	for name, stop := range map[string]func(*Broker){"Close": (*Broker).Close, "Kill": (*Broker).Kill} {
+		t.Run(name, func(t *testing.T) {
+			b, _ := startBrokerWorkers(t, 2, 4, map[string]JobHandler{
+				"echo": func(json.RawMessage) (any, error) { return 1, nil },
+			})
+			const jobs = 1200
+			for i := 0; i < jobs; i++ {
+				b.Submit(Job{ID: fmt.Sprintf("job-%d", i), Kind: "echo"})
+			}
+			waitUntil(t, func() bool { return b.State().Results == jobs }, "every result recorded")
+			stop(b)
+			drained := make(chan int)
+			go func() {
+				n := 0
+				for r := range b.Results() {
+					if r.ID == "" {
+						t.Error("received a zero result")
+					}
+					n++
+				}
+				drained <- n
+			}()
+			select {
+			case n := <-drained:
+				if n != cap(b.resCh) {
+					t.Fatalf("drained %d results, want the %d that were buffered", n, cap(b.resCh))
+				}
+			case <-time.After(time.Second):
+				t.Fatal("Results still open 1s after the broker stopped")
+			}
+		})
+	}
+}

@@ -2,17 +2,18 @@
 // interfaces of internal/database/storage: an embedded document
 // database modeled on the subset of MongoDB that gem5art depends on —
 // named collections of JSON-like documents, filter-based queries,
-// unique indexes (used to deduplicate artifacts by hash), and a
-// GridFS-style chunked file store for large binary artifacts such as
-// disk images and kernels.
+// unique indexes (used to deduplicate artifacts by hash), plain
+// secondary indexes, and a GridFS-style chunked file store for large
+// binary artifacts such as disk images and kernels.
 //
 // The engine runs fully in memory or persists to a directory. The
 // persistent path is journaled by default: every mutation appends one
-// fsynced record to a per-collection append-only journal, startup
-// replays the journal on top of the last snapshot, and background
-// compaction folds a grown journal back into a snapshot. Equality
-// lookups on "_id" or on the keys of a unique index are served from
-// hash indexes without scanning the collection.
+// fsynced record to a per-collection append-only journal (InsertMany
+// commits its whole batch under one fsync), startup replays the journal
+// on top of the last snapshot, and background compaction folds a grown
+// journal back into a snapshot. Equality lookups on "_id" or on all the
+// keys of a declared index — unique or plain — are served from hash
+// indexes without scanning the collection.
 //
 // Consumers must not depend on the concrete types here — they program
 // against storage.Store (aliased below as Store) so other engines can
@@ -256,7 +257,7 @@ type collection struct {
 	name       string
 	db         *DB
 	docs       []Doc
-	uniques    []*uniqueIndex
+	indexes    []*hashIndex   // declared unique and plain indexes
 	byID       map[string]int // "_id" -> position in docs
 	nextID     int64
 	journal    *journalWriter // nil when not journaling
@@ -271,17 +272,37 @@ func (c *collection) Name() string { return c.name }
 // the existing documents so equality lookups on exactly these keys are
 // O(1). Re-declaring an existing index is a no-op (registries install
 // their indexes on every open).
-func (c *collection) CreateUniqueIndex(keys ...string) {
+func (c *collection) CreateUniqueIndex(keys ...string) { c.declareIndex(keys, true) }
+
+// CreateIndex declares a plain (non-unique) hash index on the given
+// keys: equality filters that pin all of them are answered from the
+// index instead of a scan. Re-declaring is a no-op.
+func (c *collection) CreateIndex(keys ...string) { c.declareIndex(keys, false) }
+
+func (c *collection) declareIndex(keys []string, unique bool) {
+	c.mu.RLock()
+	declared := c.hasIndexLocked(keys, unique)
+	c.mu.RUnlock()
+	if declared {
+		return
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, idx := range c.uniques {
-		if sameKeys(idx.keys, keys) {
-			return
+	if c.hasIndexLocked(keys, unique) {
+		return
+	}
+	idx := newHashIndex(keys, unique)
+	idx.build(c.docs)
+	c.indexes = append(c.indexes, idx)
+}
+
+func (c *collection) hasIndexLocked(keys []string, unique bool) bool {
+	for _, idx := range c.indexes {
+		if idx.unique == unique && sameKeys(idx.keys, keys) {
+			return true
 		}
 	}
-	idx := newUniqueIndex(keys)
-	idx.build(c.docs)
-	c.uniques = append(c.uniques, idx)
+	return false
 }
 
 func sameKeys(a, b []string) bool {
@@ -302,36 +323,90 @@ func sameKeys(a, b []string) bool {
 // document is not inserted.
 func (c *collection) InsertOne(d Doc) (string, error) {
 	defer observeOp("insert", time.Now())
-	if err := c.db.Degraded(); err != nil {
+	cps, err := c.insert([]Doc{d})
+	if err != nil {
 		return "", err
+	}
+	return fmt.Sprint(cps[0]["_id"]), nil
+}
+
+// InsertMany inserts the documents in order as one commit: the whole
+// batch is validated first (against the indexes and against earlier
+// documents of the same batch), then journaled with one write and one
+// fsync, then applied. Any error — a duplicate, or a journal failure
+// (*storage.DegradedError) — inserts nothing. A crash mid-write leaves
+// a CRC-valid prefix of the batch in the journal, exactly as that many
+// single inserts would.
+func (c *collection) InsertMany(ds []Doc) error {
+	if len(ds) == 0 {
+		return nil
+	}
+	defer observeOp("insert_many", time.Now())
+	_, err := c.insert(ds)
+	return err
+}
+
+// insert is the shared insert commit: copy and validate every document,
+// journal the batch, then apply it. It returns the stored copies.
+func (c *collection) insert(ds []Doc) ([]Doc, error) {
+	if err := c.db.Degraded(); err != nil {
+		return nil, err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	cp := storage.CloneDoc(d)
-	if _, ok := cp["_id"]; !ok {
-		c.nextID++
-		cp["_id"] = fmt.Sprintf("%s-%d", c.name, c.nextID)
+	cps := make([]Doc, len(ds))
+	recs := make([]journalRecord, len(ds))
+	var claimed map[string]bool // unique keys taken by earlier documents of this batch
+	if len(ds) > 1 {
+		claimed = make(map[string]bool, len(ds))
 	}
-	if err := c.checkInsertLocked(cp); err != nil {
-		return "", err
+	for i, d := range ds {
+		cp := storage.CloneDoc(d)
+		if _, ok := cp["_id"]; !ok {
+			c.nextID++
+			cp["_id"] = fmt.Sprintf("%s-%d", c.name, c.nextID)
+		}
+		if err := c.checkInsertLocked(cp, claimed); err != nil {
+			return nil, err
+		}
+		cps[i] = cp
+		recs[i] = journalRecord{Op: opInsert, Doc: cp}
 	}
-	if err := c.logRecord(journalRecord{Op: opInsert, Doc: cp}); err != nil {
-		return "", err
+	if err := c.logRecord(recs...); err != nil {
+		return nil, err
 	}
-	c.applyInsertLocked(cp)
-	return fmt.Sprint(cp["_id"]), nil
+	for _, cp := range cps {
+		c.applyInsertLocked(cp)
+	}
+	return cps, nil
 }
 
-// checkInsertLocked validates cp against "_id" and every unique index.
-// Caller holds c.mu.
-func (c *collection) checkInsertLocked(cp Doc) error {
+// checkInsertLocked validates cp against "_id" and every unique index,
+// and — when claimed is non-nil — against the documents validated
+// before it in the same batch, whose keys it then joins. Caller holds
+// c.mu.
+func (c *collection) checkInsertLocked(cp Doc, claimed map[string]bool) error {
 	id := fmt.Sprint(cp["_id"])
-	if _, dup := c.byID[id]; dup {
+	if _, dup := c.byID[id]; dup || claimed["_id\x00"+id] {
 		return &ErrDuplicate{Collection: c.name, Keys: []string{"_id"}}
 	}
-	for _, idx := range c.uniques {
-		if _, dup := idx.pos[canonicalKey(cp, idx.keys)]; dup {
+	if claimed != nil {
+		claimed["_id\x00"+id] = true
+	}
+	for i, idx := range c.indexes {
+		if !idx.unique {
+			continue
+		}
+		key := canonicalKey(cp, idx.keys)
+		if _, dup := idx.pos[key]; dup {
 			return &ErrDuplicate{Collection: c.name, Keys: idx.keys}
+		}
+		if claimed != nil {
+			batchKey := strconv.Itoa(i) + "\x00" + key
+			if claimed[batchKey] {
+				return &ErrDuplicate{Collection: c.name, Keys: idx.keys}
+			}
+			claimed[batchKey] = true
 		}
 	}
 	return nil
@@ -340,44 +415,26 @@ func (c *collection) checkInsertLocked(cp Doc) error {
 // applyInsertLocked appends a validated document. The caller holds
 // c.mu, has deep-copied the document, and has journaled the insert.
 func (c *collection) applyInsertLocked(cp Doc) {
-	id := fmt.Sprint(cp["_id"])
 	pos := len(c.docs)
 	c.docs = append(c.docs, cp)
-	c.byID[id] = pos
-	for _, idx := range c.uniques {
-		idx.pos[canonicalKey(cp, idx.keys)] = pos
+	c.byID[fmt.Sprint(cp["_id"])] = pos
+	for _, idx := range c.indexes {
+		idx.add(canonicalKey(cp, idx.keys), pos)
 	}
-}
-
-// InsertMany inserts documents in order, stopping at the first error.
-func (c *collection) InsertMany(ds []Doc) error {
-	for _, d := range ds {
-		if _, err := c.InsertOne(d); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Find returns deep copies of all documents matching filter, in
-// insertion order. Equality filters on "_id" or on a unique index's
+// insertion order. Equality filters on "_id" or on a declared index's
 // exact key set are answered from the index without scanning.
 func (c *collection) Find(filter Doc) []Doc {
 	defer observeOp("find", time.Now())
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	if pos, found, eligible := c.indexLookupLocked(filter); eligible {
-		if found && storage.Matches(c.docs[pos], filter) {
-			return []Doc{storage.CloneDoc(c.docs[pos])}
-		}
-		return nil
-	}
 	var out []Doc
-	for _, d := range c.docs {
-		if storage.Matches(d, filter) {
-			out = append(out, storage.CloneDoc(d))
-		}
-	}
+	c.eachMatchLocked(filter, func(pos int) bool {
+		out = append(out, storage.CloneDoc(c.docs[pos]))
+		return true
+	})
 	return out
 }
 
@@ -386,18 +443,12 @@ func (c *collection) FindOne(filter Doc) Doc {
 	defer observeOp("find_one", time.Now())
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	if pos, found, eligible := c.indexLookupLocked(filter); eligible {
-		if found && storage.Matches(c.docs[pos], filter) {
-			return storage.CloneDoc(c.docs[pos])
-		}
-		return nil
-	}
-	for _, d := range c.docs {
-		if storage.Matches(d, filter) {
-			return storage.CloneDoc(d)
-		}
-	}
-	return nil
+	var out Doc
+	c.eachMatchLocked(filter, func(pos int) bool {
+		out = storage.CloneDoc(c.docs[pos])
+		return false
+	})
+	return out
 }
 
 // Count returns the number of matching documents.
@@ -405,18 +456,14 @@ func (c *collection) Count(filter Doc) int {
 	defer observeOp("count", time.Now())
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	if pos, found, eligible := c.indexLookupLocked(filter); eligible {
-		if found && storage.Matches(c.docs[pos], filter) {
-			return 1
-		}
-		return 0
+	if len(filter) == 0 {
+		return len(c.docs)
 	}
 	n := 0
-	for _, d := range c.docs {
-		if storage.Matches(d, filter) {
-			n++
-		}
-	}
+	c.eachMatchLocked(filter, func(int) bool {
+		n++
+		return true
+	})
 	return n
 }
 
@@ -468,44 +515,46 @@ func (c *collection) UpdateOne(filter, set Doc) (bool, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	pos := -1
-	if p, found, eligible := c.indexLookupLocked(filter); eligible {
-		if found && storage.Matches(c.docs[p], filter) {
-			pos = p
-		}
-	} else {
-		for i, d := range c.docs {
-			if storage.Matches(d, filter) {
-				pos = i
-				break
-			}
-		}
-	}
+	c.eachMatchLocked(filter, func(p int) bool {
+		pos = p
+		return false
+	})
 	if pos < 0 {
 		return false, nil
 	}
 	d := c.docs[pos]
 	// Validate the merged document against every unique index before
 	// touching anything: an update must not sneak past the uniqueness
-	// guarantee an insert would have hit.
-	merged := storage.CloneDoc(d)
-	for k, v := range set {
-		if k == "_id" {
-			continue
-		}
-		merged[k] = v
-	}
+	// guarantee an insert would have hit. Only an update that sets a
+	// field some index is keyed on can move the document, so the common
+	// status-only update plans nothing here.
 	type rekey struct {
-		idx      *uniqueIndex
+		idx      *hashIndex
 		old, new string
 	}
 	var rekeys []rekey
-	for _, idx := range c.uniques {
+	var merged Doc // d with set applied, top level only: enough to key it
+	for _, idx := range c.indexes {
+		if !idx.touchedBy(set) {
+			continue
+		}
+		if merged == nil {
+			merged = make(Doc, len(d)+len(set))
+			for k, v := range d {
+				merged[k] = v
+			}
+			for k, v := range set {
+				if k != "_id" {
+					merged[k] = v
+				}
+			}
+		}
 		oldKey := canonicalKey(d, idx.keys)
 		newKey := canonicalKey(merged, idx.keys)
 		if oldKey == newKey {
 			continue
 		}
-		if other, taken := idx.pos[newKey]; taken && other != pos {
+		if idx.unique && len(idx.pos[newKey]) > 0 {
 			return false, &ErrDuplicate{Collection: c.name, Keys: idx.keys}
 		}
 		rekeys = append(rekeys, rekey{idx, oldKey, newKey})
@@ -518,8 +567,8 @@ func (c *collection) UpdateOne(filter, set Doc) (bool, error) {
 		return false, err
 	}
 	for _, rk := range rekeys {
-		delete(rk.idx.pos, rk.old)
-		rk.idx.pos[rk.new] = pos
+		rk.idx.remove(rk.old, pos)
+		rk.idx.add(rk.new, pos)
 	}
 	for k, v := range setCopy {
 		d[k] = v

@@ -15,7 +15,8 @@ import (
 // The append-only journal is the engine's default durability path:
 // instead of rewriting every collection file on Flush (O(total docs)
 // per flush — unusable for a 10k-run sweep), each committed mutation
-// appends one record to <dir>/journal/<collection>.wal and fsyncs.
+// appends one record to <dir>/journal/<collection>.wal and fsyncs
+// (InsertMany appends its whole batch under one fsync).
 // Startup replays the journal on top of the last snapshot; background
 // compaction folds a grown journal into a fresh snapshot and truncates
 // it.
@@ -100,21 +101,26 @@ func openJournalWriter(fs storage.FS, path string, goodBytes int64, recs int, sy
 	return &journalWriter{f: f, path: path, sync: syncOnCommit, recs: recs, size: goodBytes}, nil
 }
 
-// append frames, writes, and (optionally) fsyncs one record. On
-// failure it reports which durability step broke ("journal-append" or
+// append frames the records and commits them together: one write and
+// (optionally) one fsync however many records there are. On failure it
+// reports which durability step broke ("journal-append" or
 // "journal-sync") and best-effort truncates the file back to the last
-// good record, so an unacknowledged record or short-write tail does
-// not replay after a reopen.
-func (w *journalWriter) append(rec journalRecord) (reason string, err error) {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return "journal-append", fmt.Errorf("database: journal %s: marshal: %w", w.path, err)
+// acknowledged record, so no record of an unacknowledged batch — nor a
+// short-write tail — replays after a reopen. Each record carries its
+// own CRC frame, so a crash mid-write leaves a valid prefix of the
+// batch, as it would after that many single appends.
+func (w *journalWriter) append(recs ...journalRecord) (reason string, err error) {
+	var buf []byte
+	for _, rec := range recs {
+		payload, err := json.Marshal(rec)
+		if err != nil {
+			return "journal-append", fmt.Errorf("database: journal %s: marshal: %w", w.path, err)
+		}
+		buf = fmt.Appendf(buf, "%08x ", crc32.ChecksumIEEE(payload))
+		buf = append(buf, payload...)
+		buf = append(buf, '\n')
 	}
-	line := make([]byte, 0, len(payload)+12)
-	line = append(line, fmt.Sprintf("%08x ", crc32.ChecksumIEEE(payload))...)
-	line = append(line, payload...)
-	line = append(line, '\n')
-	if _, err := w.f.Write(line); err != nil {
+	if _, err := w.f.Write(buf); err != nil {
 		w.rewind()
 		return "journal-append", fmt.Errorf("database: journal %s: %w", w.path, err)
 	}
@@ -124,9 +130,11 @@ func (w *journalWriter) append(rec journalRecord) (reason string, err error) {
 			return "journal-sync", fmt.Errorf("database: journal %s: sync: %w", w.path, err)
 		}
 	}
-	w.recs++
-	w.size += int64(len(line))
-	dbJournalRecords.With(rec.Op).Inc()
+	w.recs += len(recs)
+	w.size += int64(len(buf))
+	for _, rec := range recs {
+		dbJournalRecords.With(rec.Op).Inc()
+	}
 	return "", nil
 }
 
@@ -219,12 +227,12 @@ func decodeJournalLine(line []byte) (journalRecord, bool) {
 	return rec, true
 }
 
-// logRecord journals one mutation BEFORE the caller applies it to
-// memory, and schedules compaction when the journal has outgrown its
-// usefulness. A journal failure degrades the store and is returned as
-// *storage.DegradedError: the caller must not apply the mutation.
-// Caller holds c.mu.
-func (c *collection) logRecord(rec journalRecord) error {
+// logRecord journals one mutation — or one batch of inserts, as a
+// single commit — BEFORE the caller applies it to memory, and schedules
+// compaction when the journal has outgrown its usefulness. A journal
+// failure degrades the store and is returned as *storage.DegradedError:
+// the caller must not apply any of the records. Caller holds c.mu.
+func (c *collection) logRecord(recs ...journalRecord) error {
 	if c.journal == nil {
 		if err := c.ensureJournal(); err != nil {
 			return c.db.degrade("journal-open", err)
@@ -233,7 +241,7 @@ func (c *collection) logRecord(rec journalRecord) error {
 			return nil // in-memory or snapshot-mode store
 		}
 	}
-	if reason, err := c.journal.append(rec); err != nil {
+	if reason, err := c.journal.append(recs...); err != nil {
 		return c.db.degrade(reason, err)
 	}
 	dbJournalBytes.With(c.name).Set(float64(c.journal.size))
@@ -289,7 +297,7 @@ func (c *collection) compact() {
 }
 
 // applyRecordLocked replays one journal record into memory. Replay
-// maintains byID incrementally (inserts are upserts by _id); unique
+// maintains byID incrementally (inserts are upserts by _id); declared
 // indexes are rebuilt once after the full replay. Caller holds c.mu.
 func (c *collection) applyRecordLocked(rec journalRecord) {
 	switch rec.Op {

@@ -137,8 +137,8 @@ func (db *DB) ApplyJournalSegment(collection string, data []byte) (applied int, 
 		consumed += int64(nl + 1)
 		data = data[nl+1:]
 	}
-	if applied > 0 && len(c.uniques) > 0 {
-		c.rebuildIndexesLocked()
+	if applied > 0 && len(c.indexes) > 0 {
+		c.rebuildIndexesLocked() // applyRecordLocked maintains only byID
 	}
 	return applied, consumed, nil
 }

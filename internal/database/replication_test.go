@@ -300,3 +300,63 @@ func TestHealth(t *testing.T) {
 		t.Fatal("closed store reports healthy")
 	}
 }
+
+// TestStandbyMaintainsPlainIndexes covers a standby whose collection
+// declares only a plain index: both replication paths — a shipped
+// journal segment and a snapshot resync — must leave the index
+// agreeing with a scan, including for documents a shipped update moved
+// between keys.
+func TestStandbyMaintainsPlainIndexes(t *testing.T) {
+	primary := openDB(t, t.TempDir())
+	replica := openDB(t, t.TempDir())
+	defer primary.Close()
+	defer replica.Close()
+
+	col := "runs"
+	replica.Collection(col).CreateIndex("launch_id")
+	agree := func(when string) {
+		t.Helper()
+		rc := replica.Collection(col)
+		all := rc.Find(nil)
+		for _, launch := range []string{"l0", "l1", "l2", "nope"} {
+			want := 0
+			for _, d := range all {
+				if Matches(d, Doc{"launch_id": launch}) {
+					want++
+				}
+			}
+			if got := rc.Count(Doc{"launch_id": launch}); got != want {
+				t.Fatalf("%s: Count({launch_id: %s}) = %d from the index, %d by scan", when, launch, got, want)
+			}
+		}
+	}
+
+	pc := primary.Collection(col)
+	for i := 0; i < 9; i++ {
+		if _, err := pc.InsertOne(Doc{"_id": fmt.Sprintf("r%d", i), "launch_id": fmt.Sprintf("l%d", i%2)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := pc.UpdateOne(Doc{"_id": "r0"}, Doc{"launch_id": "l2"}); err != nil {
+		t.Fatal(err)
+	}
+	shipAll(t, primary, replica, col, 0, 0)
+	assertConverged(t, primary, replica, col)
+	agree("after a shipped segment")
+
+	// Snapshot resync, then more incremental shipping on top of it.
+	if n := pc.DeleteMany(Doc{"launch_id": "l1"}); n != 4 {
+		t.Fatalf("deleted %d", n)
+	}
+	docs, off, gen := primary.CollectionSnapshot(col)
+	if err := replica.RestoreCollection(col, docs); err != nil {
+		t.Fatal(err)
+	}
+	agree("after a snapshot resync")
+	if _, err := pc.UpdateOne(Doc{"_id": "r2"}, Doc{"launch_id": "l1"}); err != nil {
+		t.Fatal(err)
+	}
+	shipAll(t, primary, replica, col, gen, off)
+	assertConverged(t, primary, replica, col)
+	agree("after shipping onto the resynced standby")
+}

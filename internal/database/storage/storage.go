@@ -39,8 +39,8 @@ type Store interface {
 	Close() error
 }
 
-// Collection is an ordered set of documents with optional unique
-// indexes. Documents returned by queries are deep copies: callers may
+// Collection is an ordered set of documents with optional unique and
+// plain indexes. Documents returned by queries are deep copies: callers may
 // mutate them freely without corrupting the store, and vice versa.
 type Collection interface {
 	// Name returns the collection name.
@@ -50,10 +50,16 @@ type Collection interface {
 	// both to reject duplicates (*ErrDuplicate) and to serve equality
 	// lookups on exactly these keys without scanning.
 	CreateUniqueIndex(keys ...string)
+	// CreateIndex declares a plain (non-unique) index on the given keys:
+	// engines serve equality filters that pin all of them without
+	// scanning. It never changes what a query returns, only its cost.
+	CreateIndex(keys ...string)
 	// InsertOne inserts a deep copy of d, assigning an "_id" if absent,
 	// and returns the id.
 	InsertOne(d Doc) (string, error)
-	// InsertMany inserts documents in order, stopping at the first error.
+	// InsertMany inserts the documents in order as one commit: on any
+	// error (a duplicate, also within the batch, or a durability
+	// failure) none of them is inserted.
 	InsertMany(ds []Doc) error
 	// Find returns copies of all documents matching filter, in insertion
 	// order. A nil or empty filter matches every document.

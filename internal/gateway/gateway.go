@@ -38,10 +38,17 @@ type Gateway struct {
 	limiter *limiter
 
 	// docMu serializes read-modify-write cycles on launch documents
-	// (result pump vs. cancel handler).
+	// (result pump vs. cancel handler) and guards tallies.
 	docMu sync.Mutex
-	pump  sync.WaitGroup
+	// tallies holds the run counts of every launch this process has
+	// applied a result to and that is not yet terminal, keyed by
+	// tenant/launch, so a result costs two commits and no count.
+	tallies map[string]*launchTally
+	pump    sync.WaitGroup
 }
+
+// launchTally is one launch's run counts by terminal status.
+type launchTally struct{ total, done, failed, canceled int }
 
 // New wires a gateway over backend and store. ctrl is the admission
 // controller already installed in the backend's options (pass nil to
@@ -60,6 +67,7 @@ func New(cfg *Config, ctrl *Controller, backend Backend, store storage.Store, ne
 		store:   store,
 		next:    next,
 		limiter: newLimiter(),
+		tallies: make(map[string]*launchTally),
 	}
 	g.tenants.Store(newTenantSet(cfg))
 	g.ctrl.Bind(backend.TrySubmit, g.jobDropped)
@@ -169,7 +177,7 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request, tenant *T
 			"status": "queued", "params": params,
 		}
 	}
-	if err := db.Collection("runs").InsertMany(runs); err != nil {
+	if err := g.runs(tenant.ID).InsertMany(runs); err != nil {
 		g.ctrl.CancelPrefix(tenant.ID, jobPrefix(tenant.ID, launchID))
 		g.writeStoreError(w, err)
 		return
@@ -206,7 +214,7 @@ func (g *Gateway) handleRuns(w http.ResponseWriter, r *http.Request, tenant *Ten
 		writeJSON(w, http.StatusNotFound, map[string]string{"error": "no such launch"})
 		return
 	}
-	docs := db.Collection("runs").Find(storage.Doc{"launch_id": id})
+	docs := g.runs(tenant.ID).Find(storage.Doc{"launch_id": id})
 	writeJSON(w, http.StatusOK, map[string]any{"runs": docs})
 }
 
@@ -220,11 +228,14 @@ func (g *Gateway) handleCancel(w http.ResponseWriter, r *http.Request, tenant *T
 	}
 	canceled := g.ctrl.CancelPrefix(tenant.ID, jobPrefix(tenant.ID, id))
 	g.docMu.Lock()
-	runs := db.Collection("runs")
+	runs := g.runs(tenant.ID)
 	for _, j := range canceled {
-		_, _ = runs.UpdateOne(storage.Doc{"job_id": j.ID}, storage.Doc{"status": "canceled"})
+		_, _ = runs.UpdateOne(storage.Doc{"job_id": j.ID, "status": "queued"}, storage.Doc{"status": "canceled"})
 	}
-	g.refreshLaunchLocked(tenant.ID, id, true)
+	// Cancels are rare: recount rather than advance the tally.
+	delete(g.tallies, tallyKey(tenant.ID, id))
+	t, _ := g.tallyLocked(tenant.ID, id)
+	g.writeLaunchLocked(tenant.ID, id, t, true)
 	g.docMu.Unlock()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"launch": id, "canceled": len(canceled),
@@ -251,16 +262,11 @@ func (g *Gateway) runPump() {
 		if tenant == "" {
 			continue // in-process submit, not gateway-owned
 		}
-		launchID := launchOf(res.ID)
 		set := storage.Doc{"status": "done", "output": decodeRaw(res.Output)}
 		if res.Err != "" {
 			set = storage.Doc{"status": "failed", "error": res.Err}
 		}
-		g.docMu.Lock()
-		db := Namespace(g.store, tenant)
-		_, _ = db.Collection("runs").UpdateOne(storage.Doc{"job_id": res.ID}, set)
-		g.refreshLaunchLocked(tenant, launchID, false)
-		g.docMu.Unlock()
+		g.applyResult(tenant, res.ID, set)
 	}
 }
 
@@ -268,37 +274,89 @@ func (g *Gateway) runPump() {
 // job was lost (backend closed mid-drain), so its run fails visibly
 // rather than staying "queued" forever.
 func (g *Gateway) jobDropped(j tasks.Job, err error) {
-	tenant := TenantOf(j.ID)
-	if tenant == "" {
-		return
+	if tenant := TenantOf(j.ID); tenant != "" {
+		g.applyResult(tenant, j.ID, storage.Doc{"status": "failed", "error": err.Error()})
 	}
-	g.docMu.Lock()
-	db := Namespace(g.store, tenant)
-	_, _ = db.Collection("runs").UpdateOne(storage.Doc{"job_id": j.ID},
-		storage.Doc{"status": "failed", "error": err.Error()})
-	g.refreshLaunchLocked(tenant, launchOf(j.ID), false)
-	g.docMu.Unlock()
 }
 
-// refreshLaunchLocked recomputes a launch's terminal counts from its
-// run documents. Callers hold docMu, so the read-modify-write cannot
-// interleave with another updater.
-func (g *Gateway) refreshLaunchLocked(tenant, launchID string, canceled bool) {
-	db := Namespace(g.store, tenant)
-	runs := db.Collection("runs")
-	filter := storage.Doc{"launch_id": launchID}
-	total := runs.Count(filter)
-	done := runs.Count(storage.Doc{"launch_id": launchID, "status": "done"})
-	failed := runs.Count(storage.Doc{"launch_id": launchID, "status": "failed"})
-	ncanceled := runs.Count(storage.Doc{"launch_id": launchID, "status": "canceled"})
-	set := storage.Doc{"done": done, "failed": failed, "canceled": ncanceled}
+// runs returns tenant's run collection with its indexes declared:
+// unique on job_id (the result path's lookup) and plain on launch_id
+// (listing, recount). Declaring again is a no-op.
+func (g *Gateway) runs(tenant string) storage.Collection {
+	c := Namespace(g.store, tenant).Collection("runs")
+	c.CreateUniqueIndex("job_id")
+	c.CreateIndex("launch_id")
+	return c
+}
+
+// applyResult moves one run from "queued" to the terminal status in
+// set and advances its launch. The status guard in the filter is what
+// makes this idempotent: a duplicate or late result, or a result for a
+// run that was canceled meanwhile, matches nothing, so it can neither
+// be counted twice nor overwrite the run.
+func (g *Gateway) applyResult(tenant, jobID string, set storage.Doc) {
+	g.docMu.Lock()
+	defer g.docMu.Unlock()
+	matched, _ := g.runs(tenant).UpdateOne(storage.Doc{"job_id": jobID, "status": "queued"}, set)
+	if !matched {
+		return
+	}
+	launchID := launchOf(jobID)
+	t, fresh := g.tallyLocked(tenant, launchID)
+	if !fresh { // a fresh recount already saw this run
+		if set["status"] == "done" {
+			t.done++
+		} else {
+			t.failed++
+		}
+	}
+	g.writeLaunchLocked(tenant, launchID, t, false)
+}
+
+func tallyKey(tenant, launchID string) string { return tenant + "/" + launchID }
+
+// tallyLocked returns the launch's tally, recounting it from the run
+// documents (index-served) the first time this process touches the
+// launch; fresh reports that it did. Counting from the runs rather than
+// trusting the launch document is what lets a new gateway pick up after
+// one that died between a run commit and its launch commit. Callers
+// hold docMu.
+func (g *Gateway) tallyLocked(tenant, launchID string) (t *launchTally, fresh bool) {
+	key := tallyKey(tenant, launchID)
+	if t, ok := g.tallies[key]; ok {
+		return t, false
+	}
+	runs := g.runs(tenant)
+	count := func(status string) int {
+		return runs.Count(storage.Doc{"launch_id": launchID, "status": status})
+	}
+	t = &launchTally{
+		total:    runs.Count(storage.Doc{"launch_id": launchID}),
+		done:     count("done"),
+		failed:   count("failed"),
+		canceled: count("canceled"),
+	}
+	g.tallies[key] = t
+	return t, true
+}
+
+// writeLaunchLocked writes the tally to the launch document, closes the
+// launch out once every run is terminal, and then forgets the tally.
+// Callers hold docMu, so the read-modify-write cannot interleave with
+// another updater.
+func (g *Gateway) writeLaunchLocked(tenant, launchID string, t *launchTally, canceled bool) {
+	set := storage.Doc{"done": t.done, "failed": t.failed, "canceled": t.canceled}
+	terminal := t.total > 0 && t.done+t.failed+t.canceled == t.total
 	if canceled {
 		set["status"] = "canceled"
-	} else if total > 0 && done+failed+ncanceled == total {
+	} else if terminal {
 		set["status"] = "finished"
 		set["completed"] = time.Now().UTC().Format(time.RFC3339)
 	}
-	_, _ = db.Collection("launches").UpdateOne(storage.Doc{"_id": launchID}, set)
+	_, _ = Namespace(g.store, tenant).Collection("launches").UpdateOne(storage.Doc{"_id": launchID}, set)
+	if terminal {
+		delete(g.tallies, tallyKey(tenant, launchID))
+	}
 }
 
 // writeQuotaError renders an admission rejection as 429 + Retry-After;
