@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build fmt vet test race chaos bench parsim-race microbench ci
+.PHONY: build fmt vet test race chaos microbench ci
 
 build:
 	$(GO) build ./...
@@ -16,6 +16,12 @@ vet:
 test:
 	$(GO) test ./...
 
+# race runs every test under the race detector. The scheduler's cost
+# gate keeps fine-grained windows on the calling goroutine, so the tests
+# that put components on real pool goroutines are the ones built to open
+# it: the chatter ring with a primed gate and the heavy-window ring in
+# internal/sim, and the lockstep KVM cores in internal/sim/cpu. Any
+# cross-component data race the barrier protocol misses surfaces there.
 race:
 	$(GO) test -race ./...
 
@@ -53,48 +59,6 @@ chaos:
 		fi; \
 	done; \
 	exit $$rc
-
-# bench runs the gem5bench suites:
-#   telemetry — event-loop instrumentation overhead (budget: <5%),
-#     written to BENCH_telemetry.json;
-#   storage — journaled insert cost, indexed-vs-scan FindOne (required:
-#     >=5x at 10k docs), journal-vs-snapshot persistence, written to
-#     BENCH_storage.json;
-#   cache — cold vs warm launch of an identical hack-back matrix through
-#     the simulation cache (required: warm >=5x faster, exactly one boot
-#     per boot class), written to BENCH_cache.json;
-#   gateway — the same job batch submitted in-process vs through the
-#     authenticated multi-tenant HTTP gateway (budget: <5% overhead),
-#     written to BENCH_gateway.json;
-#   parsim — the parallel component/port engine on 8-core O3+Ruby
-#     (fine windows, stay inline) and 8 lockstep KVM cores (coarse
-#     windows, reach the worker pool; 1/2/4/8 workers). Required on
-#     every host: bit-identical results at every worker count, and
-#     min(host CPUs, cores) workers no slower than 1 worker on both —
-#     >=0.9x, interleaved reps, min against min,
-#     written to BENCH_parsim.json;
-#   scrub — the storage suite's journaled insert sweep with the
-#     background integrity scrubber on a 100ms cadence (budget: <2% of
-#     the sweep window spent verifying), written to BENCH_scrub.json.
-# Exits non-zero if any suite misses its budget.
-bench:
-	$(GO) run ./cmd/gem5bench -suite telemetry -out BENCH_telemetry.json
-	$(GO) run ./cmd/gem5bench -suite storage -out BENCH_storage.json
-	$(GO) run ./cmd/gem5bench -suite cache -out BENCH_cache.json
-	$(GO) run ./cmd/gem5bench -suite gateway -out BENCH_gateway.json
-	$(GO) run ./cmd/gem5bench -suite parsim -out BENCH_parsim.json
-	$(GO) run ./cmd/gem5bench -suite energy -out BENCH_energy.json
-	$(GO) run ./cmd/gem5bench -suite scrub -out BENCH_scrub.json
-
-# parsim-race runs the simulation kernel's test suite under the race
-# detector at 1, 2 and 4 workers. The scheduler's cost gate keeps
-# fine-grained windows on the calling goroutine, so the tests that put
-# components on real pool goroutines are the ones built to open it: the
-# chatter ring with a primed gate and the heavy-window ring in
-# internal/sim, and the lockstep KVM cores in internal/sim/cpu. Any
-# cross-component data race the barrier protocol misses surfaces there.
-parsim-race:
-	$(GO) test -race -count=1 ./internal/sim/...
 
 # microbench compiles and runs the go-test microbenchmarks of the
 # simulation kernel (event chain, port ping-pong, one-active-of-nine

@@ -2,10 +2,12 @@ package database
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"gem5art/internal/database/storage"
 	"gem5art/internal/faultinject"
@@ -273,6 +275,74 @@ func TestScrubDetectsTornJournal(t *testing.T) {
 		t.Fatalf("scrub saw %d torn journals, want 1 (report %+v)", rep.TornJournals, rep)
 	}
 	db.Close()
+}
+
+// TestScrubHealthyStoreUnderWrites: scrub passes racing a stream of
+// journaled inserts, and the compactions those inserts trigger, never
+// report damage on a healthy store.
+func TestScrubHealthyStoreUnderWrites(t *testing.T) {
+	store, err := OpenWith(t.TempDir(), Options{Journal: true, SyncOnCommit: false, CompactAfter: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := store.(*DB)
+	defer db.Close()
+	const blobs = 64
+	for i := 0; i < blobs; i++ {
+		if _, err := db.Files().Put(fmt.Sprintf("ckpt-%d", i), []byte(fmt.Sprintf("checkpoint blob %d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// runs is compacted many times over; launches, updated once per 100
+	// runs, never reaches CompactAfter, so its journal always has records.
+	runs, launches := db.Collection("scrubbed_runs"), db.Collection("scrubbed_launches")
+	if _, err := launches.InsertOne(Doc{"_id": "l1", "done": 0.0}); err != nil {
+		t.Fatal(err)
+	}
+	compactions := dbCompactions.With("scrubbed_runs").Value()
+
+	// The interval never elapses: the goroutine below drives the passes.
+	scrubber := StartScrubber(db, time.Hour, nil)
+	defer scrubber.Close()
+	var reps []*ScrubReport
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				reps = append(reps, scrubber.ScrubNow())
+			}
+		}
+	}()
+	for i := 1; i <= 5000 && err == nil; i++ {
+		if _, err = runs.InsertOne(Doc{"n": float64(i), "status": "done"}); err == nil && i%100 == 0 {
+			_, err = launches.UpdateOne(Doc{"_id": "l1"}, Doc{"done": float64(i)})
+		}
+	}
+	close(stop)
+	<-done
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.compactWG.Wait()
+	if n := dbCompactions.With("scrubbed_runs").Value() - compactions; n < 2 {
+		t.Fatalf("%g compactions during the inserts, want several", n)
+	}
+
+	final := db.Scrub(nil)
+	for i, rep := range append(reps, final) {
+		if rep.Corrupt != 0 || rep.TornJournals != 0 || rep.Degraded != "" ||
+			rep.LockWait < 0 || rep.LockWait > rep.Duration {
+			t.Fatalf("pass %d of %d reported damage on a healthy store: %+v", i+1, len(reps)+1, rep)
+		}
+	}
+	if final.Blobs != blobs || final.JournalRecords == 0 {
+		t.Fatalf("final pass verified %d blobs and %d journal records, want %d and > 0",
+			final.Blobs, final.JournalRecords, blobs)
+	}
 }
 
 // TestCorruptBlobQuarantinedAtLoad: a store whose blob rotted while it

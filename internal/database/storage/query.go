@@ -87,28 +87,3 @@ func (a Aggregate) Mean() float64 {
 	}
 	return a.Sum / float64(a.Count)
 }
-
-// AggregateDocs summarizes the numeric values of key over docs;
-// non-numeric and missing values are skipped.
-func AggregateDocs(docs []Doc, key string) Aggregate {
-	var agg Aggregate
-	for _, d := range docs {
-		v, ok := Lookup(d, key)
-		if !ok {
-			continue
-		}
-		f, ok := ToFloat(v)
-		if !ok {
-			continue
-		}
-		if agg.Count == 0 || f < agg.Min {
-			agg.Min = f
-		}
-		if agg.Count == 0 || f > agg.Max {
-			agg.Max = f
-		}
-		agg.Count++
-		agg.Sum += f
-	}
-	return agg
-}

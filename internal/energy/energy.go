@@ -156,8 +156,8 @@ func (o *AttachOptions) defaults(dst *sim.StatGroup) {
 // returned — they contribute zero energy, letting one preset span both
 // engines' vocabularies — so callers can surface them in dry-run checks.
 //
-// Registered stats, all composing with Dump, Values, window-barrier
-// merging (formulas read the merged destination group), and BridgeStats:
+// Registered stats, all composing with Dump, Values and window-barrier
+// merging (formulas read the merged destination group):
 //
 //	energy.<component>.dynamic_joules
 //	energy.<component>.static_joules

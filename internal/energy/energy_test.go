@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"gem5art/internal/sim"
-	"gem5art/internal/telemetry"
 )
 
 // testModel is a two-component model with one counter the group will
@@ -282,36 +281,5 @@ func TestSaltStableAndSensitive(t *testing.T) {
 	m2.Components[1].StaticW = 1.5
 	if m2.Salt() == a {
 		t.Error("leakage edit did not change the salt")
-	}
-}
-
-func TestBridge(t *testing.T) {
-	g := sim.NewStatGroup()
-	g.Scalar("sim_ticks", "ticks").Set(float64(sim.TicksPerSecond)) // 1 s
-	g.Scalar("insts", "insts").Set(1e9)
-	Attach(g, testModel(), AttachOptions{})
-
-	reg := telemetry.NewRegistry()
-	Bridge(reg, "boot-o3", g)
-	var sb strings.Builder
-	if err := reg.WriteText(&sb); err != nil {
-		t.Fatal(err)
-	}
-	text := sb.String()
-	for _, want := range []string{
-		`gem5art_energy_joules{system="boot-o3",component="core"}`,
-		`gem5art_energy_joules{system="boot-o3",component="mem"}`,
-		`gem5art_energy_joules{system="boot-o3",component="total"}`,
-		`gem5art_energy_watts{system="boot-o3",component="core"}`,
-		`gem5art_energy_watts{system="boot-o3",component="total"}`,
-		`gem5art_energy_edp{system="boot-o3"}`,
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("/metrics missing %s\n%s", want, text)
-		}
-	}
-	// The dynamic/static breakdown stats must not leak as extra series.
-	if strings.Contains(text, "dynamic_joules") || strings.Contains(text, "static_joules") {
-		t.Errorf("breakdown stats leaked into telemetry:\n%s", text)
 	}
 }

@@ -155,9 +155,6 @@ func (p *Port) OnReceive(fn func(when Tick, msg Msg)) { p.handler = fn }
 // Owner returns the component the port belongs to.
 func (p *Port) Owner() *Component { return p.owner }
 
-// Latency returns the port's declared minimum link latency.
-func (p *Port) Latency() Tick { return p.latency }
-
 // String renders "component.port".
 func (p *Port) String() string { return p.owner.name + "." + p.name }
 

@@ -172,9 +172,6 @@ func (q *EventQueue) After(delay Tick, fn func()) {
 	q.Schedule(q.now+delay, fn)
 }
 
-// Empty reports whether no events are pending.
-func (q *EventQueue) Empty() bool { return len(q.events) == 0 }
-
 // Pending returns the number of scheduled events.
 func (q *EventQueue) Pending() int { return len(q.events) }
 

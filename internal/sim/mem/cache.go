@@ -131,14 +131,3 @@ func (c *cache) invalidate(addr int64) LineState {
 	}
 	return Invalid
 }
-
-// Occupancy returns the number of valid lines, for tests.
-func (c *cache) occupancy() int {
-	n := 0
-	for i := range c.lines {
-		if c.lines[i].state != Invalid {
-			n++
-		}
-	}
-	return n
-}

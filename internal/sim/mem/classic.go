@@ -158,12 +158,3 @@ func (c *Classic) backsideAccess(now sim.Tick, addr int64) sim.Tick {
 	}
 	return lat
 }
-
-// L1MissRate returns the aggregate L1 miss rate, for tests and analysis.
-func (c *Classic) L1MissRate() float64 {
-	total := c.l1Hits.Value() + c.l1Misses.Value()
-	if total == 0 {
-		return 0
-	}
-	return c.l1Misses.Value() / total
-}

@@ -90,6 +90,3 @@ func (d *DRAM) RowHitRate() float64 {
 	}
 	return float64(d.rowHits) / float64(d.requests)
 }
-
-// Requests returns the total number of DRAM accesses.
-func (d *DRAM) Requests() uint64 { return d.requests }

@@ -108,11 +108,6 @@ func (b *BackingStore) Overlay(src *BackingStore) {
 	}
 }
 
-// FootprintBytes returns the number of bytes touched (page granularity).
-func (b *BackingStore) FootprintBytes() int64 {
-	return int64(len(b.pages)) * 4096
-}
-
 // lineAddr returns the cache-line-aligned address.
 func lineAddr(addr int64) int64 { return addr &^ (LineBytes - 1) }
 

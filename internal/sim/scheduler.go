@@ -74,8 +74,7 @@ type Scheduler struct {
 	probePool  bool
 	pool       *windowPool // created by the first window the gate admits
 
-	onBarrier    func()
-	barrierEvery int
+	onBarrier func()
 
 	// count is the run loop's private tally and flushed the part of it
 	// already credited to the process-wide telemetry series. published

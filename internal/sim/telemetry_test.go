@@ -1,11 +1,6 @@
 package sim
 
-import (
-	"strings"
-	"testing"
-
-	"gem5art/internal/telemetry"
-)
+import "testing"
 
 func TestEventQueueCountsEvents(t *testing.T) {
 	before := simEvents.Value()
@@ -38,52 +33,6 @@ func TestRunUntilFlushesPartialBatch(t *testing.T) {
 	q.RunUntil(5)
 	if got := simEvents.Value() - before; got != 5 {
 		t.Errorf("telemetry counted %g events, want 5", got)
-	}
-}
-
-func TestEnableTelemetry(t *testing.T) {
-	defer EnableTelemetry(true)
-	EnableTelemetry(false)
-	before := simEvents.Value()
-	q := NewEventQueue()
-	q.Schedule(1, func() {})
-	q.Run()
-	if got := simEvents.Value() - before; got != 0 {
-		t.Errorf("disabled telemetry still counted %g events", got)
-	}
-	CountInstructions(100)
-	if !TelemetryEnabled() {
-		EnableTelemetry(true)
-	}
-}
-
-func TestBridgeStats(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	g := NewStatGroup()
-	g.Scalar("sim_insts", "instructions").Add(1234)
-	g.Vector("system.cpu.committedInsts", "per-core", 2).Add(1, 7)
-	BridgeStats(reg, "boot-0", g)
-
-	var sb strings.Builder
-	if err := reg.WriteText(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{
-		`gem5art_sim_stat{system="boot-0",stat="sim_insts"} 1234`,
-		`gem5art_sim_stat{system="boot-0",stat="system_cpu_committedInsts"} 7`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("bridged exposition missing %q in:\n%s", want, out)
-		}
-	}
-	// Read-through: a later stat update is visible on the next scrape
-	// without re-bridging.
-	g.Lookup("sim_insts").(*Scalar).Add(1)
-	sb.Reset()
-	_ = reg.WriteText(&sb)
-	if !strings.Contains(sb.String(), `stat="sim_insts"} 1235`) {
-		t.Error("bridge did not read through to updated stat value")
 	}
 }
 

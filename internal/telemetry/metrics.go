@@ -1,7 +1,6 @@
 // Package telemetry is the observability substrate of gem5art-go: a
 // concurrency-safe metrics registry rendered in Prometheus text
-// exposition format, a lightweight trace-hook interface with a
-// ring-buffer recorder, and an event bus that streams run-lifecycle
+// exposition format, and an event bus that streams run-lifecycle
 // transitions to the status daemon.
 //
 // The package deliberately has no dependencies on the rest of the

@@ -10,16 +10,6 @@ import (
 	"sync"
 )
 
-// Label is one name=value pair attached to a sample.
-type Label struct {
-	Name, Value string
-}
-
-// CollectFunc emits read-through samples at scrape time. It is how
-// external state (e.g. the simulator's gem5-style StatGroup) appears on
-// /metrics without maintaining duplicate counters.
-type CollectFunc func(emit func(labels []Label, value float64))
-
 // family is one named metric family in a registry.
 type family struct {
 	name, help, typ string
@@ -28,8 +18,6 @@ type family struct {
 	counter   *CounterVec
 	gauge     *GaugeVec
 	histogram *HistogramVec
-	gaugeFn   func() float64
-	collect   []CollectFunc
 }
 
 // Registry holds metric families and renders them in the Prometheus
@@ -103,12 +91,6 @@ func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
 	return f.gauge
 }
 
-// GaugeFunc registers a gauge whose value is computed at scrape time.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	f := r.family(name, help, "gauge", nil)
-	f.gaugeFn = fn
-}
-
 // Histogram registers (or returns) an unlabeled histogram with the
 // given bucket upper bounds (nil means DefBuckets).
 func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
@@ -126,16 +108,6 @@ func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...
 		f.histogram = &HistogramVec{newVec(labels, func() *Histogram { return newHistogram(bs) })}
 	}
 	return f.histogram
-}
-
-// Collector attaches a read-through sample source to a gauge family:
-// fn is invoked at every scrape and its emitted samples rendered under
-// the family name. Multiple collectors may share one family.
-func (r *Registry) Collector(name, help string, fn CollectFunc) {
-	f := r.family(name, help, "gauge", nil)
-	r.mu.Lock()
-	f.collect = append(f.collect, fn)
-	r.mu.Unlock()
 }
 
 // WriteText renders every family in the Prometheus text exposition
@@ -185,8 +157,6 @@ func (r *Registry) Snapshot() map[string]float64 {
 				out[base+"_sum"] = c.metric.Sum()
 				out[base+"_count"] = float64(c.metric.Count())
 			}
-		case f.gaugeFn != nil:
-			out[f.name] = f.gaugeFn()
 		}
 	}
 	return out
@@ -219,24 +189,9 @@ func (f *family) write(sb *strings.Builder) {
 		for _, c := range f.counter.children() {
 			writeSample(sb, f.name, f.labels, c.values, "", 0, c.metric.Value())
 		}
-	case f.gauge != nil || f.gaugeFn != nil || f.collect != nil:
-		if f.gauge != nil {
-			for _, c := range f.gauge.children() {
-				writeSample(sb, f.name, f.labels, c.values, "", 0, c.metric.Value())
-			}
-		}
-		if f.gaugeFn != nil {
-			writeSample(sb, f.name, nil, nil, "", 0, f.gaugeFn())
-		}
-		for _, collect := range f.collect {
-			collect(func(labels []Label, v float64) {
-				names := make([]string, len(labels))
-				values := make([]string, len(labels))
-				for i, l := range labels {
-					names[i], values[i] = l.Name, l.Value
-				}
-				writeSample(sb, f.name, names, values, "", 0, v)
-			})
+	case f.gauge != nil:
+		for _, c := range f.gauge.children() {
+			writeSample(sb, f.name, f.labels, c.values, "", 0, c.metric.Value())
 		}
 	case f.histogram != nil:
 		for _, c := range f.histogram.children() {
@@ -354,34 +309,4 @@ func escapeHelp(s string) string {
 		}
 	}
 	return sb.String()
-}
-
-// SanitizeName maps an arbitrary stat name (e.g. gem5's dotted
-// "system.cpu.committedInsts") to a valid Prometheus metric or label
-// value fragment: [a-zA-Z0-9_:], everything else becomes '_'.
-func SanitizeName(s string) string {
-	var sb strings.Builder
-	for i, r := range s {
-		ok := r == '_' || r == ':' ||
-			(r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z') ||
-			(r >= '0' && r <= '9' && i > 0)
-		if ok {
-			sb.WriteRune(r)
-		} else {
-			sb.WriteByte('_')
-		}
-	}
-	return sb.String()
-}
-
-// Families lists registered family names in registration order, for
-// diagnostics and docs generation.
-func (r *Registry) Families() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, len(r.order))
-	for i, f := range r.order {
-		out[i] = f.name
-	}
-	return out
 }

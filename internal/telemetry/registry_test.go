@@ -159,25 +159,6 @@ func TestIdempotentRegistration(t *testing.T) {
 	r.Gauge("test_twice_total", "now a gauge")
 }
 
-func TestGaugeFuncAndCollector(t *testing.T) {
-	r := NewRegistry()
-	r.GaugeFunc("test_uptime_seconds", "uptime", func() float64 { return 42 })
-	r.Collector("test_sim_stat", "bridged stats", func(emit func([]Label, float64)) {
-		emit([]Label{{Name: "stat", Value: "sim_insts"}}, 123)
-		emit([]Label{{Name: "stat", Value: "ipc"}}, 1.5)
-	})
-	out := render(t, r)
-	for _, want := range []string{
-		"test_uptime_seconds 42",
-		`test_sim_stat{stat="sim_insts"} 123`,
-		`test_sim_stat{stat="ipc"} 1.5`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("exposition missing %q in:\n%s", want, out)
-		}
-	}
-}
-
 func TestSnapshot(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("test_a_total", "a").Add(7)
@@ -192,20 +173,6 @@ func TestSnapshot(t *testing.T) {
 	}
 	if snap["test_h_seconds_count"] != 1 || snap["test_h_seconds_sum"] != 0.5 {
 		t.Errorf("snapshot histogram = %g/%g", snap["test_h_seconds_count"], snap["test_h_seconds_sum"])
-	}
-}
-
-func TestSanitizeName(t *testing.T) {
-	cases := map[string]string{
-		"system.cpu.committedInsts": "system_cpu_committedInsts",
-		"sim_insts":                 "sim_insts",
-		"9lives":                    "_lives",
-		"a-b::c":                    "a_b::c",
-	}
-	for in, want := range cases {
-		if got := SanitizeName(in); got != want {
-			t.Errorf("SanitizeName(%q) = %q, want %q", in, got, want)
-		}
 	}
 }
 
