@@ -62,11 +62,14 @@ chaos:
 
 # microbench compiles and runs the go-test microbenchmarks of the
 # simulation kernel (event chain, port ping-pong, one-active-of-nine
-# window) and of the store (journal append, 480-document batch commit
+# window), of the store (journal append, 480-document batch commit
 # with its fsync count, count by plain index vs by scan at 10k
-# documents, the filter matcher) for a fixed 200 iterations: a smoke
-# run that keeps them building and shows allocs/op, not a timing.
+# documents, the filter matcher), of simcache run-key derivation, and
+# of a 64-run warm relaunch on a journaled store (ns/run and the runs
+# records each replayed run commits) for a fixed 200 iterations: a
+# smoke run that keeps them building and shows allocs/op, not a timing.
 microbench:
-	$(GO) test -run '^$$' -bench . -benchtime 200x ./internal/sim/... ./internal/database/...
+	$(GO) test -run '^$$' -bench . -benchtime 200x ./internal/sim/... ./internal/database/... \
+		./internal/simcache/... ./internal/core/launch/...
 
 ci: fmt vet build race microbench

@@ -35,27 +35,32 @@ type RunRow struct {
 func ExtractRuns(db database.Store, filter database.Doc) []RunRow {
 	var out []RunRow
 	for _, d := range db.Collection("runs").Find(filter) {
-		row := RunRow{Params: map[string]string{}}
-		row.Name, _ = d["name"].(string)
-		row.Status, _ = d["status"].(string)
-		row.Outcome, _ = d["outcome"].(string)
-		row.SimSeconds, _ = d["sim_seconds"].(float64)
-		row.Insts, _ = d["insts"].(float64)
-		row.Joules, _ = d["energy_joules"].(float64)
-		row.Watts, _ = d["energy_watts"].(float64)
-		row.EDP, _ = d["energy_edp"].(float64)
-		if ps, ok := d["params"].([]any); ok {
-			for _, p := range ps {
-				if s, ok := p.(string); ok {
-					if k, v, ok := strings.Cut(s, "="); ok {
-						row.Params[k] = v
-					}
+		out = append(out, Row(d))
+	}
+	return out
+}
+
+// Row flattens one run document.
+func Row(d database.Doc) RunRow {
+	row := RunRow{Params: map[string]string{}}
+	row.Name, _ = d["name"].(string)
+	row.Status, _ = d["status"].(string)
+	row.Outcome, _ = d["outcome"].(string)
+	row.SimSeconds, _ = d["sim_seconds"].(float64)
+	row.Insts, _ = d["insts"].(float64)
+	row.Joules, _ = d["energy_joules"].(float64)
+	row.Watts, _ = d["energy_watts"].(float64)
+	row.EDP, _ = d["energy_edp"].(float64)
+	if ps, ok := d["params"].([]any); ok {
+		for _, p := range ps {
+			if s, ok := p.(string); ok {
+				if k, v, ok := strings.Cut(s, "="); ok {
+					row.Params[k] = v
 				}
 			}
 		}
-		out = append(out, row)
 	}
-	return out
+	return row
 }
 
 // Series is one named sequence of (label, value) points.

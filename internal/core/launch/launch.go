@@ -104,23 +104,23 @@ func (e *Experiment) SetRetryPolicy(rp tasks.RetryPolicy) { e.Pool.SetRetryPolic
 func (e *Experiment) SetCache(c *simcache.Cache) { e.cache = c }
 
 // LaunchFS creates a full-system run from the spec and schedules it
-// asynchronously (Figure 5's apply_async).
+// asynchronously (Figure 5's apply_async). A run the attached cache
+// already answers is recorded done on the spot and never queued.
 func (e *Experiment) LaunchFS(spec run.FSSpec) (*run.Run, error) {
-	r, err := run.CreateFSRun(e.Reg, spec)
+	r, replayed, err := run.CreateFSRunCached(e.Reg, spec, e.cache)
 	if err != nil {
 		return nil, err
 	}
-	if e.cache != nil {
-		r.SetCache(e.cache)
+	if !replayed {
+		fut, err := e.Pool.ApplyAsync(tasks.TaskFunc{
+			Name: r.ID,
+			Fn:   r.Execute,
+		})
+		if err != nil {
+			return nil, err
+		}
+		e.futures = append(e.futures, fut)
 	}
-	fut, err := e.Pool.ApplyAsync(tasks.TaskFunc{
-		Name: r.ID,
-		Fn:   r.Execute,
-	})
-	if err != nil {
-		return nil, err
-	}
-	e.futures = append(e.futures, fut)
 	e.runs = append(e.runs, r)
 	return r, nil
 }

@@ -67,7 +67,13 @@ func TestSweepEach(t *testing.T) {
 
 func buildEnv(t *testing.T) (*artifact.Registry, run.FSSpec) {
 	t.Helper()
-	reg := artifact.NewRegistry(database.MustOpen(""))
+	return buildEnvOn(t, database.MustOpen(""))
+}
+
+// buildEnvOn registers the artifacts of a boot-exit spec in db.
+func buildEnvOn(t testing.TB, db database.Store) (*artifact.Registry, run.FSSpec) {
+	t.Helper()
+	reg := artifact.NewRegistry(db)
 	gem5Git, err := reg.Register(artifact.Options{Name: "gem5-repo", Typ: "git repository",
 		Path: "gem5/", Content: []byte("repo")})
 	if err != nil {

@@ -2,20 +2,12 @@ package run
 
 import (
 	"encoding/json"
+	"time"
 
 	"gem5art/internal/core/artifact"
 	"gem5art/internal/database"
 	"gem5art/internal/simcache"
 )
-
-// SetCache attaches the simulation cache this run memoizes through.
-// With no cache attached the run always executes for real. Call before
-// Execute.
-func (r *Run) SetCache(c *simcache.Cache) {
-	r.mu.Lock()
-	r.cache = c
-	r.mu.Unlock()
-}
 
 // CacheKey returns the run's canonical content key: the stable hash
 // over its input closure (run kind, artifact hashes, parameters,
@@ -75,6 +67,29 @@ func (r *Run) computeCacheKey() string {
 		Params:    params,
 		Salt:      salt,
 	}.Key()
+}
+
+// replay completes a run its cache already answers, at creation and
+// before the run is shared: the cached result, one done attempt and the
+// archive hashes, so the run's first commit is its terminal one. It
+// reports false on a miss — and on a malformed entry, which is left for
+// runMemoized to invalidate.
+func (r *Run) replay() bool {
+	doc, ok := r.cache.Probe(r.cacheKey)
+	if !ok {
+		return false
+	}
+	res, err := resultsFromDoc(doc)
+	if err != nil {
+		return false
+	}
+	now := time.Now()
+	res.FromCache = true
+	r.Status, r.Results = Done, res
+	r.WallStart, r.WallEnd = now, now
+	r.Attempts = []Attempt{{Index: 1, Start: now, End: now, Status: Done}}
+	r.archiveLocked()
+	return true
 }
 
 // runMemoized executes the handler through the simulation cache: an

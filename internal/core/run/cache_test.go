@@ -156,7 +156,7 @@ func TestRunMemoization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1.SetCache(cache)
+	r1.cache = cache
 	executeOK(t, r1)
 	if r1.Results.FromCache {
 		t.Fatal("cold run claims a cache hit")
@@ -169,7 +169,7 @@ func TestRunMemoization(t *testing.T) {
 	if r2.CacheKey() != r1.CacheKey() {
 		t.Fatalf("identical specs got different keys: %s vs %s", r1.CacheKey(), r2.CacheKey())
 	}
-	r2.SetCache(cache)
+	r2.cache = cache
 	executeOK(t, r2)
 	if !r2.Results.FromCache {
 		t.Fatal("identical run did not hit the cache")
@@ -196,10 +196,95 @@ func TestRunMemoization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r3.SetCache(cache)
+	r3.cache = cache
 	executeOK(t, r3)
 	if r3.Results.Stats["boot_insts"] == -1 {
 		t.Fatal("cached result aliased across runs")
+	}
+}
+
+// TestArchivedStatsAreDeterministic: two executions of one spec render
+// the same stats.txt, so they archive one blob and record one
+// stats_file hash.
+func TestArchivedStatsAreDeterministic(t *testing.T) {
+	e := newEnv(t)
+	disk := npbDisk(t, e)
+	var hashes []string
+	for _, name := range []string{"cg-a", "cg-b"} {
+		spec := e.fsSpec(name, "configs/run_npb.py", disk,
+			"benchmark=cg", "cpu=TimingSimpleCPU", "num_cpus=1", "mem_sys=classic")
+		spec.Energy = "auto" // the energy model adds the energy.* stats
+		r, err := CreateFSRun(e.reg, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		executeOK(t, r)
+		if len(r.Results.Stats) < 10 {
+			t.Fatalf("%d stats: too few for iteration order to show", len(r.Results.Stats))
+		}
+		hashes = append(hashes, r.Results.StatsHash)
+	}
+	if hashes[0] == "" || hashes[0] != hashes[1] {
+		t.Fatalf("identical runs archived different stats.txt: %q vs %q", hashes[0], hashes[1])
+	}
+}
+
+// TestReplayedRunMatchesExecutedHit: a run the cache answers at
+// creation is created done, refuses execution, archives nothing new,
+// and its document carries the same fields and values as a hit found
+// while executing.
+func TestReplayedRunMatchesExecutedHit(t *testing.T) {
+	e := newEnv(t)
+	cache := simcache.New(e.reg.DB(), simcache.Options{})
+	spec := hackSpec(e, e.bootDisk, "replay", "boot-exit", "boot-exit", "1")
+	cold, replayed, err := CreateFSRunCached(e.reg, spec, cache)
+	if err != nil || replayed {
+		t.Fatalf("cold run: replayed=%v err=%v", replayed, err)
+	}
+	executeOK(t, cold)
+
+	executed, err := CreateFSRun(e.reg, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	executed.cache = cache
+	executeOK(t, executed)
+	col := e.reg.DB().Collection(Collection)
+	files := len(e.reg.DB().Files().List())
+
+	r, replayed, err := CreateFSRunCached(e.reg, spec, cache)
+	if err != nil || !replayed {
+		t.Fatalf("warm run: replayed=%v err=%v", replayed, err)
+	}
+	if r.StatusNow() != Done || !r.Results.FromCache {
+		t.Fatalf("replayed run: status %s results %+v", r.StatusNow(), r.Results)
+	}
+	if err := r.Execute(context.Background()); err == nil {
+		t.Fatal("a replayed run accepted re-execution")
+	}
+	if got := len(e.reg.DB().Files().List()); got != files {
+		t.Fatalf("replay archived new blobs: %d -> %d", files, got)
+	}
+	want := col.FindOne(database.Doc{"_id": executed.ID})
+	got := col.FindOne(database.Doc{"_id": r.ID})
+	for k := range want {
+		if _, ok := got[k]; !ok {
+			t.Errorf("replayed document lacks %q", k)
+		}
+	}
+	for k := range got {
+		if _, ok := want[k]; !ok {
+			t.Errorf("replayed document has extra field %q", k)
+		}
+	}
+	for _, k := range []string{"status", "outcome", "insts", "sim_seconds", "cache_hit", "cache_key",
+		"stats_file", "console_file", "config_file", "boot_class"} {
+		if got[k] != want[k] {
+			t.Errorf("%s: replayed %v, executed hit %v", k, got[k], want[k])
+		}
+	}
+	if st := cache.Stats(); st.Misses != 1 || st.HitsMemory != 2 {
+		t.Fatalf("cache stats: %+v, want 1 miss and 2 memory hits", st)
 	}
 }
 
@@ -220,8 +305,8 @@ func TestRunsWithDifferentParamsDoNotCollide(t *testing.T) {
 	if r1.CacheKey() == r2.CacheKey() {
 		t.Fatal("different benchmarks share a cache key")
 	}
-	r1.SetCache(cache)
-	r2.SetCache(cache)
+	r1.cache = cache
+	r2.cache = cache
 	executeOK(t, r1)
 	executeOK(t, r2)
 	if r2.Results.FromCache {
@@ -239,7 +324,7 @@ func TestSharedBootAcrossClass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1.SetCache(cache)
+	r1.cache = cache
 	executeOK(t, r1)
 	if r1.Results.SharedBoot {
 		t.Fatal("first run in class claims a shared boot")
@@ -252,7 +337,7 @@ func TestSharedBootAcrossClass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2.SetCache(cache)
+	r2.cache = cache
 	executeOK(t, r2)
 	if !r2.Results.SharedBoot {
 		t.Fatalf("sibling run re-booted: %+v", r2.Results)

@@ -8,6 +8,7 @@ package run
 import (
 	"context"
 	"fmt"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -154,6 +155,16 @@ func (r *Run) publish(to Status, attempt int, stale bool) {
 // CreateFSRun validates the spec and creates a queued full-system run,
 // recording it in the database.
 func CreateFSRun(reg *artifact.Registry, spec FSSpec) (*Run, error) {
+	r, _, err := CreateFSRunCached(reg, spec, nil)
+	return r, err
+}
+
+// CreateFSRunCached is CreateFSRun for a launch memoizing through c
+// (nil = no cache). When c already holds the run's result, the run is
+// created terminal — done, replayed from the cache — by a single
+// InsertOne, and replayed reports that there is nothing left to
+// execute. Otherwise the run is created queued with c attached.
+func CreateFSRunCached(reg *artifact.Registry, spec FSSpec, c *simcache.Cache) (*Run, bool, error) {
 	if spec.Timeout == 0 {
 		spec.Timeout = DefaultTimeout
 	}
@@ -166,14 +177,14 @@ func CreateFSRun(reg *artifact.Registry, spec FSSpec) (*Run, error) {
 	}
 	for field, a := range required {
 		if a == nil {
-			return nil, fmt.Errorf("run: %s: missing %s", spec.Name, field)
+			return nil, false, fmt.Errorf("run: %s: missing %s", spec.Name, field)
 		}
 	}
 	if spec.Gem5Binary == "" || spec.RunScript == "" {
-		return nil, fmt.Errorf("run: %s: gem5 binary and run script paths are required", spec.Name)
+		return nil, false, fmt.Errorf("run: %s: gem5 binary and run script paths are required", spec.Name)
 	}
 	if _, ok := handler(spec.RunScript); !ok {
-		return nil, fmt.Errorf("run: %s: no handler for run script %q", spec.Name, spec.RunScript)
+		return nil, false, fmt.Errorf("run: %s: no handler for run script %q", spec.Name, spec.RunScript)
 	}
 	r := &Run{
 		ID:     artifact.NewUUID(),
@@ -185,15 +196,18 @@ func CreateFSRun(reg *artifact.Registry, spec FSSpec) (*Run, error) {
 	// A bad energy spec (unknown preset, malformed model file) fails at
 	// creation, not mid-sweep.
 	if _, err := r.energyModel(); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	r.cacheKey = r.computeCacheKey()
+	r.cache = c
+	replayed := c != nil && r.replay()
 	if _, err := reg.DB().Collection(Collection).InsertOne(r.doc()); err != nil {
-		return nil, fmt.Errorf("run: %s: %w", spec.Name, err)
+		return nil, false, fmt.Errorf("run: %s: %w", spec.Name, err)
 	}
 	runsCreated.Inc()
-	r.publish(Queued, 0, false)
-	return r, nil
+	// Queued with no attempt yet, or done by its one replayed attempt.
+	r.publish(r.Status, len(r.Attempts), false)
+	return r, replayed, nil
 }
 
 // Command renders the gem5 invocation this run documents, the way
@@ -258,8 +272,9 @@ func (r *Run) Execute(ctx context.Context) error {
 	})
 	idx := len(r.Attempts) - 1
 	r.mu.Unlock()
+	// Running lives on the event bus only: the attempt is committed with
+	// its outcome, so a queued run writes twice — created and terminal.
 	r.publish(Running, idx+1, false)
-	r.update()
 
 	ctx, cancel := context.WithTimeout(ctx, r.Spec.Timeout)
 	defer cancel()
@@ -387,16 +402,22 @@ func (r *Run) StatusNow() Status {
 }
 
 // archiveLocked stores the stats dump and console output as files in
-// the database, recording their hashes on the run document. Caller
-// holds r.mu.
+// the database, recording their hashes on the run document. The stats
+// dump is rendered in key order, so identical results archive as one
+// content-addressed blob. Caller holds r.mu.
 func (r *Run) archiveLocked() {
 	if r.Results == nil {
 		return
 	}
 	fs := r.reg.DB().Files()
+	keys := make([]string, 0, len(r.Results.Stats))
+	for k := range r.Results.Stats {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
 	var stats strings.Builder
-	for k, v := range r.Results.Stats {
-		fmt.Fprintf(&stats, "%s %g\n", k, v)
+	for _, k := range keys {
+		fmt.Fprintf(&stats, "%s %g\n", k, r.Results.Stats[k])
 	}
 	// Archiving is best-effort: a degraded store loses the artifact copy
 	// but not the run's results, which live on the run document. An empty

@@ -9,6 +9,7 @@ import (
 	"gem5art/internal/database"
 	"gem5art/internal/sim/cpu"
 	"gem5art/internal/sim/kernel"
+	"gem5art/internal/simcache"
 )
 
 func TestEnvProvisioning(t *testing.T) {
@@ -141,6 +142,70 @@ func TestTableRenderers(t *testing.T) {
 	}
 	if got := strings.Count(t4, "\n"); got != 30 { // title + 29 rows
 		t.Fatalf("table 4 rows = %d", got)
+	}
+}
+
+// TestStudiesReflectOnlyTheirOwnLaunch relaunches each use case on one
+// cached Env, narrowed to a subset of the first launch's cells: the
+// second study holds exactly the relaunched cells, with the values the
+// first launch recorded, and nothing from the first launch leaks in.
+func TestStudiesReflectOnlyTheirOwnLaunch(t *testing.T) {
+	e, err := NewEnv("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Cache = simcache.New(e.DB(), simcache.Options{})
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	p1, err := e.RunParsecStudy(2, []string{"blackscholes", "dedup"}, []int{1, 2})
+	must(err)
+	cells := []kernel.Spec{
+		{Kernel: "5.4.49", CPU: cpu.KVM, Mem: "classic", Cores: 1, Boot: kernel.BootInit},
+		{Kernel: "4.4.186", CPU: cpu.O3, Mem: "ruby.MI_example", Cores: 8, Boot: kernel.BootSystemd},
+	}
+	b1, err := e.RunBootSweep(2, cells)
+	must(err)
+	g1, err := e.RunGPUStudy(2, []string{"FAMutex", "MatrixTranspose"})
+	must(err)
+	en1, err := e.RunEnergySweep(2, []kernel.Version{"4.4.186", "5.4.49"}, []cpu.Model{cpu.Timing, cpu.O3})
+	must(err)
+	misses := e.Cache.Stats().Misses
+
+	p2, err := e.RunParsecStudy(2, []string{"dedup"}, []int{2})
+	must(err)
+	for os, apps := range p2.Seconds {
+		if len(apps) != 1 || len(apps["dedup"]) != 1 || apps["dedup"][2] != p1.Seconds[os]["dedup"][2] || apps["dedup"][2] <= 0 {
+			t.Errorf("parsec %s: %v, want only dedup/2 = %v", os, apps, p1.Seconds[os]["dedup"][2])
+		}
+	}
+	b2, err := e.RunBootSweep(2, cells[1:])
+	must(err)
+	if want := b1.Outcome[cells[1].String()]; len(b2.Outcome) != 1 || b2.Outcome[cells[1].String()] != want {
+		t.Errorf("boot: %v, want only %s = %s", b2.Outcome, cells[1], want)
+	}
+	g2, err := e.RunGPUStudy(2, []string{"MatrixTranspose"})
+	must(err)
+	for alloc, ticks := range g2.Ticks {
+		if want := g1.Ticks[alloc]["MatrixTranspose"]; len(ticks) != 1 || ticks["MatrixTranspose"] != want {
+			t.Errorf("gpu %s: %v, want only MatrixTranspose = %v", alloc, ticks, want)
+		}
+	}
+	kernels, cpus := []kernel.Version{"5.4.49"}, []cpu.Model{cpu.O3}
+	en2, err := e.RunEnergySweep(2, kernels, cpus)
+	must(err)
+	if len(en2.Rows) != len(kernels)*len(cpus) {
+		t.Errorf("energy: %d rows, want %d", len(en2.Rows), len(kernels)*len(cpus))
+	}
+	if got, want := en2.Joules("5.4.49", cpu.O3), en1.Joules("5.4.49", cpu.O3); got != want || got <= 0 {
+		t.Errorf("energy 5.4.49/O3: %v J, first launch recorded %v J", got, want)
+	}
+	if got := e.Cache.Stats().Misses; got != misses {
+		t.Errorf("relaunches missed the cache %d times", got-misses)
 	}
 }
 

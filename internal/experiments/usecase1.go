@@ -6,7 +6,6 @@ import (
 
 	"gem5art/internal/analysis"
 	"gem5art/internal/core/run"
-	"gem5art/internal/database"
 	"gem5art/internal/workloads"
 )
 
@@ -45,7 +44,8 @@ func (e *Env) RunParsecStudy(workers int, apps []string, cores []int) (*ParsecSt
 			}
 		}
 	}
-	if err := e.launchAll("use-case-1-parsec", workers, specs); err != nil {
+	rows, err := e.launchAll("use-case-1-parsec", workers, specs)
+	if err != nil {
 		return nil, err
 	}
 
@@ -60,9 +60,6 @@ func (e *Env) RunParsecStudy(workers int, apps []string, cores []int) (*ParsecSt
 			study.Seconds[os.Name][app] = map[int]float64{}
 		}
 	}
-	rows := analysis.ExtractRuns(e.DB(), database.Doc{
-		"run_script": "configs/run_parsec.py", "status": "done",
-	})
 	for _, r := range rows {
 		if m, ok := study.Seconds[r.Params["os"]]; ok {
 			if mm, ok := m[r.Params["benchmark"]]; ok {

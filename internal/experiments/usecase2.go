@@ -5,7 +5,6 @@ import (
 
 	"gem5art/internal/analysis"
 	"gem5art/internal/core/run"
-	"gem5art/internal/database"
 	"gem5art/internal/sim/cpu"
 	"gem5art/internal/sim/kernel"
 )
@@ -35,14 +34,12 @@ func (e *Env) RunBootSweep(workers int, cells []kernel.Spec) (*BootStudy, error)
 				"boot_type=" + string(c.Boot),
 			}))
 	}
-	if err := e.launchAll("use-case-2-boot", workers, specs); err != nil {
+	rows, err := e.launchAll("use-case-2-boot", workers, specs)
+	if err != nil {
 		return nil, err
 	}
 
 	study := &BootStudy{Cells: cells, Outcome: map[string]string{}}
-	rows := analysis.ExtractRuns(e.DB(), database.Doc{
-		"run_script": "configs/run_exit.py", "status": "done",
-	})
 	for _, r := range rows {
 		spec := kernel.Spec{
 			Kernel: kernel.Version(r.Params["kernel"]),

@@ -6,7 +6,6 @@ import (
 
 	"gem5art/internal/analysis"
 	"gem5art/internal/core/run"
-	"gem5art/internal/database"
 	"gem5art/internal/resources"
 	"gem5art/internal/sim/gpu"
 	"gem5art/internal/workloads"
@@ -46,7 +45,8 @@ func (e *Env) RunGPUStudy(workers int, apps []string) (*GPUStudy, error) {
 			specs = append(specs, spec)
 		}
 	}
-	if err := e.launchAll("use-case-3-gpu", workers, specs); err != nil {
+	rows, err := e.launchAll("use-case-3-gpu", workers, specs)
+	if err != nil {
 		return nil, err
 	}
 
@@ -57,16 +57,12 @@ func (e *Env) RunGPUStudy(workers int, apps []string) (*GPUStudy, error) {
 			string(gpu.Dynamic): {},
 		},
 	}
-	for _, d := range e.DB().Collection(run.Collection).Find(database.Doc{
-		"run_script": "configs/run_gpu.py", "status": "done",
-	}) {
-		name, _ := d["name"].(string)
-		simSeconds, _ := d["sim_seconds"].(float64)
+	for _, r := range rows {
 		for _, alloc := range []string{string(gpu.Simple), string(gpu.Dynamic)} {
 			prefix, suffix := "gpu-", "-"+alloc
-			if strings.HasPrefix(name, prefix) && strings.HasSuffix(name, suffix) {
-				app := strings.TrimSuffix(strings.TrimPrefix(name, prefix), suffix)
-				study.Ticks[alloc][app] = simSeconds * 1e9 // 1 GHz shader
+			if strings.HasPrefix(r.Name, prefix) && strings.HasSuffix(r.Name, suffix) {
+				app := strings.TrimSuffix(strings.TrimPrefix(r.Name, prefix), suffix)
+				study.Ticks[alloc][app] = r.SimSeconds * 1e9 // 1 GHz shader
 			}
 		}
 	}

@@ -6,7 +6,6 @@ import (
 
 	"gem5art/internal/analysis"
 	"gem5art/internal/core/run"
-	"gem5art/internal/database"
 	"gem5art/internal/sim/cpu"
 	"gem5art/internal/sim/kernel"
 )
@@ -60,19 +59,11 @@ func (e *Env) RunEnergySweep(workers int, kernels []kernel.Version, cpus []cpu.M
 			i++
 		}
 	}
-	if err := e.launchAll("use-case-4-energy", workers, specs); err != nil {
+	rows, err := e.launchAll("use-case-4-energy", workers, specs)
+	if err != nil {
 		return nil, err
 	}
-
-	study := &EnergyStudy{Kernels: kernels, CPUs: cpus}
-	for _, r := range analysis.ExtractRuns(e.DB(), database.Doc{
-		"run_script": "configs/run_exit.py", "status": "done",
-	}) {
-		if strings.HasPrefix(r.Name, energyRunPrefix) {
-			study.Rows = append(study.Rows, r)
-		}
-	}
-	return study, nil
+	return &EnergyStudy{Kernels: kernels, CPUs: cpus, Rows: rows}, nil
 }
 
 // Joules returns the total boot energy of one cell (0 if absent).

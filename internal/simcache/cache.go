@@ -196,8 +196,22 @@ func docSize(d database.Doc) int {
 }
 
 // Lookup returns a deep copy of the cached result for key, consulting
-// the memory tier and then the persistent tier (promoting on hit).
+// the memory tier and then the persistent tier (promoting on hit). It
+// counts one hit or one miss.
 func (c *Cache) Lookup(key string) (database.Doc, bool) {
+	if doc, ok := c.Probe(key); ok {
+		return doc, true
+	}
+	c.n.misses.Add(1)
+	cacheMisses.With("result").Inc()
+	return nil, false
+}
+
+// Probe is Lookup for a caller that falls back to GetOrCompute on a
+// miss: it counts a hit but leaves the miss uncounted, because
+// GetOrCompute counts it, so the request still counts exactly one hit
+// or one miss.
+func (c *Cache) Probe(key string) (database.Doc, bool) {
 	now := c.opts.now()
 	c.mu.Lock()
 	doc, ok := c.lookupMemLocked(key, now)
@@ -207,12 +221,7 @@ func (c *Cache) Lookup(key string) (database.Doc, bool) {
 		cacheHits.With("memory").Inc()
 		return doc, true
 	}
-	if doc, ok := c.lookupPersistent(key, now); ok {
-		return doc, true
-	}
-	c.n.misses.Add(1)
-	cacheMisses.With("result").Inc()
-	return nil, false
+	return c.lookupPersistent(key, now)
 }
 
 // lookupMemLocked serves the memory tier. Caller holds c.mu.
@@ -232,7 +241,8 @@ func (c *Cache) lookupMemLocked(key string, now time.Time) (database.Doc, bool) 
 
 // lookupPersistent serves the persistent tier, promoting hits into the
 // memory tier. It counts its own hits; misses are counted by callers
-// (Lookup counts a combined miss, GetOrCompute counts before running).
+// (Lookup counts a combined miss, GetOrCompute counts before running,
+// Probe counts none).
 func (c *Cache) lookupPersistent(key string, now time.Time) (database.Doc, bool) {
 	col := c.db.Collection(ResultCollection)
 	d := col.FindOne(database.Doc{"_id": key})

@@ -293,6 +293,38 @@ func TestGetOrComputeHitsPersistentTier(t *testing.T) {
 	}
 }
 
+// TestProbeThenComputeCountsOnce: a probe that misses and falls back to
+// GetOrCompute counts one miss, and a probe that hits counts one hit,
+// from either tier.
+func TestProbeThenComputeCountsOnce(t *testing.T) {
+	db := memDB(t)
+	c := New(db, Options{})
+	if _, ok := c.Probe("k"); ok {
+		t.Fatal("probe hit on empty cache")
+	}
+	if st := c.Stats(); st.Misses != 0 {
+		t.Fatalf("probe counted a miss: %+v", st)
+	}
+	if _, _, err := c.GetOrCompute("k", func() (database.Doc, error) {
+		return database.Doc{"v": float64(1)}, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if d, ok := c.Probe("k"); !ok || d["v"] != float64(1) {
+		t.Fatalf("probe after store: %v %v", d, ok)
+	}
+	if st := c.Stats(); st.Misses != 1 || st.HitsMemory != 1 {
+		t.Fatalf("stats: %+v, want 1 miss and 1 memory hit", st)
+	}
+	fresh := New(db, Options{})
+	if _, ok := fresh.Probe("k"); !ok {
+		t.Fatal("probe missed the persistent tier")
+	}
+	if st := fresh.Stats(); st.HitsPersistent != 1 || st.Misses != 0 {
+		t.Fatalf("stats: %+v, want 1 persistent hit", st)
+	}
+}
+
 func TestCheckpointRoundTrip(t *testing.T) {
 	c := New(memDB(t), Options{})
 	class := BootClass{KernelHash: "kern", DiskHash: "disk", Cores: 2, Mem: "classic"}
