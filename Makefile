@@ -66,10 +66,13 @@ chaos:
 # with its fsync count, count by plain index vs by scan at 10k
 # documents, the filter matcher), of simcache run-key derivation, and
 # of a 64-run warm relaunch on a journaled store (ns/run and the runs
-# records each replayed run commits) for a fixed 200 iterations: a
+# records each replayed run commits) for a fixed 200 iterations, and
+# the GPU model's BenchmarkRunTable4 (all 58 Table IV cells per
+# iteration, with Mops/s) for 5, as one iteration takes ~0.4 s: a
 # smoke run that keeps them building and shows allocs/op, not a timing.
 microbench:
-	$(GO) test -run '^$$' -bench . -benchtime 200x ./internal/sim/... ./internal/database/... \
+	$(GO) test -run '^$$' -bench . -skip RunTable4 -benchtime 200x ./internal/sim/... ./internal/database/... \
 		./internal/simcache/... ./internal/core/launch/...
+	$(GO) test -run '^$$' -bench RunTable4 -benchtime 5x ./internal/sim/gpu/
 
 ci: fmt vet build race microbench

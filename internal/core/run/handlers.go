@@ -200,9 +200,6 @@ func runGPU(r *Run) (*Results, error) {
 		return nil, err
 	}
 	alloc := gpu.Allocator(r.Param("reg_alloc", string(gpu.Simple)))
-	if alloc != gpu.Simple && alloc != gpu.Dynamic {
-		return nil, fmt.Errorf("run: unknown register allocator %q", alloc)
-	}
 	res, err := gpu.Run(gpu.Config{}, w.Kernel, alloc)
 	if err != nil {
 		return nil, err

@@ -18,6 +18,7 @@ package gpu
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 )
 
 // Allocator selects the register-allocation policy.
@@ -158,7 +159,7 @@ type wave struct {
 	simd     int
 	opsLeft  int
 	readyAt  uint64
-	rng      *rand.Rand
+	rng      *rand.Rand // from wavePool while the wave is resident
 	barriers int
 	atBar    bool
 	done     bool
@@ -167,7 +168,7 @@ type wave struct {
 type workgroup struct {
 	id        int
 	cu        int
-	waves     []*wave
+	waves     []wave
 	remaining int
 	barWait   int // waves currently parked at the barrier
 }
@@ -182,41 +183,53 @@ type cuState struct {
 	wgs       int    // resident workgroups
 }
 
+// wavePool recycles wave generators across waves and runs. Seed fully
+// resets a source, so a pooled generator seeded at placement yields the
+// same stream as rand.New(rand.NewSource(seed)), and a run allocates
+// generators for its resident waves rather than for all of them.
+var wavePool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
 // Run simulates one kernel launch under the given allocator and returns
 // timing and occupancy statistics. It is deterministic for a fixed
-// descriptor.
+// descriptor: each wave draws from its own stream, seeded
+// k.Seed+1000*wg+wave when the wave is placed, and waves issue in
+// placement order.
 func Run(cfg Config, k KernelDesc, alloc Allocator) (Result, error) {
 	cfg.Defaults()
+	if alloc != Simple && alloc != Dynamic {
+		return Result{}, fmt.Errorf("gpu: %s: unknown register allocator %q", k.Name, alloc)
+	}
 	if err := k.Validate(cfg); err != nil {
 		return Result{}, err
 	}
 	res := Result{Kernel: k.Name, Allocator: alloc}
 
-	cus := make([]*cuState, cfg.CUs)
+	cus := make([]cuState, cfg.CUs)
+	perSIMD := make([]int, cfg.CUs*cfg.SIMDsPerCU)
 	for i := range cus {
-		cus[i] = &cuState{
+		cus[i] = cuState{
 			freeVRegs: cfg.VRegsPerCU,
 			freeSRegs: cfg.SRegsPerCU,
 			freeLDS:   cfg.LDSPerCU,
-			perSIMD:   make([]int, cfg.SIMDsPerCU),
+			perSIMD:   perSIMD[i*cfg.SIMDsPerCU : (i+1)*cfg.SIMDsPerCU],
 		}
 	}
 
-	pending := make([]*workgroup, 0, k.WGs)
-	for i := 0; i < k.WGs; i++ {
-		wg := &workgroup{id: i, remaining: k.WavesPerWG}
-		for w := 0; w < k.WavesPerWG; w++ {
-			wg.waves = append(wg.waves, &wave{
-				wg:       wg,
-				opsLeft:  k.OpsPerWave,
-				rng:      rand.New(rand.NewSource(k.Seed + int64(i)*1000 + int64(w))),
-				barriers: k.Barriers,
-			})
+	wgs := make([]workgroup, k.WGs)
+	waves := make([]wave, k.WGs*k.WavesPerWG)
+	for i := range wgs {
+		wg := &wgs[i]
+		*wg = workgroup{id: i, remaining: k.WavesPerWG, waves: waves[i*k.WavesPerWG : (i+1)*k.WavesPerWG]}
+		for w := range wg.waves {
+			wg.waves[w] = wave{wg: wg, opsLeft: k.OpsPerWave, barriers: k.Barriers}
 		}
-		pending = append(pending, wg)
 	}
+	next := 0 // first workgroup not yet dispatched
 
-	var active []*wave
+	maxResident := cfg.CUs * cfg.SIMDsPerCU * cfg.MaxWavesPerSIMD
+	active := make([]*wave, 0, min(len(waves), maxResident))
+	pruneDue := false   // a wave finished since active was last pruned
+	resident := 0       // resident waves over all CUs
 	var cycleNow uint64 // shared with the closures below
 	atomicChannels := k.AtomicChannels
 	if atomicChannels < 1 {
@@ -224,32 +237,29 @@ func Run(cfg Config, k KernelDesc, alloc Allocator) (Result, error) {
 	}
 	atomicFree := make([]uint64, atomicChannels)
 
+	// canPlace needs no per-SIMD slot count: the SIMDs' resident waves
+	// sum to cu.resident, so the CU-wide wave cap already decides it.
 	canPlace := func(cu *cuState) bool {
 		if alloc == Simple && cu.wgs >= 1 {
 			return false
 		}
-		if cu.freeVRegs < k.VRegsPerWave*k.WavesPerWG ||
-			cu.freeSRegs < k.SRegsPerWave*k.WavesPerWG ||
-			cu.freeLDS < k.LDSPerWG ||
-			cu.resident+k.WavesPerWG > cfg.SIMDsPerCU*cfg.MaxWavesPerSIMD {
-			return false
-		}
-		// Every wave needs a SIMD slot.
-		slots := 0
-		for _, n := range cu.perSIMD {
-			slots += cfg.MaxWavesPerSIMD - n
-		}
-		return slots >= k.WavesPerWG
+		return cu.freeVRegs >= k.VRegsPerWave*k.WavesPerWG &&
+			cu.freeSRegs >= k.SRegsPerWave*k.WavesPerWG &&
+			cu.freeLDS >= k.LDSPerWG &&
+			cu.resident+k.WavesPerWG <= cfg.SIMDsPerCU*cfg.MaxWavesPerSIMD
 	}
 
 	place := func(cuIdx int, wg *workgroup) {
-		cu := cus[cuIdx]
+		cu := &cus[cuIdx]
 		cu.freeVRegs -= k.VRegsPerWave * k.WavesPerWG
 		cu.freeSRegs -= k.SRegsPerWave * k.WavesPerWG
 		cu.freeLDS -= k.LDSPerWG
 		cu.wgs++
 		wg.cu = cuIdx
-		for _, w := range wg.waves {
+		for i := range wg.waves {
+			w := &wg.waves[i]
+			w.rng = wavePool.Get().(*rand.Rand)
+			w.rng.Seed(k.Seed + int64(wg.id)*1000 + int64(i))
 			// The dynamic allocator's per-launch register scan delays the
 			// workgroup's waves; the simple allocator's fixed mapping is
 			// free.
@@ -267,20 +277,21 @@ func Run(cfg Config, k KernelDesc, alloc Allocator) (Result, error) {
 			w.simd = best
 			cu.perSIMD[best]++
 			cu.resident++
+			resident++
 			active = append(active, w)
 		}
 	}
 
 	dispatch := func() {
-		for len(pending) > 0 {
+		for next < len(wgs) {
 			placed := false
 			for cuIdx := range cus {
-				if len(pending) == 0 {
+				if next == len(wgs) {
 					break
 				}
-				if canPlace(cus[cuIdx]) {
-					place(cuIdx, pending[0])
-					pending = pending[1:]
+				if canPlace(&cus[cuIdx]) {
+					place(cuIdx, &wgs[next])
+					next++
 					placed = true
 				}
 			}
@@ -293,10 +304,14 @@ func Run(cfg Config, k KernelDesc, alloc Allocator) (Result, error) {
 
 	finish := func(w *wave) {
 		w.done = true
+		wavePool.Put(w.rng)
+		w.rng = nil
+		pruneDue = true
 		wg := w.wg
-		cu := cus[wg.cu]
+		cu := &cus[wg.cu]
 		cu.perSIMD[w.simd]--
 		cu.resident--
+		resident--
 		wg.remaining--
 		if wg.remaining == 0 {
 			cu.freeVRegs += k.VRegsPerWave * k.WavesPerWG
@@ -309,23 +324,27 @@ func Run(cfg Config, k KernelDesc, alloc Allocator) (Result, error) {
 
 	var cycle uint64
 	var occupancySamples, occupancySum uint64
-	simdBusy := make(map[[2]int]uint64) // (cu, simd) -> busy-until cycle
+	simdBusy := make([]uint64, cfg.CUs*cfg.SIMDsPerCU) // cu*SIMDsPerCU+simd -> busy-until cycle
 
 	for {
-		// Prune finished waves.
-		live := active[:0]
-		for _, w := range active {
-			if !w.done {
-				live = append(live, w)
+		// Prune finished waves. Only finish marks a wave done, and
+		// pruning keeps order, so the issue order is placement order.
+		if pruneDue {
+			live := active[:0]
+			for _, w := range active {
+				if !w.done {
+					live = append(live, w)
+				}
 			}
+			active = live
+			pruneDue = false
 		}
-		active = live
 		if len(active) == 0 {
-			if len(pending) > 0 {
+			if next < len(wgs) {
 				dispatch()
 				if len(active) == 0 {
 					return Result{}, fmt.Errorf("gpu: %s: dispatch wedged with %d pending WGs",
-						k.Name, len(pending))
+						k.Name, len(wgs)-next)
 				}
 				continue
 			}
@@ -338,11 +357,7 @@ func Run(cfg Config, k KernelDesc, alloc Allocator) (Result, error) {
 		cycleNow = cycle
 		// Sample occupancy every 64 cycles.
 		if cycle%64 == 0 {
-			total := 0
-			for _, cu := range cus {
-				total += cu.resident
-			}
-			occupancySum += uint64(total)
+			occupancySum += uint64(resident)
 			occupancySamples++
 		}
 
@@ -358,19 +373,19 @@ func Run(cfg Config, k KernelDesc, alloc Allocator) (Result, error) {
 				}
 				continue
 			}
-			key := [2]int{w.wg.cu, w.simd}
-			if simdBusy[key] > cycle {
-				if simdBusy[key] < nextReady {
-					nextReady = simdBusy[key]
+			slot := w.wg.cu*cfg.SIMDsPerCU + w.simd
+			if busy := simdBusy[slot]; busy > cycle {
+				if busy < nextReady {
+					nextReady = busy
 				}
 				continue
 			}
 			// Issue one op from this wave.
-			simdBusy[key] = cycle + 1
+			simdBusy[slot] = cycle + 1
 			progressed = true
 			res.Ops++
 			w.opsLeft--
-			cu := cus[w.wg.cu]
+			cu := &cus[w.wg.cu]
 			r := w.rng.Float64()
 			switch {
 			case r < k.AtomicFrac:
@@ -378,10 +393,6 @@ func Run(cfg Config, k KernelDesc, alloc Allocator) (Result, error) {
 				// each one costs more as more waves fight for the line
 				// (retries and cache-line ping-pong): three extra cycles
 				// per four co-resident waves.
-				resident := 0
-				for _, c := range cus {
-					resident += c.resident
-				}
 				ch := 0
 				if atomicChannels > 1 {
 					ch = w.wg.id % atomicChannels
@@ -414,7 +425,7 @@ func Run(cfg Config, k KernelDesc, alloc Allocator) (Result, error) {
 					if !cfg.PreciseDeps {
 						issue = depIssueCycles(cu.perSIMD[w.simd])
 					}
-					simdBusy[key] = cycle + issue
+					simdBusy[slot] = cycle + issue
 					res.DepStalls += issue - 1
 					w.readyAt = cycle + valuPipe
 				} else {
@@ -428,7 +439,8 @@ func Run(cfg Config, k KernelDesc, alloc Allocator) (Result, error) {
 				w.atBar = true
 				w.wg.barWait++
 				if w.wg.barWait == len(w.wg.waves) {
-					for _, ww := range w.wg.waves {
+					for i := range w.wg.waves {
+						ww := &w.wg.waves[i]
 						if !ww.done {
 							ww.atBar = false
 							if ww.readyAt < cycle+1 {

@@ -25,6 +25,14 @@ func TestRunCompletes(t *testing.T) {
 	}
 }
 
+func TestUnknownAllocatorErrors(t *testing.T) {
+	for _, a := range []Allocator{"", "bogus"} {
+		if res, err := Run(Config{}, baseKernel(), a); err == nil {
+			t.Errorf("allocator %q: ran (%d cycles), want an error", a, res.Cycles)
+		}
+	}
+}
+
 func TestDeterminism(t *testing.T) {
 	k := baseKernel()
 	a, err := Run(Config{}, k, Dynamic)
