@@ -23,19 +23,27 @@ var goldenConfigs = []gpu.Config{
 	{CUs: 2, MaxWavesPerSIMD: 4},
 }
 
-// table4Cells runs the 58 Table IV cells (29 kernels x both allocators)
+// runTable4 runs the 58 Table IV cells (29 kernels x both allocators)
 // under cfg, in the order Figure 9 lists them.
-func table4Cells(tb testing.TB, cfg gpu.Config) []gpu.Result {
-	tb.Helper()
+func runTable4(cfg gpu.Config) ([]gpu.Result, error) {
 	var out []gpu.Result
 	for _, w := range workloads.GPUWorkloads() {
 		for _, a := range []gpu.Allocator{gpu.Simple, gpu.Dynamic} {
 			r, err := gpu.Run(cfg, w.Kernel, a)
 			if err != nil {
-				tb.Fatal(err)
+				return nil, err
 			}
 			out = append(out, r)
 		}
+	}
+	return out, nil
+}
+
+func table4Cells(tb testing.TB, cfg gpu.Config) []gpu.Result {
+	tb.Helper()
+	out, err := runTable4(cfg)
+	if err != nil {
+		tb.Fatal(err)
 	}
 	return out
 }
@@ -60,16 +68,20 @@ func TestTable4GoldenHash(t *testing.T) {
 func TestConcurrentRunsMatchSequential(t *testing.T) {
 	want := table4Cells(t, gpu.Config{})
 	got := make([][]gpu.Result, 4)
+	errs := make([]error, len(got))
 	var wg sync.WaitGroup
 	for i := range got {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got[i] = table4Cells(t, gpu.Config{})
+			got[i], errs[i] = runTable4(gpu.Config{})
 		}(i)
 	}
 	wg.Wait()
 	for i, rs := range got {
+		if errs[i] != nil {
+			t.Fatalf("goroutine %d: %v", i, errs[i])
+		}
 		for j := range want {
 			if rs[j] != want[j] {
 				t.Fatalf("goroutine %d cell %d: %+v, want %+v", i, j, rs[j], want[j])
