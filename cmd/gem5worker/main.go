@@ -8,16 +8,15 @@
 //	gem5worker -broker 127.0.0.1:7733 -capacity 4
 //	gem5worker -broker 127.0.0.1:7733 -worker-id rack3-w1 -reconnect
 //
-// With -worker-id and -reconnect the worker survives broker restarts
-// and network partitions: the connection is re-dialed with exponential
-// backoff, in-flight jobs are resumed through the session protocol, and
-// finished-but-unacknowledged results are resent (the broker
-// deduplicates them).
+// Every worker owns a session under a stable ID (-worker-id, or one
+// generated at start). With -reconnect the worker survives broker
+// restarts and network partitions: the connection is re-dialed with
+// exponential backoff, in-flight jobs are resumed through the session
+// protocol, and finished-but-unacknowledged results are resent (the
+// broker deduplicates them).
 package main
 
 import (
-	"crypto/rand"
-	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -47,7 +46,7 @@ func main() {
 	metricsAddr := flag.String("metrics-addr", "",
 		"serve /metrics and /healthz on this address (e.g. 127.0.0.1:7789)")
 	workerID := flag.String("worker-id", "",
-		"stable session identity; enables resume/duplicate-suppression semantics (default: generated when -reconnect is set)")
+		"stable session identity for resume and duplicate suppression (default: generated)")
 	reconnect := flag.Bool("reconnect", false,
 		"re-dial the broker with backoff after a connection loss instead of exiting")
 	resolve := flag.String("resolve", "",
@@ -61,16 +60,8 @@ func main() {
 	}
 
 	id := *workerID
-	if id == "" && (*reconnect || *resolve != "") {
-		// Session resumption needs a stable identity; generate one for
-		// this process so -reconnect works out of the box.
-		var buf [4]byte
-		_, _ = rand.Read(buf[:])
-		host, _ := os.Hostname()
-		if host == "" {
-			host = "worker"
-		}
-		id = fmt.Sprintf("%s-%s", host, hex.EncodeToString(buf[:]))
+	if id == "" {
+		id = tasks.NewWorkerID()
 	}
 
 	if *metricsAddr != "" {
@@ -107,11 +98,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "gem5worker:", err)
 		os.Exit(1)
 	}
-	if id != "" {
-		fmt.Printf("gem5worker: connected to %s with capacity %d as %s\n", *broker, *capacity, id)
-	} else {
-		fmt.Printf("gem5worker: connected to %s with capacity %d\n", *broker, *capacity)
-	}
+	fmt.Printf("gem5worker: connected to %s with capacity %d as %s\n", *broker, *capacity, id)
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt)
 	select {

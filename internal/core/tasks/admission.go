@@ -8,9 +8,9 @@ import (
 // Admission gates job entry into a broker or a sharded fleet. It is the
 // hook the multi-tenant gateway hangs per-tenant quotas on: Admit is
 // consulted on the guarded submit paths (Broker.TrySubmit,
-// Fleet.TrySubmit, Fleet.SubmitAt) before a job is queued, and Release
-// is called exactly once when the job's result is recorded, freeing
-// whatever capacity Admit reserved.
+// Fleet.TrySubmit) before a job is queued, and Release is called
+// exactly once when the job's result is recorded, freeing whatever
+// capacity Admit reserved.
 //
 // Implementations must be safe for concurrent use and must make Admit
 // idempotent per job ID: the durable queue deduplicates resubmits of a

@@ -15,32 +15,33 @@ import (
 // The broker protocol is newline-delimited JSON over TCP:
 //
 //	worker -> broker: {"type":"hello","worker":"w1","capacity":N}
-//	broker -> worker: {"type":"task","id":"...","kind":"...","attempt":n,"payload":{...}}
-//	worker -> broker: {"type":"result","id":"...","worker":"w1","attempt":n,"error":"..."}
-//	worker -> broker: {"type":"heartbeat"}
 //	worker -> broker: {"type":"resume","id":"...","attempt":n}   (after a reconnect)
 //	worker -> broker: {"type":"ready"}                           (resync complete; dispatching may start)
+//	broker -> worker: {"type":"task","id":"...","kind":"...","attempt":n,"payload":{...}}
+//	worker -> broker: {"type":"result","id":"...","attempt":n,"error":"..."}
+//	worker -> broker: {"type":"heartbeat"}
 //	broker -> worker: {"type":"ack","id":"..."}                  (result applied or superseded)
 //	broker -> worker: {"type":"abandon","id":"..."}              (stop caring about this job)
 //	broker -> worker: {"type":"error","error":"protocol: ..."}   (malformed frame; conn closes)
 //
-// The "worker" and "attempt" fields are the session layer: a worker
-// that announces a stable ID in its hello may reconnect after a
-// connection loss, resume the jobs it still holds, and resend results
+// Every worker announces a stable ID in its hello, and that ID — not
+// the TCP connection — owns a *session*: the worker may reconnect after
+// a connection loss, resume the jobs it still holds, and resend results
 // the broker may never have processed. Results are matched against the
-// current assignment by (job, worker, attempt), so a result delivered
-// twice across a reconnect — or computed under an assignment that has
-// since been revoked and retried elsewhere — is applied exactly once.
-// Workers that omit the ID keep the seed semantics: connection-scoped
-// identity, requeue on disconnect, no acks.
+// current assignment by (job, worker, attempt), the worker being the ID
+// its session's hello announced, so a result delivered twice across a
+// reconnect — or computed under an assignment that has since been
+// revoked and retried elsewhere — is applied exactly once, and every
+// result is acked so the worker can stop retaining it. A hello without
+// an ID is a protocol error.
 //
 // Four independent mechanisms keep a lost machine from losing
 // experiments:
 //
-//   - disconnect requeue: a worker whose connection drops has its
-//     in-flight jobs requeued (the seed behaviour); if the same worker
-//     session resumes before the job is redispatched, the assignment is
-//     re-adopted instead of re-executed;
+//   - disconnect requeue: a session whose connection drops has its
+//     in-flight jobs requeued; if the same worker resumes before a job
+//     is redispatched, the assignment is re-adopted instead of
+//     re-executed;
 //   - heartbeats: a worker that holds its connection open but stops
 //     sending messages for longer than BrokerOptions.HeartbeatTimeout is
 //     revoked the same way — this catches hung processes a TCP FIN never
@@ -57,6 +58,10 @@ import (
 //     crashes mid-launch reopens with its queue intact and resubmitted
 //     jobs that already completed replay their recorded result instead
 //     of executing again.
+//
+// A job moves pending → leased → done, with leased → pending on a lost
+// session and leased → (backoff) → pending on a retry. Each transition
+// has exactly one function: leaseLocked, requeueLocked, settleLocked.
 
 // Envelope is one protocol message.
 type Envelope struct {
@@ -86,8 +91,8 @@ type JobResult struct {
 }
 
 // BrokerOptions configures the broker's fault-tolerance behaviour. The
-// zero value reproduces the seed semantics: requeue on disconnect only,
-// no leases, no retries, in-memory queue.
+// zero value requeues on disconnect only: no leases, no retries,
+// in-memory queue.
 type BrokerOptions struct {
 	// HeartbeatTimeout revokes a worker whose last message (heartbeat or
 	// result) is older than this. 0 disables heartbeat monitoring.
@@ -119,46 +124,43 @@ type BrokerOptions struct {
 	Admission Admission
 }
 
-// assignment tracks one job handed to one worker session.
+// assignment tracks one job leased to one worker session.
 type assignment struct {
 	job      Job
-	worker   *brokerWorker
-	workerID string    // stable session ID; "" for anonymous workers
-	attempt  int       // execution number this assignment represents
-	deadline time.Time // zero = no lease
+	worker   *brokerWorker // the session holding the lease
+	attempt  int           // execution number this assignment represents
+	deadline time.Time     // zero = no lease
 }
 
 // Broker is the Celery-analogue job queue: it accepts worker
 // connections and distributes submitted jobs among them.
 type Broker struct {
-	ln      net.Listener
-	opts    BrokerOptions
-	dq      *durableQueue // nil when BrokerOptions.DB is unset
-	mu      sync.Mutex
-	pending []Job
-	inFly   map[string]*assignment // id -> current assignment
-	started map[string]int         // id -> executions started (retry budget)
-	avoid   map[string]*brokerWorker
-	results map[string]JobResult
-	resCh   chan JobResult
-	sending sync.WaitGroup // deliveries in flight; Close and Kill wait for them before closing resCh
-	workers map[*brokerWorker]bool
-	byID    map[string]*brokerWorker // stable worker ID -> live session
-	done    chan struct{}
-	closed  bool
+	ln       net.Listener
+	opts     BrokerOptions
+	dq       *durableQueue // nil when BrokerOptions.DB is unset
+	mu       sync.Mutex
+	pending  []Job
+	inFly    map[string]*assignment // id -> current assignment
+	started  map[string]int         // id -> executions started (retry budget)
+	avoid    map[string]*brokerWorker
+	results  map[string]JobResult
+	resCh    chan JobResult
+	sending  sync.WaitGroup           // deliveries in flight; stop waits for them before closing resCh
+	sessions map[string]*brokerWorker // worker ID -> live session
+	done     chan struct{}
+	closed   bool
 }
 
 type brokerWorker struct {
 	conn     net.Conn
 	enc      *json.Encoder
 	encMu    sync.Mutex
-	id       string // stable worker ID from hello; "" = anonymous
+	id       string // stable worker ID from hello
 	capacity int
 	active   map[string]Job
 	lastBeat time.Time
 	resumes  int
-	defunct  bool // superseded by a newer session with the same ID
-	syncing  bool // identified session between hello and ready: no dispatch yet
+	syncing  bool // between hello and ready: no dispatch yet
 	mu       sync.Mutex
 }
 
@@ -172,8 +174,7 @@ func (w *brokerWorker) send(env Envelope) error {
 }
 
 // NewBroker starts a broker listening on addr ("127.0.0.1:0" for an
-// ephemeral port) with seed semantics (no heartbeats, leases, or
-// retries).
+// ephemeral port) with no heartbeats, leases, or retries.
 func NewBroker(addr string) (*Broker, error) {
 	return NewBrokerWithOptions(addr, BrokerOptions{})
 }
@@ -194,16 +195,15 @@ func NewBrokerWithOptions(addr string, opts BrokerOptions) (*Broker, error) {
 		}
 	}
 	b := &Broker{
-		ln:      ln,
-		opts:    opts,
-		inFly:   make(map[string]*assignment),
-		started: make(map[string]int),
-		avoid:   make(map[string]*brokerWorker),
-		results: make(map[string]JobResult),
-		resCh:   make(chan JobResult, 1024),
-		workers: make(map[*brokerWorker]bool),
-		byID:    make(map[string]*brokerWorker),
-		done:    make(chan struct{}),
+		ln:       ln,
+		opts:     opts,
+		inFly:    make(map[string]*assignment),
+		started:  make(map[string]int),
+		avoid:    make(map[string]*brokerWorker),
+		results:  make(map[string]JobResult),
+		resCh:    make(chan JobResult, 1024),
+		sessions: make(map[string]*brokerWorker),
+		done:     make(chan struct{}),
 	}
 	if opts.DB != nil {
 		name := opts.QueueCollection
@@ -301,21 +301,14 @@ func (b *Broker) submit(j Job) bool {
 			go b.deliver(res)
 			return true
 		}
-		if _, ok := b.inFly[j.ID]; ok {
+		if _, ok := b.inFly[j.ID]; ok || b.pendingIndexLocked(j.ID) >= 0 {
 			b.mu.Unlock()
 			return true
 		}
-		for _, p := range b.pending {
-			if p.ID == j.ID {
-				b.mu.Unlock()
-				return true
-			}
-		}
 		b.dq.savePending(j, b.started[j.ID])
 	}
-	b.pending = append(b.pending, j)
+	b.enqueueLocked(j)
 	b.mu.Unlock()
-	brokerQueueDepth.Inc()
 	b.dispatch()
 	return true
 }
@@ -374,63 +367,21 @@ func (b *Broker) deliver(res JobResult) {
 // goroutine blocked delivering a result is released rather than leaked,
 // and Results is closed once they are gone; results still buffered stay
 // receivable.
-func (b *Broker) Close() {
-	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		return
-	}
-	b.closed = true
-	close(b.done)
-	ws := make([]*brokerWorker, 0, len(b.workers))
-	for w := range b.workers {
-		ws = append(ws, w)
-	}
-	var failed []Job
-	if b.dq == nil {
-		for id, a := range b.inFly {
-			b.results[id] = JobResult{ID: id, Err: "broker closed"}
-			failed = append(failed, a.job)
-		}
-		for _, j := range b.pending {
-			if _, ok := b.results[j.ID]; !ok {
-				b.results[j.ID] = JobResult{ID: j.ID, Err: "broker closed"}
-				failed = append(failed, j)
-			}
-		}
-	} else {
-		for id, a := range b.inFly {
-			b.dq.savePending(a.job, b.started[id])
-		}
-	}
-	b.inFly = make(map[string]*assignment)
-	brokerQueueDepth.Add(-float64(len(b.pending)))
-	b.pending = nil
-	b.mu.Unlock()
-	for _, j := range failed {
-		b.release(j)
-	}
-	_ = b.ln.Close()
-	for _, w := range ws {
-		_ = w.conn.Close()
-	}
-	b.closeResults()
-}
-
-// closeResults closes the result channel once no delivery can still
-// send on it. Close and Kill call it after setting b.closed and closing
-// b.done: no new delivery registers past the first, and every
-// registered one falls out through the second.
-func (b *Broker) closeResults() {
-	b.sending.Wait()
-	close(b.resCh)
-}
+func (b *Broker) Close() { b.stop(true) }
 
 // Kill stops the broker abruptly: listener and connections die, but no
 // failure results are recorded and the durable queue is left exactly as
 // the crash found it. It simulates the broker process dying mid-launch
 // — the scenario NewBrokerWithOptions recovery exists for.
-func (b *Broker) Kill() {
+func (b *Broker) Kill() { b.stop(false) }
+
+// stop is Close (graceful) and Kill. Either way the in-memory queue is
+// emptied under b.mu, so a session that drops afterwards finds no lease
+// to requeue and nothing reaches the durable queue after the stop.
+// Results is closed once no delivery can still send on it: no new one
+// registers past b.closed, and every registered one falls out through
+// b.done.
+func (b *Broker) stop(graceful bool) {
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
@@ -438,17 +389,43 @@ func (b *Broker) Kill() {
 	}
 	b.closed = true
 	close(b.done)
-	ws := make([]*brokerWorker, 0, len(b.workers))
-	for w := range b.workers {
-		ws = append(ws, w)
+	var failed []Job
+	if graceful {
+		// Unfinished jobs are parked for the next broker when the queue
+		// is durable (pending ones already are), and failed otherwise.
+		for id, a := range b.inFly {
+			if b.dq != nil {
+				b.dq.savePending(a.job, b.started[id])
+			} else {
+				failed = append(failed, a.job)
+			}
+		}
+		for _, j := range b.pending {
+			if _, done := b.results[j.ID]; !done && b.dq == nil {
+				failed = append(failed, j)
+			}
+		}
+		for _, j := range failed {
+			b.results[j.ID] = JobResult{ID: j.ID, Err: "broker closed"}
+		}
 	}
+	b.inFly = make(map[string]*assignment)
 	brokerQueueDepth.Add(-float64(len(b.pending)))
-	b.mu.Unlock()
-	_ = b.ln.Close()
-	for _, w := range ws {
-		_ = w.conn.Close()
+	b.pending = nil
+	conns := make([]net.Conn, 0, len(b.sessions))
+	for _, w := range b.sessions {
+		conns = append(conns, w.conn)
 	}
-	b.closeResults()
+	b.mu.Unlock()
+	for _, j := range failed {
+		b.release(j)
+	}
+	_ = b.ln.Close()
+	for _, c := range conns {
+		_ = c.Close()
+	}
+	b.sending.Wait()
+	close(b.resCh)
 }
 
 func (b *Broker) accept() {
@@ -495,118 +472,55 @@ func minPositive(a, b time.Duration) time.Duration {
 
 // checkHeartbeats revokes workers that have gone silent. Closing the
 // connection routes through the same requeue path as a TCP disconnect,
-// so no job on a hung worker is lost — and a session worker that was
-// merely partitioned can reconnect and resume.
+// so no job on a hung worker is lost — and a worker that was merely
+// partitioned can reconnect and resume.
 func (b *Broker) checkHeartbeats() {
 	if b.opts.HeartbeatTimeout <= 0 {
 		return
 	}
 	now := time.Now()
 	b.mu.Lock()
-	var dead []*brokerWorker
-	for w := range b.workers {
+	var dead []net.Conn
+	for _, w := range b.sessions {
 		w.mu.Lock()
-		silent := now.Sub(w.lastBeat) > b.opts.HeartbeatTimeout
-		w.mu.Unlock()
-		if silent {
-			dead = append(dead, w)
+		if now.Sub(w.lastBeat) > b.opts.HeartbeatTimeout {
+			dead = append(dead, w.conn)
 		}
+		w.mu.Unlock()
 	}
 	b.mu.Unlock()
-	for _, w := range dead {
+	for _, c := range dead {
 		brokerWorkerRevocations.Inc()
-		_ = w.conn.Close()
+		_ = c.Close()
 	}
 }
 
-// checkLeases kills assignments that have outlived their lease and
-// retries them elsewhere.
+// checkLeases revokes assignments that have outlived their lease and
+// settles each as a failed execution, which retries it elsewhere while
+// the budget lasts.
 func (b *Broker) checkLeases() {
 	if b.opts.Lease <= 0 {
 		return
 	}
 	now := time.Now()
 	b.mu.Lock()
-	var expired []*assignment
+	var then []func()
 	for _, a := range b.inFly {
-		if !a.deadline.IsZero() && now.After(a.deadline) {
-			expired = append(expired, a)
+		if a.deadline.IsZero() || !now.After(a.deadline) {
+			continue
 		}
-	}
-	b.mu.Unlock()
-	for _, a := range expired {
-		b.failAssignment(a, "lease expired")
-	}
-}
-
-// failAssignment revokes a job from its worker and either requeues it
-// under the retry policy (with backoff, preferring a different worker)
-// or delivers the failure.
-func (b *Broker) failAssignment(a *assignment, reason string) {
-	b.mu.Lock()
-	cur, ok := b.inFly[a.job.ID]
-	if !ok || cur != a {
-		b.mu.Unlock()
-		return // already finished or reassigned
-	}
-	delete(b.inFly, a.job.ID)
-	a.worker.mu.Lock()
-	delete(a.worker.active, a.job.ID)
-	a.worker.mu.Unlock()
-	if reason == "lease expired" {
 		brokerLeaseRevocations.Inc()
+		b.unleaseLocked(a)
+		msg := fmt.Sprintf("lease expired after %d attempts", b.started[a.job.ID])
+		then = append(then, b.settleLocked(a.job, a.worker, JobResult{ID: a.job.ID, Err: msg}))
 	}
-	b.avoid[a.job.ID] = a.worker
-	n := b.started[a.job.ID]
-	rp := b.opts.Retry
-	if rp.Enabled() && n < rp.MaxAttempts && rp.RetryableMessage(reason) {
-		b.dq.savePending(a.job, n) // durable before the backoff gap
-		b.mu.Unlock()
-		b.requeueAfter(a.job, rp.Backoff(n))
-		b.dispatch()
-		return
-	}
-	res := JobResult{ID: a.job.ID, Err: fmt.Sprintf("%s after %d attempts", reason, n)}
-	b.results[a.job.ID] = res
-	b.dq.saveDone(res, n)
-	delete(b.avoid, a.job.ID)
-	open := b.registerDeliveryLocked()
 	b.mu.Unlock()
-	b.release(a.job)
-	if open {
-		go b.deliver(res)
+	for _, f := range then {
+		f()
 	}
-	b.dispatch()
-}
-
-// requeueAfter puts a job back on the pending queue once its backoff
-// elapses. It is only reached from the retry paths, so it also counts
-// the retry. The durable queue already marks the job pending before the
-// backoff starts, so a crash during the gap cannot lose it.
-func (b *Broker) requeueAfter(j Job, d time.Duration) {
-	brokerRetries.Inc()
-	time.AfterFunc(d, func() {
-		b.mu.Lock()
-		if b.closed {
-			b.mu.Unlock()
-			return
-		}
-		if _, ok := b.inFly[j.ID]; ok {
-			// A session resume re-adopted the assignment during the
-			// backoff; the retry is moot.
-			b.mu.Unlock()
-			return
-		}
-		if _, done := b.results[j.ID]; done {
-			// A resent result landed during the backoff; done is done.
-			b.mu.Unlock()
-			return
-		}
-		b.pending = append(b.pending, j)
-		b.mu.Unlock()
-		brokerQueueDepth.Inc()
+	if len(then) > 0 {
 		b.dispatch()
-	})
+	}
 }
 
 func (b *Broker) serve(conn net.Conn) {
@@ -622,22 +536,19 @@ func (b *Broker) serve(conn net.Conn) {
 		return
 	}
 	var hello Envelope
-	if err := json.Unmarshal(sc.Bytes(), &hello); err != nil || hello.Type != "hello" {
+	if err := json.Unmarshal(sc.Bytes(), &hello); err != nil || hello.Type != "hello" || hello.Worker == "" {
 		brokerProtocolErrors.Inc()
-		_ = w.send(Envelope{Type: "error", Error: "protocol: expected hello frame"})
+		_ = w.send(Envelope{Type: "error", Error: "protocol: expected a hello frame with a worker ID"})
 		_ = conn.Close()
 		return
 	}
 	w.id = hello.Worker
-	w.capacity = hello.Capacity
-	if w.capacity < 1 {
-		w.capacity = 1
-	}
-	// Identified sessions resynchronize before taking new work: resume
-	// and result-resend frames must be processed ahead of any dispatch,
-	// or the broker would redispatch a job its own worker still holds.
-	// The worker lifts the gate with a "ready" frame.
-	w.syncing = w.id != ""
+	w.capacity = max(hello.Capacity, 1)
+	// A session resynchronizes before taking new work: resume and
+	// result-resend frames must be processed ahead of any dispatch, or
+	// the broker would redispatch a job its own worker still holds. The
+	// worker lifts the gate with a "ready" frame.
+	w.syncing = true
 	w.lastBeat = time.Now()
 	b.mu.Lock()
 	if b.closed {
@@ -645,17 +556,17 @@ func (b *Broker) serve(conn net.Conn) {
 		_ = conn.Close()
 		return
 	}
-	var stale net.Conn
-	if w.id != "" {
-		if old := b.byID[w.id]; old != nil && old != w {
-			stale = b.detachSessionLocked(old)
-		}
-		b.byID[w.id] = w
+	// A reconnect supersedes the worker's old session: its leases go
+	// back to the queue, where this session's resume frames re-adopt
+	// them.
+	old := b.sessions[w.id]
+	if old != nil {
+		b.dropSessionLocked(old)
 	}
-	b.workers[w] = true
+	b.sessions[w.id] = w
 	b.mu.Unlock()
-	if stale != nil {
-		_ = stale.Close()
+	if old != nil {
+		_ = old.conn.Close()
 	}
 	b.dispatch()
 
@@ -688,9 +599,6 @@ func (b *Broker) serve(conn net.Conn) {
 		case "resume":
 			b.handleResume(w, env)
 		case "result":
-			w.mu.Lock()
-			delete(w.active, env.ID)
-			w.mu.Unlock()
 			b.finish(w, env)
 			b.dispatch()
 		default:
@@ -698,67 +606,38 @@ func (b *Broker) serve(conn net.Conn) {
 		}
 	}
 	_ = conn.Close()
-	// Worker lost: requeue its in-flight jobs (unless a newer session
-	// with the same ID already adopted them).
-	w.mu.Lock()
-	defunct := w.defunct
-	orphans := make([]Job, 0, len(w.active))
-	for _, j := range w.active {
-		orphans = append(orphans, j)
-	}
-	w.active = make(map[string]Job)
-	w.mu.Unlock()
 	b.mu.Lock()
-	delete(b.workers, w)
-	if w.id != "" && b.byID[w.id] == w {
-		delete(b.byID, w.id)
-	}
-	requeued := 0
-	if !defunct {
-		for _, j := range orphans {
-			// Only requeue jobs this session still owns; a lease expiry
-			// may already have moved one elsewhere.
-			if a, ok := b.inFly[j.ID]; ok && a.worker == w {
-				delete(b.inFly, j.ID)
-				b.dq.savePending(j, b.started[j.ID])
-				b.pending = append(b.pending, j)
-				requeued++
-			}
-		}
-	}
+	requeued := b.dropSessionLocked(w)
 	b.mu.Unlock()
-	brokerQueueDepth.Add(float64(requeued))
-	if requeued > 0 {
+	if requeued {
 		b.dispatch()
 	}
 }
 
-// detachSessionLocked supersedes an old session whose worker ID just
-// reconnected: its assignments go back to pending (where the new
-// session's resume frames can re-adopt them), and the old serve loop is
-// marked defunct so its eventual exit does not requeue them a second
-// time. Returns the stale connection for the caller to close outside
-// b.mu.
-func (b *Broker) detachSessionLocked(old *brokerWorker) net.Conn {
-	old.mu.Lock()
-	old.defunct = true
-	orphans := make([]Job, 0, len(old.active))
-	for _, j := range old.active {
-		orphans = append(orphans, j)
-	}
-	old.active = make(map[string]Job)
-	old.mu.Unlock()
-	requeued := 0
-	for _, j := range orphans {
-		if a, ok := b.inFly[j.ID]; ok && a.worker == old {
-			delete(b.inFly, j.ID)
-			b.dq.savePending(j, b.started[j.ID])
-			b.pending = append(b.pending, j)
-			requeued++
+// dropSessionLocked ends a session: every job it still leases goes back
+// to the queue — where the worker's next session can resume it — and
+// the session leaves the dispatch table unless a newer one has already
+// replaced it. It serves both a lost connection and a superseding
+// reconnect, and it is idempotent: the second call finds nothing held.
+// Reports whether any job was requeued.
+func (b *Broker) dropSessionLocked(w *brokerWorker) bool {
+	w.mu.Lock()
+	held := w.active
+	w.active = make(map[string]Job)
+	w.mu.Unlock()
+	requeued := false
+	for id := range held {
+		// Only jobs this session still leases: a lease expiry may already
+		// have moved one elsewhere.
+		if a, ok := b.inFly[id]; ok && a.worker == w {
+			b.requeueLocked(a)
+			requeued = true
 		}
 	}
-	brokerQueueDepth.Add(float64(requeued))
-	return old.conn
+	if b.sessions[w.id] == w {
+		delete(b.sessions, w.id)
+	}
+	return requeued
 }
 
 // handleResume processes one {"type":"resume"} frame: a reconnected
@@ -769,94 +648,53 @@ func (b *Broker) detachSessionLocked(old *brokerWorker) net.Conn {
 func (b *Broker) handleResume(w *brokerWorker, env Envelope) {
 	id := env.ID
 	b.mu.Lock()
-	if _, done := b.results[id]; done || w.id == "" {
-		b.mu.Unlock()
-		_ = w.send(Envelope{Type: "abandon", ID: id})
-		return
+	adopted := false
+	if _, done := b.results[id]; !done {
+		if a, ok := b.inFly[id]; ok {
+			// The hello requeued every lease of the worker's earlier
+			// session, so a lease in flight is either this session's
+			// already or another worker's.
+			adopted = a.worker == w
+		} else if j, ok := b.takePendingLocked(id, env.Attempt); ok {
+			a := &assignment{job: j, attempt: b.started[id]}
+			b.leaseLocked(a, w)
+			b.dq.saveInflight(j, w.id, a.attempt)
+			adopted = true
+		}
 	}
-	if a, ok := b.inFly[id]; ok {
-		if a.workerID == w.id && (env.Attempt == 0 || env.Attempt == a.attempt) {
-			// Still assigned to this worker ID (the disconnect was never
-			// observed): re-point the assignment at the new session.
-			a.worker = w
-			if b.opts.Lease > 0 {
-				a.deadline = time.Now().Add(b.opts.Lease)
-			}
-			w.mu.Lock()
-			w.active[id] = a.job
-			w.resumes++
-			w.mu.Unlock()
-			b.mu.Unlock()
-			brokerSessionResumes.Inc()
-			return
-		}
-		b.mu.Unlock()
-		_ = w.send(Envelope{Type: "abandon", ID: id})
-		return
-	}
-	for i, p := range b.pending {
-		if p.ID != id {
-			continue
-		}
-		if env.Attempt != 0 && env.Attempt != b.started[id] {
-			break // an outdated attempt; let the queue redispatch
-		}
-		b.pending = append(b.pending[:i], b.pending[i+1:]...)
-		brokerQueueDepth.Dec()
-		a := &assignment{job: p, worker: w, workerID: w.id, attempt: b.started[id]}
-		if b.opts.Lease > 0 {
-			a.deadline = time.Now().Add(b.opts.Lease)
-		}
-		b.inFly[id] = a
-		b.dq.saveInflight(p, w.id, b.started[id])
+	if adopted {
 		w.mu.Lock()
-		w.active[id] = p
 		w.resumes++
 		w.mu.Unlock()
-		b.mu.Unlock()
-		brokerSessionResumes.Inc()
-		return
 	}
 	b.mu.Unlock()
-	_ = w.send(Envelope{Type: "abandon", ID: id})
+	if adopted {
+		brokerSessionResumes.Inc()
+	} else {
+		_ = w.send(Envelope{Type: "abandon", ID: id})
+	}
 }
 
-// finish records one worker-reported result, applying the retry policy
-// to failures and dropping results from revoked assignments. Identified
-// workers are acked either way, so a worker retaining a result for
-// resend across reconnects knows it can stop.
+// finish records one worker-reported result and acks it, so the worker
+// retaining it for resend across reconnects knows it can stop. Results
+// from revoked assignments are acked and dropped.
 func (b *Broker) finish(w *brokerWorker, env Envelope) {
 	b.mu.Lock()
 	var job Job
 	match := false
 	if a, ok := b.inFly[env.ID]; ok {
-		if env.Worker != "" {
-			match = a.workerID == env.Worker && (env.Attempt == 0 || env.Attempt == a.attempt)
-		} else {
-			match = a.worker == w
+		if a.worker.id == w.id && (env.Attempt == 0 || env.Attempt == a.attempt) {
+			b.unleaseLocked(a)
+			job, match = a.job, true
 		}
-		if match {
-			delete(b.inFly, env.ID)
-			job = a.job
-		}
-	} else if env.Worker != "" {
-		// Not assigned — but a session worker may legitimately deliver a
-		// result for a job our disconnect handling already requeued: the
+	} else if _, done := b.results[env.ID]; !done {
+		// Not assigned — but a worker may legitimately deliver a result
+		// for a job our disconnect handling already requeued: the
 		// execution finished while the connection was down and the
 		// result was resent after the reconnect. If the queued entry is
 		// still this execution (same attempt), apply it instead of
 		// making another worker redo the work.
-		if _, done := b.results[env.ID]; !done {
-			for i, p := range b.pending {
-				if p.ID == env.ID && (env.Attempt == 0 || env.Attempt == b.started[env.ID]) {
-					b.pending = append(b.pending[:i], b.pending[i+1:]...)
-					brokerQueueDepth.Dec()
-					match = true
-					job = p
-					break
-				}
-			}
-		}
+		job, match = b.takePendingLocked(env.ID, env.Attempt)
 	}
 	if !match {
 		// Stale or duplicate: the assignment was revoked and retried
@@ -866,53 +704,122 @@ func (b *Broker) finish(w *brokerWorker, env Envelope) {
 			brokerDuplicateResults.Inc()
 		}
 		b.mu.Unlock()
-		if env.Worker != "" {
-			_ = w.send(Envelope{Type: "ack", ID: env.ID})
-		}
+		_ = w.send(Envelope{Type: "ack", ID: env.ID})
 		return
 	}
-	if env.Error != "" {
-		n := b.started[env.ID]
-		rp := b.opts.Retry
-		if rp.Enabled() && n < rp.MaxAttempts && rp.RetryableMessage(env.Error) {
-			b.avoid[env.ID] = w
-			b.dq.savePending(job, n)
-			b.mu.Unlock()
-			if env.Worker != "" {
-				_ = w.send(Envelope{Type: "ack", ID: env.ID})
-			}
-			b.requeueAfter(job, rp.Backoff(n))
-			return
-		}
-	}
-	delete(b.avoid, env.ID)
-	res := JobResult{ID: env.ID, Err: env.Error, Output: env.Output}
-	b.results[env.ID] = res
-	b.dq.saveDone(res, b.started[env.ID])
-	open := b.registerDeliveryLocked()
+	then := b.settleLocked(job, w, JobResult{ID: env.ID, Err: env.Error, Output: env.Output})
 	b.mu.Unlock()
-	b.release(job)
-	if env.Worker != "" {
-		_ = w.send(Envelope{Type: "ack", ID: env.ID})
+	// The ack goes out before a retry can be redispatched: the worker
+	// drops its retained copy on the ack, and a task frame for a job it
+	// still holds would be taken for a duplicate.
+	_ = w.send(Envelope{Type: "ack", ID: env.ID})
+	then()
+}
+
+// settleLocked is the one exit from a lease, for a reported result and
+// an expired lease alike. A retryable failure with budget left is
+// marked pending in the durable queue and requeued after its backoff,
+// preferring a different worker; anything else is recorded as the
+// job's result. The record is made under b.mu; the returned function
+// schedules the retry or releases and delivers the result, and must be
+// called after b.mu is released.
+func (b *Broker) settleLocked(j Job, from *brokerWorker, res JobResult) func() {
+	n := b.started[j.ID]
+	rp := b.opts.Retry
+	if rp.Enabled() && n < rp.MaxAttempts && rp.RetryableMessage(res.Err) {
+		b.avoid[j.ID] = from
+		b.dq.savePending(j, n) // durable before the backoff gap
+		return func() { b.requeueAfter(j, rp.Backoff(n)) }
 	}
-	// Deliver on a separate goroutine so a slow Results consumer can
-	// never stall this worker's read loop (and with it heartbeat
-	// processing); the result is already durable above.
-	if open {
+	delete(b.avoid, j.ID)
+	b.results[j.ID] = res
+	b.dq.saveDone(res, n)
+	// The broker is open here: stop empties the queue and the lease
+	// table under b.mu, so nothing is left to settle after it.
+	b.sending.Add(1)
+	return func() {
+		b.release(j)
+		// Off this goroutine, so a slow Results consumer can never stall
+		// a worker's read loop (and with it heartbeat processing).
 		go b.deliver(res)
 	}
 }
 
-// registerDeliveryLocked accounts for one coming deliver call and
-// reports whether to make it: a result recorded after Close or Kill
-// stays in b.results (and the durable queue) and is not sent. Caller
-// holds b.mu.
-func (b *Broker) registerDeliveryLocked() bool {
-	if b.closed {
-		return false
+// requeueAfter puts a job back on the pending queue once its backoff
+// elapses. It is only reached from the retry paths, so it also counts
+// the retry. The durable queue already marks the job pending before the
+// backoff starts, so a crash during the gap cannot lose it.
+func (b *Broker) requeueAfter(j Job, d time.Duration) {
+	brokerRetries.Inc()
+	time.AfterFunc(d, func() {
+		b.mu.Lock()
+		// A resubmit during the gap may already have run the job again.
+		_, leased := b.inFly[j.ID]
+		_, done := b.results[j.ID]
+		if b.closed || leased || done {
+			b.mu.Unlock()
+			return
+		}
+		b.enqueueLocked(j)
+		b.mu.Unlock()
+		b.dispatch()
+	})
+}
+
+// leaseLocked hands a's job to session w: the pending → leased
+// transition for a dispatch and a resume alike.
+func (b *Broker) leaseLocked(a *assignment, w *brokerWorker) {
+	a.worker = w
+	if b.opts.Lease > 0 {
+		a.deadline = time.Now().Add(b.opts.Lease)
 	}
-	b.sending.Add(1)
-	return true
+	b.inFly[a.job.ID] = a
+	w.mu.Lock()
+	w.active[a.job.ID] = a.job
+	w.mu.Unlock()
+}
+
+// unleaseLocked takes a's job off its session and out of flight.
+func (b *Broker) unleaseLocked(a *assignment) {
+	delete(b.inFly, a.job.ID)
+	a.worker.mu.Lock()
+	delete(a.worker.active, a.job.ID)
+	a.worker.mu.Unlock()
+}
+
+// requeueLocked is the leased → pending transition without a retry: the
+// session lost the job, not the job its attempt.
+func (b *Broker) requeueLocked(a *assignment) {
+	b.unleaseLocked(a)
+	b.dq.savePending(a.job, b.started[a.job.ID])
+	b.enqueueLocked(a.job)
+}
+
+func (b *Broker) enqueueLocked(j Job) {
+	b.pending = append(b.pending, j)
+	brokerQueueDepth.Inc()
+}
+
+func (b *Broker) pendingIndexLocked(id string) int {
+	for i, p := range b.pending {
+		if p.ID == id {
+			return i
+		}
+	}
+	return -1
+}
+
+// takePendingLocked removes a queued job whose queued execution is
+// attempt (0 matches any), for a worker that turns out to hold it.
+func (b *Broker) takePendingLocked(id string, attempt int) (Job, bool) {
+	i := b.pendingIndexLocked(id)
+	if i < 0 || (attempt != 0 && attempt != b.started[id]) {
+		return Job{}, false
+	}
+	j := b.pending[i]
+	b.pending = append(b.pending[:i], b.pending[i+1:]...)
+	brokerQueueDepth.Dec()
+	return j, true
 }
 
 // dispatch hands pending jobs to workers with free capacity, preferring
@@ -923,9 +830,9 @@ func (b *Broker) dispatch() {
 	for len(b.pending) > 0 {
 		j := b.pending[0]
 		var target, fallback *brokerWorker
-		for w := range b.workers {
+		for _, w := range b.sessions {
 			w.mu.Lock()
-			free := !w.defunct && !w.syncing && len(w.active) < w.capacity
+			free := !w.syncing && len(w.active) < w.capacity
 			w.mu.Unlock()
 			if !free {
 				continue
@@ -945,27 +852,15 @@ func (b *Broker) dispatch() {
 		}
 		b.pending = b.pending[1:]
 		brokerQueueDepth.Dec()
-		target.mu.Lock()
-		target.active[j.ID] = j
-		target.mu.Unlock()
 		b.started[j.ID]++
-		attempt := b.started[j.ID]
-		a := &assignment{job: j, worker: target, workerID: target.id, attempt: attempt}
-		if b.opts.Lease > 0 {
-			a.deadline = time.Now().Add(b.opts.Lease)
-		}
-		b.inFly[j.ID] = a
-		b.dq.saveInflight(j, target.id, attempt)
-		if err := target.send(Envelope{Type: "task", ID: j.ID, Kind: j.Kind, Payload: j.Payload, Attempt: attempt}); err != nil {
-			// The serve loop will notice the dead connection and requeue.
-			target.mu.Lock()
-			delete(target.active, j.ID)
-			target.mu.Unlock()
-			delete(b.inFly, j.ID)
-			b.started[j.ID]-- // the attempt never reached the worker
-			b.dq.savePending(j, b.started[j.ID])
-			b.pending = append(b.pending, j)
-			brokerQueueDepth.Inc()
+		a := &assignment{job: j, attempt: b.started[j.ID]}
+		b.leaseLocked(a, target)
+		b.dq.saveInflight(j, target.id, a.attempt)
+		if err := target.send(Envelope{Type: "task", ID: j.ID, Kind: j.Kind, Payload: j.Payload, Attempt: a.attempt}); err != nil {
+			// The attempt never reached the worker; the serve loop will
+			// notice the dead connection.
+			b.started[j.ID]--
+			b.requeueLocked(a)
 			return
 		}
 	}
@@ -991,7 +886,7 @@ type AssignmentState struct {
 // WorkerSessionState describes one connected worker session for the
 // status daemon's broker API.
 type WorkerSessionState struct {
-	ID       string    `json:"id,omitempty"` // stable worker ID; empty for anonymous sessions
+	ID       string    `json:"id"`
 	Addr     string    `json:"addr"`
 	Capacity int       `json:"capacity"`
 	Active   int       `json:"active"`
@@ -1020,24 +915,20 @@ func (b *Broker) State() BrokerState {
 	b.mu.Lock()
 	st := BrokerState{
 		Pending: len(b.pending),
-		Workers: len(b.workers),
+		Workers: len(b.sessions),
 		Results: len(b.results),
 		Durable: b.dq != nil,
 	}
 	for _, a := range b.inFly {
-		worker := a.workerID
-		if worker == "" {
-			worker = a.worker.conn.RemoteAddr().String()
-		}
 		st.InFlight = append(st.InFlight, AssignmentState{
 			JobID:         a.job.ID,
 			Kind:          a.job.Kind,
-			Worker:        worker,
+			Worker:        a.worker.id,
 			LeaseDeadline: a.deadline,
 			Executions:    b.started[a.job.ID],
 		})
 	}
-	for w := range b.workers {
+	for _, w := range b.sessions {
 		w.mu.Lock()
 		st.Sessions = append(st.Sessions, WorkerSessionState{
 			ID:       w.id,
@@ -1055,12 +946,7 @@ func (b *Broker) State() BrokerState {
 		st.DurablePending, st.DurableDone = dq.depth()
 	}
 	sort.Slice(st.InFlight, func(i, j int) bool { return st.InFlight[i].JobID < st.InFlight[j].JobID })
-	sort.Slice(st.Sessions, func(i, j int) bool {
-		if st.Sessions[i].ID != st.Sessions[j].ID {
-			return st.Sessions[i].ID < st.Sessions[j].ID
-		}
-		return st.Sessions[i].Addr < st.Sessions[j].Addr
-	})
+	sort.Slice(st.Sessions, func(i, j int) bool { return st.Sessions[i].ID < st.Sessions[j].ID })
 	return st
 }
 

@@ -259,3 +259,44 @@ func TestBrokerResubmitOfFinishedJobsNeverBlocks(t *testing.T) {
 		t.Fatalf("replayed %d results, want %d", len(got), jobs)
 	}
 }
+
+// TestBrokerKillLeavesQueueAsCrashFoundIt: after Kill, the sessions
+// that drop as their connections die find nothing to requeue. The
+// in-flight job's durable record stays "inflight", as a real crash
+// would leave it, and the queue-depth gauge does not count a job into
+// a queue that no longer runs.
+func TestBrokerKillLeavesQueueAsCrashFoundIt(t *testing.T) {
+	db := database.MustOpen(t.TempDir())
+	defer db.Close()
+	depth := brokerQueueDepth.Value()
+
+	release := make(chan struct{})
+	defer close(release)
+	b := durableBroker(t, db, "127.0.0.1:0")
+	w, err := NewWorker(b.Addr(), 1, map[string]JobHandler{
+		"work": func(json.RawMessage) (any, error) { <-release; return nil, nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Submit(Job{ID: "held", Kind: "work"})
+	waitUntil(t, func() bool { return len(b.State().InFlight) == 1 }, "job to be leased")
+	b.Kill()
+	select {
+	case <-w.Done(): // the worker saw its connection die
+	case <-time.After(5 * time.Second):
+		t.Fatal("worker still connected after Kill")
+	}
+	time.Sleep(20 * time.Millisecond) // let the broker's serve loop unwind
+
+	doc := db.Collection("broker_queue").FindOne(database.Doc{"_id": "held"})
+	if doc["state"] != "inflight" {
+		t.Fatalf("durable state after Kill = %v, want inflight", doc["state"])
+	}
+	if got := brokerQueueDepth.Value(); got != depth {
+		t.Fatalf("queue-depth gauge %v after Kill, want %v", got, depth)
+	}
+	if n := b.PendingCount(); n != 0 {
+		t.Fatalf("killed broker holds %d pending jobs", n)
+	}
+}

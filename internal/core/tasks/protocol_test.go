@@ -24,6 +24,10 @@ func rawDial(t *testing.T, addr string) (net.Conn, *bufio.Scanner) {
 	return conn, bufio.NewScanner(conn)
 }
 
+// TestBrokerRejectsMalformedHello: a first frame that is not JSON, not
+// a hello, or a hello without a worker ID is answered with a protocol
+// error and a closed connection. There is one kind of worker session,
+// and it is named.
 func TestBrokerRejectsMalformedHello(t *testing.T) {
 	b, err := NewBroker("127.0.0.1:0")
 	if err != nil {
@@ -31,22 +35,31 @@ func TestBrokerRejectsMalformedHello(t *testing.T) {
 	}
 	defer b.Close()
 
-	conn, sc := rawDial(t, b.Addr())
-	if _, err := conn.Write([]byte("{this is not json\n")); err != nil {
-		t.Fatal(err)
+	for _, first := range []string{
+		"{this is not json",
+		`{"type":"heartbeat","worker":"w1"}`,
+		`{"type":"hello","capacity":1}`,
+	} {
+		conn, sc := rawDial(t, b.Addr())
+		if _, err := conn.Write([]byte(first + "\n")); err != nil {
+			t.Fatal(err)
+		}
+		if !sc.Scan() {
+			t.Fatalf("%s: no protocol-error reply before close", first)
+		}
+		var reply Envelope
+		if err := json.Unmarshal(sc.Bytes(), &reply); err != nil {
+			t.Fatalf("%s: reply not JSON: %s", first, sc.Bytes())
+		}
+		if reply.Type != "error" || reply.Error == "" {
+			t.Fatalf("%s: reply = %+v, want protocol error", first, reply)
+		}
+		if sc.Scan() {
+			t.Fatalf("%s: broker kept the connection open after protocol error: %s", first, sc.Bytes())
+		}
 	}
-	if !sc.Scan() {
-		t.Fatal("no protocol-error reply before close")
-	}
-	var reply Envelope
-	if err := json.Unmarshal(sc.Bytes(), &reply); err != nil {
-		t.Fatalf("reply not JSON: %s", sc.Bytes())
-	}
-	if reply.Type != "error" || reply.Error == "" {
-		t.Fatalf("reply = %+v, want protocol error", reply)
-	}
-	if sc.Scan() {
-		t.Fatalf("broker kept the connection open after protocol error: %s", sc.Bytes())
+	if n := b.State().Workers; n != 0 {
+		t.Fatalf("%d sessions registered from rejected hellos", n)
 	}
 }
 
@@ -61,7 +74,7 @@ func TestBrokerSurvivesMalformedFrameMidSession(t *testing.T) {
 	// A well-formed hello followed by garbage: the broker must answer
 	// with an error frame and close this connection only.
 	conn, sc := rawDial(t, b.Addr())
-	if _, err := conn.Write([]byte(`{"type":"hello","capacity":1}` + "\n")); err != nil {
+	if _, err := conn.Write([]byte(`{"type":"hello","worker":"raw","capacity":1}` + "\n")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := conn.Write([]byte("}}}garbage{{{\n")); err != nil {
@@ -107,14 +120,14 @@ func TestBrokerRequeuesAfterTornResultFrame(t *testing.T) {
 	}
 	defer b.Close()
 
-	// The first (anonymous) worker's connection tears mid-result: with
-	// heartbeats off its writes are hello (1) and the result (2), and
+	// The first worker's connection tears mid-result: with heartbeats
+	// off its writes are hello (1), ready (2) and the result (3), and
 	// the NetTruncate rule cuts that result frame in half. The broker
 	// sees a torn line, answers with a protocol error down the dead
 	// connection, and routes the job through the clean requeue path.
 	chaos := faultinject.NewNetChaos(7, faultinject.NetRule{
 		Kind:       faultinject.NetTruncate,
-		After:      1,
+		After:      2,
 		FirstConns: 1,
 	})
 	var count atomic.Int64

@@ -2,6 +2,7 @@ package tasks
 
 import (
 	"encoding/json"
+	"net"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -92,6 +93,21 @@ func TestWorkerReconnectSuppressesDuplicateResult(t *testing.T) {
 		After:      2,
 		FirstConns: 1,
 	})
+	// The redial waits until the broker has applied the delivered
+	// result. Otherwise the new session's hello can close the old
+	// connection before the broker reads the result off it: the resend is
+	// then the only copy the broker sees, and nothing is a duplicate.
+	var dials atomic.Int64
+	dial := func(addr string) (net.Conn, error) {
+		if dials.Add(1) > 1 {
+			for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+				if _, ok := b.Result("j1"); ok {
+					break
+				}
+			}
+		}
+		return chaos.Dial("tcp", addr)
+	}
 	var count atomic.Int64
 	w, err := NewWorkerWithOptions(b.Addr(), WorkerOptions{
 		Capacity: 1,
@@ -102,7 +118,7 @@ func TestWorkerReconnectSuppressesDuplicateResult(t *testing.T) {
 		ID:                "w-dup",
 		Reconnect:         true,
 		ReconnectPolicy:   RetryPolicy{MaxAttempts: 0, BaseDelay: 5 * time.Millisecond, MaxDelay: 50 * time.Millisecond, Multiplier: 2},
-		Dial:              chaos.Dialer(),
+		Dial:              dial,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -194,5 +210,69 @@ func TestWorkerReconnectSurvivesBrokerRestart(t *testing.T) {
 	}
 	if count.Load() != 2 {
 		t.Fatalf("handler ran %d times, want 2", count.Load())
+	}
+}
+
+// TestWorkerWithoutIDResumesUnderGeneratedID: a worker given no ID is
+// not a second, connection-scoped kind of session. It gets a generated
+// identity, and a connection loss mid-job resumes the assignment
+// exactly as it does for a named worker.
+func TestWorkerWithoutIDResumesUnderGeneratedID(t *testing.T) {
+	b, err := NewBrokerWithOptions("127.0.0.1:0", BrokerOptions{
+		Lease:         2 * time.Second,
+		CheckInterval: 10 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+
+	release := make(chan struct{})
+	var count atomic.Int64
+	opts := WorkerOptions{
+		Capacity: 1,
+		Handlers: map[string]JobHandler{
+			"slow": func(json.RawMessage) (any, error) {
+				count.Add(1)
+				<-release
+				return map[string]bool{"ok": true}, nil
+			},
+		},
+		Reconnect:       true,
+		ReconnectPolicy: RetryPolicy{MaxAttempts: 0, BaseDelay: 5 * time.Millisecond, MaxDelay: 50 * time.Millisecond, Multiplier: 2},
+	}
+	w, err := NewWorkerWithOptions(b.Addr(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	other, err := NewWorkerWithOptions(b.Addr(), WorkerOptions{Capacity: 1, Handlers: opts.Handlers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, func() bool { return b.State().Workers == 2 }, "both sessions to register")
+	if s := b.State().Sessions; s[0].ID == "" || s[0].ID == s[1].ID {
+		t.Fatalf("generated IDs %q and %q: want two distinct non-empty IDs", s[0].ID, s[1].ID)
+	}
+	other.Close()
+	waitUntil(t, func() bool { return b.State().Workers == 1 }, "the second worker to leave")
+	id := b.State().Sessions[0].ID
+
+	b.Submit(Job{ID: "j1", Kind: "slow"})
+	waitUntil(t, func() bool { return count.Load() == 1 }, "job to start executing")
+	w.Kill()
+	waitUntil(t, func() bool { return w.Reconnects() >= 1 }, "worker to reconnect")
+	waitUntil(t, func() bool {
+		st := b.State()
+		return len(st.Sessions) == 1 && st.Sessions[0].ID == id && st.Sessions[0].Resumes >= 1
+	}, "broker to resume the generated-ID session")
+
+	close(release)
+	got := collect(t, b, 1, 5*time.Second)
+	if got["j1"].Err != "" {
+		t.Fatalf("resumed job failed: %+v", got["j1"])
+	}
+	if count.Load() != 1 || b.Executions("j1") != 1 {
+		t.Fatalf("handler ran %d times over %d executions, want 1 and 1", count.Load(), b.Executions("j1"))
 	}
 }

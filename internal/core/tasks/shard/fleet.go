@@ -44,11 +44,10 @@ type Options struct {
 	// the hook chaos tests use to interpose faultinject.NetChaos per
 	// shard. Called again for the promoted broker on every failover.
 	Listener func(shard int) (net.Listener, error)
-	// Admission, when non-nil, gates the guarded submit paths
-	// (TrySubmit, SubmitAt) at the fleet edge and is released exactly
-	// once per job when its result is delivered. Per-shard brokers never
-	// see it: failover resubmission must not re-run admission for jobs
-	// the fleet already accepted.
+	// Admission, when non-nil, gates TrySubmit at the fleet edge and is
+	// released exactly once per job when its result is delivered.
+	// Per-shard brokers never see it: failover resubmission must not
+	// re-run admission for jobs the fleet already accepted.
 	Admission tasks.Admission
 }
 
@@ -409,18 +408,7 @@ func (f *Fleet) deliverResult(res tasks.JobResult) {
 // Submit routes a job to its owning shard. The job is tracked as
 // outstanding until its result is delivered, so a failover mid-flight
 // resubmits it to the promoted broker.
-func (f *Fleet) Submit(j tasks.Job) {
-	shard := f.ring.Owner(j.ID)
-	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
-		return
-	}
-	f.outstanding[j.ID] = j
-	b := f.shards[shard].broker
-	f.mu.Unlock()
-	b.Submit(j)
-}
+func (f *Fleet) Submit(j tasks.Job) { f.route(j) }
 
 // TrySubmit is the admission-controlled submit path: with
 // Options.Admission set, the job is offered to the controller before it
@@ -434,68 +422,30 @@ func (f *Fleet) TrySubmit(j tasks.Job) error {
 			return err
 		}
 	}
-	shard := f.ring.Owner(j.ID)
-	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
+	if !f.route(j) {
 		if adm != nil {
 			adm.Release(j)
 		}
 		return fmt.Errorf("shard: fleet closed")
 	}
+	return nil
+}
+
+// route tracks j as outstanding and submits it to its owning shard's
+// current primary. It reports false, dropping the job, when the fleet
+// is closed.
+func (f *Fleet) route(j tasks.Job) bool {
+	shard := f.ring.Owner(j.ID)
+	f.mu.Lock()
+	if f.closed {
+		f.mu.Unlock()
+		return false
+	}
 	f.outstanding[j.ID] = j
 	b := f.shards[shard].broker
 	f.mu.Unlock()
 	b.Submit(j)
-	return nil
-}
-
-// SubmitAt is the fenced submit path for clients that route with their
-// own copy of the shard map: the job lands only if shardIndex really
-// owns it and the caller's epoch is current. A stale map yields a
-// *NotOwnerError carrying the shard's actual epoch, telling the caller
-// to re-resolve. With Options.Admission set, jobs entering here are
-// admission-gated exactly like TrySubmit.
-func (f *Fleet) SubmitAt(shardIndex int, epoch uint64, j tasks.Job) error {
-	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
-		return fmt.Errorf("shard: fleet closed")
-	}
-	if shardIndex < 0 || shardIndex >= len(f.shards) {
-		f.mu.Unlock()
-		shardNotOwner.Inc()
-		return &NotOwnerError{Shard: shardIndex, WantEpoch: epoch, Reason: "no such shard"}
-	}
-	s := f.shards[shardIndex]
-	owner := f.ring.Owner(j.ID)
-	if owner != shardIndex {
-		cur := s.epoch
-		f.mu.Unlock()
-		shardNotOwner.Inc()
-		return &NotOwnerError{Shard: shardIndex, WantEpoch: epoch, CurrentEpoch: cur,
-			Reason: fmt.Sprintf("job %q belongs to shard %d", j.ID, owner)}
-	}
-	if epoch < s.epoch {
-		cur := s.epoch
-		f.mu.Unlock()
-		shardNotOwner.Inc()
-		return &NotOwnerError{Shard: shardIndex, WantEpoch: epoch, CurrentEpoch: cur,
-			Reason: "routed with a stale shard map"}
-	}
-	if adm := f.opts.Admission; adm != nil {
-		// Admit under f.mu is safe: controllers never call back into the
-		// fleet while holding their own lock, so no lock cycle exists.
-		if err := adm.Admit(j); err != nil {
-			f.mu.Unlock()
-			return err
-		}
-	}
-	f.outstanding[j.ID] = j
-	b := s.broker
-	f.mu.Unlock()
-	b.Submit(j)
-	return nil
+	return true
 }
 
 // Results is the fleet-wide result stream: exactly one delivery per job

@@ -171,41 +171,6 @@ func waitEpoch(t *testing.T, f *Fleet, want uint64, timeout time.Duration) {
 	t.Fatalf("fleet epoch %d never reached %d", f.Epoch(), want)
 }
 
-func TestFleetSubmitAtFencing(t *testing.T) {
-	f := testFleet(t, 2)
-	for i := 0; i < f.Shards(); i++ {
-		fleetWorker(t, f, i)
-	}
-	job := tasks.Job{ID: "fenced-run", Kind: "echo", Payload: json.RawMessage(`{}`)}
-	owner := f.Owner(job.ID)
-
-	// Wrong shard: fenced regardless of epoch.
-	if err := f.SubmitAt(1-owner, f.Epoch(), job); !errors.Is(err, ErrNotOwner) {
-		t.Fatalf("wrong-shard submit: err = %v, want ErrNotOwner", err)
-	}
-
-	// Fail the owner over, then submit with the pre-failover epoch: the
-	// stale map is fenced, and re-resolving succeeds.
-	staleEpoch := f.Map().Shards[owner].Epoch
-	f.KillShard(owner)
-	waitEpoch(t, f, 1, 5*time.Second)
-	if err := f.SubmitAt(owner, staleEpoch, job); !errors.Is(err, ErrNotOwner) {
-		t.Fatalf("stale-epoch submit: err = %v, want ErrNotOwner", err)
-	}
-	var notOwner *NotOwnerError
-	err := f.SubmitAt(owner, staleEpoch, job)
-	if !errors.As(err, &notOwner) || notOwner.CurrentEpoch == staleEpoch {
-		t.Fatalf("fencing error does not carry the current epoch: %v", err)
-	}
-	if err := f.SubmitAt(owner, f.Map().Shards[owner].Epoch, job); err != nil {
-		t.Fatalf("current-epoch submit fenced: %v", err)
-	}
-	res := collectFleet(t, f, 1, 10*time.Second)
-	if _, ok := res[job.ID]; !ok {
-		t.Fatalf("fenced-then-resolved job never completed: %v", res)
-	}
-}
-
 // TestFleetFailoverRetriesAfterListenerFailure is the double-close
 // regression: a promotion whose broker cannot start (the listener hook
 // fails) leaves the shard fenced, and the monitor's retry — which
@@ -289,5 +254,77 @@ func TestFleetFailoverReplaysRecordedResults(t *testing.T) {
 			t.Fatalf("post-failover duplicate delivery: %+v (had %d)", res, len(got))
 		}
 	case <-time.After(300 * time.Millisecond):
+	}
+}
+
+// countingAdmission admits every job but those named in reject, and
+// counts Admit and Release calls per job.
+type countingAdmission struct {
+	mu                 sync.Mutex
+	reject             map[string]bool
+	admitted, released map[string]int
+}
+
+func (a *countingAdmission) Admit(j tasks.Job) error {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.reject[j.ID] {
+		return &tasks.QuotaExceededError{Tenant: "t", Reason: "queue full"}
+	}
+	a.admitted[j.ID]++
+	return nil
+}
+
+func (a *countingAdmission) Release(j tasks.Job) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.released[j.ID]++
+}
+
+func (a *countingAdmission) counts(id string) (admitted, released int) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.admitted[id], a.released[id]
+}
+
+// TestFleetTrySubmitAdmitsAndReleasesOnce: the fleet's one guarded
+// submit path admits before routing, surfaces a rejection without
+// queueing, releases a delivered job exactly once, and releases at once
+// a job that a closed fleet drops.
+func TestFleetTrySubmitAdmitsAndReleasesOnce(t *testing.T) {
+	adm := &countingAdmission{
+		reject:   map[string]bool{"rejected": true},
+		admitted: map[string]int{}, released: map[string]int{},
+	}
+	f, err := NewFleet(Options{Shards: 2, Dir: t.TempDir(), Admission: adm})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < f.Shards(); i++ {
+		fleetWorker(t, f, i)
+	}
+	job := func(id string) tasks.Job { return tasks.Job{ID: id, Kind: "echo", Payload: json.RawMessage(`{}`)} }
+
+	var quota *tasks.QuotaExceededError
+	if err := f.TrySubmit(job("rejected")); !errors.As(err, &quota) {
+		t.Fatalf("rejected job: err = %v, want *QuotaExceededError", err)
+	}
+	if f.Outstanding() != 0 {
+		t.Fatalf("a rejected job is outstanding")
+	}
+	if err := f.TrySubmit(job("ok")); err != nil {
+		t.Fatal(err)
+	}
+	collectFleet(t, f, 1, 10*time.Second)
+	if a, r := adm.counts("ok"); a != 1 || r != 1 {
+		t.Fatalf("delivered job admitted %d and released %d times, want 1 and 1", a, r)
+	}
+
+	f.Close()
+	if err := f.TrySubmit(job("late")); err == nil {
+		t.Fatal("closed fleet accepted a job")
+	}
+	if a, r := adm.counts("late"); a != 1 || r != 1 {
+		t.Fatalf("job dropped by a closed fleet admitted %d and released %d times, want 1 and 1", a, r)
 	}
 }

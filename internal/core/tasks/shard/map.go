@@ -1,10 +1,5 @@
 package shard
 
-import (
-	"errors"
-	"fmt"
-)
-
 // Info describes one shard's current primary in a routing map.
 type Info struct {
 	// Index is the shard's position on the ring — stable across
@@ -12,8 +7,7 @@ type Info struct {
 	Index int `json:"index"`
 	// Addr is the current primary broker's listen address.
 	Addr string `json:"addr"`
-	// Epoch is the shard's promotion count. A submit stamped with a
-	// stale epoch is fenced with *NotOwnerError.
+	// Epoch is the shard's promotion count.
 	Epoch uint64 `json:"epoch"`
 }
 
@@ -32,23 +26,3 @@ type Map struct {
 
 // Ring rebuilds the consistent-hash ring this map routes over.
 func (m Map) Ring() *Ring { return NewRing(len(m.Shards), m.VNodes) }
-
-// ErrNotOwner matches any *NotOwnerError via errors.Is.
-var ErrNotOwner = errors.New("shard: not owner")
-
-// NotOwnerError is the fencing error: a submit reached a shard that no
-// longer (or never) owned the job at the caller's epoch. Callers should
-// re-fetch the map and retry against CurrentEpoch's owner.
-type NotOwnerError struct {
-	Shard        int    // shard the request was addressed to
-	WantEpoch    uint64 // epoch the caller routed with
-	CurrentEpoch uint64 // shard's actual epoch
-	Reason       string
-}
-
-func (e *NotOwnerError) Error() string {
-	return fmt.Sprintf("shard %d: not owner (routed at epoch %d, current %d): %s",
-		e.Shard, e.WantEpoch, e.CurrentEpoch, e.Reason)
-}
-
-func (e *NotOwnerError) Is(target error) bool { return target == ErrNotOwner }

@@ -34,10 +34,6 @@ var (
 		"Journal bytes written on the primary but not yet applied on the standby.",
 		"shard")
 
-	shardNotOwner = telemetry.Default.Counter(
-		"gem5art_shard_not_owner_total",
-		"Submits fenced because the caller routed with a stale shard map.")
-
 	shardDuplicateResults = telemetry.Default.Counter(
 		"gem5art_shard_duplicate_results_total",
 		"Results suppressed by the fleet's exactly-once delivery filter.")

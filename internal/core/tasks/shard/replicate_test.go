@@ -135,9 +135,17 @@ func TestShipperResyncAfterJournalRegrow(t *testing.T) {
 func TestShipperRun(t *testing.T) {
 	primary, standby := openShardStore(t), openShardStore(t)
 	sh := NewShipper(2, primary, standby, "broker_queue")
-	stop := make(chan struct{})
-	go sh.Run(5*time.Millisecond, stop)
-	defer close(stop)
+	// Wait for Run to return before the stores' temp dirs are removed:
+	// a ShipOnce still writing the standby would leave the dir non-empty.
+	stop, ran := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(ran)
+		sh.Run(5*time.Millisecond, stop)
+	}()
+	defer func() {
+		close(stop)
+		<-ran
+	}()
 
 	col := primary.Collection("broker_queue")
 	for i := 0; i < 20; i++ {

@@ -3,8 +3,7 @@
 // each shard's durable queue journal is shipped to a standby store that
 // replays it, and a coordinator promotes the standby when the primary's
 // lease expires. Routing is epoch-numbered: every promotion bumps the
-// fleet epoch, fencing the deposed primary, and clients holding a stale
-// map get *NotOwnerError and re-resolve.
+// fleet epoch, and workers re-resolve the map on every dial.
 package shard
 
 import (

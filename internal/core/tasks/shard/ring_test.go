@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"errors"
 	"fmt"
 	"testing"
 )
@@ -69,15 +68,5 @@ func TestMapRingRoundTrip(t *testing.T) {
 		if local.Owner(key) != remote.Owner(key) {
 			t.Fatalf("map-rebuilt ring disagrees on %q", key)
 		}
-	}
-}
-
-func TestNotOwnerError(t *testing.T) {
-	err := error(&NotOwnerError{Shard: 2, WantEpoch: 1, CurrentEpoch: 4, Reason: "stale map"})
-	if !errors.Is(err, ErrNotOwner) {
-		t.Fatal("NotOwnerError does not match ErrNotOwner")
-	}
-	if errors.Is(errors.New("other"), ErrNotOwner) {
-		t.Fatal("unrelated error matches ErrNotOwner")
 	}
 }

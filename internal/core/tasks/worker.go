@@ -2,9 +2,12 @@ package tasks
 
 import (
 	"bufio"
+	"crypto/rand"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"net"
+	"os"
 	"runtime/debug"
 	"sync"
 	"time"
@@ -23,11 +26,10 @@ type WorkerOptions struct {
 	// "worker.heartbeat" before each beat — the fault-injection hook for
 	// wedged and crashing workers.
 	Injector *faultinject.Injector
-	// ID is the worker's stable session identity. A worker with an ID
-	// participates in the session layer: the broker acks its results,
-	// and after a reconnect the worker resumes in-flight jobs and
-	// resends unacked results. Empty keeps the seed semantics
-	// (connection-scoped identity).
+	// ID is the worker's stable session identity: the broker acks its
+	// results by it, and after a reconnect the worker resumes in-flight
+	// jobs and resends unacked results under it. Empty generates one
+	// with NewWorkerID.
 	ID string
 	// Reconnect re-dials the broker with backoff after a connection
 	// loss instead of terminating the worker.
@@ -57,6 +59,18 @@ func DefaultReconnectPolicy() RetryPolicy {
 		Multiplier:  2,
 		Jitter:      0.2,
 	}
+}
+
+// NewWorkerID returns a fresh session identity, "<hostname>-<16 hex>",
+// for a worker that was not given one.
+func NewWorkerID() string {
+	var buf [8]byte
+	_, _ = rand.Read(buf[:])
+	host, _ := os.Hostname()
+	if host == "" {
+		host = "worker"
+	}
+	return host + "-" + hex.EncodeToString(buf[:])
 }
 
 // workerJob tracks one assignment through its life on the worker: from
@@ -118,9 +132,13 @@ func NewWorkerWithOptions(addr string, opts WorkerOptions) (*Worker, error) {
 	if dial == nil {
 		dial = func(a string) (net.Conn, error) { return net.Dial("tcp", a) }
 	}
+	id := opts.ID
+	if id == "" {
+		id = NewWorkerID()
+	}
 	w := &Worker{
 		addr:     addr,
-		id:       opts.ID,
+		id:       id,
 		handlers: opts.Handlers,
 		capacity: capacity,
 		inject:   opts.Injector,
@@ -134,15 +152,9 @@ func NewWorkerWithOptions(addr string, opts WorkerOptions) (*Worker, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tasks: worker dial: %w", err)
 	}
-	if err := w.installSession(conn); err != nil {
+	if err := w.resync(conn); err != nil {
 		_ = conn.Close()
 		return nil, err
-	}
-	if w.id != "" {
-		if err := w.sendEnv(Envelope{Type: "ready"}); err != nil {
-			_ = conn.Close()
-			return nil, err
-		}
 	}
 	go w.run(conn)
 	interval := opts.HeartbeatInterval
@@ -260,7 +272,8 @@ func (w *Worker) redial() net.Conn {
 // resync replays the session state onto a fresh connection: hello,
 // then one resume frame per executing job and one result resend per
 // finished-but-unacked job, closed off by a ready frame that lifts the
-// broker's dispatch gate for this session.
+// broker's dispatch gate for this session. The first connection is the
+// same replay of an empty state.
 func (w *Worker) resync(conn net.Conn) error {
 	if err := w.installSession(conn); err != nil {
 		return err
@@ -275,7 +288,7 @@ func (w *Worker) resync(conn net.Conn) error {
 		if j.result != nil {
 			resends = append(resends, *j.result)
 		} else {
-			resumes = append(resumes, Envelope{Type: "resume", ID: j.env.ID, Worker: w.id, Attempt: j.env.Attempt})
+			resumes = append(resumes, Envelope{Type: "resume", ID: j.env.ID, Attempt: j.env.Attempt})
 		}
 	}
 	w.mu.Unlock()
@@ -290,10 +303,7 @@ func (w *Worker) resync(conn net.Conn) error {
 			return err
 		}
 	}
-	if w.id != "" {
-		return w.sendEnv(Envelope{Type: "ready"})
-	}
-	return nil
+	return w.sendEnv(Envelope{Type: "ready"})
 }
 
 // heartbeat periodically tells the broker this worker is alive. It runs
@@ -382,7 +392,7 @@ func (w *Worker) readSession(conn net.Conn) {
 func (w *Worker) runJob(j *workerJob) {
 	defer w.wg.Done()
 	env := j.env
-	res := Envelope{Type: "result", ID: env.ID, Worker: w.id, Attempt: env.Attempt}
+	res := Envelope{Type: "result", ID: env.ID, Attempt: env.Attempt}
 	crashed := false
 	func() {
 		defer func() {
@@ -427,11 +437,7 @@ func (w *Worker) runJob(j *workerJob) {
 		w.mu.Unlock()
 		return
 	}
-	if w.id != "" {
-		j.result = &res // retained until the broker's ack
-	} else {
-		delete(w.active, env.ID) // anonymous sessions get no acks
-	}
+	j.result = &res // retained until the broker's ack
 	w.mu.Unlock()
 	// Best-effort send: if the connection is down, resync resends the
 	// retained result after the next reconnect.

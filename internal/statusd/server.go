@@ -499,7 +499,7 @@ func (s *Server) brokerState(w http.ResponseWriter, _ *http.Request) {
 }
 
 // shardMap serves the epoch-numbered routing map workers re-resolve
-// from after a *NotOwnerError or a reconnect. In front-tier mode the
+// from on every (re)connect. In front-tier mode the
 // map is proxied from the first reachable backend.
 func (s *Server) shardMap(w http.ResponseWriter, _ *http.Request) {
 	switch {
