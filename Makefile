@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build fmt vet test race chaos microbench ci
+.PHONY: build fmt vet test race chaos microbench benchmod ci
 
 build:
 	$(GO) build ./...
@@ -75,4 +75,10 @@ microbench:
 		./internal/simcache/... ./internal/core/launch/...
 	$(GO) test -run '^$$' -bench RunTable4 -benchtime 5x ./internal/sim/gpu/
 
-ci: fmt vet build race microbench
+# benchmod vets and tests the benchmark module, which builds against
+# this module's internal packages: an API change that breaks it fails
+# here instead of at the next benchmark run.
+benchmod:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+ci: fmt vet build race microbench benchmod

@@ -11,7 +11,7 @@
 //	gem5art tables
 //	gem5art summary -db DIR
 //	gem5art artifacts -db DIR
-//	gem5art distribute [-listen ADDR] [-min-workers N]   (then start gem5worker)
+//	gem5art distribute [-listen ADDR]   (then start gem5worker)
 //	gem5art distribute -shards 4 -db DIR -metrics-addr 127.0.0.1:7788
 //	                                       (workers join with gem5worker -resolve)
 package main
@@ -67,7 +67,7 @@ func main() {
 	case "artifacts":
 		err = artifactsCmd(os.Args[2:])
 	case "report":
-		err = reportCmd(os.Args[2:])
+		err = reportCmd(os.Stdout, os.Args[2:])
 	case "distribute":
 		err = distributeCmd(os.Args[2:])
 	case "submit":
@@ -308,7 +308,6 @@ func distributeCmd(args []string) error {
 	suite := fs.String("suite", "boot", "job suite to distribute: boot | hackback")
 	metricsAddr := fs.String("metrics-addr", "",
 		"serve the status/metrics daemon on this address (exposes broker lease state at /api/broker)")
-	minWorkers := fs.Int("min-workers", 1, "wait for this many workers")
 	retries := fs.Int("retries", 3, "attempts per job (1 disables retries)")
 	lease := fs.Duration("lease", 30*time.Minute, "per-assignment execution lease (0 disables)")
 	hbTimeout := fs.Duration("heartbeat-timeout", 5*time.Second,
@@ -393,7 +392,6 @@ func distributeCmd(args []string) error {
 	} else {
 		fmt.Printf("broker listening on %s; start gem5worker -broker %s\n", broker.Addr(), broker.Addr())
 	}
-	_ = *minWorkers // workers may attach at any time; jobs queue until they do
 
 	var jobs int
 	switch *suite {

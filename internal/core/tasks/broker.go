@@ -222,10 +222,6 @@ func NewBrokerWithOptions(addr string, opts BrokerOptions) (*Broker, error) {
 			b.results[id] = res
 		}
 		brokerQueueDepth.Add(float64(len(pending)))
-		if len(pending) > 0 || len(results) > 0 {
-			brokerRestartsRecovered.Inc()
-			brokerJobsRecovered.Add(float64(len(pending)))
-		}
 	}
 	go b.accept()
 	if opts.HeartbeatTimeout > 0 || opts.Lease > 0 {
@@ -348,11 +344,6 @@ func (b *Broker) Result(id string) (JobResult, bool) {
 // the close of resCh.
 func (b *Broker) deliver(res JobResult) {
 	defer b.sending.Done()
-	if res.Err == "" {
-		brokerJobs.With("ok").Inc()
-	} else {
-		brokerJobs.With("error").Inc()
-	}
 	select {
 	case b.resCh <- res:
 	case <-b.done:
@@ -668,9 +659,7 @@ func (b *Broker) handleResume(w *brokerWorker, env Envelope) {
 		w.mu.Unlock()
 	}
 	b.mu.Unlock()
-	if adopted {
-		brokerSessionResumes.Inc()
-	} else {
+	if !adopted {
 		_ = w.send(Envelope{Type: "abandon", ID: id})
 	}
 }

@@ -10,8 +10,6 @@ import "gem5art/internal/telemetry"
 var (
 	poolQueueDepth = telemetry.Default.Gauge("gem5art_tasks_queue_depth",
 		"tasks queued in in-process pools, not yet picked up by a worker")
-	poolActiveJobs = telemetry.Default.Gauge("gem5art_tasks_active_jobs",
-		"tasks currently executing in in-process pools")
 	poolJobDuration = telemetry.Default.Histogram("gem5art_tasks_job_duration_seconds",
 		"wall-clock duration of one pool task (all attempts, including backoff)",
 		telemetry.DefBuckets)
@@ -28,23 +26,8 @@ var (
 		"workers revoked after missing their heartbeat deadline")
 	brokerRetries = telemetry.Default.Counter("gem5art_broker_retries_total",
 		"jobs requeued by the broker's retry policy")
-	brokerJobs = telemetry.Default.CounterVec("gem5art_broker_jobs_total",
-		"finished broker jobs by result", "result")
-	brokerRestartsRecovered = telemetry.Default.Counter("gem5art_broker_restarts_recovered_total",
-		"broker reopens that recovered prior launch state from the durable queue")
-	brokerJobsRecovered = telemetry.Default.Counter("gem5art_broker_jobs_recovered_total",
-		"unfinished jobs requeued from the durable queue at broker reopen")
-	brokerSessionResumes = telemetry.Default.Counter("gem5art_broker_session_resumes_total",
-		"in-flight assignments re-adopted by a reconnected worker session")
 	brokerDuplicateResults = telemetry.Default.Counter("gem5art_broker_duplicate_results_total",
 		"result frames dropped because the result was already applied")
 	brokerProtocolErrors = telemetry.Default.Counter("gem5art_broker_protocol_errors_total",
 		"malformed protocol frames answered with an error reply and a connection close")
-
-	workerReconnects = telemetry.Default.Counter("gem5art_worker_reconnects_total",
-		"broker sessions re-established by workers after a connection loss")
-	workerResultResends = telemetry.Default.Counter("gem5art_worker_result_resends_total",
-		"unacked results resent by workers after a reconnect")
-	workerHandlerPanics = telemetry.Default.Counter("gem5art_worker_handler_panics_total",
-		"handler panics recovered into structured retryable job failures")
 )

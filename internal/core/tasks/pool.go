@@ -188,7 +188,6 @@ func (p *Pool) execute(ctx context.Context, q *queued) {
 	rp := p.retry
 	inject := p.inject
 	p.mu.Unlock()
-	poolActiveJobs.Inc()
 	start := time.Now()
 	attempts := 0
 	var err error
@@ -206,7 +205,6 @@ func (p *Pool) execute(ctx context.Context, q *queued) {
 		}
 	}
 	poolJobDuration.Observe(time.Since(start).Seconds())
-	poolActiveJobs.Dec()
 	q.fut.err = err
 	q.fut.attempts = attempts
 	close(q.fut.done)

@@ -379,7 +379,6 @@ func (f *Fleet) failover(i int) {
 	for _, j := range resubmit {
 		broker.Submit(j)
 	}
-	shardFailoverResubmits.Add(float64(len(resubmit)))
 }
 
 // deliverResult forwards a result to the fleet channel exactly once,
@@ -389,7 +388,6 @@ func (f *Fleet) deliverResult(res tasks.JobResult) {
 	f.mu.Lock()
 	if f.delivered[res.ID] {
 		f.mu.Unlock()
-		shardDuplicateResults.Inc()
 		return
 	}
 	f.delivered[res.ID] = true

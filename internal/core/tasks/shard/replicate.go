@@ -65,7 +65,6 @@ func (s *Shipper) Resync() error {
 	s.gen = gen
 	s.synced = true
 	s.mu.Unlock()
-	shardReplicationResyncs.With(strconv.Itoa(s.shard)).Inc()
 	return nil
 }
 
@@ -105,8 +104,6 @@ func (s *Shipper) ShipOnce() (int, error) {
 			return total, err
 		}
 		total += applied
-		shardReplicationSegments.With(strconv.Itoa(s.shard)).Inc()
-		shardReplicationRecords.With(strconv.Itoa(s.shard)).Add(float64(applied))
 		s.mu.Lock()
 		if consumed < int64(len(data)) {
 			// Torn tail mid-shipment: resume exactly where the valid

@@ -264,7 +264,6 @@ func (w *Worker) redial() net.Conn {
 		w.mu.Lock()
 		w.reconnects++
 		w.mu.Unlock()
-		workerReconnects.Inc()
 		return conn
 	}
 }
@@ -298,7 +297,6 @@ func (w *Worker) resync(conn net.Conn) error {
 		}
 	}
 	for _, env := range resends {
-		workerResultResends.Inc()
 		if err := w.sendEnv(env); err != nil {
 			return err
 		}
@@ -456,7 +454,6 @@ func (w *Worker) safeHandle(h JobHandler, env Envelope) (out any, err error) {
 			if _, crash := r.(faultinject.CrashPanic); crash {
 				panic(r)
 			}
-			workerHandlerPanics.Inc()
 			b := &FailureBundle{
 				Reason:  "panic",
 				Error:   fmt.Sprint(r),

@@ -121,11 +121,9 @@ func open(dir string, opts Options) (*DB, error) {
 	}
 	db.files = newFileStore(db)
 	if dir != "" {
-		start := time.Now()
 		if err := db.load(); err != nil {
 			return nil, fmt.Errorf("database: open %s: %w", dir, err)
 		}
-		dbReplaySeconds.Set(time.Since(start).Seconds())
 	}
 	return db, nil
 }
@@ -160,8 +158,6 @@ func (db *DB) degrade(reason string, err error) *storage.DegradedError {
 	defer db.mu.Unlock()
 	if db.degraded == nil {
 		db.degraded = &storage.DegradedError{Reason: reason, Err: err}
-		dbDegraded.Set(1)
-		dbDegradedTotal.With(reason).Inc()
 	}
 	return db.degraded
 }

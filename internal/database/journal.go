@@ -132,9 +132,6 @@ func (w *journalWriter) append(recs ...journalRecord) (reason string, err error)
 	}
 	w.recs += len(recs)
 	w.size += int64(len(buf))
-	for _, rec := range recs {
-		dbJournalRecords.With(rec.Op).Inc()
-	}
 	return "", nil
 }
 
@@ -244,7 +241,6 @@ func (c *collection) logRecord(recs ...journalRecord) error {
 	if reason, err := c.journal.append(recs...); err != nil {
 		return c.db.degrade(reason, err)
 	}
-	dbJournalBytes.With(c.name).Set(float64(c.journal.size))
 	c.maybeCompactLocked()
 	return nil
 }
@@ -292,7 +288,6 @@ func (c *collection) compact() {
 		return
 	}
 	c.journal.snapGen = c.journal.gen
-	dbJournalBytes.With(c.name).Set(0)
 	dbCompactions.With(c.name).Inc()
 }
 

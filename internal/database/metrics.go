@@ -20,51 +20,16 @@ func observeOp(op string, start time.Time) {
 	dbOpDuration.With(op).Observe(time.Since(start).Seconds())
 }
 
-// Journal and index health, surfaced through /metrics so a long sweep's
-// storage behavior (journal growth, compaction cadence, replay cost,
-// scan avoidance) is observable without instrumenting the client.
+// Compaction cadence and scan avoidance. Degraded mode and the
+// scrubber's findings are not series: /healthz and /api/scrub serve
+// them from storage.DegradedError and ScrubReport.
 var (
-	dbJournalRecords = telemetry.Default.CounterVec("gem5art_db_journal_records_total",
-		"journal records appended, by operation kind", "op")
-	dbJournalBytes = telemetry.Default.GaugeVec("gem5art_db_journal_bytes",
-		"current journal size in bytes, by collection", "collection")
 	dbCompactions = telemetry.Default.CounterVec("gem5art_db_compactions_total",
 		"journal compactions folded into snapshots, by collection", "collection")
-	dbReplaySeconds = telemetry.Default.Gauge("gem5art_db_replay_seconds",
-		"wall time of the last database open, including journal replay")
-	dbReplayedRecords = telemetry.Default.Counter("gem5art_db_replayed_records_total",
-		"journal records replayed at startup")
-	dbCollectionReplaySeconds = telemetry.Default.GaugeVec("gem5art_db_collection_replay_seconds",
-		"journal replay time of the last open, by collection", "collection")
 	dbIndexLookups = telemetry.Default.CounterVec("gem5art_db_index_lookups_total",
 		"queries answered from a hash index, by outcome", "result")
 	dbFullScans = telemetry.Default.Counter("gem5art_db_full_scans_total",
 		"queries answered by scanning the collection")
-)
-
-// Disk-fault containment: degraded-mode state and the integrity
-// scrubber's findings, so an operator sees a store that went read-only
-// — or is quietly quarantining bit rot — on /metrics before a tenant
-// notices a 503.
-var (
-	dbDegraded = telemetry.Default.Gauge("gem5art_db_degraded",
-		"1 when the store is in read-only degraded mode after a durability failure")
-	dbDegradedTotal = telemetry.Default.CounterVec("gem5art_db_degraded_total",
-		"durability failures that flipped a store read-only, by failing path", "reason")
-	dbTmpSwept = telemetry.Default.Counter("gem5art_db_tmp_swept_total",
-		"orphaned .tmp files removed at startup (crash mid-compaction or mid-rename)")
-	scrubRuns = telemetry.Default.Counter("gem5art_scrub_runs_total",
-		"integrity scrub passes completed")
-	scrubScanned = telemetry.Default.Counter("gem5art_scrub_blobs_scanned_total",
-		"blobs re-read and hash-verified by the scrubber")
-	scrubCorrupt = telemetry.Default.CounterVec("gem5art_scrub_corrupt_total",
-		"corrupt items found by the scrubber, by kind", "kind")
-	scrubQuarantined = telemetry.Default.Counter("gem5art_scrub_quarantined_total",
-		"corrupt blobs moved to the quarantine directory")
-	scrubRepaired = telemetry.Default.Counter("gem5art_scrub_repaired_total",
-		"quarantined blobs restored from a repair source")
-	scrubLastUnix = telemetry.Default.Gauge("gem5art_scrub_last_run_unix",
-		"unix time of the last completed scrub pass")
 )
 
 // countIndexLookup records one index-served query.

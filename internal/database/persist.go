@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 )
 
 // On-disk layout under the database directory:
@@ -63,7 +62,6 @@ func (c *collection) flushLocked() error {
 			return c.db.degrade("compaction", err)
 		}
 		c.journal.snapGen = c.journal.gen
-		dbJournalBytes.With(c.name).Set(0)
 		return nil
 	}
 	// Snapshot-mode store: a wal left behind by a journaled session is
@@ -163,9 +161,7 @@ func (db *DB) sweepTmpFiles() {
 			if e.IsDir() || !strings.HasSuffix(e.Name(), ".tmp") {
 				continue
 			}
-			if err := fs.Remove(filepath.Join(dir, e.Name())); err == nil {
-				dbTmpSwept.Inc()
-			}
+			_ = fs.Remove(filepath.Join(dir, e.Name()))
 		}
 	}
 }
@@ -209,17 +205,12 @@ func (db *DB) loadCollection(name, snapshotPath string) error {
 	}
 
 	walPath := journalPath(db.dir, name)
-	start := time.Now()
 	recs, goodBytes, err := replayJournal(db.fs(), walPath)
 	if err != nil {
 		return fmt.Errorf("database: replay %s: %w", name, err)
 	}
 	for _, rec := range recs {
 		c.applyRecordLocked(rec)
-	}
-	if len(recs) > 0 {
-		dbReplayedRecords.Add(float64(len(recs)))
-		dbCollectionReplaySeconds.With(name).Set(time.Since(start).Seconds())
 	}
 	c.rebuildIndexesLocked()
 	for _, d := range c.docs {
@@ -232,7 +223,6 @@ func (db *DB) loadCollection(name, snapshotPath string) error {
 			return fmt.Errorf("database: journal %s: %w", name, err)
 		}
 		c.journal = w
-		dbJournalBytes.With(name).Set(float64(goodBytes))
 	}
 	return nil
 }

@@ -201,7 +201,6 @@ func (db *DB) RestoreCollection(collection string, docs []Doc) error {
 		if err := c.journal.reset(); err != nil {
 			return fmt.Errorf("database: restore %s: %w", collection, err)
 		}
-		dbJournalBytes.With(collection).Set(0)
 	}
 	return nil
 }

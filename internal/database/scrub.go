@@ -115,8 +115,6 @@ func (db *DB) scrubWith(source RepairSource, prog *scrubProgress) *ScrubReport {
 	rep := &ScrubReport{Start: start.UTC()}
 	defer func() {
 		rep.Duration = time.Since(start)
-		scrubRuns.Inc()
-		scrubLastUnix.Set(float64(time.Now().Unix()))
 	}()
 	if err := db.Degraded(); err != nil {
 		if deg, ok := err.(*storage.DegradedError); ok {
@@ -234,7 +232,6 @@ func (db *DB) scrubCollections(rep *ScrubReport, prog *scrubProgress) {
 			c.mu.RUnlock()
 			if !stale {
 				rep.TornJournals++
-				scrubCorrupt.With("journal").Inc()
 			}
 		}
 
@@ -247,7 +244,6 @@ func (db *DB) scrubCollections(rep *ScrubReport, prog *scrubProgress) {
 			if data, err := fs.ReadFile(snapPath); err == nil {
 				if !snapshotParses(data) {
 					rep.BadSnapshots++
-					scrubCorrupt.With("snapshot").Inc()
 					snapVerified = false
 				}
 			}
@@ -380,7 +376,6 @@ func (db *DB) scrubBlobs(rep *ScrubReport, source RepairSource, prog *scrubProgr
 			continue // content-addressed and already verified this process
 		}
 		rep.Blobs++
-		scrubScanned.Inc()
 		raw, err := db.fs().ReadFile(filepath.Join(filesDir, hash+".blob"))
 		ok := err == nil && blobMatches(raw, hash)
 		if ok {
@@ -390,7 +385,6 @@ func (db *DB) scrubBlobs(rep *ScrubReport, source RepairSource, prog *scrubProgr
 			continue
 		}
 		rep.Corrupt++
-		scrubCorrupt.With("blob").Inc()
 		meta, _ := db.files.Stat(hash)
 		db.quarantineBlob(hash)
 		rep.Quarantined = append(rep.Quarantined, hash)
@@ -405,7 +399,6 @@ func (db *DB) scrubBlobs(rep *ScrubReport, source RepairSource, prog *scrubProgr
 					db.files.evict(hash)
 					if _, err := db.files.Put(meta.Name, data); err == nil {
 						rep.Repaired = append(rep.Repaired, hash)
-						scrubRepaired.Inc()
 					}
 				}
 			}
@@ -447,7 +440,6 @@ func (db *DB) quarantineBlob(hash string) {
 			_ = fs.Remove(src) // rename across a faulted path: at least stop serving it
 		}
 	}
-	scrubQuarantined.Inc()
 }
 
 // Scrubber runs Scrub on an interval in the background. The zero

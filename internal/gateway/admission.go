@@ -156,7 +156,6 @@ func (c *Controller) Admit(j tasks.Job) error {
 	st.inflight++
 	c.admitted[j.ID] = j
 	gwAdmitted.With(tenant).Inc()
-	c.publishLocked(tenant, st, q)
 	return nil
 }
 
@@ -177,7 +176,6 @@ func (c *Controller) Release(j tasks.Job) {
 	if st.inflight > 0 {
 		st.inflight--
 	}
-	c.publishLocked(tenant, st, c.quotaLocked(tenant))
 	c.mu.Unlock()
 	// Kick asynchronously: Release can be reached from inside a submit
 	// call the dispatcher itself made (the broker's replay-of-done
@@ -204,7 +202,6 @@ func (c *Controller) Reserve(tenant string, jobs []tasks.Job) error {
 		}
 	}
 	st.parked = append(st.parked, jobs...)
-	c.publishLocked(tenant, st, q)
 	return nil
 }
 
@@ -229,7 +226,6 @@ func (c *Controller) CancelPrefix(tenant, prefix string) []tasks.Job {
 		}
 	}
 	st.parked = kept
-	c.publishLocked(tenant, st, c.quotaLocked(tenant))
 	return canceled
 }
 
@@ -263,7 +259,6 @@ func (c *Controller) Kick() {
 		}
 		// Terminal refusal (backend closed): the job is dropped, not
 		// silently — the gateway's onDrop marks its run failed.
-		gwDropped.With(tenant).Inc()
 		if c.onDrop != nil {
 			c.onDrop(j, err)
 		}
@@ -301,8 +296,6 @@ func (c *Controller) pick(skip map[string]bool) (tasks.Job, string, bool) {
 	best.parked = best.parked[1:]
 	c.seq++
 	best.lastSeq = c.seq
-	gwDispatched.With(bestName).Inc()
-	c.publishLocked(bestName, best, c.quotaLocked(bestName))
 	return j, bestName, true
 }
 
@@ -311,7 +304,6 @@ func (c *Controller) requeueFront(tenant string, j tasks.Job) {
 	defer c.mu.Unlock()
 	st := c.stateLocked(tenant)
 	st.parked = append([]tasks.Job{j}, st.parked...)
-	c.publishLocked(tenant, st, c.quotaLocked(tenant))
 }
 
 // InFlight reports a tenant's current admitted-but-unfinished count.
@@ -332,12 +324,4 @@ func (c *Controller) Queued(tenant string) int {
 		return len(st.parked)
 	}
 	return 0
-}
-
-// publishLocked refreshes the tenant's gauges: live in-flight, queue
-// depth, and the fair-share ratio the dispatcher balances on.
-func (c *Controller) publishLocked(tenant string, st *tenantState, q Quota) {
-	gwInFlight.With(tenant).Set(float64(st.inflight))
-	gwQueued.With(tenant).Set(float64(len(st.parked)))
-	gwFairShare.With(tenant).Set(float64(st.inflight) / float64(q.Weight))
 }

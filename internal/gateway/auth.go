@@ -44,11 +44,9 @@ func newTenantSet(cfg *Config) *tenantSet {
 	return ts
 }
 
-// authError describes one failed authentication, with the reason label
-// the auth-failure counter uses.
+// authError describes one failed authentication.
 type authError struct {
 	status int
-	reason string // metric label: missing | malformed | unknown | expired
 	msg    string
 }
 
@@ -63,10 +61,10 @@ func (ts *tenantSet) resolve(token string, now time.Time) (*Tenant, *authError) 
 		}
 	}
 	if match == nil {
-		return nil, &authError{http.StatusUnauthorized, "unknown", "unknown token"}
+		return nil, &authError{http.StatusUnauthorized, "unknown token"}
 	}
 	if !match.expires.IsZero() && now.After(match.expires) {
-		return nil, &authError{http.StatusUnauthorized, "expired", "token expired"}
+		return nil, &authError{http.StatusUnauthorized, "token expired"}
 	}
 	return match, nil
 }
@@ -75,11 +73,11 @@ func (ts *tenantSet) resolve(token string, now time.Time) (*Tenant, *authError) 
 func bearerToken(r *http.Request) (string, *authError) {
 	h := r.Header.Get("Authorization")
 	if h == "" {
-		return "", &authError{http.StatusUnauthorized, "missing", "missing Authorization header"}
+		return "", &authError{http.StatusUnauthorized, "missing Authorization header"}
 	}
 	scheme, token, ok := strings.Cut(h, " ")
 	if !ok || !strings.EqualFold(scheme, "Bearer") || strings.TrimSpace(token) == "" {
-		return "", &authError{http.StatusUnauthorized, "malformed", "want Authorization: Bearer <token>"}
+		return "", &authError{http.StatusUnauthorized, "want Authorization: Bearer <token>"}
 	}
 	return strings.TrimSpace(token), nil
 }
@@ -93,7 +91,6 @@ func (g *Gateway) authenticate(w http.ResponseWriter, r *http.Request) *Tenant {
 		tenant, aerr = g.tenants.Load().resolve(token, time.Now())
 	}
 	if aerr != nil {
-		gwAuthFailures.With(aerr.reason).Inc()
 		w.Header().Set("WWW-Authenticate", `Bearer realm="gem5art"`)
 		writeJSON(w, aerr.status, map[string]string{"error": aerr.msg})
 		return nil

@@ -97,12 +97,12 @@ func (g *Gateway) Wait() { g.pump.Wait() }
 // falls through to the inner handler.
 func (g *Gateway) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /api/launches", g.route("submit", g.handleSubmit))
-	mux.HandleFunc("GET /api/launches", g.route("list", g.handleList))
-	mux.HandleFunc("GET /api/launches/{id}", g.route("get", g.handleGet))
-	mux.HandleFunc("GET /api/launches/{id}/runs", g.route("runs", g.handleRuns))
-	mux.HandleFunc("DELETE /api/launches/{id}", g.route("cancel", g.handleCancel))
-	mux.HandleFunc("GET /api/whoami", g.route("whoami", g.handleWhoami))
+	mux.HandleFunc("POST /api/launches", g.route(g.handleSubmit))
+	mux.HandleFunc("GET /api/launches", g.route(g.handleList))
+	mux.HandleFunc("GET /api/launches/{id}", g.route(g.handleGet))
+	mux.HandleFunc("GET /api/launches/{id}/runs", g.route(g.handleRuns))
+	mux.HandleFunc("DELETE /api/launches/{id}", g.route(g.handleCancel))
+	mux.HandleFunc("GET /api/whoami", g.route(g.handleWhoami))
 	if g.next != nil {
 		mux.Handle("/", g.next)
 	}
@@ -110,17 +110,16 @@ func (g *Gateway) Handler() http.Handler {
 }
 
 // route wraps a handler with the shared edge policy: authenticate, then
-// spend one rate-limit token, then count the request. Order matters —
-// unauthenticated traffic must not drain a tenant's bucket, and rate
-// rejections must not hide auth failures.
-func (g *Gateway) route(name string, h func(http.ResponseWriter, *http.Request, *Tenant)) http.HandlerFunc {
+// spend one rate-limit token. Order matters — unauthenticated traffic
+// must not drain a tenant's bucket, and rate rejections must not hide
+// auth failures.
+func (g *Gateway) route(h func(http.ResponseWriter, *http.Request, *Tenant)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		tenant := g.authenticate(w, r)
 		if tenant == nil {
 			return
 		}
 		if ok, wait := g.limiter.allow(tenant.ID, tenant.Rate); !ok {
-			gwRateLimited.With(tenant.ID).Inc()
 			retryAfter(w, wait)
 			writeJSON(w, http.StatusTooManyRequests, map[string]any{
 				"error":       "rate limit exceeded",
@@ -128,7 +127,6 @@ func (g *Gateway) route(name string, h func(http.ResponseWriter, *http.Request, 
 			})
 			return
 		}
-		gwRequests.With(tenant.ID, name).Inc()
 		h(w, r, tenant)
 	}
 }

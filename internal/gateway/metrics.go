@@ -3,17 +3,11 @@ package gateway
 import "gem5art/internal/telemetry"
 
 // Gateway metrics, labeled by tenant so one scrape answers "who is
-// using the service and who is being throttled". Counter labels keep
-// low cardinality: tenant IDs come from the operator's config, reasons
-// from fixed enumerations.
+// submitting and who is being refused". A tenant's live in-flight and
+// queued counts are served at /api/whoami, not here. Labels keep low
+// cardinality: tenant IDs come from the operator's config, reasons from
+// a fixed enumeration.
 var (
-	gwRequests = telemetry.Default.CounterVec("gem5art_gateway_requests_total",
-		"authenticated API requests by tenant and route", "tenant", "route")
-	gwAuthFailures = telemetry.Default.CounterVec("gem5art_gateway_auth_failures_total",
-		"rejected API requests by failure reason", "reason")
-	gwRateLimited = telemetry.Default.CounterVec("gem5art_gateway_rate_limited_total",
-		"requests rejected 429 by the edge token-bucket limiter", "tenant")
-
 	gwLaunches = telemetry.Default.CounterVec("gem5art_gateway_launches_total",
 		"launches accepted through the submit API", "tenant")
 	gwAdmitted = telemetry.Default.CounterVec("gem5art_gateway_jobs_admitted_total",
@@ -21,15 +15,4 @@ var (
 	gwRejected = telemetry.Default.CounterVec("gem5art_gateway_jobs_rejected_total",
 		"jobs or launches refused by admission control, by quota dimension",
 		"tenant", "reason")
-	gwDispatched = telemetry.Default.CounterVec("gem5art_gateway_jobs_dispatched_total",
-		"parked jobs handed to the backend by the fair dispatcher", "tenant")
-	gwDropped = telemetry.Default.CounterVec("gem5art_gateway_jobs_dropped_total",
-		"parked jobs lost because the backend refused them terminally", "tenant")
-
-	gwInFlight = telemetry.Default.GaugeVec("gem5art_gateway_inflight_jobs",
-		"jobs admitted to the backend and not yet finished", "tenant")
-	gwQueued = telemetry.Default.GaugeVec("gem5art_gateway_queued_jobs",
-		"jobs parked awaiting in-flight capacity", "tenant")
-	gwFairShare = telemetry.Default.GaugeVec("gem5art_gateway_fair_share",
-		"in-flight/weight ratio the fair dispatcher balances on", "tenant")
 )

@@ -76,14 +76,13 @@ type Scheduler struct {
 
 	onBarrier func()
 
-	// count is the run loop's private tally and flushed the part of it
-	// already credited to the process-wide telemetry series. published
-	// makes the tally readable from other goroutines: windows is stored
-	// after every window (the run watchdog polls it for liveness), pool
-	// and messages every counterPublishEvery windows and at Run exit. The
-	// window loop performs no atomic read-modify-write.
-	count, flushed struct{ windows, pool, messages uint64 }
-	published      struct{ windows, pool, messages atomic.Uint64 }
+	// count is the run loop's private tally. published makes it readable
+	// from other goroutines: windows is stored after every window (the run
+	// watchdog polls it for liveness), pool and messages every
+	// counterPublishEvery windows and at Run exit. The window loop
+	// performs no atomic read-modify-write.
+	count     struct{ windows, pool, messages uint64 }
+	published struct{ windows, pool, messages atomic.Uint64 }
 }
 
 // Counters are a scheduler's lifetime totals. They describe host-side
@@ -127,8 +126,8 @@ func (s *Scheduler) Components() []*Component { return s.comps }
 // Now returns the simulated time the scheduler has completed through.
 func (s *Scheduler) Now() Tick { return s.now }
 
-// counterPublishEvery is how many windows pass between telemetry flushes
-// and refreshes of the cross-goroutine pool and message counts.
+// counterPublishEvery is how many windows pass between refreshes of the
+// cross-goroutine pool and message counts.
 const counterPublishEvery = 64
 
 // Windows returns the number of synchronization rounds executed so far.
@@ -150,15 +149,8 @@ func (s *Scheduler) Counters() Counters {
 	return c
 }
 
-// publishCounters credits the process-wide telemetry series with what
-// accrued since the last call and refreshes the batched part of the
-// cross-goroutine view.
+// publishCounters refreshes the batched part of the cross-goroutine view.
 func (s *Scheduler) publishCounters() {
-	flushWindows(
-		s.count.windows-s.flushed.windows,
-		s.count.pool-s.flushed.pool,
-		s.count.messages-s.flushed.messages)
-	s.flushed = s.count
 	s.published.pool.Store(s.count.pool)
 	s.published.messages.Store(s.count.messages)
 }

@@ -16,16 +16,8 @@ var (
 		"discrete events executed across all event queues")
 	simInstructions = telemetry.Default.Counter("gem5art_sim_instructions_total",
 		"instructions committed across all simulated systems")
-	simWindows = telemetry.Default.CounterVec("gem5art_sim_windows_total",
-		"scheduler windows executed, by where the cost gate placed them", "mode")
-	simWindowsInline = simWindows.With("inline")
-	simWindowsPool   = simWindows.With("pool")
-	simMessages      = telemetry.Default.Counter("gem5art_sim_messages_total",
-		"port messages delivered at scheduler window barriers")
 	simHostRate = telemetry.Default.Gauge("gem5art_sim_host_rate_ticks_per_second",
 		"simulated ticks advanced per host second in the most recent System.Run")
-	simActiveRuns = telemetry.Default.Gauge("gem5art_sim_active_runs",
-		"simulations currently inside System.Run")
 )
 
 // telemetryBatch bounds how many locally counted events accumulate
@@ -40,14 +32,6 @@ func flushEvents(n uint64) {
 	}
 }
 
-// flushWindows adds a batch of scheduler window and message counts to the
-// registry; pool of the windows ran on the worker pool, the rest inline.
-func flushWindows(windows, pool, messages uint64) {
-	simWindowsInline.Add(float64(windows - pool))
-	simWindowsPool.Add(float64(pool))
-	simMessages.Add(float64(messages))
-}
-
 // CountInstructions credits n committed instructions to the global
 // instruction counter. The CPU models call it with batched deltas.
 func CountInstructions(n uint64) {
@@ -56,14 +40,11 @@ func CountInstructions(n uint64) {
 	}
 }
 
-// RunScope brackets one System.Run for telemetry: it marks the
-// simulation active and, on the returned func, publishes the host
-// simulation rate (simulated ticks per host second).
+// RunScope brackets one System.Run for telemetry: the returned func
+// publishes the host simulation rate (simulated ticks per host second).
 func RunScope() (done func(advanced Tick)) {
-	simActiveRuns.Inc()
 	start := time.Now()
 	return func(advanced Tick) {
-		simActiveRuns.Dec()
 		if host := time.Since(start).Seconds(); host > 0 {
 			simHostRate.Set(float64(advanced) / host)
 		}

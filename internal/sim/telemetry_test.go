@@ -36,14 +36,11 @@ func TestRunUntilFlushesPartialBatch(t *testing.T) {
 	}
 }
 
-// TestSchedulerCountersReachTelemetry checks the bridge from a
-// scheduler's read-through counters to the process-wide series: windows
-// (all inline on one worker) and delivered messages arrive exactly, and
-// the event counter still counts one per executed event, deliveries
-// included.
+// TestSchedulerCountersReachTelemetry checks a scheduler's read-through
+// counters (all windows inline on one worker) and that the process-wide
+// event counter counts one per executed event, deliveries included.
 func TestSchedulerCountersReachTelemetry(t *testing.T) {
-	inline, pool := simWindowsInline.Value(), simWindowsPool.Value()
-	msgs, events := simMessages.Value(), simEvents.Value()
+	events := simEvents.Value()
 
 	p := newPingPong()
 	const rounds = 3 * counterPublishEvery // cross the publish cadence, end off it
@@ -54,15 +51,6 @@ func TestSchedulerCountersReachTelemetry(t *testing.T) {
 	}
 	if p.s.Windows() != c.Windows {
 		t.Errorf("Windows() = %d, Counters().Windows = %d", p.s.Windows(), c.Windows)
-	}
-	if got := simWindowsInline.Value() - inline; got != float64(c.Windows) {
-		t.Errorf("telemetry counted %g inline windows, scheduler %d", got, c.Windows)
-	}
-	if got := simWindowsPool.Value() - pool; got != 0 {
-		t.Errorf("telemetry counted %g pool windows on one worker", got)
-	}
-	if got := simMessages.Value() - msgs; got != float64(c.Messages) {
-		t.Errorf("telemetry counted %g messages, scheduler %d", got, c.Messages)
 	}
 	// One kick-off callback, then one delivery event per message except
 	// the last, which is still in flight at the limit.

@@ -153,7 +153,6 @@ func (c *Cache) sweepSalt() {
 			if s, _ := d["salt"].(string); s != c.opts.Salt {
 				col.DeleteMany(database.Doc{"_id": d["_id"]})
 				c.n.evictions.Add(1)
-				cacheEvictions.With("salt").Inc()
 			}
 		}
 	}
@@ -203,7 +202,6 @@ func (c *Cache) Lookup(key string) (database.Doc, bool) {
 		return doc, true
 	}
 	c.n.misses.Add(1)
-	cacheMisses.With("result").Inc()
 	return nil, false
 }
 
@@ -218,7 +216,6 @@ func (c *Cache) Probe(key string) (database.Doc, bool) {
 	c.mu.Unlock()
 	if ok {
 		c.n.hitsMemory.Add(1)
-		cacheHits.With("memory").Inc()
 		return doc, true
 	}
 	return c.lookupPersistent(key, now)
@@ -232,7 +229,7 @@ func (c *Cache) lookupMemLocked(key string, now time.Time) (database.Doc, bool) 
 	}
 	e := el.Value.(*entry)
 	if c.expired(e.created, now) {
-		c.removeLocked(el, "ttl")
+		c.removeLocked(el)
 		return nil, false
 	}
 	c.lru.MoveToFront(el)
@@ -252,13 +249,11 @@ func (c *Cache) lookupPersistent(key string, now time.Time) (database.Doc, bool)
 	if s, _ := d["salt"].(string); s != c.opts.Salt {
 		col.DeleteMany(database.Doc{"_id": key})
 		c.n.evictions.Add(1)
-		cacheEvictions.With("salt").Inc()
 		return nil, false
 	}
 	if created, _ := d["created_unix"].(float64); c.expired(time.Unix(int64(created), 0), now) {
 		col.DeleteMany(database.Doc{"_id": key})
 		c.n.evictions.Add(1)
-		cacheEvictions.With("ttl").Inc()
 		return nil, false
 	}
 	res, _ := d["result"].(map[string]any)
@@ -267,7 +262,6 @@ func (c *Cache) lookupPersistent(key string, now time.Time) (database.Doc, bool)
 	}
 	c.admit(key, res, now)
 	c.n.hitsPersistent.Add(1)
-	cacheHits.With("persistent").Inc()
 	return storage.CloneDoc(res), true
 }
 
@@ -289,7 +283,6 @@ func (c *Cache) Store(key string, result database.Doc) {
 	}
 	c.admit(key, cp, now)
 	c.n.stores.Add(1)
-	cacheStores.Inc()
 }
 
 // admit inserts (or refreshes) a memory-tier entry and enforces the
@@ -308,40 +301,31 @@ func (c *Cache) admit(key string, doc database.Doc, now time.Time) {
 		c.bytes += size
 	}
 	for c.lru.Len() > c.opts.MaxEntries {
-		c.removeLocked(c.lru.Back(), "entries")
+		c.removeLocked(c.lru.Back())
 	}
 	for c.bytes > c.opts.MaxBytes && c.lru.Len() > 1 {
-		c.removeLocked(c.lru.Back(), "bytes")
+		c.removeLocked(c.lru.Back())
 	}
-	c.gaugesLocked()
 }
 
 // removeLocked drops one memory-tier entry. Caller holds c.mu.
-func (c *Cache) removeLocked(el *list.Element, reason string) {
+func (c *Cache) removeLocked(el *list.Element) {
 	e := el.Value.(*entry)
 	c.lru.Remove(el)
 	delete(c.items, e.key)
 	c.bytes -= e.size
 	c.n.evictions.Add(1)
-	cacheEvictions.With(reason).Inc()
-	c.gaugesLocked()
-}
-
-func (c *Cache) gaugesLocked() {
-	cacheMemEntries.Set(float64(c.lru.Len()))
-	cacheMemBytes.Set(float64(c.bytes))
 }
 
 // Invalidate removes key from both tiers.
 func (c *Cache) Invalidate(key string) {
 	c.mu.Lock()
 	if el, ok := c.items[key]; ok {
-		c.removeLocked(el, "invalidated")
+		c.removeLocked(el)
 	}
 	c.mu.Unlock()
 	if n := c.db.Collection(ResultCollection).DeleteMany(database.Doc{"_id": key}); n > 0 {
 		c.n.evictions.Add(int64(n))
-		cacheEvictions.With("invalidated").Inc()
 	}
 }
 
@@ -358,13 +342,11 @@ func (c *Cache) GetOrCompute(key string, fn func() (database.Doc, error)) (datab
 	if doc, ok := c.lookupMemLocked(key, now); ok {
 		c.mu.Unlock()
 		c.n.hitsMemory.Add(1)
-		cacheHits.With("memory").Inc()
 		return doc, true, nil
 	}
 	if fl, ok := c.flight[key]; ok {
 		c.mu.Unlock()
 		c.n.dedups.Add(1)
-		cacheDedups.Inc()
 		<-fl.done
 		if fl.err != nil {
 			return nil, false, fl.err
@@ -389,7 +371,6 @@ func (c *Cache) GetOrCompute(key string, fn func() (database.Doc, error)) (datab
 		return doc, true, nil
 	}
 	c.n.misses.Add(1)
-	cacheMisses.With("result").Inc()
 	doc, err := fn()
 	if err != nil {
 		finish(nil, err)

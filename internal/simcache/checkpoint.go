@@ -94,19 +94,16 @@ func (c *Cache) Checkpoint(class BootClass) ([]byte, string, error) {
 	d := col.FindOne(database.Doc{"_id": key})
 	if d == nil {
 		c.n.ckptMisses.Add(1)
-		cacheMisses.With("checkpoint").Inc()
 		return nil, "", fmt.Errorf("simcache: no checkpoint for boot class %s", key)
 	}
 	hash, _ := d["blob_hash"].(string)
 	blob, err := c.verifiedBlob(hash)
 	if err != nil {
 		col.DeleteMany(database.Doc{"_id": key})
-		cacheEvictions.With("corrupt").Inc()
 		c.n.evictions.Add(1)
 		return nil, "", err
 	}
 	c.n.ckptHits.Add(1)
-	cacheHits.With("checkpoint").Inc()
 	return blob, hash, nil
 }
 
@@ -126,7 +123,6 @@ func (c *Cache) verifiedBlob(hash string) ([]byte, error) {
 	}
 	if got := database.HashBytes(blob); got != hash {
 		c.n.corrupt.Add(1)
-		cacheCorrupt.Inc()
 		return nil, fmt.Errorf("simcache: checkpoint %s failed integrity check (blob hashes to %s)", hash, got)
 	}
 	return blob, nil
@@ -148,7 +144,6 @@ func (c *Cache) ScrubCheckpoints() (scanned, evicted int) {
 			col.DeleteMany(database.Doc{"_id": d["_id"]})
 			evicted++
 			c.n.evictions.Add(1)
-			cacheEvictions.With("corrupt").Inc()
 		}
 	}
 	return scanned, evicted
@@ -170,13 +165,11 @@ func (c *Cache) BootOnce(class BootClass, name string, bootFn func() ([]byte, er
 	if fl, ok := c.bootFlight[key]; ok {
 		c.mu.Unlock()
 		c.n.dedups.Add(1)
-		cacheDedups.Inc()
 		<-fl.done
 		if fl.err != nil {
 			return nil, "", false, fl.err
 		}
 		c.n.bootsShared.Add(1)
-		cacheBootsShared.Inc()
 		return append([]byte(nil), fl.blob...), fl.hash, true, nil
 	}
 	fl := &bootCall{done: make(chan struct{})}
@@ -195,7 +188,6 @@ func (c *Cache) BootOnce(class BootClass, name string, bootFn func() ([]byte, er
 	if b, h, err := c.Checkpoint(class); err == nil {
 		finish(b, h, nil)
 		c.n.bootsShared.Add(1)
-		cacheBootsShared.Inc()
 		return append([]byte(nil), b...), h, true, nil
 	}
 	b, bootErr := bootFn()
@@ -209,6 +201,5 @@ func (c *Cache) BootOnce(class BootClass, name string, bootFn func() ([]byte, er
 	}
 	finish(b, h, nil)
 	c.n.boots.Add(1)
-	cacheBoots.Inc()
 	return append([]byte(nil), b...), h, false, nil
 }
