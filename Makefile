@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build fmt vet test race chaos microbench benchmod ci
+.PHONY: build fmt vet test race chaos microbench fuzz benchmod ci
 
 build:
 	$(GO) build ./...
@@ -65,8 +65,9 @@ chaos:
 # window), of the store (journal append, 480-document batch commit
 # with its fsync count, count by plain index vs by scan at 10k
 # documents, the filter matcher), of simcache run-key derivation, and
-# of a 64-run warm relaunch on a journaled store (ns/run and the runs
-# records each replayed run commits) for a fixed 200 iterations, and
+# of a 64-run warm relaunch on a journaled store (ns/run, the runs
+# records each replayed run commits, and the runs-journal fsyncs per
+# run: 1/64, one commit per launch batch) for a fixed 200 iterations, and
 # the GPU model's BenchmarkRunTable4 (all 58 Table IV cells per
 # iteration, with Mops/s) for 5, as one iteration takes ~0.4 s: a
 # smoke run that keeps them building and shows allocs/op, not a timing.
@@ -74,6 +75,13 @@ microbench:
 	$(GO) test -run '^$$' -bench . -skip RunTable4 -benchtime 200x ./internal/sim/... ./internal/database/... \
 		./internal/simcache/... ./internal/core/launch/...
 	$(GO) test -run '^$$' -bench RunTable4 -benchtime 5x ./internal/sim/gpu/
+
+# fuzz runs each Fuzz* target for a fixed 30 s beyond its committed
+# seeds (testdata/fuzz/, which go test alone replays). A crasher that
+# turns up is committed there as a seed with its fix. Not part of ci:
+# it is a search, not a gate.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzResultsFromDoc$$' -fuzztime 30s ./internal/core/run/
 
 # benchmod vets and tests the benchmark module, which builds against
 # this module's internal packages: an API change that breaks it fails

@@ -103,26 +103,48 @@ func (e *Experiment) SetRetryPolicy(rp tasks.RetryPolicy) { e.Pool.SetRetryPolic
 // hack-back runs share one boot per boot-equivalence class).
 func (e *Experiment) SetCache(c *simcache.Cache) { e.cache = c }
 
-// LaunchFS creates a full-system run from the spec and schedules it
-// asynchronously (Figure 5's apply_async). A run the attached cache
-// already answers is recorded done on the spot and never queued.
-func (e *Experiment) LaunchFS(spec run.FSSpec) (*run.Run, error) {
-	r, replayed, err := run.CreateFSRunCached(e.Reg, spec, e.cache)
-	if err != nil {
-		return nil, err
+// launchBatch caps the runs one LaunchFS commit records. A warm
+// relaunch pays one fsync per batch instead of one per run, and the
+// cap bounds the documents a commit holds in memory at once.
+const launchBatch = 64
+
+// LaunchFS creates a full-system run from each spec and schedules them
+// asynchronously (Figure 5's apply_async), returning the runs in spec
+// order. Every spec is validated before anything is probed or written,
+// so a bad spec launches nothing. The runs are then created in batches
+// of at most launchBatch, each recorded by one commit and queued after
+// it. A run the attached cache already answers is recorded done on the
+// spot and never queued.
+func (e *Experiment) LaunchFS(specs ...run.FSSpec) ([]*run.Run, error) {
+	for _, spec := range specs {
+		if err := spec.Validate(); err != nil {
+			return nil, err
+		}
 	}
-	if !replayed {
-		fut, err := e.Pool.ApplyAsync(tasks.TaskFunc{
-			Name: r.ID,
-			Fn:   r.Execute,
-		})
+	out := make([]*run.Run, 0, len(specs))
+	for len(specs) > 0 {
+		batch := specs[:min(len(specs), launchBatch)]
+		specs = specs[len(batch):]
+		runs, err := run.CreateFSRuns(e.Reg, batch, e.cache)
 		if err != nil {
 			return nil, err
 		}
-		e.futures = append(e.futures, fut)
+		for _, r := range runs {
+			if r.StatusNow() != run.Done {
+				fut, err := e.Pool.ApplyAsync(tasks.TaskFunc{
+					Name: r.ID,
+					Fn:   r.Execute,
+				})
+				if err != nil {
+					return nil, err
+				}
+				e.futures = append(e.futures, fut)
+			}
+			e.runs = append(e.runs, r)
+		}
+		out = append(out, runs...)
 	}
-	e.runs = append(e.runs, r)
-	return r, nil
+	return out, nil
 }
 
 // Wait blocks until every launched run completes. Individual run

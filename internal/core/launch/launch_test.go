@@ -9,6 +9,7 @@ import (
 	"gem5art/internal/core/run"
 	"gem5art/internal/database"
 	"gem5art/internal/diskimage"
+	"gem5art/internal/simcache"
 	"gem5art/internal/workloads"
 )
 
@@ -171,14 +172,68 @@ func TestExperimentSurvivesFailingRuns(t *testing.T) {
 	}
 }
 
+// TestLaunchRejectsInvalidSpec: a launch is validated whole before it
+// probes the cache or writes, so one bad spec launches nothing.
 func TestLaunchRejectsInvalidSpec(t *testing.T) {
 	reg, base := buildEnv(t)
 	e := NewExperiment("bad", reg, 1)
 	defer e.Close()
-	spec := base
-	spec.Gem5Artifact = nil
-	if _, err := e.LaunchFS(spec); err == nil {
+	cache := simcache.New(reg.DB(), simcache.Options{})
+	e.SetCache(cache)
+	good := base
+	good.Name = "good"
+	bad := base
+	bad.Name = "bad"
+	bad.Gem5Artifact = nil
+	before := cache.Stats()
+	if _, err := e.LaunchFS(good, bad); err == nil {
 		t.Fatal("invalid spec launched")
+	}
+	if n := reg.DB().Collection(run.Collection).Count(nil); n != 0 {
+		t.Errorf("rejected launch recorded %d runs", n)
+	}
+	if len(e.Runs()) != 0 || len(e.futures) != 0 {
+		t.Errorf("rejected launch queued %d runs", len(e.futures))
+	}
+	if after := cache.Stats(); after != before {
+		t.Errorf("rejected launch touched the cache: %+v -> %+v", before, after)
+	}
+}
+
+// TestLaunchReplacesMalformedCacheEntry: a cache entry that does not
+// decode is not replayed at launch. The run is queued, simulates, and
+// leaves a well-formed entry in place of the bad one.
+func TestLaunchReplacesMalformedCacheEntry(t *testing.T) {
+	reg, base := buildEnv(t)
+	cache := simcache.New(reg.DB(), simcache.Options{})
+	spec := base
+	spec.Name = "malformed"
+	spec.Params = []string{"kernel=5.4.49", "cpu=kvmCPU", "mem_sys=classic", "num_cpus=1", "boot_type=init"}
+	probe, err := run.CreateFSRun(reg, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := probe.CacheKey()
+	cache.Store(key, database.Doc{"Outcome": 42})
+
+	e := NewExperiment("malformed", reg, 1)
+	defer e.Close()
+	e.SetCache(cache)
+	runs, err := e.LaunchFS(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(e.futures) != 1 {
+		t.Fatalf("a malformed entry was replayed: %d runs queued, want 1", len(e.futures))
+	}
+	e.Wait(context.Background())
+	r := runs[0]
+	if r.StatusNow() != run.Done || r.Results.Outcome != "success" || r.Results.FromCache {
+		t.Fatalf("run: status %s results %+v", r.StatusNow(), r.Results)
+	}
+	doc, ok := cache.Probe(key)
+	if !ok || doc["Outcome"] != "success" {
+		t.Fatalf("cache entry after the run: %v (found %v), want a well-formed success", doc, ok)
 	}
 }
 

@@ -19,11 +19,12 @@ import (
 )
 
 // recordFS counts what a journaled store writes through it: journal
-// records per collection and content blobs.
+// records and fsyncs per collection, and content blobs.
 type recordFS struct {
 	storage.FS
 	mu      sync.Mutex
 	records map[string]int // collection -> journal records appended
+	syncs   map[string]int // collection -> journal fsyncs
 	blobs   int
 }
 
@@ -43,15 +44,16 @@ func (fs *recordFS) OpenFile(name string, flag int, perm os.FileMode) (storage.F
 	return f, nil
 }
 
-// counts snapshots the records appended to collection col and the
-// blobs written so far.
-func (fs *recordFS) counts(col string) (records, blobs int) {
+// counts snapshots the records appended to collection col, its
+// journal's fsyncs, and the blobs written so far.
+func (fs *recordFS) counts(col string) (records, syncs, blobs int) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	return fs.records[col], fs.blobs
+	return fs.records[col], fs.syncs[col], fs.blobs
 }
 
-// walFile counts journal records — one line each — as they are written.
+// walFile counts journal records — one line each — as they are
+// written, and the fsyncs that commit them.
 type walFile struct {
 	storage.File
 	fs  *recordFS
@@ -66,11 +68,18 @@ func (f walFile) Write(p []byte) (int, error) {
 	return n, err
 }
 
+func (f walFile) Sync() error {
+	f.fs.mu.Lock()
+	f.fs.syncs[f.col]++
+	f.fs.mu.Unlock()
+	return f.File.Sync()
+}
+
 // countedStore opens a journaled store (fsync on every commit, the
 // default policy) whose writes are counted by the returned recordFS.
 func countedStore(t testing.TB) (database.Store, *recordFS) {
 	t.Helper()
-	fs := &recordFS{FS: storage.OSFS, records: map[string]int{}}
+	fs := &recordFS{FS: storage.OSFS, records: map[string]int{}, syncs: map[string]int{}}
 	opts := database.DefaultOptions()
 	opts.FS = fs
 	db, err := database.OpenWith(t.TempDir(), opts)
@@ -90,25 +99,26 @@ func hackMatrix(base run.FSSpec, n int) []run.FSSpec {
 	return specs
 }
 
-// launchCached launches specs through a cached Experiment and waits.
+// launchCached launches specs in one call through a cached Experiment
+// and waits.
 func launchCached(t testing.TB, reg *artifact.Registry, cache *simcache.Cache, specs []run.FSSpec) []*run.Run {
 	t.Helper()
 	e := NewExperiment("matrix", reg, 2)
 	defer e.Close()
 	e.SetCache(cache)
-	for _, spec := range specs {
-		if _, err := e.LaunchFS(spec); err != nil {
-			t.Fatal(err)
-		}
+	runs, err := e.LaunchFS(specs...)
+	if err != nil {
+		t.Fatal(err)
 	}
 	e.Wait(context.Background())
-	return e.Runs()
+	return runs
 }
 
 // TestWhatARunWrites pins the launch path's store writes. A cold launch
-// of N distinct specs commits each run twice (created, terminal) and
-// caches N results; the warm relaunch commits each run once, the
-// terminal document, and writes no cache entry and no blob.
+// of n <= launchBatch distinct specs records its runs with one commit,
+// finishes each with one more, and caches n results; the warm relaunch
+// records all n runs done with one commit and writes no cache entry and
+// no blob. A longer launch commits once per batch of launchBatch.
 func TestWhatARunWrites(t *testing.T) {
 	const n = 8
 	db, fs := countedStore(t)
@@ -116,13 +126,16 @@ func TestWhatARunWrites(t *testing.T) {
 	cache := simcache.New(db, simcache.Options{})
 	specs := hackMatrix(base, n)
 
-	runs0, _ := fs.counts(run.Collection)
-	results0, _ := fs.counts(simcache.ResultCollection)
+	runs0, syncs0, _ := fs.counts(run.Collection)
+	results0, _, _ := fs.counts(simcache.ResultCollection)
 	cold := launchCached(t, reg, cache, specs)
-	runs1, blobs1 := fs.counts(run.Collection)
-	results1, _ := fs.counts(simcache.ResultCollection)
+	runs1, syncs1, blobs1 := fs.counts(run.Collection)
+	results1, _, _ := fs.counts(simcache.ResultCollection)
 	if got := runs1 - runs0; got != 2*n {
 		t.Errorf("cold launch: %d runs records, want %d (created + terminal)", got, 2*n)
+	}
+	if got := syncs1 - syncs0; got != 1+n {
+		t.Errorf("cold launch: %d runs fsyncs, want %d (one created batch + one terminal each)", got, 1+n)
 	}
 	if got := results1 - results0; got != n {
 		t.Errorf("cold launch: %d simcache_results records, want %d", got, n)
@@ -135,10 +148,13 @@ func TestWhatARunWrites(t *testing.T) {
 	files := len(db.Files().List())
 	tel := telemetry.Default.Snapshot()
 	warm := launchCached(t, reg, cache, specs)
-	runs2, blobs2 := fs.counts(run.Collection)
-	results2, _ := fs.counts(simcache.ResultCollection)
+	runs2, syncs2, blobs2 := fs.counts(run.Collection)
+	results2, _, _ := fs.counts(simcache.ResultCollection)
 	if got := runs2 - runs1; got != n {
-		t.Errorf("warm relaunch: %d runs records, want %d (one terminal commit each)", got, n)
+		t.Errorf("warm relaunch: %d runs records, want %d (one terminal document each)", got, n)
+	}
+	if got := syncs2 - syncs1; got != 1 {
+		t.Errorf("warm relaunch: %d runs fsyncs, want 1", got)
 	}
 	if got := results2 - results1; got != 0 {
 		t.Errorf("warm relaunch: %d simcache_results records, want 0", got)
@@ -183,5 +199,27 @@ func TestWhatARunWrites(t *testing.T) {
 				t.Errorf("%s: %s %v, cold run recorded %v", warm[i].Spec.Name, f, w[f], c[f])
 			}
 		}
+	}
+
+	// One spec past the batch cap: the launch commits two created
+	// batches. The first n specs are hits; the rest execute.
+	long := hackMatrix(base, launchBatch+1)
+	executed := len(long) - n
+	launchCached(t, reg, cache, long)
+	runs3, syncs3, _ := fs.counts(run.Collection)
+	if got := runs3 - runs2; got != len(long)+executed {
+		t.Errorf("%d-spec launch: %d runs records, want %d", len(long), got, len(long)+executed)
+	}
+	if got := syncs3 - syncs2; got != 2+executed {
+		t.Errorf("%d-spec launch: %d runs fsyncs, want %d (two created batches + one terminal per executed run)",
+			len(long), got, 2+executed)
+	}
+	launchCached(t, reg, cache, long)
+	runs4, syncs4, _ := fs.counts(run.Collection)
+	if got := runs4 - runs3; got != len(long) {
+		t.Errorf("%d-spec warm relaunch: %d runs records, want %d", len(long), got, len(long))
+	}
+	if got := syncs4 - syncs3; got != 2 {
+		t.Errorf("%d-spec warm relaunch: %d runs fsyncs, want 2", len(long), got)
 	}
 }

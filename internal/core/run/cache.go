@@ -2,6 +2,10 @@ package run
 
 import (
 	"encoding/json"
+	"fmt"
+	"math"
+	"reflect"
+	"strings"
 	"time"
 
 	"gem5art/internal/core/artifact"
@@ -71,17 +75,17 @@ func (r *Run) computeCacheKey() string {
 
 // replay completes a run its cache already answers, at creation and
 // before the run is shared: the cached result, one done attempt and the
-// archive hashes, so the run's first commit is its terminal one. It
-// reports false on a miss — and on a malformed entry, which is left for
-// runMemoized to invalidate.
-func (r *Run) replay() bool {
+// archive hashes, so the run's first commit is its terminal one. A miss
+// — or a malformed entry, which runMemoized invalidates — leaves the run
+// queued.
+func (r *Run) replay() {
 	doc, ok := r.cache.Probe(r.cacheKey)
 	if !ok {
-		return false
+		return
 	}
 	res, err := resultsFromDoc(doc)
 	if err != nil {
-		return false
+		return
 	}
 	now := time.Now()
 	res.FromCache = true
@@ -89,7 +93,6 @@ func (r *Run) replay() bool {
 	r.WallStart, r.WallEnd = now, now
 	r.Attempts = []Attempt{{Index: 1, Start: now, End: now, Status: Done}}
 	r.archiveLocked()
-	return true
 }
 
 // runMemoized executes the handler through the simulation cache: an
@@ -104,22 +107,28 @@ func (r *Run) runMemoized(h Handler) (*Results, error) {
 	if c == nil || key == "" {
 		return h(r)
 	}
-	doc, cached, err := c.GetOrCompute(key, func() (database.Doc, error) {
+	compute := func() (database.Doc, error) {
 		res, err := h(r)
 		if err != nil {
 			return nil, err
 		}
 		return resultsDoc(res), nil
-	})
+	}
+	doc, cached, err := c.GetOrCompute(key, compute)
 	if err != nil {
 		return nil, err
 	}
-	res, derr := resultsFromDoc(doc)
-	if derr != nil {
-		// A malformed cache entry must not fail the run: drop it and
-		// simulate for real.
+	res, err := resultsFromDoc(doc)
+	if err != nil {
+		// A malformed cache entry must not fail the run: drop it, then
+		// simulate for real and cache the well-formed result.
 		c.Invalidate(key)
-		return h(r)
+		if doc, cached, err = c.GetOrCompute(key, compute); err != nil {
+			return nil, err
+		}
+		if res, err = resultsFromDoc(doc); err != nil {
+			return nil, err
+		}
 	}
 	res.FromCache = cached
 	return res, nil
@@ -139,7 +148,107 @@ func resultsDoc(res *Results) database.Doc {
 	return d
 }
 
+// resultsFromDoc decodes a cached result document, as json.Unmarshal
+// of its JSON into Results would but without the round trip. It reads
+// the values a JSON-decoded document holds — strings, bools, float64,
+// and Stats as map[string]any, where a null stat reads 0 — and fails
+// where json would: on a value of the wrong type, or on an Insts that
+// is negative, fractional or past uint64. Keys that name no field are
+// ignored. A key that names one only case-insensitively, which
+// resultsDoc never writes, sends the document through json, whose
+// precedence rules then decide.
 func resultsFromDoc(d database.Doc) (*Results, error) {
+	var res Results
+	for k, v := range d {
+		var err error
+		switch k {
+		case "Outcome":
+			err = decodeField(&res.Outcome, k, v)
+		case "SimSeconds":
+			err = decodeField(&res.SimSeconds, k, v)
+		case "Insts":
+			// json writes the float64 in decimal and ParseUint reads it
+			// back: only a whole number in [0, 2^64) with no sign (-0
+			// is written "-0") survives.
+			var f float64
+			err = decodeField(&f, k, v)
+			if err == nil && (math.Signbit(f) || f >= 1<<64 || f != math.Trunc(f)) {
+				err = fmt.Errorf("run: cached result: Insts %v is not a uint64", f)
+			}
+			res.Insts = uint64(f)
+		case "Stats":
+			res.Stats, err = decodeStats(v)
+		case "Console":
+			err = decodeField(&res.Console, k, v)
+		case "ConfigINI":
+			err = decodeField(&res.ConfigINI, k, v)
+		case "StatsHash":
+			err = decodeField(&res.StatsHash, k, v)
+		case "ConsoleHash":
+			err = decodeField(&res.ConsoleHash, k, v)
+		case "ConfigHash":
+			err = decodeField(&res.ConfigHash, k, v)
+		case "ResumedFrom":
+			err = decodeField(&res.ResumedFrom, k, v)
+		case "FromCache":
+			err = decodeField(&res.FromCache, k, v)
+		case "BootClass":
+			err = decodeField(&res.BootClass, k, v)
+		case "SharedBoot":
+			err = decodeField(&res.SharedBoot, k, v)
+		default:
+			if _, ok := reflect.TypeFor[Results]().FieldByNameFunc(func(f string) bool {
+				return strings.EqualFold(f, k)
+			}); ok {
+				return resultsFromJSON(d)
+			}
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return &res, nil
+}
+
+// decodeField stores v in *dst when it holds a T. A null leaves *dst
+// as it is, as json leaves a field it reads null into.
+func decodeField[T any](dst *T, k string, v any) error {
+	switch t := v.(type) {
+	case nil:
+	case T:
+		*dst = t
+	default:
+		return fmt.Errorf("run: cached result: %s is a %T, not a %T", k, v, *dst)
+	}
+	return nil
+}
+
+// decodeStats reads the Stats value: null is a nil map, and a null
+// stat is 0, as json reads it into map[string]float64.
+func decodeStats(v any) (map[string]float64, error) {
+	if v == nil {
+		return nil, nil
+	}
+	m, ok := v.(map[string]any)
+	if !ok {
+		return nil, fmt.Errorf("run: cached result: Stats is a %T, not an object", v)
+	}
+	stats := make(map[string]float64, len(m))
+	for name, s := range m {
+		switch f := s.(type) {
+		case float64:
+			stats[name] = f
+		case nil:
+			stats[name] = 0
+		default:
+			return nil, fmt.Errorf("run: cached result: stat %q is a %T, not a float64", name, s)
+		}
+	}
+	return stats, nil
+}
+
+// resultsFromJSON is the JSON round trip resultsFromDoc stands in for.
+func resultsFromJSON(d database.Doc) (*Results, error) {
 	raw, err := json.Marshal(d)
 	if err != nil {
 		return nil, err

@@ -237,11 +237,11 @@ func TestReplayedRunMatchesExecutedHit(t *testing.T) {
 	e := newEnv(t)
 	cache := simcache.New(e.reg.DB(), simcache.Options{})
 	spec := hackSpec(e, e.bootDisk, "replay", "boot-exit", "boot-exit", "1")
-	cold, replayed, err := CreateFSRunCached(e.reg, spec, cache)
-	if err != nil || replayed {
-		t.Fatalf("cold run: replayed=%v err=%v", replayed, err)
+	created, err := CreateFSRuns(e.reg, []FSSpec{spec}, cache)
+	if err != nil || created[0].StatusNow() != Queued {
+		t.Fatalf("cold run: runs=%v err=%v", created, err)
 	}
-	executeOK(t, cold)
+	executeOK(t, created[0])
 
 	executed, err := CreateFSRun(e.reg, spec)
 	if err != nil {
@@ -252,10 +252,11 @@ func TestReplayedRunMatchesExecutedHit(t *testing.T) {
 	col := e.reg.DB().Collection(Collection)
 	files := len(e.reg.DB().Files().List())
 
-	r, replayed, err := CreateFSRunCached(e.reg, spec, cache)
-	if err != nil || !replayed {
-		t.Fatalf("warm run: replayed=%v err=%v", replayed, err)
+	created, err = CreateFSRuns(e.reg, []FSSpec{spec}, cache)
+	if err != nil {
+		t.Fatalf("warm run: %v", err)
 	}
+	r := created[0]
 	if r.StatusNow() != Done || !r.Results.FromCache {
 		t.Fatalf("replayed run: status %s results %+v", r.StatusNow(), r.Results)
 	}

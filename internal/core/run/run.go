@@ -152,62 +152,87 @@ func (r *Run) publish(to Status, attempt int, stale bool) {
 	telemetry.Bus.Publish("run", fields)
 }
 
+// Validate checks what run creation checks, and writes nothing: every
+// input artifact is set, the gem5 binary and run script are named, the
+// run script has a handler, and the energy spec resolves (an unknown
+// preset or a malformed model file fails here, not mid-sweep).
+func (s FSSpec) Validate() error {
+	required := [...]struct {
+		field string
+		a     *artifact.Artifact
+	}{
+		{"gem5_artifact", s.Gem5Artifact},
+		{"gem5_git_artifact", s.Gem5GitArtifact},
+		{"run_script_git_artifact", s.RunScriptGitArtifact},
+		{"linux_binary_artifact", s.LinuxBinaryArtifact},
+		{"disk_image_artifact", s.DiskImageArtifact},
+	}
+	for _, f := range required {
+		if f.a == nil {
+			return fmt.Errorf("run: %s: missing %s", s.Name, f.field)
+		}
+	}
+	if s.Gem5Binary == "" || s.RunScript == "" {
+		return fmt.Errorf("run: %s: gem5 binary and run script paths are required", s.Name)
+	}
+	if _, ok := handler(s.RunScript); !ok {
+		return fmt.Errorf("run: %s: no handler for run script %q", s.Name, s.RunScript)
+	}
+	_, err := (&Run{Spec: s}).energyModel()
+	return err
+}
+
 // CreateFSRun validates the spec and creates a queued full-system run,
 // recording it in the database.
 func CreateFSRun(reg *artifact.Registry, spec FSSpec) (*Run, error) {
-	r, _, err := CreateFSRunCached(reg, spec, nil)
-	return r, err
+	runs, err := CreateFSRuns(reg, []FSSpec{spec}, nil)
+	if err != nil {
+		return nil, err
+	}
+	return runs[0], nil
 }
 
-// CreateFSRunCached is CreateFSRun for a launch memoizing through c
-// (nil = no cache). When c already holds the run's result, the run is
-// created terminal — done, replayed from the cache — by a single
-// InsertOne, and replayed reports that there is nothing left to
-// execute. Otherwise the run is created queued with c attached.
-func CreateFSRunCached(reg *artifact.Registry, spec FSSpec, c *simcache.Cache) (*Run, bool, error) {
-	if spec.Timeout == 0 {
-		spec.Timeout = DefaultTimeout
-	}
-	required := map[string]*artifact.Artifact{
-		"gem5_artifact":           spec.Gem5Artifact,
-		"gem5_git_artifact":       spec.Gem5GitArtifact,
-		"run_script_git_artifact": spec.RunScriptGitArtifact,
-		"linux_binary_artifact":   spec.LinuxBinaryArtifact,
-		"disk_image_artifact":     spec.DiskImageArtifact,
-	}
-	for field, a := range required {
-		if a == nil {
-			return nil, false, fmt.Errorf("run: %s: missing %s", spec.Name, field)
+// CreateFSRuns validates every spec, then creates their full-system runs
+// and records them with one InsertMany: one commit however many runs.
+// With a cache c (nil = none), a run whose result c already holds is
+// created terminal — done, replayed from the cache, nothing left to
+// execute; every other run is created queued with c attached. An
+// invalid spec or a failed commit records none of the runs.
+func CreateFSRuns(reg *artifact.Registry, specs []FSSpec, c *simcache.Cache) ([]*Run, error) {
+	for _, spec := range specs {
+		if err := spec.Validate(); err != nil {
+			return nil, err
 		}
 	}
-	if spec.Gem5Binary == "" || spec.RunScript == "" {
-		return nil, false, fmt.Errorf("run: %s: gem5 binary and run script paths are required", spec.Name)
+	runs := make([]*Run, len(specs))
+	docs := make([]database.Doc, len(specs))
+	for i, spec := range specs {
+		if spec.Timeout == 0 {
+			spec.Timeout = DefaultTimeout
+		}
+		r := &Run{
+			ID:     artifact.NewUUID(),
+			Mode:   "fs",
+			Spec:   spec,
+			Status: Queued,
+			cache:  c,
+			reg:    reg,
+		}
+		r.cacheKey = r.computeCacheKey()
+		if c != nil {
+			r.replay()
+		}
+		runs[i], docs[i] = r, r.doc()
 	}
-	if _, ok := handler(spec.RunScript); !ok {
-		return nil, false, fmt.Errorf("run: %s: no handler for run script %q", spec.Name, spec.RunScript)
+	if err := reg.DB().Collection(Collection).InsertMany(docs); err != nil {
+		return nil, fmt.Errorf("run: recording %d runs: %w", len(runs), err)
 	}
-	r := &Run{
-		ID:     artifact.NewUUID(),
-		Mode:   "fs",
-		Spec:   spec,
-		Status: Queued,
-		reg:    reg,
+	runsCreated.Add(float64(len(runs)))
+	for _, r := range runs {
+		// Queued with no attempt yet, or done by its one replayed attempt.
+		r.publish(r.Status, len(r.Attempts), false)
 	}
-	// A bad energy spec (unknown preset, malformed model file) fails at
-	// creation, not mid-sweep.
-	if _, err := r.energyModel(); err != nil {
-		return nil, false, err
-	}
-	r.cacheKey = r.computeCacheKey()
-	r.cache = c
-	replayed := c != nil && r.replay()
-	if _, err := reg.DB().Collection(Collection).InsertOne(r.doc()); err != nil {
-		return nil, false, fmt.Errorf("run: %s: %w", spec.Name, err)
-	}
-	runsCreated.Inc()
-	// Queued with no attempt yet, or done by its one replayed attempt.
-	r.publish(r.Status, len(r.Attempts), false)
-	return r, replayed, nil
+	return runs, nil
 }
 
 // Command renders the gem5 invocation this run documents, the way

@@ -167,15 +167,14 @@ func (e *Env) launchAll(name string, workers int, specs []run.FSSpec) ([]analysi
 	if e.Cache != nil {
 		exp.SetCache(e.Cache)
 	}
-	for _, spec := range specs {
-		if _, err := exp.LaunchFS(spec); err != nil {
-			return nil, fmt.Errorf("experiments: launch %s: %w", spec.Name, err)
-		}
+	runs, err := exp.LaunchFS(specs...)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: launch %s: %w", name, err)
 	}
 	exp.Wait(context.Background())
 	col := e.DB().Collection(run.Collection)
 	rows := make([]analysis.RunRow, 0, len(specs))
-	for _, r := range exp.Runs() {
+	for _, r := range runs {
 		if d := col.FindOne(database.Doc{"_id": r.ID}); d != nil && d["status"] == string(run.Done) {
 			rows = append(rows, analysis.Row(d))
 		}
