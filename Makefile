@@ -63,8 +63,10 @@ chaos:
 # microbench compiles and runs the go-test microbenchmarks of the
 # simulation kernel (event chain, port ping-pong, one-active-of-nine
 # window), of the store (journal append, 480-document batch commit
-# with its fsync count, count by plain index vs by scan at 10k
-# documents, the filter matcher), of simcache run-key derivation, and
+# with its fsync count, a 2 KiB blob archive with its fsyncs/put — 1 —
+# and creates/put — 0, the blob pack being open — count by plain index
+# vs by scan at 10k documents, the filter matcher), of simcache run-key
+# derivation, and
 # of a 64-run warm relaunch on a journaled store (ns/run, the runs
 # records each replayed run commits, and the runs-journal fsyncs per
 # run: 1/64, one commit per launch batch) for a fixed 200 iterations, and
@@ -82,6 +84,7 @@ microbench:
 # it is a search, not a gate.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzResultsFromDoc$$' -fuzztime 30s ./internal/core/run/
+	$(GO) test -run '^$$' -fuzz '^FuzzBlobPack$$' -fuzztime 30s ./internal/database/
 
 # benchmod vets and tests the benchmark module, which builds against
 # this module's internal packages: an API change that breaks it fails

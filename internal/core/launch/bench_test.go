@@ -21,11 +21,11 @@ func BenchmarkWarmRelaunch(b *testing.B) {
 	launchCached(b, reg, cache, specs) // cold populate
 	b.ReportAllocs()
 	b.ResetTimer()
-	records0, syncs0, _ := fs.counts(run.Collection)
+	records0, syncs0 := fs.counts(run.Collection)
 	for i := 0; i < b.N; i++ {
 		launchCached(b, reg, cache, specs)
 	}
-	records1, syncs1, _ := fs.counts(run.Collection)
+	records1, syncs1 := fs.counts(run.Collection)
 	runs := float64(b.N * n)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/runs, "ns/run")
 	b.ReportMetric(float64(records1-records0)/runs, "records/run")

@@ -13,19 +13,23 @@ import (
 	"gem5art/internal/core/artifact"
 	"gem5art/internal/core/run"
 	"gem5art/internal/database"
+	"gem5art/internal/database/dbtest"
 	"gem5art/internal/database/storage"
 	"gem5art/internal/simcache"
 	"gem5art/internal/telemetry"
 )
 
 // recordFS counts what a journaled store writes through it: journal
-// records and fsyncs per collection, and content blobs.
+// records and fsyncs per collection, and the blob pack's writes and
+// fsyncs.
 type recordFS struct {
 	storage.FS
-	mu      sync.Mutex
-	records map[string]int // collection -> journal records appended
-	syncs   map[string]int // collection -> journal fsyncs
-	blobs   int
+	dir        string // the store's directory
+	mu         sync.Mutex
+	records    map[string]int // collection -> journal records appended
+	syncs      map[string]int // collection -> journal fsyncs
+	packWrites int
+	packSyncs  int
 }
 
 func (fs *recordFS) OpenFile(name string, flag int, perm os.FileMode) (storage.File, error) {
@@ -36,20 +40,47 @@ func (fs *recordFS) OpenFile(name string, flag int, perm os.FileMode) (storage.F
 	switch {
 	case strings.HasSuffix(name, ".wal"):
 		return walFile{File: f, fs: fs, col: strings.TrimSuffix(filepath.Base(name), ".wal")}, nil
-	case strings.HasSuffix(name, ".blob.tmp"):
-		fs.mu.Lock()
-		fs.blobs++
-		fs.mu.Unlock()
+	case name == dbtest.PackPath(fs.dir):
+		return packFile{File: f, fs: fs}, nil
 	}
 	return f, nil
 }
 
-// counts snapshots the records appended to collection col, its
-// journal's fsyncs, and the blobs written so far.
-func (fs *recordFS) counts(col string) (records, syncs, blobs int) {
+// counts snapshots the records appended to collection col and its
+// journal's fsyncs.
+func (fs *recordFS) counts(col string) (records, syncs int) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	return fs.records[col], fs.syncs[col], fs.blobs
+	return fs.records[col], fs.syncs[col]
+}
+
+// blobs snapshots the frames written to the blob pack — each is two
+// writes, its header line and then its content — and the pack's
+// fsyncs.
+func (fs *recordFS) blobs() (frames, syncs int) {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	return fs.packWrites / 2, fs.packSyncs
+}
+
+// packFile counts the blob pack's writes and fsyncs.
+type packFile struct {
+	storage.File
+	fs *recordFS
+}
+
+func (f packFile) Write(p []byte) (int, error) {
+	f.fs.mu.Lock()
+	f.fs.packWrites++
+	f.fs.mu.Unlock()
+	return f.File.Write(p)
+}
+
+func (f packFile) Sync() error {
+	f.fs.mu.Lock()
+	f.fs.packSyncs++
+	f.fs.mu.Unlock()
+	return f.File.Sync()
 }
 
 // walFile counts journal records — one line each — as they are
@@ -79,10 +110,10 @@ func (f walFile) Sync() error {
 // default policy) whose writes are counted by the returned recordFS.
 func countedStore(t testing.TB) (database.Store, *recordFS) {
 	t.Helper()
-	fs := &recordFS{FS: storage.OSFS, records: map[string]int{}, syncs: map[string]int{}}
+	fs := &recordFS{FS: storage.OSFS, dir: t.TempDir(), records: map[string]int{}, syncs: map[string]int{}}
 	opts := database.DefaultOptions()
 	opts.FS = fs
-	db, err := database.OpenWith(t.TempDir(), opts)
+	db, err := database.OpenWith(fs.dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +149,8 @@ func launchCached(t testing.TB, reg *artifact.Registry, cache *simcache.Cache, s
 // of n <= launchBatch distinct specs records its runs with one commit,
 // finishes each with one more, and caches n results; the warm relaunch
 // records all n runs done with one commit and writes no cache entry and
-// no blob. A longer launch commits once per batch of launchBatch.
+// no blob. Each distinct archived content costs one pack frame and one
+// pack fsync. A longer launch commits once per batch of launchBatch.
 func TestWhatARunWrites(t *testing.T) {
 	const n = 8
 	db, fs := countedStore(t)
@@ -126,11 +158,14 @@ func TestWhatARunWrites(t *testing.T) {
 	cache := simcache.New(db, simcache.Options{})
 	specs := hackMatrix(base, n)
 
-	runs0, syncs0, _ := fs.counts(run.Collection)
-	results0, _, _ := fs.counts(simcache.ResultCollection)
+	runs0, syncs0 := fs.counts(run.Collection)
+	results0, _ := fs.counts(simcache.ResultCollection)
+	frames0, packSyncs0 := fs.blobs()
+	files0 := len(db.Files().List())
 	cold := launchCached(t, reg, cache, specs)
-	runs1, syncs1, blobs1 := fs.counts(run.Collection)
-	results1, _, _ := fs.counts(simcache.ResultCollection)
+	runs1, syncs1 := fs.counts(run.Collection)
+	results1, _ := fs.counts(simcache.ResultCollection)
+	frames1, packSyncs1 := fs.blobs()
 	if got := runs1 - runs0; got != 2*n {
 		t.Errorf("cold launch: %d runs records, want %d (created + terminal)", got, 2*n)
 	}
@@ -146,10 +181,15 @@ func TestWhatARunWrites(t *testing.T) {
 	}
 
 	files := len(db.Files().List())
+	if archived := files - files0; archived == 0 || frames1-frames0 != archived || packSyncs1-packSyncs0 != archived {
+		t.Errorf("cold launch archived %d distinct contents with %d pack frames and %d pack fsyncs, want one of each per content",
+			archived, frames1-frames0, packSyncs1-packSyncs0)
+	}
 	tel := telemetry.Default.Snapshot()
 	warm := launchCached(t, reg, cache, specs)
-	runs2, syncs2, blobs2 := fs.counts(run.Collection)
-	results2, _, _ := fs.counts(simcache.ResultCollection)
+	runs2, syncs2 := fs.counts(run.Collection)
+	results2, _ := fs.counts(simcache.ResultCollection)
+	frames2, packSyncs2 := fs.blobs()
 	if got := runs2 - runs1; got != n {
 		t.Errorf("warm relaunch: %d runs records, want %d (one terminal document each)", got, n)
 	}
@@ -159,8 +199,11 @@ func TestWhatARunWrites(t *testing.T) {
 	if got := results2 - results1; got != 0 {
 		t.Errorf("warm relaunch: %d simcache_results records, want 0", got)
 	}
-	if got := blobs2 - blobs1; got != 0 {
-		t.Errorf("warm relaunch wrote %d blobs, want 0", got)
+	if got := frames2 - frames1; got != 0 {
+		t.Errorf("warm relaunch wrote %d pack frames, want 0", got)
+	}
+	if got := packSyncs2 - packSyncs1; got != 0 {
+		t.Errorf("warm relaunch made %d pack fsyncs, want 0", got)
 	}
 	if got := len(db.Files().List()); got != files {
 		t.Errorf("warm relaunch grew the file store: %d -> %d entries", files, got)
@@ -206,7 +249,7 @@ func TestWhatARunWrites(t *testing.T) {
 	long := hackMatrix(base, launchBatch+1)
 	executed := len(long) - n
 	launchCached(t, reg, cache, long)
-	runs3, syncs3, _ := fs.counts(run.Collection)
+	runs3, syncs3 := fs.counts(run.Collection)
 	if got := runs3 - runs2; got != len(long)+executed {
 		t.Errorf("%d-spec launch: %d runs records, want %d", len(long), got, len(long)+executed)
 	}
@@ -215,7 +258,7 @@ func TestWhatARunWrites(t *testing.T) {
 			len(long), got, 2+executed)
 	}
 	launchCached(t, reg, cache, long)
-	runs4, syncs4, _ := fs.counts(run.Collection)
+	runs4, syncs4 := fs.counts(run.Collection)
 	if got := runs4 - runs3; got != len(long) {
 		t.Errorf("%d-spec warm relaunch: %d runs records, want %d", len(long), got, len(long))
 	}

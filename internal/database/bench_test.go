@@ -1,6 +1,7 @@
 package database
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"sync/atomic"
@@ -10,22 +11,33 @@ import (
 )
 
 // The store microbenchmarks `make microbench` smoke-runs: the journal
-// commit, the batch commit (with its fsync count), an index-served
+// commit, the batch commit (with its fsync count), a blob archive
+// (with its fsync and file-create counts), an index-served
 // count against a scan at 10k documents, and the filter matcher every
 // read path verifies candidates with.
 
-// syncCountFS counts fsyncs on the files opened through it.
+// syncCountFS counts fsyncs on the files opened through it, and the
+// calls that may create a file: opens with O_CREATE and WriteFile.
 type syncCountFS struct {
 	storage.FS
-	syncs atomic.Int64
+	syncs   atomic.Int64
+	creates atomic.Int64
 }
 
 func (fs *syncCountFS) OpenFile(name string, flag int, perm os.FileMode) (storage.File, error) {
+	if flag&os.O_CREATE != 0 {
+		fs.creates.Add(1)
+	}
 	f, err := fs.FS.OpenFile(name, flag, perm)
 	if err != nil {
 		return nil, err
 	}
 	return syncCountFile{f, fs}, nil
+}
+
+func (fs *syncCountFS) WriteFile(name string, data []byte, perm os.FileMode) error {
+	fs.creates.Add(1)
+	return fs.FS.WriteFile(name, data, perm)
 }
 
 type syncCountFile struct {
@@ -92,6 +104,38 @@ func BenchmarkInsertManyJournaled(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/doc")
 	b.ReportMetric(float64(fs.syncs.Load())/float64(b.N), "fsyncs/op")
+}
+
+// BenchmarkFilePut archives one distinct 2 KiB blob per op on a
+// journaled store, the size of a run's stats file. The contract: one
+// fsync per new blob (fsyncs/put 1) and no file created after the
+// first Put, which opened the pack (creates/put 0).
+func BenchmarkFilePut(b *testing.B) {
+	fs := &syncCountFS{FS: storage.OSFS}
+	opts := DefaultOptions()
+	opts.FS = fs
+	db, err := OpenWith(b.TempDir(), opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer db.Close()
+	blob := make([]byte, 2048)
+	put := func(i int) {
+		binary.LittleEndian.PutUint64(blob, uint64(i))
+		if _, err := db.Files().Put("stats.txt", blob); err != nil {
+			b.Fatal(err)
+		}
+	}
+	put(-1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	fs.syncs.Store(0)
+	fs.creates.Store(0)
+	for i := 0; i < b.N; i++ {
+		put(i)
+	}
+	b.ReportMetric(float64(fs.syncs.Load())/float64(b.N), "fsyncs/put")
+	b.ReportMetric(float64(fs.creates.Load())/float64(b.N), "creates/put")
 }
 
 // tenThousandRuns fills an in-memory collection with 10k run documents

@@ -218,6 +218,7 @@ func (db *DB) snapshot() []*collection {
 // enabled this is cheap — journals are already synced per commit, so
 // Close only drains background compactions and closes file handles; it
 // does not rewrite collections. Snapshot-mode stores flush in full.
+// Both close the blob pack, whose frames Put already fsynced.
 func (db *DB) Close() error {
 	db.mu.Lock()
 	db.closed = true
@@ -226,10 +227,10 @@ func (db *DB) Close() error {
 		return nil
 	}
 	db.compactWG.Wait()
-	if !db.opts.Journal {
-		return db.Flush()
-	}
 	var firstErr error
+	if !db.opts.Journal {
+		firstErr = db.Flush()
+	}
 	for _, c := range db.snapshot() {
 		c.mu.Lock()
 		if c.journal != nil {
@@ -240,7 +241,7 @@ func (db *DB) Close() error {
 		}
 		c.mu.Unlock()
 	}
-	if err := db.files.flushAll(); err != nil && firstErr == nil {
+	if err := db.files.close(); err != nil && firstErr == nil {
 		firstErr = err
 	}
 	return firstErr

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"gem5art/internal/database/dbtest"
 	"gem5art/internal/database/storage"
 	"gem5art/internal/faultinject"
 )
@@ -109,17 +110,18 @@ func TestUpdateDeleteRefusedWhenDegraded(t *testing.T) {
 	}
 }
 
-// TestFileStorePutFailFast: a blob whose write-through faults (short
-// write, then torn rename on retry paths) stores nothing anywhere and
-// returns the typed degraded error.
+// TestFileStorePutFailFast: a blob whose pack frame faults (short
+// write, fsync failure, ENOSPC) stores nothing anywhere — not in
+// memory, not in the pack, not after a reopen — and returns the typed
+// degraded error.
 func TestFileStorePutFailFast(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		rule faultinject.DiskRule
 	}{
-		{"short-write", faultinject.DiskRule{Kind: faultinject.DiskShortWrite, PathContains: ".blob"}},
-		{"torn-rename", faultinject.DiskRule{Kind: faultinject.DiskTornRename, PathContains: ".blob"}},
-		{"enospc", faultinject.DiskRule{Kind: faultinject.DiskENOSPC, PathContains: ".blob"}},
+		{"short-write", faultinject.DiskRule{Kind: faultinject.DiskShortWrite, PathContains: "blobs.pack"}},
+		{"fsync-fail", faultinject.DiskRule{Kind: faultinject.DiskFsyncFail, PathContains: "blobs.pack"}},
+		{"enospc", faultinject.DiskRule{Kind: faultinject.DiskENOSPC, PathContains: "blobs.pack"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -129,14 +131,68 @@ func TestFileStorePutFailFast(t *testing.T) {
 			if !errors.As(err, &deg) || hash != "" {
 				t.Fatalf("faulted Put = (%q, %v), want (\"\", DegradedError)", hash, err)
 			}
+			if deg.Reason != "filestore" {
+				t.Fatalf("degraded reason = %q, want filestore", deg.Reason)
+			}
 			want := HashBytes([]byte("kernel image bytes"))
 			if db.Files().Exists(want) {
 				t.Fatal("failed Put left the blob visible in memory")
 			}
-			if _, err := os.Stat(filepath.Join(dir, "files", want+".blob")); err == nil {
-				t.Fatal("failed Put left a final blob on disk")
+			if n := packFrames(t, dir, want); n != 0 {
+				t.Fatalf("failed Put left %d frames in the pack", n)
 			}
 			db.Close()
+			re := MustOpen(dir)
+			defer re.Close()
+			if re.Files().Exists(want) {
+				t.Fatal("failed Put served after reopen")
+			}
+		})
+	}
+}
+
+// TestPackTornWriteDegrades: a torn write on the pack — the write
+// reports success but only a prefix lands — degrades the store at that
+// Put. After a reopen the blobs acknowledged before the torn frame are
+// served and the torn frame's blob is not.
+func TestPackTornWriteDegrades(t *testing.T) {
+	// The two acknowledged frames are the first four pack writes, so the
+	// fault fires on the 5th write (the third frame's header), then on
+	// the 6th (its content).
+	for _, after := range []int{4, 5} {
+		t.Run(fmt.Sprintf("write-%d", after+1), func(t *testing.T) {
+			dir := t.TempDir()
+			db, dc := openChaos(t, dir, faultinject.DiskRule{
+				Kind: faultinject.DiskTornWrite, PathContains: "blobs.pack", After: after, Count: 1,
+			})
+			var acked []string
+			for i := 0; i < 2; i++ {
+				h, err := db.Files().Put(fmt.Sprintf("stats-%d", i), []byte(fmt.Sprintf("sim_insts %d\n", i)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				acked = append(acked, h)
+			}
+			torn := []byte("the torn frame's content")
+			_, err := db.Files().Put("torn", torn)
+			var deg *storage.DegradedError
+			if !errors.As(err, &deg) || deg.Reason != "filestore" {
+				t.Fatalf("torn Put = %v, want a filestore DegradedError", err)
+			}
+			if dc.Fired(faultinject.DiskTornWrite) != 1 {
+				t.Fatal("torn write never fired")
+			}
+			db.Close()
+			re := MustOpen(dir)
+			defer re.Close()
+			for i, h := range acked {
+				if got, err := re.Files().Get(h); err != nil || string(got) != fmt.Sprintf("sim_insts %d\n", i) {
+					t.Fatalf("acknowledged blob %d after reopen = (%q, %v)", i, got, err)
+				}
+			}
+			if re.Files().Exists(HashBytes(torn)) {
+				t.Fatal("torn frame's blob served after reopen")
+			}
 		})
 	}
 }
@@ -200,10 +256,7 @@ func TestScrubQuarantinesAndRepairs(t *testing.T) {
 	defer standby.Close()
 
 	// Flip bits in the primary's on-disk blob.
-	blobPath := filepath.Join(dir, "files", hash+".blob")
-	if err := os.WriteFile(blobPath, []byte("BITROT"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	dbtest.RotBlob(t, dir, content)
 
 	rep := db.Scrub(FileRepair(standby.Files()))
 	if rep.Corrupt != 1 || len(rep.Quarantined) != 1 || rep.Quarantined[0] != hash {
@@ -221,10 +274,16 @@ func TestScrubQuarantinesAndRepairs(t *testing.T) {
 	if err != nil || string(got) != string(content) {
 		t.Fatalf("repaired Get = (%q, %v)", got, err)
 	}
-	if raw, err := os.ReadFile(blobPath); err != nil || string(raw) != string(content) {
-		t.Fatalf("repaired blob on disk = (%q, %v)", raw, err)
+	if raw := packContent(t, dir, hash); string(raw) != string(content) {
+		t.Fatalf("repaired blob on disk = %q", raw)
 	}
 	db.Close()
+	// The repair frame wins over the rotten one at the next load.
+	re := MustOpen(dir)
+	defer re.Close()
+	if got, err := re.Files().Get(hash); err != nil || string(got) != string(content) {
+		t.Fatalf("repaired blob after reopen = (%q, %v)", got, err)
+	}
 }
 
 // TestScrubQuarantineWithoutSource: with no repair source the corrupt
@@ -237,9 +296,7 @@ func TestScrubQuarantineWithoutSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "files", hash+".blob"), []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	dbtest.RotBlob(t, dir, []byte("disk image"))
 	rep := db.Scrub(nil)
 	if rep.Corrupt != 1 || len(rep.Repaired) != 0 {
 		t.Fatalf("scrub report = %+v", rep)
@@ -346,10 +403,15 @@ func TestScrubHealthyStoreUnderWrites(t *testing.T) {
 }
 
 // TestCorruptBlobQuarantinedAtLoad: a store whose blob rotted while it
-// was closed still opens; the bad blob is quarantined, the rest load.
+// was closed still opens; the bad blob — a frame in the middle of the
+// pack — is quarantined, and the frames before and after it load.
 func TestCorruptBlobQuarantinedAtLoad(t *testing.T) {
 	dir := t.TempDir()
 	db := MustOpen(dir)
+	firstHash, err := db.Files().Put("first", []byte("written before the bad one"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	badHash, err := db.Files().Put("bad", []byte("will rot"))
 	if err != nil {
 		t.Fatal(err)
@@ -361,9 +423,7 @@ func TestCorruptBlobQuarantinedAtLoad(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "files", badHash+".blob"), []byte("rotted"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	dbtest.RotBlob(t, dir, []byte("will rot"))
 	db2, err := Open(dir)
 	if err != nil {
 		t.Fatalf("open with corrupt blob should quarantine, not fail: %v", err)
@@ -374,6 +434,9 @@ func TestCorruptBlobQuarantinedAtLoad(t *testing.T) {
 	}
 	if got, err := db2.Files().Get(goodHash); err != nil || string(got) != "stays intact" {
 		t.Fatalf("good blob lost: (%q, %v)", got, err)
+	}
+	if got, err := db2.Files().Get(firstHash); err != nil || string(got) != "written before the bad one" {
+		t.Fatalf("blob before the bad frame lost: (%q, %v)", got, err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "quarantine", badHash+".blob")); err != nil {
 		t.Fatalf("corrupt blob not quarantined: %v", err)

@@ -81,12 +81,23 @@ func journalPath(dir, name string) string {
 
 // openJournalWriter opens (creating if needed) the journal for
 // appending, positioned after goodBytes — the replay-validated prefix.
-// Anything past it is a torn tail and is cut off.
 func openJournalWriter(fs storage.FS, path string, goodBytes int64, recs int, syncOnCommit bool) (*journalWriter, error) {
+	f, err := openAppend(fs, path, goodBytes)
+	if err != nil {
+		return nil, err
+	}
+	return &journalWriter{f: f, path: path, sync: syncOnCommit, recs: recs, size: goodBytes}, nil
+}
+
+// openAppend opens (creating if needed) an append-only file — a
+// journal or the blob pack — for reading and appending, positioned
+// after goodBytes, its replay-validated prefix. Anything past it is a
+// torn tail and is cut off.
+func openAppend(fs storage.FS, path string, goodBytes int64) (storage.File, error) {
 	if err := fs.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return nil, err
 	}
-	f, err := fs.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644)
+	f, err := fs.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, err
 	}
@@ -98,7 +109,7 @@ func openJournalWriter(fs storage.FS, path string, goodBytes int64, recs int, sy
 		f.Close()
 		return nil, err
 	}
-	return &journalWriter{f: f, path: path, sync: syncOnCommit, recs: recs, size: goodBytes}, nil
+	return f, nil
 }
 
 // append frames the records and commits them together: one write and
@@ -136,13 +147,16 @@ func (w *journalWriter) append(recs ...journalRecord) (reason string, err error)
 }
 
 // rewind best-effort truncates the journal back to the last
-// acknowledged record after a failed append, so the unacknowledged
-// bytes cannot replay after a reopen. If the truncate itself fails the
-// store is degraded anyway and startup replay's CRC framing is the
-// backstop.
-func (w *journalWriter) rewind() {
-	_ = w.f.Truncate(w.size)
-	_, _ = w.f.Seek(w.size, 0)
+// acknowledged record after a failed append.
+func (w *journalWriter) rewind() { rewind(w.f, w.size) }
+
+// rewind best-effort truncates an append-only file back to its last
+// acknowledged byte after a failed append, so the unacknowledged bytes
+// cannot replay after a reopen. If the truncate itself fails the store
+// is degraded anyway and startup replay's CRC framing is the backstop.
+func rewind(f storage.File, size int64) {
+	_ = f.Truncate(size)
+	_, _ = f.Seek(size, 0)
 }
 
 // reset truncates the journal after a compaction folded its records

@@ -14,23 +14,28 @@ import (
 //
 //	<dir>/collections/<name>.jsonl  — snapshot: one JSON document per line
 //	<dir>/journal/<name>.wal        — append-only journal since the snapshot
-//	<dir>/files/<hash>.blob         — raw file content
-//	<dir>/files/<hash>.meta         — JSON FileMeta
-//	<dir>/quarantine/               — corrupt blobs moved aside by Scrub
+//	<dir>/files/blobs.pack          — append-only blob pack: one framed,
+//	                                  fsynced record per stored blob
+//	<dir>/files/<hash>.blob, .meta  — legacy per-file blobs (raw or
+//	                                  base64) from before the pack; read
+//	                                  and scrubbed, never written
+//	<dir>/quarantine/               — corrupt blobs set aside by load
+//	                                  and Scrub
 //
 // The formats are line-oriented and human-inspectable, in the spirit
 // of gem5art's "freely available tools may be used to process this
-// data". Blobs written by older versions were base64-encoded; they are
-// still read transparently (see fileStore.load).
+// data": a pack frame is a header line with the file's JSON FileMeta
+// followed by its raw bytes (see pack.go).
 //
 // Every write path goes through db.fs() so chaos tests can inject
 // disk faults deterministically (faultinject.DiskChaos).
 
 // Flush compacts every collection — snapshot written atomically, then
-// the journal truncated — and persists any unwritten file blobs. With
-// the journal enabled Flush is never required for durability; it is
-// the explicit "fold history into snapshots now" operation. A degraded
-// store refuses to flush: the journal is the only trustworthy record.
+// the journal truncated. Blobs need no flush: each Put fsynced its pack
+// frame. With the journal enabled Flush is never required for
+// durability; it is the explicit "fold history into snapshots now"
+// operation. A degraded store refuses to flush: the journal is the only
+// trustworthy record.
 func (db *DB) Flush() error {
 	if db.dir == "" {
 		return nil
@@ -46,7 +51,7 @@ func (db *DB) Flush() error {
 			return err
 		}
 	}
-	return db.files.flushAll()
+	return nil
 }
 
 // flushLocked snapshots the collection and truncates/removes its
@@ -146,9 +151,11 @@ func (db *DB) load() error {
 
 // sweepTmpFiles removes orphaned *.tmp files a crash mid-compaction or
 // mid-rename stranded in the snapshot, journal, and blob directories.
-// Both atomic-rename sites (writeSnapshotLocked, writeBlob) publish
-// via "<final>.tmp" → rename, so any surviving .tmp is by construction
+// The one atomic-rename site, writeSnapshotLocked, publishes via
+// "<final>.tmp" → rename, so any surviving .tmp is by construction
 // incomplete and must not shadow real state or leak disk forever.
+// Stores from before the blob pack also wrote "<hash>.blob.tmp" files
+// that way, so files/ is swept too.
 func (db *DB) sweepTmpFiles() {
 	fs := db.fs()
 	for _, sub := range []string{"collections", "journal", "files"} {

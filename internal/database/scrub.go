@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/base64"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -22,9 +23,9 @@ import (
 // framing, snapshot JSON parse, blob content hashes — instead of
 // discovering bit rot the day a result is re-derived from it.
 //
-// Corrupt blobs are quarantined: moved to <dir>/quarantine/ and
-// evicted from memory so they are never served again, then repaired in
-// place when a RepairSource (the shard standby's file store, wired by
+// Corrupt blobs are quarantined: set aside under <dir>/quarantine/ and
+// evicted from memory so they are never served again, then repaired
+// when a RepairSource (the shard standby's file store, wired by
 // shard.Fleet) still holds a good copy. Journal and snapshot damage is
 // reported, not rewritten — the journal's torn-tail truncation at the
 // next open is the recovery path for those.
@@ -327,26 +328,10 @@ func readJournalTail(fs storage.FS, path string, start, extent int64, buf *[]byt
 const scrubTailBudget = 256 << 10
 
 // validJournalFrame reports whether one journal line's CRC matches its
-// payload (the cheap half of decodeJournalLine). The hex prefix is
-// decoded by hand to keep the per-record cost allocation-free.
+// payload (the cheap half of decodeJournalLine).
 func validJournalFrame(line []byte) bool {
-	if len(line) < 9 || line[8] != ' ' {
-		return false
-	}
-	var want uint32
-	for _, ch := range line[:8] {
-		var v uint32
-		switch {
-		case ch >= '0' && ch <= '9':
-			v = uint32(ch - '0')
-		case ch >= 'a' && ch <= 'f':
-			v = uint32(ch-'a') + 10
-		default:
-			return false
-		}
-		want = want<<4 | v
-	}
-	return crc32.ChecksumIEEE(line[9:]) == want
+	want, ok := parseCRC(line)
+	return ok && crc32.ChecksumIEEE(line[9:]) == want
 }
 
 // snapshotParses verifies every snapshot line is well-formed JSON.
@@ -366,19 +351,22 @@ func snapshotParses(data []byte) bool {
 	return true
 }
 
-// scrubBlobs re-reads every blob from disk and verifies its content
-// hash (handling the legacy base64 format). Corrupt blobs are
-// quarantined and, when the source has a good copy, rewritten.
+// scrubBlobs re-reads every blob's durable bytes — its pack frame, or
+// a legacy pair's .blob — and verifies its content hash. Corrupt blobs
+// are quarantined and, when the source has a good copy, stored again:
+// a repaired pack blob is a new frame, which wins over the bad one at
+// every later load.
 func (db *DB) scrubBlobs(rep *ScrubReport, source RepairSource, prog *scrubProgress) {
-	filesDir := filepath.Join(db.dir, "files")
 	for _, hash := range db.files.hashes() {
 		if prog != nil && prog.blobs[hash] {
 			continue // content-addressed and already verified this process
 		}
+		raw, err := db.files.readDurable(hash)
+		if errors.Is(err, os.ErrClosed) {
+			return // the store closed under the pass: nothing left to verify
+		}
 		rep.Blobs++
-		raw, err := db.fs().ReadFile(filepath.Join(filesDir, hash+".blob"))
-		ok := err == nil && blobMatches(raw, hash)
-		if ok {
+		if err == nil && blobMatches(raw, hash) {
 			if prog != nil {
 				prog.blobs[hash] = true
 			}
@@ -386,20 +374,12 @@ func (db *DB) scrubBlobs(rep *ScrubReport, source RepairSource, prog *scrubProgr
 		}
 		rep.Corrupt++
 		meta, _ := db.files.Stat(hash)
-		db.quarantineBlob(hash)
+		db.files.quarantine(hash)
 		rep.Quarantined = append(rep.Quarantined, hash)
 		if source != nil {
 			if data, good := source.Blob(hash); good {
-				if err := writeBlob(db.fs(), filesDir, &FileMeta{
-					Name: meta.Name, Hash: hash, Length: len(data),
-					Chunks: (len(data) + chunkSize - 1) / chunkSize,
-				}, data); err == nil {
-					// Re-admit through Put so the in-memory chunking and
-					// persistence bookkeeping are rebuilt consistently.
-					db.files.evict(hash)
-					if _, err := db.files.Put(meta.Name, data); err == nil {
-						rep.Repaired = append(rep.Repaired, hash)
-					}
+				if _, err := db.files.Put(meta.Name, data); err == nil {
+					rep.Repaired = append(rep.Repaired, hash)
 				}
 			}
 		}
@@ -407,39 +387,13 @@ func (db *DB) scrubBlobs(rep *ScrubReport, source RepairSource, prog *scrubProgr
 }
 
 // blobMatches verifies raw against its content hash, accepting the
-// legacy base64 on-disk format.
+// base64 format of the oldest legacy pairs.
 func blobMatches(raw []byte, hash string) bool {
 	if storage.HashBytes(raw) == hash {
 		return true
 	}
 	dec, err := base64.StdEncoding.DecodeString(strings.TrimSpace(string(raw)))
 	return err == nil && storage.HashBytes(dec) == hash
-}
-
-// quarantineBlob moves a corrupt blob (and its meta) into
-// <dir>/quarantine/ and evicts it from memory, so it is never served
-// and never mistaken for good content by a future load — but remains
-// available for forensics.
-func (db *DB) quarantineBlob(hash string) {
-	db.files.evict(hash)
-	if db.dir == "" {
-		return
-	}
-	fs := db.fs()
-	qdir := filepath.Join(db.dir, "quarantine")
-	if err := fs.MkdirAll(qdir, 0o755); err != nil {
-		return
-	}
-	filesDir := filepath.Join(db.dir, "files")
-	for _, ext := range []string{".blob", ".meta"} {
-		src := filepath.Join(filesDir, hash+ext)
-		if _, err := fs.ReadFile(src); err != nil && os.IsNotExist(err) {
-			continue
-		}
-		if err := fs.Rename(src, filepath.Join(qdir, hash+ext)); err != nil {
-			_ = fs.Remove(src) // rename across a faulted path: at least stop serving it
-		}
-	}
 }
 
 // Scrubber runs Scrub on an interval in the background. The zero

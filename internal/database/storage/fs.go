@@ -6,8 +6,8 @@ import (
 )
 
 // FS is the slice of the filesystem a storage engine needs. The
-// embedded engine threads every durable-path syscall — journal
-// appends, snapshot and blob tmp+rename writes, fsyncs, startup reads
+// embedded engine threads every durable-path syscall — journal and
+// blob-pack appends, snapshot tmp+rename writes, fsyncs, startup reads
 // — through this interface so fault-injection harnesses
 // (faultinject.DiskChaos) can interpose deterministic disk failures:
 // EIO, ENOSPC, short writes, fsync failures, torn renames, and

@@ -2,11 +2,10 @@ package simcache
 
 import (
 	"errors"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"gem5art/internal/database"
+	"gem5art/internal/database/dbtest"
 )
 
 // TestScrubCheckpointsEvictsCorrupt: the checkpoint scrub detects a
@@ -23,8 +22,8 @@ func TestScrubCheckpointsEvictsCorrupt(t *testing.T) {
 	c := New(db, Options{})
 	bad := BootClass{KernelHash: "k1", DiskHash: "d1", Cores: 1, Mem: "classic"}
 	good := BootClass{KernelHash: "k2", DiskHash: "d2", Cores: 2, Mem: "classic"}
-	badHash, err := c.PutCheckpoint(bad, "cpt.bad", []byte("blob that will rot"))
-	if err != nil {
+	rot := []byte("blob that will rot")
+	if _, err := c.PutCheckpoint(bad, "cpt.bad", rot); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.PutCheckpoint(good, "cpt.good", []byte("blob that stays intact")); err != nil {
@@ -38,9 +37,7 @@ func TestScrubCheckpointsEvictsCorrupt(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "files", badHash+".blob"), []byte("ROT"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	dbtest.RotBlob(t, dir, rot)
 	db2, err := database.Open(dir)
 	if err != nil {
 		t.Fatal(err)
