@@ -71,7 +71,7 @@ chaos:
 # records each replayed run commits, and the runs-journal fsyncs per
 # run: 1/64, one commit per launch batch) for a fixed 200 iterations, and
 # the GPU model's BenchmarkRunTable4 (all 58 Table IV cells per
-# iteration, with Mops/s) for 5, as one iteration takes ~0.4 s: a
+# iteration, with Mops/s) for 5, as one iteration takes ~0.2 s: a
 # smoke run that keeps them building and shows allocs/op, not a timing.
 microbench:
 	$(GO) test -run '^$$' -bench . -skip RunTable4 -benchtime 200x ./internal/sim/... ./internal/database/... \
@@ -85,6 +85,7 @@ microbench:
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzResultsFromDoc$$' -fuzztime 30s ./internal/core/run/
 	$(GO) test -run '^$$' -fuzz '^FuzzBlobPack$$' -fuzztime 30s ./internal/database/
+	$(GO) test -run '^$$' -fuzz '^FuzzWaveRNG$$' -fuzztime 30s ./internal/sim/gpu/
 
 # benchmod vets and tests the benchmark module, which builds against
 # this module's internal packages: an API change that breaks it fails
@@ -92,4 +93,7 @@ fuzz:
 benchmod:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-ci: fmt vet build race microbench benchmod
+# ci runs the tests once without -race as well: allocation pins such as
+# the GPU model's TestAllocsIndependentOfWaveCount skip themselves under
+# the race detector, which drops sync.Pool items on purpose.
+ci: fmt vet build test race microbench benchmod

@@ -118,21 +118,22 @@ func matchOps(got any, present bool, ops Doc) bool {
 	return true
 }
 
-// Lookup resolves a possibly dotted key against a document.
+// Lookup resolves a possibly dotted key against a document. It walks
+// the key in place and allocates nothing: it runs per document per
+// filter key in every scan and per index key on every insert.
 func Lookup(d Doc, key string) (any, bool) {
-	parts := strings.Split(key, ".")
-	var cur any = map[string]any(d)
-	for _, p := range parts {
-		m, ok := cur.(map[string]any)
-		if !ok {
+	m := d
+	for {
+		p, rest, dotted := strings.Cut(key, ".")
+		v, ok := m[p]
+		if !ok || !dotted {
+			return v, ok
+		}
+		if m, ok = v.(map[string]any); !ok {
 			return nil, false
 		}
-		cur, ok = m[p]
-		if !ok {
-			return nil, false
-		}
+		key = rest
 	}
-	return cur, true
 }
 
 // ValuesEqual compares two document values, treating all numeric types

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -224,7 +225,7 @@ func (c *NetChaos) forget(cc *ChaosConn) {
 }
 
 // ChaosConn is a net.Conn that injects the proxy's armed faults on its
-// write path. Reads pass through: the peer observes the damage.
+// write path. Reads pass through until a fault kills the connection.
 type ChaosConn struct {
 	net.Conn
 	chaos  *NetChaos
@@ -233,6 +234,18 @@ type ChaosConn struct {
 	mu     sync.Mutex
 	writes int
 	fired  []int
+	killed atomic.Bool // a NetDrop or NetTruncate closed the connection
+}
+
+// Read fails once a fault has killed the connection, even for bytes
+// already received: on loopback the peer's reply to the fatal frame can
+// arrive before the close does, and reading it would undo the fault.
+func (cc *ChaosConn) Read(p []byte) (int, error) {
+	n, err := cc.Conn.Read(p)
+	if cc.killed.Load() {
+		return 0, net.ErrClosed
+	}
+	return n, err
 }
 
 // Write counts the frame, consults the armed rules, and applies at most
@@ -294,11 +307,13 @@ func (cc *ChaosConn) Write(p []byte) (int, error) {
 	case NetDrop:
 		// Deliver the frame, then kill the connection: the sender sees
 		// success and cannot know whether the peer acted on it.
+		cc.killed.Store(true)
 		wn, err := cc.Conn.Write(p)
 		_ = cc.Conn.Close()
 		cc.chaos.forget(cc)
 		return wn, err
 	case NetTruncate:
+		cc.killed.Store(true)
 		wn, _ := cc.Conn.Write(p[:len(p)/2])
 		_ = cc.Conn.Close()
 		cc.chaos.forget(cc)

@@ -17,7 +17,7 @@ package gpu
 
 import (
 	"fmt"
-	"math/rand"
+	"math/bits"
 	"sync"
 )
 
@@ -157,12 +157,22 @@ type Result struct {
 type wave struct {
 	wg       *workgroup
 	simd     int
+	idx      int // position in active while resident
 	opsLeft  int
 	readyAt  uint64
-	rng      *rand.Rand // from wavePool while the wave is resident
+	rng      *waveRNG // from wavePool while the wave is resident
 	barriers int
 	atBar    bool
 	done     bool
+}
+
+// wakeAt is the earliest cycle w may issue at as far as w itself
+// decides: never while it waits at a barrier or is done.
+func (w *wave) wakeAt() uint64 {
+	if w.atBar || w.done {
+		return never
+	}
+	return w.readyAt
 }
 
 type workgroup struct {
@@ -183,17 +193,24 @@ type cuState struct {
 	wgs       int    // resident workgroups
 }
 
-// wavePool recycles wave generators across waves and runs. Seed fully
-// resets a source, so a pooled generator seeded at placement yields the
-// same stream as rand.New(rand.NewSource(seed)), and a run allocates
-// generators for its resident waves rather than for all of them.
-var wavePool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+// wavePool recycles wave generators across waves and runs. seed fully
+// resets a generator, so a pooled one seeded at placement yields the
+// same stream as a new one, and a run allocates generators for its
+// resident waves rather than for all of them.
+var wavePool = sync.Pool{New: func() any { return new(waveRNG) }}
+
+// never is the wake cycle of a wave that cannot issue until another
+// wave acts: it waits at a barrier or is done.
+const never = ^uint64(0)
+
+// wakeBlock is how many waves share one minimum in the issue scan.
+const wakeBlock = 8
 
 // Run simulates one kernel launch under the given allocator and returns
 // timing and occupancy statistics. It is deterministic for a fixed
-// descriptor: each wave draws from its own stream, seeded
-// k.Seed+1000*wg+wave when the wave is placed, and waves issue in
-// placement order.
+// descriptor: each wave draws from its own stream, math/rand's for the
+// seed k.Seed+1000*wg+wave, seeded when the wave is placed, and waves
+// issue in placement order.
 func Run(cfg Config, k KernelDesc, alloc Allocator) (Result, error) {
 	cfg.Defaults()
 	if alloc != Simple && alloc != Dynamic {
@@ -226,8 +243,39 @@ func Run(cfg Config, k KernelDesc, alloc Allocator) (Result, error) {
 	}
 	next := 0 // first workgroup not yet dispatched
 
+	// active lists the resident waves in placement order, which is the
+	// issue order. wake[i] is the earliest cycle active[i] can issue at:
+	// its wakeAt, or later once its SIMD is found busy. blockMin[b] is
+	// the least wake in block b, waves wakeBlock*b to wakeBlock*(b+1)-1,
+	// so the scan passes a block of sleeping waves with one compare and
+	// touches only waves that may issue. Both are exact, not bounds: a
+	// cycle that issues nothing jumps to the least of them, and the
+	// visited cycles are the ones AvgOccupancy samples.
 	maxResident := cfg.CUs * cfg.SIMDsPerCU * cfg.MaxWavesPerSIMD
-	active := make([]*wave, 0, min(len(waves), maxResident))
+	// Finished waves stay in active until the next prune while the
+	// waves that take their place join it, so it holds at most twice
+	// the resident waves and never grows.
+	activeCap := min(len(waves), 2*maxResident)
+	active := make([]*wave, 0, activeCap)
+	wakeBuf := make([]uint64, activeCap+(activeCap+wakeBlock-1)/wakeBlock)
+	wake, blockMin := wakeBuf[:0:activeCap], wakeBuf[activeCap:activeCap]
+	// lowerWake moves wave i's wake earlier, keeping its block minimum.
+	lowerWake := func(i int, at uint64) {
+		wake[i] = at
+		if b := i / wakeBlock; at < blockMin[b] {
+			blockMin[b] = at
+		}
+	}
+	// join appends w to active, wake and the block minima.
+	join := func(w *wave) {
+		w.idx = len(active)
+		active = append(active, w)
+		wake = append(wake, never)
+		if w.idx%wakeBlock == 0 {
+			blockMin = append(blockMin, never)
+		}
+		lowerWake(w.idx, w.wakeAt())
+	}
 	pruneDue := false   // a wave finished since active was last pruned
 	resident := 0       // resident waves over all CUs
 	var cycleNow uint64 // shared with the closures below
@@ -258,8 +306,8 @@ func Run(cfg Config, k KernelDesc, alloc Allocator) (Result, error) {
 		wg.cu = cuIdx
 		for i := range wg.waves {
 			w := &wg.waves[i]
-			w.rng = wavePool.Get().(*rand.Rand)
-			w.rng.Seed(k.Seed + int64(wg.id)*1000 + int64(i))
+			w.rng = wavePool.Get().(*waveRNG)
+			w.rng.seed(k.Seed + int64(wg.id)*1000 + int64(i))
 			// The dynamic allocator's per-launch register scan delays the
 			// workgroup's waves; the simple allocator's fixed mapping is
 			// free.
@@ -278,7 +326,7 @@ func Run(cfg Config, k KernelDesc, alloc Allocator) (Result, error) {
 			cu.perSIMD[best]++
 			cu.resident++
 			resident++
-			active = append(active, w)
+			join(w)
 		}
 	}
 
@@ -330,13 +378,13 @@ func Run(cfg Config, k KernelDesc, alloc Allocator) (Result, error) {
 		// Prune finished waves. Only finish marks a wave done, and
 		// pruning keeps order, so the issue order is placement order.
 		if pruneDue {
-			live := active[:0]
-			for _, w := range active {
+			all := active
+			active, wake, blockMin = active[:0], wake[:0], blockMin[:0]
+			for _, w := range all {
 				if !w.done {
-					live = append(live, w)
+					join(w)
 				}
 			}
-			active = live
 			pruneDue = false
 		}
 		if len(active) == 0 {
@@ -362,110 +410,132 @@ func Run(cfg Config, k KernelDesc, alloc Allocator) (Result, error) {
 		}
 
 		progressed := false
-		nextReady := ^uint64(0)
-		for _, w := range active {
-			if w.atBar {
+		nextReady := never
+		// Waves that finish places during the scan issue from the next
+		// cycle on, so the scan stops at the waves resident now.
+		n := len(active)
+		for b := 0; b*wakeBlock < n; b++ {
+			if m := blockMin[b]; m > cycle {
+				nextReady = min(nextReady, m)
 				continue
 			}
-			if w.readyAt > cycle {
-				if w.readyAt < nextReady {
-					nextReady = w.readyAt
+			// Only the waves due now can issue: a scan lowers no other
+			// wave's wake to cycle or below. The block's new minimum
+			// m starts from the others' least wake, and lowerWake
+			// folds barrier releases into blockMin[b] meanwhile.
+			lo := b * wakeBlock
+			due, m := dueIn(wake[lo:min(lo+wakeBlock, n)], cycle)
+			nextReady = min(nextReady, m)
+			blockMin[b] = never
+			for ; due != 0; due &= due - 1 {
+				i := lo + bits.TrailingZeros(due)
+				w := active[i]
+				slot := w.wg.cu*cfg.SIMDsPerCU + w.simd
+				if busy := simdBusy[slot]; busy > cycle {
+					// No wave issues on this SIMD before busy, so
+					// simdBusy[slot] holds until then: the wave
+					// wakes at busy.
+					wake[i] = busy
+					nextReady = min(nextReady, busy)
+					m = min(m, busy)
+					continue
 				}
-				continue
-			}
-			slot := w.wg.cu*cfg.SIMDsPerCU + w.simd
-			if busy := simdBusy[slot]; busy > cycle {
-				if busy < nextReady {
-					nextReady = busy
-				}
-				continue
-			}
-			// Issue one op from this wave.
-			simdBusy[slot] = cycle + 1
-			progressed = true
-			res.Ops++
-			w.opsLeft--
-			cu := &cus[w.wg.cu]
-			r := w.rng.Float64()
-			switch {
-			case r < k.AtomicFrac:
-				// Contended global atomics serialize per lock line, and
-				// each one costs more as more waves fight for the line
-				// (retries and cache-line ping-pong): three extra cycles
-				// per four co-resident waves.
-				ch := 0
-				if atomicChannels > 1 {
-					ch = w.wg.id % atomicChannels
-				}
-				start := max64(cycle, atomicFree[ch])
-				done := start + atomicLat + uint64(3*(resident-1))/4
-				atomicFree[ch] = done
-				res.AtomicStalls += done - cycle
-				res.AtomicOps++
-				w.readyAt = done
-			case r < k.AtomicFrac+k.MemFrac:
-				start := max64(cycle, cu.memFree)
-				cu.memFree = start + memPortOcc
-				lat := uint64(l1MissLat)
-				if w.rng.Float64() < k.Locality {
-					lat = l1HitLat
-				}
-				res.MemStalls += (start - cycle) + lat
-				res.MemAccesses++
-				w.readyAt = start + lat
-			case r < k.AtomicFrac+k.MemFrac+k.LDSFrac:
-				w.readyAt = cycle + ldsLat
-			default:
-				// VALU. A dependent op requires a dependence-tracker scan
-				// that occupies the SIMD issue stage for longer as more
-				// waves are resident, and the wave itself waits for the
-				// pipeline. With PreciseDeps the scan is O(1).
-				if w.rng.Float64() < k.DepDensity {
-					issue := uint64(1)
-					if !cfg.PreciseDeps {
-						issue = depIssueCycles(cu.perSIMD[w.simd])
+				// Issue one op from this wave.
+				simdBusy[slot] = cycle + 1
+				progressed = true
+				res.Ops++
+				w.opsLeft--
+				cu := &cus[w.wg.cu]
+				r := w.rng.Float64()
+				switch {
+				case r < k.AtomicFrac:
+					// Contended global atomics serialize per lock line, and
+					// each one costs more as more waves fight for the line
+					// (retries and cache-line ping-pong): three extra cycles
+					// per four co-resident waves.
+					ch := 0
+					if atomicChannels > 1 {
+						ch = w.wg.id % atomicChannels
 					}
-					simdBusy[slot] = cycle + issue
-					res.DepStalls += issue - 1
-					w.readyAt = cycle + valuPipe
-				} else {
-					w.readyAt = cycle + 1
+					start := max64(cycle, atomicFree[ch])
+					done := start + atomicLat + uint64(3*(resident-1))/4
+					atomicFree[ch] = done
+					res.AtomicStalls += done - cycle
+					res.AtomicOps++
+					w.readyAt = done
+				case r < k.AtomicFrac+k.MemFrac:
+					start := max64(cycle, cu.memFree)
+					cu.memFree = start + memPortOcc
+					lat := uint64(l1MissLat)
+					if w.rng.Float64() < k.Locality {
+						lat = l1HitLat
+					}
+					res.MemStalls += (start - cycle) + lat
+					res.MemAccesses++
+					w.readyAt = start + lat
+				case r < k.AtomicFrac+k.MemFrac+k.LDSFrac:
+					w.readyAt = cycle + ldsLat
+				default:
+					// VALU. A dependent op requires a dependence-tracker scan
+					// that occupies the SIMD issue stage for longer as more
+					// waves are resident, and the wave itself waits for the
+					// pipeline. With PreciseDeps the scan is O(1).
+					if w.rng.Float64() < k.DepDensity {
+						issue := uint64(1)
+						if !cfg.PreciseDeps {
+							issue = depIssueCycles(cu.perSIMD[w.simd])
+						}
+						simdBusy[slot] = cycle + issue
+						res.DepStalls += issue - 1
+						w.readyAt = cycle + valuPipe
+					} else {
+						w.readyAt = cycle + 1
+					}
 				}
-			}
-			// Barrier points are evenly spaced through the wave.
-			if w.barriers > 0 && k.Barriers > 0 &&
-				w.opsLeft == (k.OpsPerWave*w.barriers)/(k.Barriers+1) {
-				w.barriers--
-				w.atBar = true
-				w.wg.barWait++
-				if w.wg.barWait == len(w.wg.waves) {
-					for i := range w.wg.waves {
-						ww := &w.wg.waves[i]
-						if !ww.done {
-							ww.atBar = false
-							if ww.readyAt < cycle+1 {
-								ww.readyAt = cycle + 1
+				// Barrier points are evenly spaced through the wave.
+				if w.barriers > 0 && k.Barriers > 0 &&
+					w.opsLeft == (k.OpsPerWave*w.barriers)/(k.Barriers+1) {
+					w.barriers--
+					w.atBar = true
+					w.wg.barWait++
+					if w.wg.barWait == len(w.wg.waves) {
+						for j := range w.wg.waves {
+							ww := &w.wg.waves[j]
+							if !ww.done {
+								ww.atBar = false
+								if ww.readyAt < cycle+1 {
+									ww.readyAt = cycle + 1
+								}
+								lowerWake(ww.idx, ww.readyAt)
 							}
 						}
+						w.wg.barWait = 0
 					}
-					w.wg.barWait = 0
 				}
-			}
-			if w.opsLeft <= 0 {
-				if w.atBar {
-					// A wave finishing at a barrier releases it.
-					w.wg.barWait--
-					w.atBar = false
+				if w.opsLeft <= 0 {
+					if w.atBar {
+						// A wave finishing at a barrier releases it.
+						w.wg.barWait--
+						w.atBar = false
+					}
+					finish(w)
 				}
-				finish(w)
+				wake[i] = w.wakeAt()
+				m = min(m, wake[i])
 			}
+			blockMin[b] = min(blockMin[b], m)
+		}
+		// Waves placed during the scan: the last block's reset may
+		// have dropped them from its minimum.
+		for i := n; i < len(wake); i++ {
+			lowerWake(i, wake[i])
 		}
 		if progressed {
 			cycle++
 			continue
 		}
 		// Nothing issued: jump to the next wake-up.
-		if nextReady == ^uint64(0) || nextReady <= cycle {
+		if nextReady == never || nextReady <= cycle {
 			cycle++
 		} else {
 			cycle = nextReady
@@ -477,6 +547,22 @@ func Run(cfg Config, k KernelDesc, alloc Allocator) (Result, error) {
 		res.AvgOccupancy = float64(occupancySum) / float64(occupancySamples) / float64(cfg.CUs)
 	}
 	return res, nil
+}
+
+// dueIn returns which of up to 64 wakes have come by cycle, one bit
+// each, and the least of the rest. It does not branch on the wakes,
+// which follow no pattern a predictor could learn.
+func dueIn(wakes []uint64, cycle uint64) (due uint, later uint64) {
+	later = never
+	for i, at := range wakes {
+		var d uint
+		if at <= cycle {
+			d, at = 1, never
+		}
+		due |= d << (i & 63)
+		later = min(later, at)
+	}
+	return due, later
 }
 
 func max64(a, b uint64) uint64 {

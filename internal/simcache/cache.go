@@ -260,7 +260,14 @@ func (c *Cache) lookupPersistent(key string, now time.Time) (database.Doc, bool)
 	if res == nil {
 		return nil, false
 	}
-	c.admit(key, res, now)
+	// Store recorded the result's size; a document without one is sized
+	// here.
+	sz, ok := d["size"].(float64)
+	size := int(sz)
+	if !ok {
+		size = docSize(res)
+	}
+	c.admit(key, res, size, now)
 	c.n.hitsPersistent.Add(1)
 	return storage.CloneDoc(res), true
 }
@@ -270,25 +277,26 @@ func (c *Cache) lookupPersistent(key string, now time.Time) (database.Doc, bool)
 func (c *Cache) Store(key string, result database.Doc) {
 	now := c.opts.now()
 	cp := storage.CloneDoc(result)
+	size := docSize(cp)
 	doc := database.Doc{
 		"salt":         c.opts.Salt,
 		"created_unix": float64(now.Unix()),
 		"result":       cp,
-		"size":         float64(docSize(cp)),
+		"size":         float64(size),
 	}
 	col := c.db.Collection(ResultCollection)
 	if ok, err := col.UpdateOne(database.Doc{"_id": key}, doc); err != nil || !ok {
 		doc["_id"] = key
 		_, _ = col.InsertOne(doc) // a concurrent Store already won: fine
 	}
-	c.admit(key, cp, now)
+	c.admit(key, cp, size, now)
 	c.n.stores.Add(1)
 }
 
-// admit inserts (or refreshes) a memory-tier entry and enforces the
-// entry and byte bounds, evicting from the LRU tail.
-func (c *Cache) admit(key string, doc database.Doc, now time.Time) {
-	size := docSize(doc)
+// admit inserts (or refreshes) a memory-tier entry of size bytes (its
+// docSize) and enforces the entry and byte bounds, evicting from the LRU
+// tail.
+func (c *Cache) admit(key string, doc database.Doc, size int, now time.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {

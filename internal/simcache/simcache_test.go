@@ -11,9 +11,13 @@ import (
 	"gem5art/internal/database"
 )
 
-func memDB(t *testing.T) database.Store {
+func memDB(t *testing.T) database.Store { return openDB(t, "") }
+
+// openDB opens the store in dir ("" for memory) and closes it when the
+// test ends.
+func openDB(t *testing.T, dir string) database.Store {
 	t.Helper()
-	db, err := database.Open("")
+	db, err := database.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,6 +104,47 @@ func TestLookupStoreAndPersistentPromotion(t *testing.T) {
 	}
 	if st := c2.Stats(); st.HitsMemory != 1 {
 		t.Fatalf("promotion did not serve from memory: %+v", st)
+	}
+}
+
+// TestPersistentHitReusesRecordedSize checks that a persistent hit
+// charges the memory tier the size Store recorded, on a store reopened
+// from disk too, and that a document without one is sized afresh.
+func TestPersistentHitReusesRecordedSize(t *testing.T) {
+	result := database.Doc{"Outcome": "success", "Stats": map[string]any{"ipc": 1.25, "insts": float64(7)}}
+	dir := t.TempDir()
+	db, err := database.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := New(db, Options{})
+	c.Store("k", result)
+	want := c.Stats().MemoryBytes
+	if want != int64(docSize(result)) {
+		t.Fatalf("Store charged %d bytes, docSize says %d", want, docSize(result))
+	}
+	_ = db.Close()
+
+	db = openDB(t, dir)
+	fresh := New(db, Options{})
+	if _, ok := fresh.Lookup("k"); !ok {
+		t.Fatal("persistent lookup missed")
+	}
+	if got := fresh.Stats().MemoryBytes; got != want {
+		t.Fatalf("persistent hit charged %d bytes, Store %d", got, want)
+	}
+
+	// A result document without a recorded size.
+	col := db.Collection(ResultCollection)
+	if _, err := col.InsertOne(database.Doc{"_id": "unsized", "salt": SimVersionSalt,
+		"created_unix": float64(time.Now().Unix()), "result": result}); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := fresh.Lookup("unsized"); !ok {
+		t.Fatal("lookup of unsized document missed")
+	}
+	if got := fresh.Stats().MemoryBytes; got != 2*want {
+		t.Fatalf("unsized hit: memory tier holds %d bytes, want %d", got, 2*want)
 	}
 }
 
