@@ -21,7 +21,8 @@
 // path to a JSON model file; per-component joules, average watts, and
 // EDP print after the run (and appear in the stat dump). -energy-check
 // validates a model file (or preset) and reports which of its activity
-// counters the chosen configuration provides, without simulating:
+// counters the chosen configuration provides on the engine the same
+// flags would boot (monolithic unless -parallel), without simulating:
 //
 //	gem5sim -workload boot -cpu O3CPU -mem ruby.MESI_Two_Level -energy auto
 //	gem5sim -energy-check mymodel.json -cpu O3CPU -mem classic
@@ -30,6 +31,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -75,7 +77,7 @@ func main() {
 	}
 	traceInsts = *trace
 	if *energyCheck != "" {
-		if err := checkEnergy(*energyCheck, *cpuModel, *memSys); err != nil {
+		if err := checkEnergy(os.Stdout, *energyCheck, *cpuModel, *memSys, *cores, *parallel); err != nil {
 			fmt.Fprintln(os.Stderr, "gem5sim:", err)
 			os.Exit(1)
 		}
@@ -183,10 +185,11 @@ func printEnergy(m *energy.Model, stats map[string]float64) {
 }
 
 // checkEnergy is the -energy-check dry run: resolve and validate the
-// model against the -cpu/-mem configuration, then report each
-// component's counters and which ones that configuration would not
+// model against the -cpu/-mem/-cores configuration on the engine the
+// same flags would boot (parallel only when -parallel > 0), then report
+// each component's counters and which ones that system would not
 // provide — without running a simulation.
-func checkEnergy(spec, cpuModel, memSys string) error {
+func checkEnergy(w io.Writer, spec, cpuModel, memSys string, cores, parallel int) error {
 	m, err := energy.Resolve(spec, cpuModel, memSys)
 	if err != nil {
 		return err
@@ -196,18 +199,20 @@ func checkEnergy(spec, cpuModel, memSys string) error {
 	default:
 		return fmt.Errorf("unknown memory system %q", memSys)
 	}
-	// Build the target configuration's stat groups (no simulation, just
-	// registration) and attach to see what resolves.
-	system := cpu.NewParallelSystem(cpu.Config{Model: cpu.Model(cpuModel), Cores: 1},
-		memSys, mem.ClassicConfig{}, 1)
-	unmatched := energy.Attach(system.Stats(), m, energy.AttachOptions{})
+	unmatched := kernel.UnmatchedEnergy(kernel.Spec{CPU: cpu.Model(cpuModel), Mem: memSys, Cores: cores},
+		kernel.BootOptions{Workers: parallel, Energy: m})
 	missing := map[string]bool{}
 	for _, u := range unmatched {
 		missing[u] = true
 	}
-	fmt.Printf("model %s: valid (%d components, salt %s)\n", m.Name, len(m.Components), m.Salt())
+	engine := "monolithic"
+	if parallel > 0 {
+		engine = "parallel"
+	}
+	fmt.Fprintf(w, "model %s: valid (%d components, salt %s)\n", m.Name, len(m.Components), m.Salt())
+	fmt.Fprintf(w, "engine: %s\n", engine)
 	for _, c := range m.Components {
-		fmt.Printf("  %s: static %.3f W + %.3f W/GHz\n", c.Name, c.StaticW, c.StaticWPerGHz)
+		fmt.Fprintf(w, "  %s: static %.3f W + %.3f W/GHz\n", c.Name, c.StaticW, c.StaticWPerGHz)
 		counters := make([]string, 0, len(c.Dynamic))
 		for n := range c.Dynamic {
 			counters = append(counters, n)
@@ -218,13 +223,13 @@ func checkEnergy(spec, cpuModel, memSys string) error {
 			if missing[c.Name+":"+n] {
 				note = "  (not provided by " + cpuModel + "/" + memSys + "; contributes 0)"
 			}
-			fmt.Printf("    %-40s %10.1f pJ/event%s\n", n, c.Dynamic[n], note)
+			fmt.Fprintf(w, "    %-40s %10.1f pJ/event%s\n", n, c.Dynamic[n], note)
 		}
 	}
 	if len(unmatched) == 0 {
-		fmt.Println("all counters resolve against this configuration")
+		fmt.Fprintln(w, "all counters resolve against this configuration")
 	} else {
-		fmt.Printf("%d counter(s) unmatched: %s\n", len(unmatched), strings.Join(unmatched, ", "))
+		fmt.Fprintf(w, "%d counter(s) unmatched: %s\n", len(unmatched), strings.Join(unmatched, ", "))
 	}
 	return nil
 }

@@ -6,21 +6,13 @@ import (
 )
 
 // Energy analysis: metric selectors for GroupBy/BarChart over the
-// energy columns, a CSV export with joules/watts/EDP, and series
-// differencing for A-vs-B comparisons (which configuration costs more
-// energy, Figure 6 style).
+// energy columns and a CSV export with joules/watts/EDP.
 
 // MetricJoules selects a run's total energy.
 func MetricJoules(r RunRow) float64 { return r.Joules }
 
-// MetricWatts selects a run's average power.
-func MetricWatts(r RunRow) float64 { return r.Watts }
-
 // MetricEDP selects a run's energy-delay product.
 func MetricEDP(r RunRow) float64 { return r.EDP }
-
-// MetricSimSeconds selects a run's simulated time.
-func MetricSimSeconds(r RunRow) float64 { return r.SimSeconds }
 
 // EnergyCSV writes one line per run with the energy columns alongside
 // the run identity: name, the requested params (in order), status,
@@ -42,16 +34,4 @@ func EnergyCSV(w io.Writer, rows []RunRow, params ...string) error {
 		out = append(out, rec)
 	}
 	return WriteCSV(w, header, out)
-}
-
-// Diff returns a-b per label (labels follow a; labels absent from b
-// contribute b=0), named "a-b". With BarChart's negative-value bars
-// this renders which side of a comparison costs more.
-func Diff(a, b Series) Series {
-	out := Series{Name: a.Name + "-" + b.Name}
-	for i, l := range a.Labels {
-		out.Labels = append(out.Labels, l)
-		out.Values = append(out.Values, a.Values[i]-b.Value(l))
-	}
-	return out
 }

@@ -45,13 +45,6 @@ func (r *Run) computeCacheKey() string {
 			hashes = append(hashes, a.Hash)
 		}
 	}
-	salt := ""
-	if r.Spec.Parallel > 0 {
-		// The parallel engine's results differ from the monolithic
-		// engine's by design; never replay one as the other. The worker
-		// count is excluded: results are worker-count-independent.
-		salt = simcache.ParallelSalt
-	}
 	params := r.Spec.Params
 	if r.Spec.Energy != "" {
 		// An energy-enabled run produces a different result document
@@ -69,7 +62,6 @@ func (r *Run) computeCacheKey() string {
 		Kind:      r.Mode + ":" + r.Spec.RunScript,
 		Artifacts: hashes,
 		Params:    params,
-		Salt:      salt,
 	}.Key()
 }
 

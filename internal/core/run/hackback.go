@@ -6,7 +6,6 @@ import (
 	"gem5art/internal/energy"
 	"gem5art/internal/sim"
 	"gem5art/internal/sim/cpu"
-	"gem5art/internal/sim/mem"
 	"gem5art/internal/simcache"
 	"gem5art/internal/workloads"
 )
@@ -117,58 +116,25 @@ func runHackBack(r *Run) (*Results, error) {
 	if err != nil {
 		return nil, err
 	}
-	var res cpu.Result
+	detMem, err := buildMemParam(memKind, cores)
+	if err != nil {
+		return nil, err
+	}
+	detailed := cpu.NewSystem(cpu.Config{Model: model, Cores: cores}, detMem)
 	// Energy accounts the detailed phase-2 system only: the fast KVM
 	// boot is shared across the whole class, so charging it to one run
 	// would make identical scripts report different joules depending on
 	// who happened to pay for the boot.
-	var detStats map[string]float64
-	if r.Spec.Parallel > 0 {
-		if err := validMemKind(memKind); err != nil {
-			return nil, err
-		}
-		detailed := cpu.NewParallelSystem(cpu.Config{Model: model, Cores: cores},
-			memKind, mem.ClassicConfig{}, r.Spec.Parallel)
-		defer detailed.Close()
-		if emodel != nil {
-			energy.Attach(detailed.Stats(), emodel, energy.AttachOptions{})
-		}
-		for c := 0; c < cores; c++ {
-			detailed.LoadProgram(c, prog)
-		}
-		// Carry the booted memory image over; the script starts at its own
-		// entry point, so core state resets rather than restoring.
-		if err := detailed.LoadMemImage(ck.Mem); err != nil {
-			return nil, err
-		}
-		stopWatch := watchSim(r.ID, detailed.Scheduler(), r.stallDeadline())
-		res = detailed.Run(sim.TicksPerSecond)
-		if serr := stopWatch(); serr != nil && !res.Finished {
-			return nil, serr
-		}
-		if emodel != nil {
-			detStats = detailed.Stats().Values()
-		}
-	} else {
-		detMem, err := buildMemParam(memKind, cores)
-		if err != nil {
-			return nil, err
-		}
-		detailed := cpu.NewSystem(cpu.Config{Model: model, Cores: cores}, detMem)
-		if emodel != nil {
-			energy.Attach(detailed.Stats(), emodel, energy.AttachOptions{}, detMem.Stats())
-		}
-		for c := 0; c < cores; c++ {
-			detailed.LoadProgram(c, prog)
-		}
-		if err := detMem.Store().LoadSnapshot(ck.Mem); err != nil {
-			return nil, err
-		}
-		res = detailed.Run(sim.TicksPerSecond)
-		if emodel != nil {
-			detStats = detailed.Stats().Values()
-		}
+	if emodel != nil {
+		energy.Attach(detailed.Stats(), emodel, energy.AttachOptions{}, detMem.Stats())
 	}
+	for c := 0; c < cores; c++ {
+		detailed.LoadProgram(c, prog)
+	}
+	if err := detMem.Store().LoadSnapshot(ck.Mem); err != nil {
+		return nil, err
+	}
+	res := detailed.Run(sim.TicksPerSecond)
 	outcome := "success"
 	if !res.Finished {
 		outcome = "timeout"
@@ -188,8 +154,10 @@ func runHackBack(r *Run) (*Results, error) {
 		"script_insts": float64(res.Insts),
 		"sim_seconds":  res.SimTicks.Seconds(),
 	}
-	for k, v := range detStats {
-		stats[k] = v
+	if emodel != nil {
+		for k, v := range detailed.Stats().Values() {
+			stats[k] = v
+		}
 	}
 	return &Results{
 		Outcome:     outcome,

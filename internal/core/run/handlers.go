@@ -12,7 +12,6 @@ import (
 	"gem5art/internal/sim/cpu"
 	"gem5art/internal/sim/gpu"
 	"gem5art/internal/sim/kernel"
-	"gem5art/internal/sim/mem"
 	"gem5art/internal/workloads"
 )
 
@@ -35,15 +34,6 @@ var handlers = map[string]Handler{
 func handler(script string) (Handler, bool) {
 	h, ok := handlers[script]
 	return h, ok
-}
-
-// Scripts returns the run scripts with registered handlers.
-func Scripts() []string {
-	out := make([]string, 0, len(handlers))
-	for s := range handlers {
-		out = append(out, s)
-	}
-	return out
 }
 
 // loadImage fetches and parses the run's disk image artifact.
@@ -155,7 +145,7 @@ func runBootExit(r *Run) (*Results, error) {
 		return nil, err
 	}
 	res := kernel.BootWith(spec, workloads.BootBudget,
-		kernel.BootOptions{Workers: r.Spec.Parallel, Energy: emodel})
+		kernel.BootOptions{Energy: emodel})
 	stats := map[string]float64{
 		"sim_seconds": res.SimTicks.Seconds(),
 		"sim_insts":   float64(res.Insts),
@@ -270,43 +260,19 @@ func execBinary(r *Run, bin []byte) (*Results, error) {
 	if err != nil {
 		return nil, err
 	}
-	var res cpu.Result
-	var stats map[string]float64
-	if r.Spec.Parallel > 0 {
-		if err := validMemKind(memKind); err != nil {
-			return nil, err
-		}
-		system := cpu.NewParallelSystem(cpu.Config{Model: model, Cores: cores},
-			memKind, mem.ClassicConfig{}, r.Spec.Parallel)
-		defer system.Close()
-		if emodel != nil {
-			energy.Attach(system.Stats(), emodel, energy.AttachOptions{})
-		}
-		for i := 0; i < cores; i++ {
-			system.LoadProgram(i, prog)
-		}
-		stopWatch := watchSim(r.ID, system.Scheduler(), r.stallDeadline())
-		res = system.Run(sim.TicksPerSecond) // 1 s simulated budget
-		if serr := stopWatch(); serr != nil && !res.Finished {
-			return nil, serr
-		}
-		stats = system.Stats().Values()
-	} else {
-		memSys, err := buildMemParam(memKind, cores)
-		if err != nil {
-			return nil, err
-		}
-		system := cpu.NewSystem(cpu.Config{Model: model, Cores: cores}, memSys)
-		if emodel != nil {
-			// Monolithic memory counters live in their own group.
-			energy.Attach(system.Stats(), emodel, energy.AttachOptions{}, memSys.Stats())
-		}
-		for i := 0; i < cores; i++ {
-			system.LoadProgram(i, prog)
-		}
-		res = system.Run(sim.TicksPerSecond)
-		stats = system.Stats().Values()
+	memSys, err := buildMemParam(memKind, cores)
+	if err != nil {
+		return nil, err
 	}
+	system := cpu.NewSystem(cpu.Config{Model: model, Cores: cores}, memSys)
+	if emodel != nil {
+		// Monolithic memory counters live in their own group.
+		energy.Attach(system.Stats(), emodel, energy.AttachOptions{}, memSys.Stats())
+	}
+	for i := 0; i < cores; i++ {
+		system.LoadProgram(i, prog)
+	}
+	res := system.Run(sim.TicksPerSecond) // 1 s simulated budget
 	outcome := "success"
 	if !res.Finished {
 		outcome = "timeout"
@@ -315,7 +281,7 @@ func execBinary(r *Run, bin []byte) (*Results, error) {
 		Outcome:    outcome,
 		SimSeconds: res.SimTicks.Seconds(),
 		Insts:      res.Insts,
-		Stats:      stats,
+		Stats:      system.Stats().Values(),
 		Console:    res.Console,
 		ConfigINI:  renderConfig(string(model), cores, memKind, prog.Name),
 	}, nil

@@ -32,16 +32,6 @@ func buildMemParam(name string, cores int) (mem.System, error) {
 	return nil, fmt.Errorf("run: unknown memory system %q", name)
 }
 
-// validMemKind checks a mem_sys parameter without building a hierarchy —
-// the parallel engine constructs its own from the name.
-func validMemKind(name string) error {
-	switch name {
-	case "classic", "ruby.MI_example", "ruby.MESI_Two_Level":
-		return nil
-	}
-	return fmt.Errorf("run: unknown memory system %q", name)
-}
-
 // workloadsNPB builds a small encoded binary for SE-mode tests.
 func workloadsNPB() ([]byte, error) {
 	p, err := workloads.NPBProgram("ep", workloads.NPBClassS, 0)

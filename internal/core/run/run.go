@@ -57,13 +57,6 @@ type FSSpec struct {
 	Params  []string // "key=value" arguments to the run script
 	Timeout time.Duration
 
-	// Parallel > 0 executes the simulation on the parallel component/port
-	// engine with that many workers. The engine is a distinct timing
-	// model, so it salts the cache key (simcache.ParallelSalt); the worker
-	// count does not participate in the key because parallel results are
-	// identical for every worker count.
-	Parallel int
-
 	// Energy enables per-component energy accounting: a built-in preset
 	// name (energy.PresetNames), "auto" to compose the preset matching
 	// the run's cpu/mem_sys parameters, or a path to a JSON model file.
@@ -577,9 +570,4 @@ func paramsAny(ps []string) []any {
 		out[i] = p
 	}
 	return out
-}
-
-// Find queries run documents.
-func Find(db database.Store, filter database.Doc) []database.Doc {
-	return db.Collection(Collection).Find(filter)
 }

@@ -251,7 +251,7 @@ func TestExecuteGPURun(t *testing.T) {
 			t.Fatalf("%s: stats: %v", alloc, r.Results.Stats)
 		}
 	}
-	docs := Find(e.reg.DB(), database.Doc{"status": "done"})
+	docs := e.reg.DB().Collection(Collection).Find(database.Doc{"status": "done"})
 	if len(docs) != 2 {
 		t.Fatalf("%d done runs", len(docs))
 	}

@@ -3,7 +3,6 @@ package tasks
 import (
 	"encoding/json"
 	"fmt"
-	"strings"
 )
 
 // FailureBundle is the structured diagnostic a worker attaches to a job
@@ -12,10 +11,10 @@ import (
 // then a JSON trailer — so the wire protocol and the durable queue
 // carry it unchanged, retry classification still works on the head
 // line's markers ("panicked" is retryable under DefaultRetryable), and
-// the launcher can recover the full bundle with ParseFailureBundle for
-// its diagnostics.
+// a reader recovers the full bundle by decoding the JSON after
+// bundleMarker.
 type FailureBundle struct {
-	Reason  string `json:"reason"` // what was recovered: "panic", "stall"
+	Reason  string `json:"reason"` // what was recovered: "panic"
 	Error   string `json:"error"`  // the recovered value / root error
 	Stack   string `json:"stack,omitempty"`
 	JobID   string `json:"job_id,omitempty"`
@@ -47,20 +46,6 @@ func (b *FailureBundle) Encode() string {
 		return head
 	}
 	return head + bundleMarker + string(raw)
-}
-
-// ParseFailureBundle extracts the structured bundle from a result error
-// string, reporting false for plain errors without one.
-func ParseFailureBundle(msg string) (*FailureBundle, bool) {
-	i := strings.Index(msg, bundleMarker)
-	if i < 0 {
-		return nil, false
-	}
-	var b FailureBundle
-	if err := json.Unmarshal([]byte(msg[i+len(bundleMarker):]), &b); err != nil {
-		return nil, false
-	}
-	return &b, true
 }
 
 // runKeyFromPayload pulls a run identity out of a job payload for the

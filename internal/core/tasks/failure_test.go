@@ -85,7 +85,7 @@ func TestPanicBundleDeliveredInResult(t *testing.T) {
 		if res.Err == "" {
 			t.Fatal("panicking job reported success")
 		}
-		bundle, ok := ParseFailureBundle(res.Err)
+		bundle, ok := parseFailureBundle(res.Err)
 		if !ok {
 			t.Fatalf("no bundle in result error: %q", res.Err)
 		}
@@ -123,14 +123,14 @@ func TestFailureBundleRoundTrip(t *testing.T) {
 	if !(RetryPolicy{}).RetryableMessage(msg) {
 		t.Fatal("encoded panic failure not classified retryable")
 	}
-	got, ok := ParseFailureBundle(msg)
+	got, ok := parseFailureBundle(msg)
 	if !ok {
 		t.Fatalf("bundle did not parse back from %q", msg)
 	}
 	if got.RunKey != b.RunKey || got.Stack != b.Stack || len(got.Faults) != 1 {
 		t.Fatalf("bundle round-trip mismatch: %+v", got)
 	}
-	if _, ok := ParseFailureBundle("plain error, no bundle"); ok {
+	if _, ok := parseFailureBundle("plain error, no bundle"); ok {
 		t.Fatal("plain error parsed as a bundle")
 	}
 }
@@ -151,4 +151,18 @@ func TestRunKeyFromPayload(t *testing.T) {
 			t.Fatalf("runKeyFromPayload(%q) = %q, want %q", raw, got, want)
 		}
 	}
+}
+
+// parseFailureBundle extracts the structured bundle from a result error
+// string, reporting false for plain errors without one.
+func parseFailureBundle(msg string) (*FailureBundle, bool) {
+	i := strings.Index(msg, bundleMarker)
+	if i < 0 {
+		return nil, false
+	}
+	var b FailureBundle
+	if err := json.Unmarshal([]byte(msg[i+len(bundleMarker):]), &b); err != nil {
+		return nil, false
+	}
+	return &b, true
 }

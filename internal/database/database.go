@@ -49,10 +49,6 @@ type (
 // artifact deduplication throughout gem5art.
 func HashBytes(data []byte) string { return storage.HashBytes(data) }
 
-// Matches reports whether document d satisfies filter (see
-// storage.Matches for the semantics).
-func Matches(d, filter Doc) bool { return storage.Matches(d, filter) }
-
 // Options selects and tunes the engine's durability path.
 type Options struct {
 	// Journal enables the append-only journal: mutations append records

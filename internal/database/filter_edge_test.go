@@ -1,6 +1,10 @@
 package database
 
-import "testing"
+import (
+	"testing"
+
+	"gem5art/internal/database/storage"
+)
 
 // Edge cases of Matches: nested (dotted) field traversal, missing
 // fields, type mismatches, and malformed operator arguments — the
@@ -45,8 +49,8 @@ func TestMatchesNestedFields(t *testing.T) {
 		}}, false},
 	}
 	for _, c := range cases {
-		if got := Matches(d, c.filter); got != c.want {
-			t.Errorf("%s: Matches(%v) = %v, want %v", c.name, c.filter, got, c.want)
+		if got := storage.Matches(d, c.filter); got != c.want {
+			t.Errorf("%s: storage.Matches(%v) = %v, want %v", c.name, c.filter, got, c.want)
 		}
 	}
 }
@@ -73,8 +77,8 @@ func TestMatchesMissingFields(t *testing.T) {
 		{"$contains on missing field", Doc{"outcome": Doc{"$contains": "succ"}}, false},
 	}
 	for _, c := range cases {
-		if got := Matches(d, c.filter); got != c.want {
-			t.Errorf("%s: Matches(%v) = %v, want %v", c.name, c.filter, got, c.want)
+		if got := storage.Matches(d, c.filter); got != c.want {
+			t.Errorf("%s: storage.Matches(%v) = %v, want %v", c.name, c.filter, got, c.want)
 		}
 	}
 }
@@ -103,8 +107,8 @@ func TestMatchesTypeMismatches(t *testing.T) {
 		{"list field vs scalar", Doc{"params": "cores=4"}, false},
 	}
 	for _, c := range cases {
-		if got := Matches(d, c.filter); got != c.want {
-			t.Errorf("%s: Matches(%v) = %v, want %v", c.name, c.filter, got, c.want)
+		if got := storage.Matches(d, c.filter); got != c.want {
+			t.Errorf("%s: storage.Matches(%v) = %v, want %v", c.name, c.filter, got, c.want)
 		}
 	}
 }
@@ -126,8 +130,8 @@ func TestMatchesMalformedOperators(t *testing.T) {
 		{"$exists non-bool arg means false", Doc{"outcome": Doc{"$exists": "yes"}}, true},
 	}
 	for _, c := range cases {
-		if got := Matches(d, c.filter); got != c.want {
-			t.Errorf("%s: Matches(%v) = %v, want %v", c.name, c.filter, got, c.want)
+		if got := storage.Matches(d, c.filter); got != c.want {
+			t.Errorf("%s: storage.Matches(%v) = %v, want %v", c.name, c.filter, got, c.want)
 		}
 	}
 }

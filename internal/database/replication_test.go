@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+
+	"gem5art/internal/database/storage"
 )
 
 // openDB opens a concrete *DB for replication tests, which exercise
@@ -321,7 +323,7 @@ func TestStandbyMaintainsPlainIndexes(t *testing.T) {
 		for _, launch := range []string{"l0", "l1", "l2", "nope"} {
 			want := 0
 			for _, d := range all {
-				if Matches(d, Doc{"launch_id": launch}) {
+				if storage.Matches(d, Doc{"launch_id": launch}) {
 					want++
 				}
 			}

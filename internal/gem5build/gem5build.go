@@ -107,9 +107,3 @@ func Build(reg *artifact.Registry, repoArt *artifact.Artifact, repo *gitstore.Re
 		Inputs:  []*artifact.Artifact{repoArt},
 	})
 }
-
-// SupportsGPU reports whether a gem5 binary artifact was built with the
-// GCN3 GPU model — the check use case 3's run script performs.
-func SupportsGPU(binary *artifact.Artifact) bool {
-	return strings.Contains(binary.Path, "GCN3_")
-}

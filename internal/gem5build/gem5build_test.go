@@ -81,16 +81,6 @@ func TestGPUVariant(t *testing.T) {
 	if gpuBin.Path != "gem5/build/GCN3_X86/gem5.opt" {
 		t.Fatalf("gpu path = %s", gpuBin.Path)
 	}
-	if !SupportsGPU(gpuBin) {
-		t.Fatal("GCN3 build not recognized")
-	}
-	cpuBin, err := Build(reg, repoArt, repo, rev, StaticConfig{ISA: "X86"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if SupportsGPU(cpuBin) {
-		t.Fatal("plain X86 build claims GPU support")
-	}
 }
 
 func TestConfigValidation(t *testing.T) {

@@ -179,52 +179,3 @@ func hashCommit(url, parent, message string, tree Tree) string {
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
-
-// Store is a collection of repositories keyed by URL — the analogue of the
-// set of remotes (gem5.googlesource.com, kernel.org, ...) an experiment
-// clones from.
-type Store struct {
-	mu    sync.RWMutex
-	repos map[string]*Repo
-}
-
-// NewStore creates an empty repository store.
-func NewStore() *Store {
-	return &Store{repos: make(map[string]*Repo)}
-}
-
-// Create creates a new repository with the given URL. Creating a URL that
-// already exists returns the existing repository.
-func (s *Store) Create(url string) *Repo {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if r, ok := s.repos[url]; ok {
-		return r
-	}
-	r := NewRepo(url)
-	s.repos[url] = r
-	return r
-}
-
-// Clone returns the repository at url, mirroring `git clone`.
-func (s *Store) Clone(url string) (*Repo, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	r, ok := s.repos[url]
-	if !ok {
-		return nil, fmt.Errorf("gitstore: no repository at %q", url)
-	}
-	return r, nil
-}
-
-// URLs returns all repository URLs in sorted order.
-func (s *Store) URLs() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.repos))
-	for u := range s.repos {
-		out = append(out, u)
-	}
-	sort.Strings(out)
-	return out
-}

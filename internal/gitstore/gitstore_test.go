@@ -126,27 +126,6 @@ func TestReadFileMissing(t *testing.T) {
 	}
 }
 
-func TestStoreCloneAndCreate(t *testing.T) {
-	s := NewStore()
-	r1 := s.Create("https://gem5")
-	r2 := s.Create("https://gem5")
-	if r1 != r2 {
-		t.Fatal("Create of existing URL returned a new repo")
-	}
-	if _, err := s.Clone("https://nope"); err == nil {
-		t.Fatal("Clone of unknown URL succeeded")
-	}
-	got, err := s.Clone("https://gem5")
-	if err != nil || got != r1 {
-		t.Fatalf("Clone = %v, %v", got, err)
-	}
-	s.Create("https://linux")
-	urls := s.URLs()
-	if len(urls) != 2 || urls[0] != "https://gem5" || urls[1] != "https://linux" {
-		t.Fatalf("URLs = %v", urls)
-	}
-}
-
 // Property: committing any tree and checking it out returns the same
 // content, and the revision hash is deterministic for the same history.
 func TestCheckoutRoundTripProperty(t *testing.T) {

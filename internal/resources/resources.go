@@ -9,7 +9,6 @@ package resources
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -102,9 +101,8 @@ type CompatStatus string
 
 // Compatibility states.
 const (
-	StatusSupported   CompatStatus = "supported"
-	StatusUntested    CompatStatus = "untested"
-	StatusUnsupported CompatStatus = "unsupported"
+	StatusSupported CompatStatus = "supported"
+	StatusUntested  CompatStatus = "untested"
 )
 
 // Gem5Releases lists the simulator releases the status page tracks.
@@ -156,11 +154,4 @@ func Table() string {
 		fmt.Fprintf(&sb, "%-14s %-22s %s\n", r.Name, strings.Join(kinds, " / "), desc)
 	}
 	return sb.String()
-}
-
-// SortedNames returns names alphabetically (for deterministic CLIs).
-func SortedNames() []string {
-	names := Names()
-	sort.Strings(names)
-	return names
 }

@@ -182,15 +182,3 @@ func TestTableRendering(t *testing.T) {
 		t.Fatalf("table should have header + 17 rows:\n%s", tbl)
 	}
 }
-
-func TestSortedNames(t *testing.T) {
-	names := SortedNames()
-	if len(names) != 17 {
-		t.Fatal("wrong count")
-	}
-	for i := 1; i < len(names); i++ {
-		if names[i-1] > names[i] {
-			t.Fatalf("not sorted at %d: %v", i, names)
-		}
-	}
-}

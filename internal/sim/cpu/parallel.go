@@ -17,7 +17,7 @@ import (
 // are bit-identical across worker counts (the golden-stats test in
 // parallel_test.go pins this), but differ from the monolithic engine —
 // loads and stores hit private replicas and coherence actions travel as
-// messages — so runs through this engine carry their own simcache salt.
+// messages — so the run layer, whose results are cached, never runs it.
 //
 // Model mapping (documented deltas from the monolithic engine):
 //   - L1 hits are core-local and cost the same hitLat.
@@ -38,7 +38,6 @@ type ParallelSystem struct {
 	stats   *sim.StatGroup
 	groups  []*sim.StatGroup // merge sources: per-core + controller
 
-	resumeTick    sim.Tick // checkpoint restore: first step no earlier than this
 	reportedInsts uint64
 }
 
@@ -152,7 +151,7 @@ func NewParallelSystem(cfg Config, memKind string, mcfg mem.ClassicConfig, worke
 // Workers returns the scheduler's worker count.
 func (ps *ParallelSystem) Workers() int { return ps.sched.Workers() }
 
-// Scheduler exposes the underlying scheduler (the run watchdog and the
+// Scheduler exposes the underlying scheduler (kernel.BootWith and the
 // benchmarks read its counters).
 func (ps *ParallelSystem) Scheduler() *sim.Scheduler { return ps.sched }
 
@@ -186,11 +185,7 @@ func (ps *ParallelSystem) Run(maxTicks sim.Tick) Result {
 	done := sim.RunScope()
 	for _, c := range ps.cores {
 		if c.prog != nil && !c.done && c.wait == waitNone {
-			at := ps.resumeTick
-			if at < c.comp.Now() {
-				at = c.comp.Now()
-			}
-			c.comp.Schedule(at, c.stepFn)
+			c.comp.Schedule(c.comp.Now(), c.stepFn)
 		}
 	}
 	if maxTicks == 0 {
@@ -229,83 +224,6 @@ func (ps *ParallelSystem) Run(maxTicks sim.Tick) Result {
 	sim.CountInstructions(res.Insts - ps.reportedInsts)
 	ps.reportedInsts = res.Insts
 	return res
-}
-
-// SaveCheckpoint snapshots architectural state. The functional image is
-// the authoritative store overlaid with each core's private replica in
-// core order (deterministic last-writer-wins on aliased pages). Unlike
-// the monolithic system, the parallel engine requires every core to be
-// quiesced — no partial batch, no request in flight — which holds after
-// any Run that completed; a mid-wait save would drop in-flight messages,
-// so it panics instead of silently corrupting.
-func (ps *ParallelSystem) SaveCheckpoint() *Checkpoint {
-	tick := ps.sched.Now()
-	if ps.resumeTick > tick { // restored but not yet re-run
-		tick = ps.resumeTick
-	}
-	ck := &Checkpoint{Tick: tick}
-	for _, c := range ps.cores {
-		if c.wait != waitNone || c.outstanding > 0 || c.executed > 0 {
-			panic(fmt.Sprintf("cpu: checkpoint of unquiesced core %d (wait=%d outstanding=%d)",
-				c.id, c.wait, c.outstanding))
-		}
-	}
-	for _, c := range ps.cores {
-		ck.Cores = append(ck.Cores, CoreState{
-			Regs:  c.state.Regs,
-			PC:    c.state.PC,
-			Done:  c.done,
-			Insts: c.insts,
-		})
-	}
-	merged := mem.NewBackingStore()
-	merged.Overlay(ps.ctrl.Store())
-	for _, c := range ps.cores {
-		merged.Overlay(c.store)
-	}
-	ck.Mem = merged.Snapshot()
-	return ck
-}
-
-// RestoreCheckpoint loads a snapshot: the memory image is broadcast to
-// the authoritative store and every core replica, and simulation resumes
-// at the checkpoint tick.
-func (ps *ParallelSystem) RestoreCheckpoint(ck *Checkpoint) error {
-	if len(ck.Cores) != len(ps.cores) {
-		return fmt.Errorf("cpu: checkpoint has %d cores, system has %d",
-			len(ck.Cores), len(ps.cores))
-	}
-	for i, cs := range ck.Cores {
-		c := ps.cores[i]
-		if c.prog == nil && !cs.Done {
-			return fmt.Errorf("cpu: core %d has no program loaded", i)
-		}
-		c.state.Regs = cs.Regs
-		c.state.PC = cs.PC
-		c.done = cs.Done
-		c.insts = cs.Insts
-	}
-	if err := ps.LoadMemImage(ck.Mem); err != nil {
-		return err
-	}
-	ps.resumeTick = ck.Tick
-	return nil
-}
-
-// LoadMemImage loads a functional memory snapshot into the authoritative
-// store and every core replica — the parallel analogue of
-// Store().LoadSnapshot, used to carry a booted image into a detailed
-// phase without restoring core state.
-func (ps *ParallelSystem) LoadMemImage(data []byte) error {
-	if err := ps.ctrl.Store().LoadSnapshot(data); err != nil {
-		return fmt.Errorf("cpu: restore memory: %w", err)
-	}
-	for _, c := range ps.cores {
-		if err := c.store.LoadSnapshot(data); err != nil {
-			return fmt.Errorf("cpu: restore core %d replica: %w", c.id, err)
-		}
-	}
-	return nil
 }
 
 // ---- core execution ----

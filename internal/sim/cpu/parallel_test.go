@@ -124,54 +124,6 @@ func TestParallelMatchesMonolithicFunctionally(t *testing.T) {
 	}
 }
 
-// TestParallelCheckpoint mirrors the hack-back flow: run a KVM parallel
-// system to completion, checkpoint, and restore into a fresh parallel
-// system — architectural state and the merged memory image must survive
-// the round trip.
-func TestParallelCheckpoint(t *testing.T) {
-	ps := buildParallel(t, KVM, "classic", 2, 2)
-	res := ps.Run(0)
-	if !res.Finished {
-		t.Fatal("run did not finish")
-	}
-	ck := ps.SaveCheckpoint()
-	if ck.Tick == 0 || len(ck.Cores) != 2 {
-		t.Fatalf("bad checkpoint: tick=%d cores=%d", ck.Tick, len(ck.Cores))
-	}
-
-	// Serialize round trip, as the run layer archives it.
-	parsed, err := ParseCheckpoint(ck.Serialize())
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-
-	re := buildParallel(t, KVM, "classic", 2, 2)
-	if err := re.RestoreCheckpoint(parsed); err != nil {
-		t.Fatalf("restore: %v", err)
-	}
-	for i, c := range re.cores {
-		if !c.done {
-			t.Errorf("core %d not done after restore", i)
-		}
-		if c.insts != ps.cores[i].insts {
-			t.Errorf("core %d insts: got %d want %d", i, c.insts, ps.cores[i].insts)
-		}
-		if c.state.PC != ps.cores[i].state.PC {
-			t.Errorf("core %d PC: got %d want %d", i, c.state.PC, ps.cores[i].state.PC)
-		}
-	}
-	// The merged image must agree with the original system's view: for
-	// every page in the checkpoint, the restored authoritative store
-	// reads back identically.
-	if got, want := re.ctrl.Store().Snapshot(), ck.Mem; string(got) != string(want) {
-		t.Error("restored memory image diverges from checkpoint")
-	}
-	// A subsequent checkpoint of the restored system reproduces the tick.
-	if ck2 := re.SaveCheckpoint(); ck2.Tick < ck.Tick {
-		t.Errorf("restored system lost time: %d < %d", ck2.Tick, ck.Tick)
-	}
-}
-
 // TestParallelWorkerCountIndependence sweeps worker counts on a Timing
 // Ruby system — the worker count must never leak into results.
 func TestParallelWorkerCountIndependence(t *testing.T) {

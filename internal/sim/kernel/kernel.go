@@ -301,6 +301,45 @@ type bootSystem interface {
 	Stats() *sim.StatGroup
 }
 
+// newBootSystem builds the engine opts selects for s, with opts.Energy
+// attached. It returns the system, the energy counters the system does
+// not provide, and a func that releases the system and reports its
+// scheduler's counters (zero on the monolithic engine).
+func newBootSystem(s Spec, opts BootOptions) (bootSystem, []string, func() sim.Counters) {
+	var unmatched []string
+	if opts.Workers > 0 {
+		ps := cpu.NewParallelSystem(cpu.Config{Model: s.CPU, Cores: s.Cores},
+			s.Mem, mem.ClassicConfig{}, opts.Workers)
+		if opts.Energy != nil {
+			// The parallel engine's merged group already carries every
+			// core and controller counter.
+			unmatched = energy.Attach(ps.Stats(), opts.Energy, energy.AttachOptions{})
+		}
+		return ps, unmatched, func() sim.Counters {
+			c := ps.Scheduler().Counters()
+			ps.Close()
+			return c
+		}
+	}
+	memory := buildMem(s.Mem, s.Cores)
+	system := cpu.NewSystem(cpu.Config{Model: s.CPU, Cores: s.Cores}, memory)
+	if opts.Energy != nil {
+		// The monolithic engine keeps memory counters in their own
+		// group; resolve them as an extra source.
+		unmatched = energy.Attach(system.Stats(), opts.Energy, energy.AttachOptions{}, memory.Stats())
+	}
+	return system, unmatched, func() sim.Counters { return sim.Counters{} }
+}
+
+// UnmatchedEnergy builds, without simulating, the system BootWith(s, _,
+// opts) would run and returns the opts.Energy counters it does not
+// provide; each contributes 0 J to that run.
+func UnmatchedEnergy(s Spec, opts BootOptions) []string {
+	_, unmatched, release := newBootSystem(s, opts)
+	release()
+	return unmatched
+}
+
 // Boot simulates one boot attempt with the given simulated-time budget
 // (0 means the default of 10 ms simulated, which generously covers every
 // successful boot at this workload scale) on the monolithic engine.
@@ -320,29 +359,8 @@ func BootWith(s Spec, budget sim.Tick, opts BootOptions) (res Result) {
 		return res
 	}
 
-	var system bootSystem
-	if opts.Workers > 0 {
-		ps := cpu.NewParallelSystem(cpu.Config{Model: s.CPU, Cores: s.Cores},
-			s.Mem, mem.ClassicConfig{}, opts.Workers)
-		defer func() {
-			res.Sched = ps.Scheduler().Counters()
-			ps.Close()
-		}()
-		system = ps
-		if opts.Energy != nil {
-			// The parallel engine's merged group already carries every
-			// core and controller counter.
-			energy.Attach(system.Stats(), opts.Energy, energy.AttachOptions{})
-		}
-	} else {
-		memory := buildMem(s.Mem, s.Cores)
-		system = cpu.NewSystem(cpu.Config{Model: s.CPU, Cores: s.Cores}, memory)
-		if opts.Energy != nil {
-			// The monolithic engine keeps memory counters in their own
-			// group; resolve them as an extra source.
-			energy.Attach(system.Stats(), opts.Energy, energy.AttachOptions{}, memory.Stats())
-		}
-	}
+	system, _, release := newBootSystem(s, opts)
+	defer func() { res.Sched = release() }()
 	for core := 0; core < s.Cores; core++ {
 		system.LoadProgram(core, isa.Generate(bootWork(s, core)))
 	}

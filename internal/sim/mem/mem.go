@@ -98,16 +98,6 @@ func (b *BackingStore) WriteWord(addr int64, val int64) {
 	page[(addr>>3)&511] = val
 }
 
-// Overlay copies every page of src into b, replacing pages b already
-// holds. The parallel engine uses it to fold per-core private replicas
-// over the authoritative store when serializing a checkpoint.
-func (b *BackingStore) Overlay(src *BackingStore) {
-	for key, page := range src.pages {
-		cp := *page
-		b.pages[key] = &cp
-	}
-}
-
 // lineAddr returns the cache-line-aligned address.
 func lineAddr(addr int64) int64 { return addr &^ (LineBytes - 1) }
 
@@ -141,13 +131,15 @@ func (b *BackingStore) LoadSnapshot(data []byte) error {
 	if len(data) < 8 {
 		return fmt.Errorf("mem: truncated snapshot")
 	}
-	n := int64(binary.LittleEndian.Uint64(data))
+	n := binary.LittleEndian.Uint64(data)
 	data = data[8:]
-	if int64(len(data)) < n*(8+512*8) {
+	// Divide rather than multiply: a hostile count must not overflow
+	// the check.
+	if n > uint64(len(data)/(8+512*8)) {
 		return fmt.Errorf("mem: snapshot needs %d pages, has %d bytes", n, len(data))
 	}
 	pages := make(map[int64]*[512]int64, n)
-	for i := int64(0); i < n; i++ {
+	for i := uint64(0); i < n; i++ {
 		key := int64(binary.LittleEndian.Uint64(data))
 		data = data[8:]
 		page := new([512]int64)

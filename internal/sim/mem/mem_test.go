@@ -1,6 +1,8 @@
 package mem
 
 import (
+	"encoding/binary"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -16,6 +18,27 @@ func TestBackingStoreRoundTrip(t *testing.T) {
 	}
 	if b.ReadWord(0x999999) != 0 {
 		t.Fatal("untouched memory not zero")
+	}
+}
+
+// TestLoadSnapshotRejectsOversizedPageCount: a page count the data
+// cannot hold is an error and leaves the image as it was, however large
+// the count — including counts whose byte size overflows 64 bits.
+func TestLoadSnapshotRejectsOversizedPageCount(t *testing.T) {
+	src := NewBackingStore()
+	src.WriteWord(0x10000, 42)
+	snap := src.Snapshot()
+	for _, n := range []uint64{2, 1 << 61, 4494486104009975, 1 << 63, math.MaxUint64} {
+		data := append([]byte(nil), snap...)
+		binary.LittleEndian.PutUint64(data, n)
+		b := NewBackingStore()
+		b.WriteWord(0x20000, 7)
+		if err := b.LoadSnapshot(data); err == nil {
+			t.Errorf("page count %d: accepted", n)
+		}
+		if b.ReadWord(0x20000) != 7 {
+			t.Errorf("page count %d: rejected snapshot changed the image", n)
+		}
 	}
 }
 

@@ -31,7 +31,7 @@ import (
 // land one window later than the monolithic protocol's instantaneous
 // mutation, and plain loads/stores read the core's private replica, with
 // only atomics serialized through the authoritative store. The parallel
-// engine therefore carries its own simcache salt.
+// engine's results therefore differ from the monolithic engine's.
 const CtrlLinkLat sim.Tick = 10_000 // 10 ns core↔controller link
 
 // ReqKind classifies a backside request.

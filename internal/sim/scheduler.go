@@ -76,13 +76,8 @@ type Scheduler struct {
 
 	onBarrier func()
 
-	// count is the run loop's private tally. published makes it readable
-	// from other goroutines: windows is stored after every window (the run
-	// watchdog polls it for liveness), pool and messages every
-	// counterPublishEvery windows and at Run exit. The window loop
-	// performs no atomic read-modify-write.
-	count     struct{ windows, pool, messages uint64 }
-	published struct{ windows, pool, messages atomic.Uint64 }
+	// count is the run loop's tally, read by Counters between runs.
+	count struct{ windows, pool, messages uint64 }
 }
 
 // Counters are a scheduler's lifetime totals. They describe host-side
@@ -126,33 +121,12 @@ func (s *Scheduler) Components() []*Component { return s.comps }
 // Now returns the simulated time the scheduler has completed through.
 func (s *Scheduler) Now() Tick { return s.now }
 
-// counterPublishEvery is how many windows pass between refreshes of the
-// cross-goroutine pool and message counts.
-const counterPublishEvery = 64
-
-// Windows returns the number of synchronization rounds executed so far.
-// It is safe to call from any goroutine while Run executes — the run
-// watchdog polls it as the liveness signal — and advances with every
-// window, wherever it ran.
-func (s *Scheduler) Windows() uint64 { return s.published.windows.Load() }
-
-// Counters returns the scheduler's lifetime totals. It is safe to call
-// from any goroutine; mid-run, PoolWindows and Messages may trail by up to
-// counterPublishEvery windows.
+// Counters returns the scheduler's lifetime totals. The run loop owns
+// them, so read them only while Run is not executing.
 func (s *Scheduler) Counters() Counters {
-	// Pool windows are read first: the count only grows and never exceeds
-	// the window count, so the difference below cannot go negative.
-	c := Counters{PoolWindows: s.published.pool.Load()}
-	c.Windows = s.published.windows.Load()
-	c.Messages = s.published.messages.Load()
+	c := Counters{Windows: s.count.windows, PoolWindows: s.count.pool, Messages: s.count.messages}
 	c.InlineWindows = c.Windows - c.PoolWindows
 	return c
-}
-
-// publishCounters refreshes the batched part of the cross-goroutine view.
-func (s *Scheduler) publishCounters() {
-	s.published.pool.Store(s.count.pool)
-	s.published.messages.Store(s.count.messages)
 }
 
 // SetMaxWindow overrides the window length used when no ports bound the
@@ -230,7 +204,7 @@ func (s *Scheduler) RunUntil(limit Tick) Tick {
 		width = s.pool.size
 	}
 
-	sinceHook, sincePublish := 0, 0
+	sinceHook := 0
 	for !s.stopped.Load() {
 		// T = earliest pending event across all components. Staged
 		// messages never exist here: the previous barrier delivered them.
@@ -263,13 +237,8 @@ func (s *Scheduler) RunUntil(limit Tick) Tick {
 			s.runGated(end, width)
 		}
 		s.count.windows++
-		s.published.windows.Store(s.count.windows)
 
 		s.deliver(end)
-		if sincePublish++; sincePublish >= counterPublishEvery {
-			sincePublish = 0
-			s.publishCounters()
-		}
 		if s.onBarrier != nil {
 			if sinceHook++; sinceHook >= defaultBarrierHookEvery {
 				sinceHook = 0
@@ -286,7 +255,6 @@ func (s *Scheduler) RunUntil(limit Tick) Tick {
 		flushEvents(c.windowEvents)
 		c.windowEvents = 0
 	}
-	s.publishCounters()
 	if s.onBarrier != nil {
 		s.onBarrier()
 	}

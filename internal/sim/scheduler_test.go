@@ -303,8 +303,8 @@ func TestSchedulerNoLinks(t *testing.T) {
 			t.Fatalf("component %d ran %d events, want 100", i, n)
 		}
 	}
-	if s.Windows() < 5 {
-		t.Fatalf("expected multiple windows under SetMaxWindow(1000), got %d", s.Windows())
+	if w := s.Counters().Windows; w < 5 {
+		t.Fatalf("expected multiple windows under SetMaxWindow(1000), got %d", w)
 	}
 }
 

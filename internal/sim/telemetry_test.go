@@ -36,21 +36,18 @@ func TestRunUntilFlushesPartialBatch(t *testing.T) {
 	}
 }
 
-// TestSchedulerCountersReachTelemetry checks a scheduler's read-through
+// TestSchedulerCountersReachTelemetry checks a scheduler's
 // counters (all windows inline on one worker) and that the process-wide
 // event counter counts one per executed event, deliveries included.
 func TestSchedulerCountersReachTelemetry(t *testing.T) {
 	events := simEvents.Value()
 
 	p := newPingPong()
-	const rounds = 3 * counterPublishEvery // cross the publish cadence, end off it
+	const rounds = 192
 	p.s.RunUntil((rounds + 1) * p.round)
 	c := p.s.Counters()
 	if c.Windows == 0 || c.Messages == 0 || c.PoolWindows != 0 || c.InlineWindows != c.Windows {
 		t.Fatalf("counters after ping-pong: %+v", c)
-	}
-	if p.s.Windows() != c.Windows {
-		t.Errorf("Windows() = %d, Counters().Windows = %d", p.s.Windows(), c.Windows)
 	}
 	// One kick-off callback, then one delivery event per message except
 	// the last, which is still in flight at the limit.

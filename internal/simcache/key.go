@@ -27,14 +27,6 @@ import (
 // without touching any input artifact.
 const SimVersionSalt = "gem5art-sim-v1"
 
-// ParallelSalt keys results produced by the parallel component/port
-// engine. Its timing model differs from the monolithic engine by design
-// (split L1/backside hierarchy, message-latency coherence), so the two
-// engines must never share cache entries; the worker count itself is
-// deliberately absent — parallel results are bit-identical across worker
-// counts, so every worker count shares one entry.
-const ParallelSalt = "gem5art-parsim-v1"
-
 // KeyInputs is the input closure a run key is computed over. The key is
 // order-insensitive in Artifacts and Params: both are sorted before
 // hashing, so launch scripts need not agree on parameter order for two
@@ -43,15 +35,10 @@ type KeyInputs struct {
 	Kind      string   // run kind, e.g. "fs:configs/run_hackback.py"
 	Artifacts []string // content hashes of every input artifact
 	Params    []string // "key=value" run parameters
-	Salt      string   // sim-version salt ("" = SimVersionSalt)
 }
 
 // Key renders the canonical content hash of the closure.
 func (k KeyInputs) Key() string {
-	salt := k.Salt
-	if salt == "" {
-		salt = SimVersionSalt
-	}
 	arts := append([]string(nil), k.Artifacts...)
 	sort.Strings(arts)
 	params := append([]string(nil), k.Params...)
@@ -70,7 +57,7 @@ func (k KeyInputs) Key() string {
 		sb.WriteString("\x1f")
 	}
 	sb.WriteString("\x00")
-	sb.WriteString(salt)
+	sb.WriteString(SimVersionSalt)
 	return database.HashBytes([]byte(sb.String()))
 }
 
