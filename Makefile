@@ -69,13 +69,15 @@ chaos:
 # derivation, and
 # of a 64-run warm relaunch on a journaled store (ns/run, the runs
 # records each replayed run commits, and the runs-journal fsyncs per
-# run: 1/64, one commit per launch batch) for a fixed 200 iterations, and
+# run: 1/64, one commit per launch batch), of no-op jobs through a
+# broker with a durable queue and a TCP worker (us/job, and the queue's
+# fsyncs/job: 2, the submit and the result) for a fixed 200 iterations, and
 # the GPU model's BenchmarkRunTable4 (all 58 Table IV cells per
 # iteration, with Mops/s) for 5, as one iteration takes ~0.2 s: a
 # smoke run that keeps them building and shows allocs/op, not a timing.
 microbench:
 	$(GO) test -run '^$$' -bench . -skip RunTable4 -benchtime 200x ./internal/sim/... ./internal/database/... \
-		./internal/simcache/... ./internal/core/launch/...
+		./internal/simcache/... ./internal/core/launch/... ./internal/core/tasks/
 	$(GO) test -run '^$$' -bench RunTable4 -benchtime 5x ./internal/sim/gpu/
 
 # fuzz runs each Fuzz* target for a fixed 30 s beyond its committed

@@ -1,12 +1,9 @@
 package launch
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"os"
-	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 
@@ -23,35 +20,22 @@ import (
 // records and fsyncs per collection, and the blob pack's writes and
 // fsyncs.
 type recordFS struct {
-	storage.FS
+	*dbtest.JournalFS
 	dir        string // the store's directory
 	mu         sync.Mutex
-	records    map[string]int // collection -> journal records appended
-	syncs      map[string]int // collection -> journal fsyncs
 	packWrites int
 	packSyncs  int
 }
 
 func (fs *recordFS) OpenFile(name string, flag int, perm os.FileMode) (storage.File, error) {
-	f, err := fs.FS.OpenFile(name, flag, perm)
+	f, err := fs.JournalFS.OpenFile(name, flag, perm)
 	if err != nil {
 		return nil, err
 	}
-	switch {
-	case strings.HasSuffix(name, ".wal"):
-		return walFile{File: f, fs: fs, col: strings.TrimSuffix(filepath.Base(name), ".wal")}, nil
-	case name == dbtest.PackPath(fs.dir):
+	if name == dbtest.PackPath(fs.dir) {
 		return packFile{File: f, fs: fs}, nil
 	}
 	return f, nil
-}
-
-// counts snapshots the records appended to collection col and its
-// journal's fsyncs.
-func (fs *recordFS) counts(col string) (records, syncs int) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return fs.records[col], fs.syncs[col]
 }
 
 // blobs snapshots the frames written to the blob pack — each is two
@@ -83,34 +67,11 @@ func (f packFile) Sync() error {
 	return f.File.Sync()
 }
 
-// walFile counts journal records — one line each — as they are
-// written, and the fsyncs that commit them.
-type walFile struct {
-	storage.File
-	fs  *recordFS
-	col string
-}
-
-func (f walFile) Write(p []byte) (int, error) {
-	n, err := f.File.Write(p)
-	f.fs.mu.Lock()
-	f.fs.records[f.col] += bytes.Count(p[:n], []byte{'\n'})
-	f.fs.mu.Unlock()
-	return n, err
-}
-
-func (f walFile) Sync() error {
-	f.fs.mu.Lock()
-	f.fs.syncs[f.col]++
-	f.fs.mu.Unlock()
-	return f.File.Sync()
-}
-
 // countedStore opens a journaled store (fsync on every commit, the
 // default policy) whose writes are counted by the returned recordFS.
 func countedStore(t testing.TB) (database.Store, *recordFS) {
 	t.Helper()
-	fs := &recordFS{FS: storage.OSFS, dir: t.TempDir(), records: map[string]int{}, syncs: map[string]int{}}
+	fs := &recordFS{JournalFS: dbtest.NewJournalFS(storage.OSFS), dir: t.TempDir()}
 	opts := database.DefaultOptions()
 	opts.FS = fs
 	db, err := database.OpenWith(fs.dir, opts)
@@ -158,13 +119,13 @@ func TestWhatARunWrites(t *testing.T) {
 	cache := simcache.New(db, simcache.Options{})
 	specs := hackMatrix(base, n)
 
-	runs0, syncs0 := fs.counts(run.Collection)
-	results0, _ := fs.counts(simcache.ResultCollection)
+	runs0, syncs0 := fs.Counts(run.Collection)
+	results0, _ := fs.Counts(simcache.ResultCollection)
 	frames0, packSyncs0 := fs.blobs()
 	files0 := len(db.Files().List())
 	cold := launchCached(t, reg, cache, specs)
-	runs1, syncs1 := fs.counts(run.Collection)
-	results1, _ := fs.counts(simcache.ResultCollection)
+	runs1, syncs1 := fs.Counts(run.Collection)
+	results1, _ := fs.Counts(simcache.ResultCollection)
 	frames1, packSyncs1 := fs.blobs()
 	if got := runs1 - runs0; got != 2*n {
 		t.Errorf("cold launch: %d runs records, want %d (created + terminal)", got, 2*n)
@@ -187,8 +148,8 @@ func TestWhatARunWrites(t *testing.T) {
 	}
 	tel := telemetry.Default.Snapshot()
 	warm := launchCached(t, reg, cache, specs)
-	runs2, syncs2 := fs.counts(run.Collection)
-	results2, _ := fs.counts(simcache.ResultCollection)
+	runs2, syncs2 := fs.Counts(run.Collection)
+	results2, _ := fs.Counts(simcache.ResultCollection)
 	frames2, packSyncs2 := fs.blobs()
 	if got := runs2 - runs1; got != n {
 		t.Errorf("warm relaunch: %d runs records, want %d (one terminal document each)", got, n)
@@ -249,7 +210,7 @@ func TestWhatARunWrites(t *testing.T) {
 	long := hackMatrix(base, launchBatch+1)
 	executed := len(long) - n
 	launchCached(t, reg, cache, long)
-	runs3, syncs3 := fs.counts(run.Collection)
+	runs3, syncs3 := fs.Counts(run.Collection)
 	if got := runs3 - runs2; got != len(long)+executed {
 		t.Errorf("%d-spec launch: %d runs records, want %d", len(long), got, len(long)+executed)
 	}
@@ -258,7 +219,7 @@ func TestWhatARunWrites(t *testing.T) {
 			len(long), got, 2+executed)
 	}
 	launchCached(t, reg, cache, long)
-	runs4, syncs4 := fs.counts(run.Collection)
+	runs4, syncs4 := fs.Counts(run.Collection)
 	if got := runs4 - runs3; got != len(long) {
 		t.Errorf("%d-spec warm relaunch: %d runs records, want %d", len(long), got, len(long))
 	}

@@ -13,8 +13,8 @@ import (
 // capacity Admit reserved.
 //
 // Implementations must be safe for concurrent use and must make Admit
-// idempotent per job ID: the durable queue deduplicates resubmits of a
-// job that is already queued or in flight, so Admit can see the same ID
+// idempotent per job ID: the broker deduplicates resubmits of a job
+// that is already queued or in flight, so Admit can see the same ID
 // twice without a Release in between.
 type Admission interface {
 	// Admit reserves capacity for the job, or rejects it with a

@@ -53,11 +53,15 @@ import (
 //     identity and dropped, so a wedged attempt that eventually finishes
 //     cannot clobber the retry's result;
 //   - the durable queue: with BrokerOptions.DB set, pending jobs,
-//     attempt counts, in-flight assignments, and applied results are
-//     persisted through the storage engine's journal, so a broker that
-//     crashes mid-launch reopens with its queue intact and resubmitted
-//     jobs that already completed replay their recorded result instead
-//     of executing again.
+//     attempt counts, and applied results are persisted through the
+//     storage engine's journal, so a broker that crashes mid-launch
+//     reopens with its queue intact. A dispatch is not persisted: the
+//     one attempt a crash can hide is adopted when its worker resumes
+//     it, and otherwise forgiven.
+//
+// Submit is idempotent per job ID: a job already queued or in flight is
+// not queued again, and a finished one replays its recorded result —
+// across restarts too when the queue is durable.
 //
 // A job moves pending → leased → done, with leased → pending on a lost
 // session and leased → (backoff) → pending on a retry. Each transition
@@ -105,14 +109,11 @@ type BrokerOptions struct {
 	// CheckInterval is the monitor tick (default: a quarter of the
 	// shortest enabled deadline, floor 5ms).
 	CheckInterval time.Duration
-	// DB persists the queue — pending jobs, attempt counts, in-flight
-	// assignments, and results — so a new broker over the same store
+	// DB persists the queue — pending jobs, attempt counts, and results
+	// — in its QueueCollection, so a new broker over the same store
 	// resumes where a crashed one stopped. Nil keeps the queue in
 	// memory only.
 	DB database.Store
-	// QueueCollection names the durable queue's collection (default
-	// "broker_queue").
-	QueueCollection string
 	// Listener, when non-nil, serves connections from this listener
 	// instead of binding addr — the hook chaos tests use to interpose
 	// faultinject.NetChaos on the accept path.
@@ -183,8 +184,8 @@ func NewBroker(addr string) (*Broker, error) {
 // configuration. With a durable queue configured, prior state in the
 // store is recovered first: completed jobs keep their results (and
 // replay them if resubmitted), unfinished jobs — pending or stranded
-// in-flight by a crash — rejoin the queue with their attempt budgets
-// intact.
+// in flight by a crash — rejoin the queue with their attempt budgets
+// intact, less the one dispatch the crash may have hidden.
 func NewBrokerWithOptions(addr string, opts BrokerOptions) (*Broker, error) {
 	ln := opts.Listener
 	if ln == nil {
@@ -206,11 +207,7 @@ func NewBrokerWithOptions(addr string, opts BrokerOptions) (*Broker, error) {
 		done:     make(chan struct{}),
 	}
 	if opts.DB != nil {
-		name := opts.QueueCollection
-		if name == "" {
-			name = "broker_queue"
-		}
-		col := opts.DB.Collection(name)
+		col := opts.DB.Collection(QueueCollection)
 		col.CreateIndex("state") // durableQueue.depth counts by state
 		b.dq = &durableQueue{col: col}
 		pending, execs, results := b.dq.recover()
@@ -248,10 +245,10 @@ func (b *Broker) Closed() bool {
 	}
 }
 
-// Submit queues a job for any worker. With a durable queue, Submit is
-// idempotent across broker restarts: a job that already completed
-// redelivers its recorded result instead of executing again, and a job
-// already queued or in flight is not double-queued.
+// Submit queues a job for any worker. It is idempotent per job ID: a
+// job that already completed redelivers its recorded result instead of
+// executing again, and a job already queued or in flight is not queued
+// twice. With a durable queue this holds across broker restarts.
 func (b *Broker) Submit(j Job) { b.submit(j) }
 
 // TrySubmit is the admission-controlled submit path: with
@@ -283,26 +280,24 @@ func (b *Broker) submit(j Job) bool {
 		b.mu.Unlock()
 		return false
 	}
-	if b.dq != nil {
-		if res, done := b.results[j.ID]; done {
-			b.sending.Add(1)
-			b.mu.Unlock()
-			// A replayed result is as recorded as a fresh one: any
-			// admission reservation made for this resubmit frees now.
-			b.release(j)
-			// Like every other delivery, off the caller's goroutine: a
-			// fleet failover resubmits thousands of finished jobs and
-			// must not stall on a Results consumer that is itself waiting
-			// for the failover to finish.
-			go b.deliver(res)
-			return true
-		}
-		if _, ok := b.inFly[j.ID]; ok || b.pendingIndexLocked(j.ID) >= 0 {
-			b.mu.Unlock()
-			return true
-		}
-		b.dq.savePending(j, b.started[j.ID])
+	if res, done := b.results[j.ID]; done {
+		b.sending.Add(1)
+		b.mu.Unlock()
+		// A replayed result is as recorded as a fresh one: any
+		// admission reservation made for this resubmit frees now.
+		b.release(j)
+		// Like every other delivery, off the caller's goroutine: a
+		// fleet failover resubmits thousands of finished jobs and
+		// must not stall on a Results consumer that is itself waiting
+		// for the failover to finish.
+		go b.deliver(res)
+		return true
 	}
+	if _, ok := b.inFly[j.ID]; ok || b.pendingIndexLocked(j.ID) >= 0 {
+		b.mu.Unlock()
+		return true
+	}
+	b.dq.savePending(j, b.started[j.ID])
 	b.enqueueLocked(j)
 	b.mu.Unlock()
 	b.dispatch()
@@ -391,10 +386,8 @@ func (b *Broker) stop(graceful bool) {
 				failed = append(failed, a.job)
 			}
 		}
-		for _, j := range b.pending {
-			if _, done := b.results[j.ID]; !done && b.dq == nil {
-				failed = append(failed, j)
-			}
+		if b.dq == nil {
+			failed = append(failed, b.pending...)
 		}
 		for _, j := range failed {
 			b.results[j.ID] = JobResult{ID: j.ID, Err: "broker closed"}
@@ -634,8 +627,9 @@ func (b *Broker) dropSessionLocked(w *brokerWorker) bool {
 // handleResume processes one {"type":"resume"} frame: a reconnected
 // session still holds this job (executing or finished-but-unacked) and
 // asks to keep it. The broker re-adopts the assignment if the job is
-// still this worker's to finish — same attempt, not completed, not
-// reassigned — and otherwise tells the worker to abandon it.
+// still this worker's to finish — its attempt still the queued one or
+// the one a crash hid, not completed, not reassigned — and otherwise
+// tells the worker to abandon it. Adoption writes nothing.
 func (b *Broker) handleResume(w *brokerWorker, env Envelope) {
 	id := env.ID
 	b.mu.Lock()
@@ -647,9 +641,7 @@ func (b *Broker) handleResume(w *brokerWorker, env Envelope) {
 			// already or another worker's.
 			adopted = a.worker == w
 		} else if j, ok := b.takePendingLocked(id, env.Attempt); ok {
-			a := &assignment{job: j, attempt: b.started[id]}
-			b.leaseLocked(a, w)
-			b.dq.saveInflight(j, w.id, a.attempt)
+			b.leaseLocked(&assignment{job: j, attempt: b.started[id]}, w)
 			adopted = true
 		}
 	}
@@ -681,8 +673,8 @@ func (b *Broker) finish(w *brokerWorker, env Envelope) {
 		// for a job our disconnect handling already requeued: the
 		// execution finished while the connection was down and the
 		// result was resent after the reconnect. If the queued entry is
-		// still this execution (same attempt), apply it instead of
-		// making another worker redo the work.
+		// still this execution, apply it instead of making another
+		// worker redo the work.
 		job, match = b.takePendingLocked(env.ID, env.Attempt)
 	}
 	if !match {
@@ -742,10 +734,11 @@ func (b *Broker) requeueAfter(j Job, d time.Duration) {
 	brokerRetries.Inc()
 	time.AfterFunc(d, func() {
 		b.mu.Lock()
-		// A resubmit during the gap may already have run the job again.
+		// A resubmit during the gap may already have queued or run the
+		// job again.
 		_, leased := b.inFly[j.ID]
 		_, done := b.results[j.ID]
-		if b.closed || leased || done {
+		if b.closed || leased || done || b.pendingIndexLocked(j.ID) >= 0 {
 			b.mu.Unlock()
 			return
 		}
@@ -798,13 +791,18 @@ func (b *Broker) pendingIndexLocked(id string) int {
 	return -1
 }
 
-// takePendingLocked removes a queued job whose queued execution is
-// attempt (0 matches any), for a worker that turns out to hold it.
+// takePendingLocked removes a queued job for a worker that turns out to
+// hold it, when the worker's attempt (0 matches any) is the job's
+// latest: the last one started, or the one after it, which a dispatch
+// started before a crash and never wrote. The latter becomes the job's
+// latest attempt, so no attempt number is issued twice.
 func (b *Broker) takePendingLocked(id string, attempt int) (Job, bool) {
 	i := b.pendingIndexLocked(id)
-	if i < 0 || (attempt != 0 && attempt != b.started[id]) {
+	n := b.started[id]
+	if i < 0 || (attempt != 0 && attempt != n && attempt != n+1) {
 		return Job{}, false
 	}
+	b.started[id] = max(n, attempt)
 	j := b.pending[i]
 	b.pending = append(b.pending[:i], b.pending[i+1:]...)
 	brokerQueueDepth.Dec()
@@ -844,7 +842,6 @@ func (b *Broker) dispatch() {
 		b.started[j.ID]++
 		a := &assignment{job: j, attempt: b.started[j.ID]}
 		b.leaseLocked(a, target)
-		b.dq.saveInflight(j, target.id, a.attempt)
 		if err := target.send(Envelope{Type: "task", ID: j.ID, Kind: j.Kind, Payload: j.Payload, Attempt: a.attempt}); err != nil {
 			// The attempt never reached the worker; the serve loop will
 			// notice the dead connection.

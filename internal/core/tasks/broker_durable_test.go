@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"gem5art/internal/database"
+	"gem5art/internal/database/dbtest"
+	"gem5art/internal/database/storage"
 )
 
 // durableBroker opens a broker over db with fast monitor settings.
@@ -163,14 +165,16 @@ func TestBrokerDurableInFlightRequeuedAfterCrash(t *testing.T) {
 	defer close(release)
 
 	// The reopened broker finds the stranded in-flight job, requeues it,
-	// and a fresh worker completes it with the attempt budget intact.
+	// and a fresh worker completes it with the attempt budget intact. A
+	// dispatch writes nothing, so the attempt the dead worker held is
+	// forgiven: the crash hid it.
 	b2 := durableBroker(t, db, "127.0.0.1:0")
 	defer b2.Close()
 	if n := b2.PendingCount(); n != 1 {
 		t.Fatalf("recovered pending = %d, want 1 (in-flight job must requeue)", n)
 	}
-	if n := b2.Executions("stuck"); n != 1 {
-		t.Fatalf("recovered executions = %d, want 1", n)
+	if n := b2.Executions("stuck"); n != 0 {
+		t.Fatalf("recovered executions = %d, want 0 (the unwritten attempt is forgiven)", n)
 	}
 	w2, err := NewWorker(b2.Addr(), 1, handlers)
 	if err != nil {
@@ -181,8 +185,8 @@ func TestBrokerDurableInFlightRequeuedAfterCrash(t *testing.T) {
 	if got["stuck"].Err != "" {
 		t.Fatalf("recovered job failed: %+v", got["stuck"])
 	}
-	if n := b2.Executions("stuck"); n != 2 {
-		t.Fatalf("executions after recovery = %d, want 2", n)
+	if n := b2.Executions("stuck"); n != 1 {
+		t.Fatalf("executions after recovery = %d, want 1", n)
 	}
 }
 
@@ -262,9 +266,9 @@ func TestBrokerResubmitOfFinishedJobsNeverBlocks(t *testing.T) {
 
 // TestBrokerKillLeavesQueueAsCrashFoundIt: after Kill, the sessions
 // that drop as their connections die find nothing to requeue. The
-// in-flight job's durable record stays "inflight", as a real crash
-// would leave it, and the queue-depth gauge does not count a job into
-// a queue that no longer runs.
+// in-flight job's durable record stays "pending", as its submit wrote
+// it and a real crash would leave it, and the queue-depth gauge does
+// not count a job into a queue that no longer runs.
 func TestBrokerKillLeavesQueueAsCrashFoundIt(t *testing.T) {
 	db := database.MustOpen(t.TempDir())
 	defer db.Close()
@@ -290,8 +294,8 @@ func TestBrokerKillLeavesQueueAsCrashFoundIt(t *testing.T) {
 	time.Sleep(20 * time.Millisecond) // let the broker's serve loop unwind
 
 	doc := db.Collection("broker_queue").FindOne(database.Doc{"_id": "held"})
-	if doc["state"] != "inflight" {
-		t.Fatalf("durable state after Kill = %v, want inflight", doc["state"])
+	if doc["state"] != "pending" {
+		t.Fatalf("durable state after Kill = %v, want pending", doc["state"])
 	}
 	if got := brokerQueueDepth.Value(); got != depth {
 		t.Fatalf("queue-depth gauge %v after Kill, want %v", got, depth)
@@ -299,4 +303,175 @@ func TestBrokerKillLeavesQueueAsCrashFoundIt(t *testing.T) {
 	if n := b.PendingCount(); n != 0 {
 		t.Fatalf("killed broker holds %d pending jobs", n)
 	}
+}
+
+// countedStore opens a journaled store (fsync on every commit, the
+// default policy) whose journal writes the returned JournalFS counts.
+func countedStore(tb testing.TB) (database.Store, *dbtest.JournalFS) {
+	tb.Helper()
+	fs := dbtest.NewJournalFS(storage.OSFS)
+	opts := database.DefaultOptions()
+	opts.FS = fs
+	db, err := database.OpenWith(tb.TempDir(), opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { db.Close() })
+	return db, fs
+}
+
+// TestBrokerDurableQueueWrites pins what a job costs the durable
+// queue: its submit and its result are each one fsynced record, and a
+// dispatch writes nothing. A worker that reconnects mid-job costs one
+// record more, the requeue its dropped session writes; adopting the
+// job back on its resume writes nothing.
+func TestBrokerDurableQueueWrites(t *testing.T) {
+	db, fs := countedStore(t)
+	b := durableBroker(t, db, "127.0.0.1:0")
+	defer b.Close()
+	release := make(chan struct{})
+	var started atomic.Int64
+	w, err := NewWorkerWithOptions(b.Addr(), WorkerOptions{
+		Capacity: 1,
+		Handlers: map[string]JobHandler{
+			"echo": func(json.RawMessage) (any, error) { return 1, nil },
+			"slow": func(json.RawMessage) (any, error) { started.Add(1); <-release; return 1, nil },
+		},
+		ID:              "w-writes",
+		Reconnect:       true,
+		ReconnectPolicy: RetryPolicy{MaxAttempts: 0, BaseDelay: 5 * time.Millisecond, MaxDelay: 50 * time.Millisecond, Multiplier: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	unblock := sync.OnceFunc(func() { close(release) })
+	defer unblock() // before w.Close, which waits for the handler
+	commits := func(since int) int {
+		records, syncs := fs.Counts(QueueCollection)
+		if records != syncs {
+			t.Fatalf("%d records in %d fsyncs: want one fsync per record", records, syncs)
+		}
+		return records - since
+	}
+
+	n := commits(0)
+	b.Submit(Job{ID: "j1", Kind: "echo"})
+	collect(t, b, 1, 5*time.Second)
+	if got := commits(n); got != 2 {
+		t.Fatalf("one job committed %d records, want 2 (submit, done)", got)
+	}
+
+	n = commits(0)
+	b.Submit(Job{ID: "j2", Kind: "slow"})
+	waitUntil(t, func() bool { return started.Load() == 1 }, "job to start executing")
+	if got := commits(n); got != 1 {
+		t.Fatalf("submit and dispatch committed %d records, want 1", got)
+	}
+	n = commits(0)
+	w.Kill()
+	waitUntil(t, func() bool {
+		st := b.State()
+		return len(st.Sessions) == 1 && st.Sessions[0].Resumes == 1 && len(st.InFlight) == 1
+	}, "the broker to adopt the resumed job")
+	if got := commits(n); got != 1 {
+		t.Fatalf("a reconnect mid-job committed %d records, want 1 (the requeue)", got)
+	}
+	unblock()
+	collect(t, b, 1, 5*time.Second)
+}
+
+// TestBrokerDurableResumeAcrossCrash: a broker crashes while a worker
+// runs a job, and a new broker comes up on the same address over the
+// same store. The crash hid the dispatch — a dispatch writes nothing —
+// so the store counts one attempt fewer than the worker holds. The
+// worker's resume must still be adopted, and the job must finish on
+// its one execution.
+func TestBrokerDurableResumeAcrossCrash(t *testing.T) {
+	db := database.MustOpen(t.TempDir())
+	defer db.Close()
+	opts := BrokerOptions{DB: db} // no lease: only the resume can finish the job
+	b1, err := NewBrokerWithOptions("127.0.0.1:0", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := b1.Addr()
+
+	release := make(chan struct{})
+	var count atomic.Int64
+	w, err := NewWorkerWithOptions(addr, WorkerOptions{
+		Capacity: 1,
+		Handlers: map[string]JobHandler{
+			"slow": func(json.RawMessage) (any, error) {
+				count.Add(1)
+				<-release
+				return map[string]bool{"ok": true}, nil
+			},
+		},
+		ID:              "w-crash",
+		Reconnect:       true,
+		ReconnectPolicy: RetryPolicy{MaxAttempts: 0, BaseDelay: 5 * time.Millisecond, MaxDelay: 50 * time.Millisecond, Multiplier: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	unblock := sync.OnceFunc(func() { close(release) })
+	defer unblock() // before w.Close, which waits for the handler
+
+	b1.Submit(Job{ID: "j1", Kind: "slow"})
+	waitUntil(t, func() bool { return count.Load() == 1 }, "job to start executing")
+	b1.Kill()
+
+	b2, err := NewBrokerWithOptions(addr, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b2.Close()
+	waitUntil(t, func() bool {
+		st := b2.State()
+		return len(st.Sessions) == 1 && st.Sessions[0].Resumes == 1
+	}, "the restarted broker to adopt the resumed job")
+
+	unblock()
+	got := collect(t, b2, 1, 5*time.Second)
+	if got["j1"].Err != "" {
+		t.Fatalf("resumed job failed: %+v", got["j1"])
+	}
+	if count.Load() != 1 || b2.Executions("j1") != 1 {
+		t.Fatalf("handler ran %d times over %d executions, want 1 and 1", count.Load(), b2.Executions("j1"))
+	}
+}
+
+// BenchmarkDurableDispatch runs no-op jobs through a broker whose queue
+// is on a journaled store (fsync on every commit) and one TCP worker,
+// and reports the wall time and the queue's fsyncs per job.
+func BenchmarkDurableDispatch(b *testing.B) {
+	db, fs := countedStore(b)
+	br, err := NewBrokerWithOptions("127.0.0.1:0", BrokerOptions{DB: db})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer br.Close()
+	w, err := NewWorker(br.Addr(), 4, map[string]JobHandler{
+		"noop": func(json.RawMessage) (any, error) { return nil, nil },
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer w.Close()
+	_, syncs0 := fs.Counts(QueueCollection)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		br.Submit(Job{ID: fmt.Sprintf("job-%d", i), Kind: "noop", Payload: json.RawMessage(`{}`)})
+	}
+	for i := 0; i < b.N; i++ {
+		if res := <-br.Results(); res.Err != "" {
+			b.Fatalf("job %s: %s", res.ID, res.Err)
+		}
+	}
+	b.StopTimer()
+	_, syncs := fs.Counts(QueueCollection)
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "us/job")
+	b.ReportMetric(float64(syncs-syncs0)/float64(b.N), "fsyncs/job")
 }

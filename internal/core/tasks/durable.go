@@ -6,14 +6,23 @@ import (
 	"gem5art/internal/database"
 )
 
+// QueueCollection names the collection a durable broker queue keeps its
+// jobs in — the collection a shard fleet's journal shipper replicates.
+const QueueCollection = "broker_queue"
+
 // durableQueue persists the broker's queue through the storage engine:
-// one document per job, carrying its payload, lifecycle state
-// (pending → inflight → done), execution count, and — once finished —
-// its result. Because the engine journals every mutation, a broker
-// crash at any point leaves a consistent queue for the next
-// NewBrokerWithOptions to recover: done jobs keep their results
-// (idempotent result acceptance across restarts), everything else
-// rejoins the pending queue with its retry budget intact.
+// one document per job, carrying its payload, lifecycle state (pending
+// → done), execution count, and — once finished — its result. Because
+// the engine journals every mutation, a broker crash at any point
+// leaves a consistent queue for the next NewBrokerWithOptions to
+// recover: done jobs keep their results (idempotent result acceptance
+// across restarts), everything else rejoins the pending queue with its
+// retry budget intact.
+//
+// A dispatch writes nothing. Every other transition does, so a crash
+// hides at most one dispatch per job: its count is one behind the
+// attempt the worker holds, which is why the broker adopts that one
+// attempt when the worker resumes it or resends its result.
 //
 // All methods are nil-safe: a broker without a durable queue calls
 // them on a nil receiver and they cost one comparison.
@@ -31,23 +40,6 @@ func (q *durableQueue) savePending(j Job, execs int) {
 		"payload":    string(j.Payload),
 		"state":      "pending",
 		"executions": execs,
-		"worker":     "",
-		"attempt":    0,
-	})
-}
-
-// saveInflight upserts the job as assigned to a worker session.
-func (q *durableQueue) saveInflight(j Job, worker string, attempt int) {
-	if q == nil {
-		return
-	}
-	q.upsert(j.ID, database.Doc{
-		"kind":       j.Kind,
-		"payload":    string(j.Payload),
-		"state":      "inflight",
-		"executions": attempt,
-		"worker":     worker,
-		"attempt":    attempt,
 	})
 }
 
@@ -83,9 +75,10 @@ func (q *durableQueue) depth() (unfinished, done int) {
 	return q.col.Count(nil) - done, done
 }
 
-// recover loads the prior broker's state: unfinished jobs (pending, or
-// stranded in flight by a crash) in insertion order with their
-// execution counts, and the results of completed jobs.
+// recover loads the prior broker's state: unfinished jobs in insertion
+// order with their execution counts, and the results of completed
+// jobs. Any state but done requeues, so a store whose jobs were last
+// written in flight by an older broker loads the same way.
 func (q *durableQueue) recover() (pending []Job, execs map[string]int, results map[string]JobResult) {
 	execs = make(map[string]int)
 	results = make(map[string]JobResult)
@@ -104,16 +97,13 @@ func (q *durableQueue) recover() (pending []Job, execs map[string]int, results m
 				res.Output = json.RawMessage(out)
 			}
 			results[id] = res
-		default: // "pending" or "inflight": the crash orphaned it — requeue
+		default: // unfinished — requeue
 			j := Job{ID: id}
 			j.Kind, _ = d["kind"].(string)
 			if p, _ := d["payload"].(string); p != "" {
 				j.Payload = json.RawMessage(p)
 			}
 			pending = append(pending, j)
-			if state != "pending" {
-				q.savePending(j, execs[id])
-			}
 		}
 	}
 	return pending, execs, results

@@ -12,10 +12,6 @@ import (
 	"gem5art/internal/database"
 )
 
-// QueueCollection is the durable-queue collection each shard broker
-// journals into — the collection the shipper replicates.
-const QueueCollection = "broker_queue"
-
 // Options configures a Fleet.
 type Options struct {
 	// Shards is the number of shard brokers (default 1).
@@ -23,10 +19,8 @@ type Options struct {
 	// Dir is the root directory for per-shard durable stores; required.
 	// Layout: <dir>/shard-<i>/store-gen<N>.
 	Dir string
-	// VNodes is the ring's virtual-node count (default DefaultVNodes).
-	VNodes int
 	// Broker is the per-shard broker template (heartbeat, lease, retry).
-	// Its DB, QueueCollection, and Listener fields are overwritten by the
+	// Its DB, Listener, and Admission fields are overwritten by the
 	// fleet.
 	Broker tasks.BrokerOptions
 	// LeaseTTL is the primary lease: a shard whose primary has not
@@ -35,11 +29,6 @@ type Options struct {
 	LeaseTTL time.Duration
 	// ShipInterval is the journal-shipping cadence (default 25ms).
 	ShipInterval time.Duration
-	// SyncOnCommit fsyncs shard journals on every mutation. Off by
-	// default: shipping cadence, not fsync, bounds the failover window
-	// for in-process fleets, and chaos runs push tens of thousands of
-	// journal records.
-	SyncOnCommit bool
 	// Listener, when non-nil, supplies each shard primary's listener —
 	// the hook chaos tests use to interpose faultinject.NetChaos per
 	// shard. Called again for the promoted broker on every failover.
@@ -105,9 +94,6 @@ func NewFleet(opts Options) (*Fleet, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("shard: fleet requires a store directory")
 	}
-	if opts.VNodes <= 0 {
-		opts.VNodes = DefaultVNodes
-	}
 	if opts.LeaseTTL <= 0 {
 		opts.LeaseTTL = 250 * time.Millisecond
 	}
@@ -116,7 +102,7 @@ func NewFleet(opts Options) (*Fleet, error) {
 	}
 	f := &Fleet{
 		opts:        opts,
-		ring:        NewRing(opts.Shards, opts.VNodes),
+		ring:        NewRing(opts.Shards, DefaultVNodes),
 		results:     make(chan tasks.JobResult, 1024),
 		stop:        make(chan struct{}),
 		delivered:   make(map[string]bool),
@@ -145,7 +131,7 @@ func NewFleet(opts Options) (*Fleet, error) {
 		s.gen = 0
 		s.primaryDB, s.standbyDB = primary, standby
 		s.broker = broker
-		s.shipper = NewShipper(i, primary, standby, QueueCollection)
+		s.shipper = NewShipper(i, primary, standby, tasks.QueueCollection)
 		s.shipStop = make(chan struct{})
 		f.shards = append(f.shards, s)
 		f.startShardGoroutines(s, broker, s.shipper, s.shipStop)
@@ -163,9 +149,11 @@ func (f *Fleet) openStore(shard, gen int) (*database.DB, error) {
 	}
 	// Huge CompactAfter keeps shipping offsets stable: compaction resets
 	// the journal, forcing the standby through a full snapshot resync.
+	// No fsync per commit: shipping cadence, not fsync, bounds the
+	// failover window for in-process fleets, and chaos runs push tens of
+	// thousands of journal records.
 	store, err := database.OpenWith(dir, database.Options{
 		Journal:      true,
-		SyncOnCommit: f.opts.SyncOnCommit,
 		CompactAfter: 1 << 30,
 	})
 	if err != nil {
@@ -182,7 +170,6 @@ func (f *Fleet) openStore(shard, gen int) (*database.DB, error) {
 func (f *Fleet) startBroker(shard int, db *database.DB) (*tasks.Broker, error) {
 	bo := f.opts.Broker
 	bo.DB = db
-	bo.QueueCollection = QueueCollection
 	bo.Listener = nil
 	bo.Admission = nil // admission lives at the fleet edge, not per shard
 	if f.opts.Listener != nil {
@@ -349,7 +336,7 @@ func (f *Fleet) failover(i int) {
 		abort()
 		return
 	}
-	shipper := NewShipper(i, promoted, standby, QueueCollection)
+	shipper := NewShipper(i, promoted, standby, tasks.QueueCollection)
 	shipStop := make(chan struct{})
 
 	f.mu.Lock()
@@ -457,7 +444,7 @@ func (f *Fleet) Owner(key string) int { return f.ring.Owner(key) }
 func (f *Fleet) Map() Map {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	m := Map{Epoch: f.epoch, VNodes: f.opts.VNodes}
+	m := Map{Epoch: f.epoch, VNodes: DefaultVNodes}
 	for _, s := range f.shards {
 		m.Shards = append(m.Shards, Info{Index: s.index, Addr: s.broker.Addr(), Epoch: s.epoch})
 	}

@@ -162,6 +162,40 @@ func collect(t *testing.T, b *Broker, n int, timeout time.Duration) map[string]J
 	return got
 }
 
+// TestBrokerDuplicateSubmitRunsOnce: a job submitted twice is queued
+// once, whether or not the queue is durable. Queued twice, both task
+// frames would reach the one worker, which drops the second as a
+// duplicate, while the broker drops the first attempt's result as
+// stale, leaving the job leased forever.
+func TestBrokerDuplicateSubmitRunsOnce(t *testing.T) {
+	b, err := NewBroker("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	b.Submit(Job{ID: "twice", Kind: "echo"})
+	b.Submit(Job{ID: "twice", Kind: "echo"})
+	var count atomic.Int64
+	w, err := NewWorker(b.Addr(), 4, map[string]JobHandler{
+		"echo": func(json.RawMessage) (any, error) { count.Add(1); return 1, nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if got := collect(t, b, 1, 5*time.Second); got["twice"].Err != "" {
+		t.Fatalf("result: %+v", got["twice"])
+	}
+	select {
+	case r := <-b.Results():
+		t.Fatalf("second result delivered: %+v", r)
+	case <-time.After(50 * time.Millisecond):
+	}
+	if count.Load() != 1 || b.Executions("twice") != 1 {
+		t.Fatalf("handler ran %d times over %d executions, want 1 and 1", count.Load(), b.Executions("twice"))
+	}
+}
+
 func TestBrokerDistributesJobs(t *testing.T) {
 	var count atomic.Int64
 	handlers := map[string]JobHandler{
