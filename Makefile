@@ -89,6 +89,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzBlobPack$$' -fuzztime 30s ./internal/database/
 	$(GO) test -run '^$$' -fuzz '^FuzzWaveRNG$$' -fuzztime 30s ./internal/sim/gpu/
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckpoint$$' -fuzztime 30s ./internal/sim/cpu/
+	$(GO) test -run '^$$' -fuzz '^FuzzJobTable$$' -fuzztime 30s ./internal/core/tasks/
 
 # benchmod vets and tests the benchmark module, which builds against
 # this module's internal packages: an API change that breaks it fails

@@ -398,9 +398,9 @@ func distributeCmd(args []string) error {
 	case "boot":
 		cells := kernel.Sweep()[:40]
 		for i, c := range cells {
-			payload, err := json.Marshal(map[string]any{
-				"kernel": string(c.Kernel), "cpu": string(c.CPU), "mem": c.Mem,
-				"cores": c.Cores, "boot": string(c.Boot),
+			payload, err := json.Marshal(run.BootJob{
+				Kernel: string(c.Kernel), CPU: string(c.CPU), Mem: c.Mem,
+				Cores: c.Cores, Boot: string(c.Boot),
 			})
 			if err != nil {
 				return err

@@ -30,12 +30,8 @@ import (
 	"gem5art/internal/core/run"
 	"gem5art/internal/core/tasks"
 	"gem5art/internal/core/tasks/shard"
-	"gem5art/internal/sim/cpu"
-	"gem5art/internal/sim/gpu"
-	"gem5art/internal/sim/kernel"
 	"gem5art/internal/statusd"
 	"gem5art/internal/version"
-	"gem5art/internal/workloads"
 )
 
 func main() {
@@ -74,8 +70,8 @@ func main() {
 	}
 
 	handlers := map[string]tasks.JobHandler{
-		"boot":     bootJob,
-		"gpu":      gpuJob,
+		"boot":     run.ExecuteBootJob,
+		"gpu":      run.ExecuteGPUJob,
 		"hackback": run.ExecuteHackbackJob,
 	}
 
@@ -212,53 +208,4 @@ func serveSharded(base, id string, capacity int, heartbeat time.Duration, handle
 			}
 		}
 	}
-}
-
-// bootJob runs one Figure 8 boot cell.
-func bootJob(payload json.RawMessage) (any, error) {
-	var p struct {
-		Kernel string `json:"kernel"`
-		CPU    string `json:"cpu"`
-		Mem    string `json:"mem"`
-		Cores  int    `json:"cores"`
-		Boot   string `json:"boot"`
-	}
-	if err := json.Unmarshal(payload, &p); err != nil {
-		return nil, fmt.Errorf("bad boot payload: %w", err)
-	}
-	res := kernel.Boot(kernel.Spec{
-		Kernel: kernel.Version(p.Kernel),
-		CPU:    cpu.Model(p.CPU),
-		Mem:    p.Mem,
-		Cores:  p.Cores,
-		Boot:   kernel.BootType(p.Boot),
-	}, 0)
-	return map[string]any{
-		"outcome":     string(res.Outcome),
-		"sim_seconds": res.SimTicks.Seconds(),
-		"insts":       res.Insts,
-	}, nil
-}
-
-// gpuJob runs one Figure 9 register-allocator cell.
-func gpuJob(payload json.RawMessage) (any, error) {
-	var p struct {
-		App   string `json:"app"`
-		Alloc string `json:"alloc"`
-	}
-	if err := json.Unmarshal(payload, &p); err != nil {
-		return nil, fmt.Errorf("bad gpu payload: %w", err)
-	}
-	w, err := workloads.FindGPUWorkload(p.App)
-	if err != nil {
-		return nil, err
-	}
-	res, err := gpu.Run(gpu.Config{}, w.Kernel, gpu.Allocator(p.Alloc))
-	if err != nil {
-		return nil, err
-	}
-	return map[string]any{
-		"shader_ticks": res.Cycles,
-		"ops":          res.Ops,
-	}, nil
 }

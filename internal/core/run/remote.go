@@ -12,7 +12,9 @@ import (
 	"gem5art/internal/database"
 	"gem5art/internal/sim"
 	"gem5art/internal/sim/cpu"
+	"gem5art/internal/sim/gpu"
 	"gem5art/internal/sim/isa"
+	"gem5art/internal/sim/kernel"
 	"gem5art/internal/simcache"
 	"gem5art/internal/workloads"
 )
@@ -33,6 +35,64 @@ type HackbackJob struct {
 	CkptHash  string `json:"ckpt_hash"`
 	Ckpt      []byte `json:"ckpt,omitempty"`      // inline checkpoint blob
 	FetchURL  string `json:"fetch_url,omitempty"` // statusd base URL for by-hash fetch
+}
+
+// BootJob is the broker payload for one Figure 8 boot cell — what the
+// gateway's boot suite and gem5art distribute submit, and
+// ExecuteBootJob runs.
+type BootJob struct {
+	Kernel string `json:"kernel"`
+	CPU    string `json:"cpu"`
+	Mem    string `json:"mem"`
+	Cores  int    `json:"cores"`
+	Boot   string `json:"boot"`
+}
+
+// ExecuteBootJob is the worker-side handler for "boot" jobs.
+func ExecuteBootJob(payload json.RawMessage) (any, error) {
+	var j BootJob
+	if err := json.Unmarshal(payload, &j); err != nil {
+		return nil, fmt.Errorf("bad boot payload: %w", err)
+	}
+	res := kernel.Boot(kernel.Spec{
+		Kernel: kernel.Version(j.Kernel),
+		CPU:    cpu.Model(j.CPU),
+		Mem:    j.Mem,
+		Cores:  j.Cores,
+		Boot:   kernel.BootType(j.Boot),
+	}, 0)
+	return map[string]any{
+		"outcome":     string(res.Outcome),
+		"sim_seconds": res.SimTicks.Seconds(),
+		"insts":       res.Insts,
+	}, nil
+}
+
+// GPUJob is the broker payload for one Figure 9 register-allocator
+// cell: a GPU workload and the allocator to run it under.
+type GPUJob struct {
+	App   string `json:"app"`
+	Alloc string `json:"alloc"`
+}
+
+// ExecuteGPUJob is the worker-side handler for "gpu" jobs.
+func ExecuteGPUJob(payload json.RawMessage) (any, error) {
+	var j GPUJob
+	if err := json.Unmarshal(payload, &j); err != nil {
+		return nil, fmt.Errorf("bad gpu payload: %w", err)
+	}
+	w, err := workloads.FindGPUWorkload(j.App)
+	if err != nil {
+		return nil, err
+	}
+	res, err := gpu.Run(gpu.Config{}, w.Kernel, gpu.Allocator(j.Alloc))
+	if err != nil {
+		return nil, err
+	}
+	return map[string]any{
+		"shader_ticks": res.Cycles,
+		"ops":          res.Ops,
+	}, nil
 }
 
 // BootClassCheckpoint boots (or restores) the class's shared checkpoint

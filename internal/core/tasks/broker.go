@@ -7,6 +7,7 @@ import (
 	"net"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gem5art/internal/database"
@@ -35,37 +36,13 @@ import (
 // result is acked so the worker can stop retaining it. A hello without
 // an ID is a protocol error.
 //
-// Four independent mechanisms keep a lost machine from losing
-// experiments:
-//
-//   - disconnect requeue: a session whose connection drops has its
-//     in-flight jobs requeued; if the same worker resumes before a job
-//     is redispatched, the assignment is re-adopted instead of
-//     re-executed;
-//   - heartbeats: a worker that holds its connection open but stops
-//     sending messages for longer than BrokerOptions.HeartbeatTimeout is
-//     revoked the same way — this catches hung processes a TCP FIN never
-//     reports;
-//   - leases: each assignment carries a deadline; a job that exceeds
-//     BrokerOptions.Lease is revoked from its worker and retried
-//     elsewhere under the broker's RetryPolicy. Late results from a
-//     revoked assignment are recognised by (job, worker, attempt)
-//     identity and dropped, so a wedged attempt that eventually finishes
-//     cannot clobber the retry's result;
-//   - the durable queue: with BrokerOptions.DB set, pending jobs,
-//     attempt counts, and applied results are persisted through the
-//     storage engine's journal, so a broker that crashes mid-launch
-//     reopens with its queue intact. A dispatch is not persisted: the
-//     one attempt a crash can hide is adopted when its worker resumes
-//     it, and otherwise forgiven.
-//
-// Submit is idempotent per job ID: a job already queued or in flight is
-// not queued again, and a finished one replays its recorded result —
-// across restarts too when the queue is durable.
-//
-// A job moves pending → leased → done, with leased → pending on a lost
-// session and leased → (backoff) → pending on a retry. Each transition
-// has exactly one function: leaseLocked, requeueLocked, settleLocked.
+// A lost machine cannot lose an experiment: a dropped connection, a
+// heartbeat silent past BrokerOptions.HeartbeatTimeout and an
+// assignment past BrokerOptions.Lease each take the job back from its
+// session — a retry under BrokerOptions.Retry for an expired lease, a
+// plain requeue otherwise — and with BrokerOptions.DB the queue
+// survives a broker crash. Submit is idempotent per job ID. Every job's
+// state, and every move of it, is in the broker's jobTable.
 
 // Envelope is one protocol message.
 type Envelope struct {
@@ -125,44 +102,35 @@ type BrokerOptions struct {
 	Admission Admission
 }
 
-// assignment tracks one job leased to one worker session.
-type assignment struct {
-	job      Job
-	worker   *brokerWorker // the session holding the lease
-	attempt  int           // execution number this assignment represents
-	deadline time.Time     // zero = no lease
-}
-
 // Broker is the Celery-analogue job queue: it accepts worker
-// connections and distributes submitted jobs among them.
+// connections and distributes submitted jobs among them. It owns the
+// sessions, the frames and the clock; every job's state is in its
+// jobTable, which it changes only under mu.
 type Broker struct {
 	ln       net.Listener
 	opts     BrokerOptions
-	dq       *durableQueue // nil when BrokerOptions.DB is unset
 	mu       sync.Mutex
-	pending  []Job
-	inFly    map[string]*assignment // id -> current assignment
-	started  map[string]int         // id -> executions started (retry budget)
-	avoid    map[string]*brokerWorker
-	results  map[string]JobResult
+	jobs     *jobTable
 	resCh    chan JobResult
 	sending  sync.WaitGroup           // deliveries in flight; stop waits for them before closing resCh
 	sessions map[string]*brokerWorker // worker ID -> live session
+	serial   uint64                   // the last session's serial
+	born     time.Time                // lastBeat's origin, on the monotonic clock
 	done     chan struct{}
 	closed   bool
 }
 
+// brokerWorker is one session's connection. Everything but lastBeat is
+// guarded by the broker's mu.
 type brokerWorker struct {
 	conn     net.Conn
 	enc      *json.Encoder
 	encMu    sync.Mutex
-	id       string // stable worker ID from hello
+	key      session
 	capacity int
-	active   map[string]Job
-	lastBeat time.Time
+	lastBeat atomic.Int64 // when the last frame came: nanoseconds since Broker.born
 	resumes  int
 	syncing  bool // between hello and ready: no dispatch yet
-	mu       sync.Mutex
 }
 
 // send writes one protocol message to the worker. Writers from several
@@ -195,30 +163,18 @@ func NewBrokerWithOptions(addr string, opts BrokerOptions) (*Broker, error) {
 			return nil, fmt.Errorf("tasks: broker listen: %w", err)
 		}
 	}
+	var col database.Collection
+	if opts.DB != nil {
+		col = opts.DB.Collection(QueueCollection)
+	}
 	b := &Broker{
 		ln:       ln,
 		opts:     opts,
-		inFly:    make(map[string]*assignment),
-		started:  make(map[string]int),
-		avoid:    make(map[string]*brokerWorker),
-		results:  make(map[string]JobResult),
+		jobs:     newJobTable(col, opts.Lease, opts.Retry),
 		resCh:    make(chan JobResult, 1024),
 		sessions: make(map[string]*brokerWorker),
+		born:     time.Now(),
 		done:     make(chan struct{}),
-	}
-	if opts.DB != nil {
-		col := opts.DB.Collection(QueueCollection)
-		col.CreateIndex("state") // durableQueue.depth counts by state
-		b.dq = &durableQueue{col: col}
-		pending, execs, results := b.dq.recover()
-		b.pending = pending
-		for id, n := range execs {
-			b.started[id] = n
-		}
-		for id, res := range results {
-			b.results[id] = res
-		}
-		brokerQueueDepth.Add(float64(len(pending)))
 	}
 	go b.accept()
 	if opts.HeartbeatTimeout > 0 || opts.Lease > 0 {
@@ -280,28 +236,52 @@ func (b *Broker) submit(j Job) bool {
 		b.mu.Unlock()
 		return false
 	}
-	if res, done := b.results[j.ID]; done {
-		b.sending.Add(1)
-		b.mu.Unlock()
-		// A replayed result is as recorded as a fresh one: any
-		// admission reservation made for this resubmit frees now.
-		b.release(j)
-		// Like every other delivery, off the caller's goroutine: a
-		// fleet failover resubmits thousands of finished jobs and
-		// must not stall on a Results consumer that is itself waiting
-		// for the failover to finish.
-		go b.deliver(res)
-		return true
-	}
-	if _, ok := b.inFly[j.ID]; ok || b.pendingIndexLocked(j.ID) >= 0 {
-		b.mu.Unlock()
-		return true
-	}
-	b.dq.savePending(j, b.started[j.ID])
-	b.enqueueLocked(j)
+	replay, queued := b.jobs.submit(j)
+	then := b.settledLocked(replay...) // delivered like a fresh result
 	b.mu.Unlock()
-	b.dispatch()
+	then()
+	if queued {
+		b.dispatch()
+	}
 	return true
+}
+
+// settledLocked registers the deliveries among sts under b.mu, while
+// the broker is open, which orders them before stop closes resCh. The
+// function it returns, run once b.mu is released, schedules each retry
+// and frees and delivers each result off the caller's goroutine, so a
+// slow Results consumer cannot stall a worker's read loop or a fleet
+// failover that resubmits thousands of finished jobs.
+func (b *Broker) settledLocked(sts ...settlement) func() {
+	for _, st := range sts {
+		if !st.retry {
+			b.sending.Add(1)
+		}
+	}
+	return func() {
+		for _, st := range sts {
+			if st.retry {
+				b.retryAfter(st.job.ID, st.backoff)
+				continue
+			}
+			b.release(st.job)
+			go b.deliver(st.res)
+		}
+	}
+}
+
+// retryAfter queues a waiting job again once its backoff elapses. It
+// is only reached from the retry paths, so it also counts the retry.
+func (b *Broker) retryAfter(id string, d time.Duration) {
+	brokerRetries.Inc()
+	time.AfterFunc(d, func() {
+		b.mu.Lock()
+		readmitted := !b.closed && b.jobs.readmit(id)
+		b.mu.Unlock()
+		if readmitted {
+			b.dispatch()
+		}
+	})
 }
 
 // release frees the admission reservation for a job whose result just
@@ -324,19 +304,14 @@ func (b *Broker) Results() <-chan JobResult { return b.resCh }
 func (b *Broker) Result(id string) (JobResult, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	res, ok := b.results[id]
-	return res, ok
+	return b.jobs.result(id)
 }
 
-// deliver publishes a result without ever blocking past Close: a
-// receiver may have gone away, and result-sending goroutines must not
-// leak waiting on a full channel. Results are recorded in b.results
-// (and the durable queue) before deliver is called, so nothing is lost
-// if the channel consumer is slow or absent — the channel is a
-// notification path, the results map is the source of truth. The caller
-// has registered the delivery with b.sending.Add(1) under b.mu, having
-// seen the broker open there: that is what orders every send before
-// the close of resCh.
+// deliver publishes a result without ever blocking past Close, so a
+// delivery goroutine cannot leak on a consumer that went away. The
+// result is recorded before deliver is called — the channel is a
+// notification path, the table the source of truth — and the caller
+// registered the delivery (see settledLocked).
 func (b *Broker) deliver(res JobResult) {
 	defer b.sending.Done()
 	select {
@@ -345,14 +320,12 @@ func (b *Broker) deliver(res JobResult) {
 	}
 }
 
-// Close shuts the broker down. Without a durable queue, jobs still
-// pending or assigned are recorded as failed ("broker closed") so
-// callers polling Result see a terminal state. With a durable queue,
-// unfinished jobs are instead parked as pending in the store — a later
-// NewBrokerWithOptions over the same database resumes them. Any
-// goroutine blocked delivering a result is released rather than leaked,
-// and Results is closed once they are gone; results still buffered stay
-// receivable.
+// Close shuts the broker down. Without a durable queue, unfinished jobs
+// are recorded as failed ("broker closed") so callers polling Result
+// see a terminal state; with one, they are parked as pending in the
+// store for a later NewBrokerWithOptions to resume. Blocked deliveries
+// are released, and Results is closed once they are gone; results
+// still buffered stay receivable.
 func (b *Broker) Close() { b.stop(true) }
 
 // Kill stops the broker abruptly: listener and connections die, but no
@@ -361,12 +334,11 @@ func (b *Broker) Close() { b.stop(true) }
 // — the scenario NewBrokerWithOptions recovery exists for.
 func (b *Broker) Kill() { b.stop(false) }
 
-// stop is Close (graceful) and Kill. Either way the in-memory queue is
-// emptied under b.mu, so a session that drops afterwards finds no lease
-// to requeue and nothing reaches the durable queue after the stop.
-// Results is closed once no delivery can still send on it: no new one
-// registers past b.closed, and every registered one falls out through
-// b.done.
+// stop is Close (graceful) and Kill. Either way the job table keeps
+// only done jobs, so a session that drops afterwards finds no lease to
+// requeue and nothing reaches the durable queue after the stop. Results
+// is closed once no delivery can still send on it: none registers past
+// b.closed, and every registered one falls out through b.done.
 func (b *Broker) stop(graceful bool) {
 	b.mu.Lock()
 	if b.closed {
@@ -375,27 +347,7 @@ func (b *Broker) stop(graceful bool) {
 	}
 	b.closed = true
 	close(b.done)
-	var failed []Job
-	if graceful {
-		// Unfinished jobs are parked for the next broker when the queue
-		// is durable (pending ones already are), and failed otherwise.
-		for id, a := range b.inFly {
-			if b.dq != nil {
-				b.dq.savePending(a.job, b.started[id])
-			} else {
-				failed = append(failed, a.job)
-			}
-		}
-		if b.dq == nil {
-			failed = append(failed, b.pending...)
-		}
-		for _, j := range failed {
-			b.results[j.ID] = JobResult{ID: j.ID, Err: "broker closed"}
-		}
-	}
-	b.inFly = make(map[string]*assignment)
-	brokerQueueDepth.Add(-float64(len(b.pending)))
-	b.pending = nil
+	failed := b.jobs.stop(graceful)
 	conns := make([]net.Conn, 0, len(b.sessions))
 	for _, w := range b.sessions {
 		conns = append(conns, w.conn)
@@ -426,10 +378,12 @@ func (b *Broker) accept() {
 func (b *Broker) monitor() {
 	tick := b.opts.CheckInterval
 	if tick <= 0 {
-		tick = minPositive(b.opts.HeartbeatTimeout, b.opts.Lease) / 4
-		if tick < 5*time.Millisecond {
-			tick = 5 * time.Millisecond
+		// A quarter of the shorter enabled deadline, at least 5ms.
+		d := b.opts.Lease
+		if h := b.opts.HeartbeatTimeout; h > 0 && (d <= 0 || h < d) {
+			d = h
 		}
+		tick = max(d/4, 5*time.Millisecond)
 	}
 	t := time.NewTicker(tick)
 	defer t.Stop()
@@ -439,19 +393,13 @@ func (b *Broker) monitor() {
 			return
 		case <-t.C:
 		}
-		b.checkHeartbeats()
-		b.checkLeases()
+		if b.opts.HeartbeatTimeout > 0 {
+			b.checkHeartbeats()
+		}
+		if b.opts.Lease > 0 {
+			b.checkLeases()
+		}
 	}
-}
-
-func minPositive(a, b time.Duration) time.Duration {
-	switch {
-	case a <= 0:
-		return b
-	case b <= 0, a < b:
-		return a
-	}
-	return b
 }
 
 // checkHeartbeats revokes workers that have gone silent. Closing the
@@ -459,18 +407,13 @@ func minPositive(a, b time.Duration) time.Duration {
 // so no job on a hung worker is lost — and a worker that was merely
 // partitioned can reconnect and resume.
 func (b *Broker) checkHeartbeats() {
-	if b.opts.HeartbeatTimeout <= 0 {
-		return
-	}
-	now := time.Now()
+	silentSince := int64(time.Since(b.born) - b.opts.HeartbeatTimeout)
 	b.mu.Lock()
 	var dead []net.Conn
 	for _, w := range b.sessions {
-		w.mu.Lock()
-		if now.Sub(w.lastBeat) > b.opts.HeartbeatTimeout {
+		if w.lastBeat.Load() < silentSince {
 			dead = append(dead, w.conn)
 		}
-		w.mu.Unlock()
 	}
 	b.mu.Unlock()
 	for _, c := range dead {
@@ -483,36 +426,19 @@ func (b *Broker) checkHeartbeats() {
 // settles each as a failed execution, which retries it elsewhere while
 // the budget lasts.
 func (b *Broker) checkLeases() {
-	if b.opts.Lease <= 0 {
+	b.mu.Lock()
+	expired := b.jobs.expire(time.Now())
+	then := b.settledLocked(expired...)
+	b.mu.Unlock()
+	if len(expired) == 0 {
 		return
 	}
-	now := time.Now()
-	b.mu.Lock()
-	var then []func()
-	for _, a := range b.inFly {
-		if a.deadline.IsZero() || !now.After(a.deadline) {
-			continue
-		}
-		brokerLeaseRevocations.Inc()
-		b.unleaseLocked(a)
-		msg := fmt.Sprintf("lease expired after %d attempts", b.started[a.job.ID])
-		then = append(then, b.settleLocked(a.job, a.worker, JobResult{ID: a.job.ID, Err: msg}))
-	}
-	b.mu.Unlock()
-	for _, f := range then {
-		f()
-	}
-	if len(then) > 0 {
-		b.dispatch()
-	}
+	brokerLeaseRevocations.Add(float64(len(expired)))
+	then()
+	b.dispatch()
 }
 
 func (b *Broker) serve(conn net.Conn) {
-	w := &brokerWorker{
-		conn:   conn,
-		enc:    json.NewEncoder(conn),
-		active: make(map[string]Job),
-	}
 	sc := bufio.NewScanner(conn)
 	sc.Buffer(make([]byte, 64*1024), 16*1024*1024)
 	if !sc.Scan() {
@@ -520,34 +446,34 @@ func (b *Broker) serve(conn net.Conn) {
 		return
 	}
 	var hello Envelope
-	if err := json.Unmarshal(sc.Bytes(), &hello); err != nil || hello.Type != "hello" || hello.Worker == "" {
+	if json.Unmarshal(sc.Bytes(), &hello) != nil || hello.Type != "hello" || hello.Worker == "" {
 		brokerProtocolErrors.Inc()
-		_ = w.send(Envelope{Type: "error", Error: "protocol: expected a hello frame with a worker ID"})
+		_ = json.NewEncoder(conn).Encode(Envelope{Type: "error", Error: "protocol: expected a hello frame with a worker ID"})
 		_ = conn.Close()
 		return
 	}
-	w.id = hello.Worker
-	w.capacity = max(hello.Capacity, 1)
 	// A session resynchronizes before taking new work: resume and
 	// result-resend frames must be processed ahead of any dispatch, or
 	// the broker would redispatch a job its own worker still holds. The
 	// worker lifts the gate with a "ready" frame.
-	w.syncing = true
-	w.lastBeat = time.Now()
+	w := &brokerWorker{conn: conn, enc: json.NewEncoder(conn), capacity: max(hello.Capacity, 1), syncing: true}
+	w.lastBeat.Store(int64(time.Since(b.born)))
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
 		_ = conn.Close()
 		return
 	}
+	b.serial++
+	w.key = session{worker: hello.Worker, serial: b.serial}
 	// A reconnect supersedes the worker's old session: its leases go
 	// back to the queue, where this session's resume frames re-adopt
 	// them.
-	old := b.sessions[w.id]
+	old := b.sessions[hello.Worker]
 	if old != nil {
 		b.dropSessionLocked(old)
 	}
-	b.sessions[w.id] = w
+	b.sessions[hello.Worker] = w
 	b.mu.Unlock()
 	if old != nil {
 		_ = old.conn.Close()
@@ -569,16 +495,14 @@ func (b *Broker) serve(conn net.Conn) {
 			_ = w.send(Envelope{Type: "error", Error: fmt.Sprintf("protocol: malformed frame: %v", err)})
 			break
 		}
-		w.mu.Lock()
-		w.lastBeat = time.Now()
-		w.mu.Unlock()
+		w.lastBeat.Store(int64(time.Since(b.born)))
 		switch env.Type {
 		case "heartbeat":
 			brokerHeartbeats.Inc()
 		case "ready":
-			w.mu.Lock()
+			b.mu.Lock()
 			w.syncing = false
-			w.mu.Unlock()
+			b.mu.Unlock()
 			b.dispatch()
 		case "resume":
 			b.handleResume(w, env)
@@ -598,61 +522,30 @@ func (b *Broker) serve(conn net.Conn) {
 	}
 }
 
-// dropSessionLocked ends a session: every job it still leases goes back
-// to the queue — where the worker's next session can resume it — and
-// the session leaves the dispatch table unless a newer one has already
-// replaced it. It serves both a lost connection and a superseding
-// reconnect, and it is idempotent: the second call finds nothing held.
-// Reports whether any job was requeued.
+// dropSessionLocked ends a session, for a lost connection and a
+// superseding reconnect alike: its leases go back to the queue, where
+// the worker's next session can resume them, and it leaves the session
+// table unless a newer one replaced it. Reports whether any job was
+// requeued; a second call finds nothing held.
 func (b *Broker) dropSessionLocked(w *brokerWorker) bool {
-	w.mu.Lock()
-	held := w.active
-	w.active = make(map[string]Job)
-	w.mu.Unlock()
-	requeued := false
-	for id := range held {
-		// Only jobs this session still leases: a lease expiry may already
-		// have moved one elsewhere.
-		if a, ok := b.inFly[id]; ok && a.worker == w {
-			b.requeueLocked(a)
-			requeued = true
-		}
+	if b.sessions[w.key.worker] == w {
+		delete(b.sessions, w.key.worker)
 	}
-	if b.sessions[w.id] == w {
-		delete(b.sessions, w.id)
-	}
-	return requeued
+	return b.jobs.drop(w.key)
 }
 
-// handleResume processes one {"type":"resume"} frame: a reconnected
-// session still holds this job (executing or finished-but-unacked) and
-// asks to keep it. The broker re-adopts the assignment if the job is
-// still this worker's to finish — its attempt still the queued one or
-// the one a crash hid, not completed, not reassigned — and otherwise
-// tells the worker to abandon it. Adoption writes nothing.
+// handleResume answers a {"type":"resume"} frame — a reconnected
+// session still holds the job — by adopting the job, or telling the
+// worker to abandon it when it is no longer the session's to finish.
 func (b *Broker) handleResume(w *brokerWorker, env Envelope) {
-	id := env.ID
 	b.mu.Lock()
-	adopted := false
-	if _, done := b.results[id]; !done {
-		if a, ok := b.inFly[id]; ok {
-			// The hello requeued every lease of the worker's earlier
-			// session, so a lease in flight is either this session's
-			// already or another worker's.
-			adopted = a.worker == w
-		} else if j, ok := b.takePendingLocked(id, env.Attempt); ok {
-			b.leaseLocked(&assignment{job: j, attempt: b.started[id]}, w)
-			adopted = true
-		}
-	}
+	adopted := b.jobs.adopt(w.key, env.ID, env.Attempt, time.Now())
 	if adopted {
-		w.mu.Lock()
 		w.resumes++
-		w.mu.Unlock()
 	}
 	b.mu.Unlock()
 	if !adopted {
-		_ = w.send(Envelope{Type: "abandon", ID: id})
+		_ = w.send(Envelope{Type: "abandon", ID: env.ID})
 	}
 }
 
@@ -661,34 +554,16 @@ func (b *Broker) handleResume(w *brokerWorker, env Envelope) {
 // from revoked assignments are acked and dropped.
 func (b *Broker) finish(w *brokerWorker, env Envelope) {
 	b.mu.Lock()
-	var job Job
-	match := false
-	if a, ok := b.inFly[env.ID]; ok {
-		if a.worker.id == w.id && (env.Attempt == 0 || env.Attempt == a.attempt) {
-			b.unleaseLocked(a)
-			job, match = a.job, true
-		}
-	} else if _, done := b.results[env.ID]; !done {
-		// Not assigned — but a worker may legitimately deliver a result
-		// for a job our disconnect handling already requeued: the
-		// execution finished while the connection was down and the
-		// result was resent after the reconnect. If the queued entry is
-		// still this execution, apply it instead of making another
-		// worker redo the work.
-		job, match = b.takePendingLocked(env.ID, env.Attempt)
+	st, ok := b.jobs.finish(w.key, JobResult{ID: env.ID, Err: env.Error, Output: env.Output}, env.Attempt)
+	then := func() {}
+	if ok {
+		then = b.settledLocked(st)
+	} else if _, done := b.jobs.result(env.ID); done {
+		// Already applied, e.g. delivered right before a connection drop
+		// and resent after the reconnect; otherwise the assignment was
+		// revoked and retried elsewhere.
+		brokerDuplicateResults.Inc()
 	}
-	if !match {
-		// Stale or duplicate: the assignment was revoked and retried
-		// elsewhere, or the result was already applied (e.g. delivered
-		// right before a connection drop and resent after the reconnect).
-		if _, done := b.results[env.ID]; done {
-			brokerDuplicateResults.Inc()
-		}
-		b.mu.Unlock()
-		_ = w.send(Envelope{Type: "ack", ID: env.ID})
-		return
-	}
-	then := b.settleLocked(job, w, JobResult{ID: env.ID, Err: env.Error, Output: env.Output})
 	b.mu.Unlock()
 	// The ack goes out before a retry can be redispatched: the worker
 	// drops its retained copy on the ack, and a task frame for a job it
@@ -697,134 +572,23 @@ func (b *Broker) finish(w *brokerWorker, env Envelope) {
 	then()
 }
 
-// settleLocked is the one exit from a lease, for a reported result and
-// an expired lease alike. A retryable failure with budget left is
-// marked pending in the durable queue and requeued after its backoff,
-// preferring a different worker; anything else is recorded as the
-// job's result. The record is made under b.mu; the returned function
-// schedules the retry or releases and delivers the result, and must be
-// called after b.mu is released.
-func (b *Broker) settleLocked(j Job, from *brokerWorker, res JobResult) func() {
-	n := b.started[j.ID]
-	rp := b.opts.Retry
-	if rp.Enabled() && n < rp.MaxAttempts && rp.RetryableMessage(res.Err) {
-		b.avoid[j.ID] = from
-		b.dq.savePending(j, n) // durable before the backoff gap
-		return func() { b.requeueAfter(j, rp.Backoff(n)) }
-	}
-	delete(b.avoid, j.ID)
-	b.results[j.ID] = res
-	b.dq.saveDone(res, n)
-	// The broker is open here: stop empties the queue and the lease
-	// table under b.mu, so nothing is left to settle after it.
-	b.sending.Add(1)
-	return func() {
-		b.release(j)
-		// Off this goroutine, so a slow Results consumer can never stall
-		// a worker's read loop (and with it heartbeat processing).
-		go b.deliver(res)
-	}
-}
-
-// requeueAfter puts a job back on the pending queue once its backoff
-// elapses. It is only reached from the retry paths, so it also counts
-// the retry. The durable queue already marks the job pending before the
-// backoff starts, so a crash during the gap cannot lose it.
-func (b *Broker) requeueAfter(j Job, d time.Duration) {
-	brokerRetries.Inc()
-	time.AfterFunc(d, func() {
-		b.mu.Lock()
-		// A resubmit during the gap may already have queued or run the
-		// job again.
-		_, leased := b.inFly[j.ID]
-		_, done := b.results[j.ID]
-		if b.closed || leased || done || b.pendingIndexLocked(j.ID) >= 0 {
-			b.mu.Unlock()
-			return
-		}
-		b.enqueueLocked(j)
-		b.mu.Unlock()
-		b.dispatch()
-	})
-}
-
-// leaseLocked hands a's job to session w: the pending → leased
-// transition for a dispatch and a resume alike.
-func (b *Broker) leaseLocked(a *assignment, w *brokerWorker) {
-	a.worker = w
-	if b.opts.Lease > 0 {
-		a.deadline = time.Now().Add(b.opts.Lease)
-	}
-	b.inFly[a.job.ID] = a
-	w.mu.Lock()
-	w.active[a.job.ID] = a.job
-	w.mu.Unlock()
-}
-
-// unleaseLocked takes a's job off its session and out of flight.
-func (b *Broker) unleaseLocked(a *assignment) {
-	delete(b.inFly, a.job.ID)
-	a.worker.mu.Lock()
-	delete(a.worker.active, a.job.ID)
-	a.worker.mu.Unlock()
-}
-
-// requeueLocked is the leased → pending transition without a retry: the
-// session lost the job, not the job its attempt.
-func (b *Broker) requeueLocked(a *assignment) {
-	b.unleaseLocked(a)
-	b.dq.savePending(a.job, b.started[a.job.ID])
-	b.enqueueLocked(a.job)
-}
-
-func (b *Broker) enqueueLocked(j Job) {
-	b.pending = append(b.pending, j)
-	brokerQueueDepth.Inc()
-}
-
-func (b *Broker) pendingIndexLocked(id string) int {
-	for i, p := range b.pending {
-		if p.ID == id {
-			return i
-		}
-	}
-	return -1
-}
-
-// takePendingLocked removes a queued job for a worker that turns out to
-// hold it, when the worker's attempt (0 matches any) is the job's
-// latest: the last one started, or the one after it, which a dispatch
-// started before a crash and never wrote. The latter becomes the job's
-// latest attempt, so no attempt number is issued twice.
-func (b *Broker) takePendingLocked(id string, attempt int) (Job, bool) {
-	i := b.pendingIndexLocked(id)
-	n := b.started[id]
-	if i < 0 || (attempt != 0 && attempt != n && attempt != n+1) {
-		return Job{}, false
-	}
-	b.started[id] = max(n, attempt)
-	j := b.pending[i]
-	b.pending = append(b.pending[:i], b.pending[i+1:]...)
-	brokerQueueDepth.Dec()
-	return j, true
-}
-
-// dispatch hands pending jobs to workers with free capacity, preferring
-// a worker other than the one a job last failed on.
+// dispatch hands queued jobs to sessions with free capacity, preferring
+// a session other than the one a job last failed on.
 func (b *Broker) dispatch() {
+	now := time.Now()
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for len(b.pending) > 0 {
-		j := b.pending[0]
+	for {
+		j, avoid, ok := b.jobs.next()
+		if !ok {
+			return
+		}
 		var target, fallback *brokerWorker
 		for _, w := range b.sessions {
-			w.mu.Lock()
-			free := !w.syncing && len(w.active) < w.capacity
-			w.mu.Unlock()
-			if !free {
+			if w.syncing || b.jobs.held(w.key) >= w.capacity {
 				continue
 			}
-			if b.avoid[j.ID] == w {
+			if w.key == avoid {
 				fallback = w
 				continue
 			}
@@ -837,16 +601,11 @@ func (b *Broker) dispatch() {
 		if target == nil {
 			return
 		}
-		b.pending = b.pending[1:]
-		brokerQueueDepth.Dec()
-		b.started[j.ID]++
-		a := &assignment{job: j, attempt: b.started[j.ID]}
-		b.leaseLocked(a, target)
-		if err := target.send(Envelope{Type: "task", ID: j.ID, Kind: j.Kind, Payload: j.Payload, Attempt: a.attempt}); err != nil {
+		attempt := b.jobs.lease(target.key, now)
+		if err := target.send(Envelope{Type: "task", ID: j.ID, Kind: j.Kind, Payload: j.Payload, Attempt: attempt}); err != nil {
 			// The attempt never reached the worker; the serve loop will
 			// notice the dead connection.
-			b.started[j.ID]--
-			b.requeueLocked(a)
+			b.jobs.retract(j.ID)
 			return
 		}
 	}
@@ -856,7 +615,7 @@ func (b *Broker) dispatch() {
 func (b *Broker) PendingCount() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return len(b.pending)
+	return b.jobs.pending()
 }
 
 // AssignmentState describes one in-flight assignment for the status
@@ -899,47 +658,29 @@ type BrokerState struct {
 // State captures the broker's current queue, session, and lease state.
 func (b *Broker) State() BrokerState {
 	b.mu.Lock()
-	st := BrokerState{
-		Pending: len(b.pending),
-		Workers: len(b.sessions),
-		Results: len(b.results),
-		Durable: b.dq != nil,
-	}
-	for _, a := range b.inFly {
-		st.InFlight = append(st.InFlight, AssignmentState{
-			JobID:         a.job.ID,
-			Kind:          a.job.Kind,
-			Worker:        a.worker.id,
-			LeaseDeadline: a.deadline,
-			Executions:    b.started[a.job.ID],
-		})
-	}
+	st := BrokerState{Workers: len(b.sessions)}
+	b.jobs.state(&st)
 	for _, w := range b.sessions {
-		w.mu.Lock()
 		st.Sessions = append(st.Sessions, WorkerSessionState{
-			ID:       w.id,
+			ID:       w.key.worker,
 			Addr:     w.conn.RemoteAddr().String(),
 			Capacity: w.capacity,
-			Active:   len(w.active),
+			Active:   b.jobs.held(w.key),
 			Resumes:  w.resumes,
-			LastBeat: w.lastBeat,
+			LastBeat: b.born.Add(time.Duration(w.lastBeat.Load())),
 		})
-		w.mu.Unlock()
 	}
-	dq := b.dq
 	b.mu.Unlock()
-	if dq != nil {
-		st.DurablePending, st.DurableDone = dq.depth()
-	}
-	sort.Slice(st.InFlight, func(i, j int) bool { return st.InFlight[i].JobID < st.InFlight[j].JobID })
+	b.jobs.durableState(&st)
 	sort.Slice(st.Sessions, func(i, j int) bool { return st.Sessions[i].ID < st.Sessions[j].ID })
 	return st
 }
 
 // Executions reports how many assignments a job has consumed so far,
-// for tests and reporting.
+// for tests and reporting: 0 for an unknown job, and for one still
+// unfinished when the broker stopped.
 func (b *Broker) Executions(id string) int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.started[id]
+	return b.jobs.executions(id)
 }

@@ -1,10 +1,14 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
 	"net"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -17,14 +21,16 @@ type Options struct {
 	// Shards is the number of shard brokers (default 1).
 	Shards int
 	// Dir is the root directory for per-shard durable stores; required.
-	// Layout: <dir>/shard-<i>/store-gen<N>.
+	// Layout: <dir>/shard-<i>/store-gen<N>; a failover renames the store
+	// it deposes store-gen<N>.deposed, so a fleet reopened over the same
+	// Dir resumes each shard from the primary it last had.
 	Dir string
 	// Broker is the per-shard broker template (heartbeat, lease, retry).
 	// Its DB, Listener, and Admission fields are overwritten by the
 	// fleet.
 	Broker tasks.BrokerOptions
-	// LeaseTTL is the primary lease: a shard whose primary has not
-	// renewed for this long gets its standby promoted (default 250ms —
+	// LeaseTTL is the primary lease: a shard whose primary broker has
+	// been down this long gets its standby promoted (default 250ms —
 	// tuned for in-process fleets; a networked deployment wants seconds).
 	LeaseTTL time.Duration
 	// ShipInterval is the journal-shipping cadence (default 25ms).
@@ -53,20 +59,18 @@ type shardState struct {
 	shipStop    chan struct{}
 	lastBeat    time.Time
 	failingOver bool
-	// fenced marks a failover that killed the old primary and drained
-	// its journal but could not start the replacement broker: the fence
-	// steps are done and must not be repeated — shipStop has already
-	// been swapped for a fresh unclosed channel — so the monitor's retry
-	// (and Close) skip straight to promotion.
+	// fenced marks a failover that drained the old primary's journal but
+	// could not promote: the monitor's retry skips the fence, whose
+	// shipStop is already closed (and swapped for a fresh one for Close).
 	fenced bool
 }
 
 // Fleet runs N shard brokers behind a consistent-hash router with
 // journal-replicated standbys and lease-based failover. Submit routes
-// by job ID; Results delivers each job's result exactly once across the
-// whole fleet, regardless of how many primaries died along the way —
-// execution is at-least-once (bounded by replication lag), delivery is
-// deduplicated at this edge.
+// by job ID; Results delivers each submitted job's result exactly once,
+// regardless of how many primaries died along the way — execution is
+// at-least-once (bounded by replication lag), delivery is deduplicated
+// at this edge.
 type Fleet struct {
 	opts    Options
 	ring    *Ring
@@ -80,8 +84,7 @@ type Fleet struct {
 	mu          sync.Mutex
 	shards      []*shardState
 	epoch       uint64
-	delivered   map[string]bool
-	outstanding map[string]tasks.Job
+	outstanding map[string]tasks.Job // submitted, or recovered when the fleet started; by ID
 	closed      bool
 }
 
@@ -105,36 +108,27 @@ func NewFleet(opts Options) (*Fleet, error) {
 		ring:        NewRing(opts.Shards, DefaultVNodes),
 		results:     make(chan tasks.JobResult, 1024),
 		stop:        make(chan struct{}),
-		delivered:   make(map[string]bool),
 		outstanding: make(map[string]tasks.Job),
 	}
 	for i := 0; i < opts.Shards; i++ {
-		s := &shardState{index: i, lastBeat: time.Now()}
-		primary, err := f.openStore(i, 0)
+		s := &shardState{index: i}
+		gen := f.liveGen(i)
+		primary, err := f.openStore(i, gen)
+		if err == nil {
+			// The jobs the shard's broker is about to recover were
+			// submitted before a restart; their results are still owed.
+			for _, j := range tasks.Unfinished(primary) {
+				f.outstanding[j.ID] = j
+			}
+			if err = f.startGen(s, gen, primary); err != nil {
+				primary.Close()
+			}
+		}
 		if err != nil {
 			f.Close()
 			return nil, err
 		}
-		standby, err := f.openStore(i, 1)
-		if err != nil {
-			primary.Close()
-			f.Close()
-			return nil, err
-		}
-		broker, err := f.startBroker(i, primary)
-		if err != nil {
-			primary.Close()
-			standby.Close()
-			f.Close()
-			return nil, err
-		}
-		s.gen = 0
-		s.primaryDB, s.standbyDB = primary, standby
-		s.broker = broker
-		s.shipper = NewShipper(i, primary, standby, tasks.QueueCollection)
-		s.shipStop = make(chan struct{})
 		f.shards = append(f.shards, s)
-		f.startShardGoroutines(s, broker, s.shipper, s.shipStop)
 	}
 	shardEpoch.Set(0)
 	f.wg.Add(1)
@@ -142,8 +136,27 @@ func NewFleet(opts Options) (*Fleet, error) {
 	return f, nil
 }
 
+func (f *Fleet) storeDir(shard, gen int) string {
+	return filepath.Join(f.opts.Dir, fmt.Sprintf("shard-%d", shard), fmt.Sprintf("store-gen%d", gen))
+}
+
+// liveGen returns the lowest generation of shard's stores that no
+// failover has deposed — its primary when the fleet last stopped — or
+// 0 for a new shard.
+func (f *Fleet) liveGen(shard int) int {
+	gen := -1
+	entries, _ := os.ReadDir(filepath.Dir(f.storeDir(shard, 0)))
+	for _, e := range entries {
+		num, ok := strings.CutPrefix(e.Name(), "store-gen")
+		if n, err := strconv.Atoi(num); ok && err == nil && (gen < 0 || n < gen) {
+			gen = n
+		}
+	}
+	return max(gen, 0)
+}
+
 func (f *Fleet) openStore(shard, gen int) (*database.DB, error) {
-	dir := filepath.Join(f.opts.Dir, fmt.Sprintf("shard-%d", shard), fmt.Sprintf("store-gen%d", gen))
+	dir := f.storeDir(shard, gen)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("shard %d: %w", shard, err)
 	}
@@ -167,31 +180,44 @@ func (f *Fleet) openStore(shard, gen int) (*database.DB, error) {
 	return db, nil
 }
 
-func (f *Fleet) startBroker(shard int, db *database.DB) (*tasks.Broker, error) {
+// startGen brings up generation gen of shard s over its primary store
+// — a broker, a standby store at gen+1, the journal shipper between
+// them, and the generation's result pump — and installs it in s. On
+// error nothing is left running.
+func (f *Fleet) startGen(s *shardState, gen int, primary *database.DB) error {
 	bo := f.opts.Broker
-	bo.DB = db
-	bo.Listener = nil
+	bo.DB, bo.Listener = primary, nil
 	bo.Admission = nil // admission lives at the fleet edge, not per shard
 	if f.opts.Listener != nil {
-		ln, err := f.opts.Listener(shard)
+		ln, err := f.opts.Listener(s.index)
 		if err != nil {
-			return nil, fmt.Errorf("shard %d: listener: %w", shard, err)
+			return fmt.Errorf("shard %d: listener: %w", s.index, err)
 		}
 		bo.Listener = ln
 	}
-	return tasks.NewBrokerWithOptions("127.0.0.1:0", bo)
-}
-
-// startShardGoroutines launches the per-primary result pump, lease
-// renewal, and journal shipper for one broker generation.
-func (f *Fleet) startShardGoroutines(s *shardState, b *tasks.Broker, sh *Shipper, shipStop chan struct{}) {
-	f.wg.Add(3)
-	go f.pump(b)
-	go f.renewLease(s, b)
+	broker, err := tasks.NewBrokerWithOptions("127.0.0.1:0", bo)
+	if err != nil {
+		return err
+	}
+	standby, err := f.openStore(s.index, gen+1)
+	if err != nil {
+		broker.Kill()
+		return err
+	}
+	shipper := NewShipper(s.index, primary, standby, tasks.QueueCollection)
+	shipStop := make(chan struct{})
+	f.mu.Lock()
+	s.gen, s.broker, s.primaryDB, s.standbyDB = gen, broker, primary, standby
+	s.shipper, s.shipStop = shipper, shipStop
+	s.fenced, s.failingOver, s.lastBeat = false, false, time.Now()
+	f.mu.Unlock()
+	f.wg.Add(2)
+	go f.pump(broker)
 	go func() {
 		defer f.wg.Done()
-		sh.Run(f.opts.ShipInterval, shipStop)
+		shipper.Run(f.opts.ShipInterval, shipStop)
 	}()
+	return nil
 }
 
 // pump forwards one broker generation's results into the fleet's
@@ -214,41 +240,12 @@ func (f *Fleet) pump(b *tasks.Broker) {
 	}
 }
 
-// renewLease advances the shard's lease while its broker generation is
-// alive. It exits — and the lease starts expiring — the moment the
-// broker's done channel closes, whether by Close or by Kill.
-func (f *Fleet) renewLease(s *shardState, b *tasks.Broker) {
-	defer f.wg.Done()
-	interval := f.opts.LeaseTTL / 4
-	if interval < time.Millisecond {
-		interval = time.Millisecond
-	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-f.stop:
-			return
-		case <-b.Done():
-			return
-		case <-t.C:
-			f.mu.Lock()
-			if s.broker == b {
-				s.lastBeat = time.Now()
-			}
-			f.mu.Unlock()
-		}
-	}
-}
-
-// monitor watches shard leases and promotes standbys when they expire.
+// monitor renews the lease of every shard whose primary serves, and
+// promotes the standby of one whose primary stopped — by Close or by
+// Kill — more than a lease ago.
 func (f *Fleet) monitor() {
 	defer f.wg.Done()
-	interval := f.opts.LeaseTTL / 4
-	if interval < time.Millisecond {
-		interval = time.Millisecond
-	}
-	t := time.NewTicker(interval)
+	t := time.NewTicker(max(f.opts.LeaseTTL/4, time.Millisecond))
 	defer t.Stop()
 	for {
 		select {
@@ -259,7 +256,11 @@ func (f *Fleet) monitor() {
 		var expired []int
 		f.mu.Lock()
 		for i, s := range f.shards {
-			if !s.failingOver && time.Since(s.lastBeat) > f.opts.LeaseTTL {
+			switch {
+			case s.failingOver:
+			case !s.broker.Closed():
+				s.lastBeat = time.Now()
+			case time.Since(s.lastBeat) > f.opts.LeaseTTL:
 				s.failingOver = true
 				expired = append(expired, i)
 			}
@@ -286,20 +287,14 @@ func (f *Fleet) failover(i int) {
 		return
 	}
 	s := f.shards[i]
-	old := s.broker
-	oldShipper := s.shipper
-	oldShipStop := s.shipStop
-	oldPrimary := s.primaryDB
-	promoted := s.standbyDB
-	gen := s.gen
-	fenced := s.fenced
+	oldShipper, oldShipStop, oldPrimary := s.shipper, s.shipStop, s.primaryDB
+	promoted, gen, fenced := s.standbyDB, s.gen, s.fenced
 	f.mu.Unlock()
 
+	// The monitor fails over only a shard whose primary broker has
+	// stopped, so two brokers never own the shard at once.
 	if !fenced {
-		// Fence: even a primary that is merely wedged (lease expired
-		// without crashing) stops serving before the standby takes over,
-		// so two brokers never own the shard at once.
-		old.Kill()
+		// Fence the deposed store: stop shipping from it.
 		close(oldShipStop)
 		// Final drain: the deposed primary's store is still readable
 		// in-process, so everything it journaled reaches the standby
@@ -310,11 +305,10 @@ func (f *Fleet) failover(i int) {
 		oldPrimary.Close()
 	}
 
-	// abort records a failed promotion attempt: the fence is done (and
-	// must never be redone — re-closing shipStop would panic), the lease
-	// is reset so the monitor retries on the next expiry instead of
-	// looping hot, and shipStop becomes a fresh channel no goroutine
-	// listens on, safe for Close to close exactly once.
+	// abort records a failed promotion: the fence is done and must not be
+	// redone (re-closing shipStop would panic), the lease resets so the
+	// monitor retries on the next expiry, and shipStop becomes a fresh
+	// channel no goroutine listens on, for Close to close once.
 	abort := func() {
 		f.mu.Lock()
 		s.fenced = true
@@ -324,34 +318,25 @@ func (f *Fleet) failover(i int) {
 		f.mu.Unlock()
 	}
 
-	broker, err := f.startBroker(i, promoted)
-	if err != nil {
+	// The deposed store leaves the live generations, so a fleet reopened
+	// over this Dir resumes from the promoted one. Until it has left,
+	// promotion waits: a restart would resync the promoted store from it.
+	deposed := f.storeDir(i, gen)
+	if err := os.Rename(deposed, deposed+".deposed"); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		abort()
+		return
+	}
+	if err := f.startGen(s, gen+1, promoted); err != nil {
 		// Could not bring the shard back (listener hook failed?).
 		abort()
 		return
 	}
-	standby, err := f.openStore(i, gen+2)
-	if err != nil {
-		broker.Kill()
-		abort()
-		return
-	}
-	shipper := NewShipper(i, promoted, standby, tasks.QueueCollection)
-	shipStop := make(chan struct{})
 
 	f.mu.Lock()
-	s.gen = gen + 1
-	s.broker = broker
-	s.primaryDB = promoted
-	s.standbyDB = standby
-	s.shipper = shipper
-	s.shipStop = shipStop
-	s.fenced = false
 	s.epoch++
 	f.epoch++
-	s.lastBeat = time.Now()
-	s.failingOver = false
 	epoch := f.epoch
+	broker := s.broker
 	var resubmit []tasks.Job
 	for id, j := range f.outstanding {
 		if f.ring.Owner(id) == i {
@@ -362,26 +347,25 @@ func (f *Fleet) failover(i int) {
 
 	shardFailovers.Inc()
 	shardEpoch.Set(float64(epoch))
-	f.startShardGoroutines(s, broker, shipper, shipStop)
 	for _, j := range resubmit {
 		broker.Submit(j)
 	}
 }
 
-// deliverResult forwards a result to the fleet channel exactly once,
-// releasing the job's admission reservation before the (possibly slow)
+// deliverResult forwards a result to the fleet channel if its job is
+// outstanding, and ends that: a copy a failover replays, or one a
+// deposed primary still buffered, finds the job delivered already. The
+// job's admission reservation is released before the (possibly slow)
 // channel send so freed capacity dispatches parked work promptly.
 func (f *Fleet) deliverResult(res tasks.JobResult) {
 	f.mu.Lock()
-	if f.delivered[res.ID] {
-		f.mu.Unlock()
-		return
-	}
-	f.delivered[res.ID] = true
-	j, tracked := f.outstanding[res.ID]
+	j, outstanding := f.outstanding[res.ID]
 	delete(f.outstanding, res.ID)
 	f.mu.Unlock()
-	if tracked && f.opts.Admission != nil {
+	if !outstanding {
+		return
+	}
+	if f.opts.Admission != nil {
 		f.opts.Admission.Release(j)
 	}
 	select {
@@ -500,8 +484,8 @@ func (f *Fleet) KillShard(i int) {
 	b.Kill()
 }
 
-// Outstanding reports how many submitted jobs have not yet delivered a
-// result.
+// Outstanding reports how many jobs — submitted, or recovered
+// unfinished when the fleet started — have not yet delivered a result.
 func (f *Fleet) Outstanding() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -326,5 +328,124 @@ func TestFleetTrySubmitAdmitsAndReleasesOnce(t *testing.T) {
 	}
 	if a, r := adm.counts("late"); a != 1 || r != 1 {
 		t.Fatalf("job dropped by a closed fleet admitted %d and released %d times, want 1 and 1", a, r)
+	}
+}
+
+// countingWorker is a fleetWorker whose echo handler counts its runs.
+func countingWorker(t *testing.T, f *Fleet, runs *atomic.Int64) {
+	t.Helper()
+	w, err := tasks.NewWorkerWithOptions(f.ShardAddr(0), tasks.WorkerOptions{
+		Capacity: 4,
+		Handlers: map[string]tasks.JobHandler{"echo": func(p json.RawMessage) (any, error) {
+			runs.Add(1)
+			return string(p), nil
+		}},
+		HeartbeatInterval: 25 * time.Millisecond,
+		ID:                "counting-worker",
+		Reconnect:         true,
+		Dial:              func(string) (net.Conn, error) { return net.Dial("tcp", f.ShardAddr(0)) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(w.Kill)
+}
+
+// TestFleetRestartAfterFailoverReplaysFinishedJobs: jobs finish on a
+// promoted primary, and a fleet reopened over the same Dir resumes from
+// that store, not the deposed one it replaced, so resubmitting the
+// jobs replays their results instead of running them again.
+func TestFleetRestartAfterFailoverReplaysFinishedJobs(t *testing.T) {
+	opts := Options{
+		Shards:       1,
+		Dir:          t.TempDir(),
+		Broker:       tasks.BrokerOptions{HeartbeatTimeout: 400 * time.Millisecond},
+		LeaseTTL:     120 * time.Millisecond,
+		ShipInterval: 10 * time.Millisecond,
+	}
+	const jobs = 10
+	submit := func(f *Fleet) {
+		for i := 0; i < jobs; i++ {
+			f.Submit(tasks.Job{ID: fmt.Sprintf("run-%d", i), Kind: "echo", Payload: json.RawMessage(`{}`)})
+		}
+	}
+	var runs atomic.Int64
+	f1, err := NewFleet(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	countingWorker(t, f1, &runs)
+	f1.KillShard(0)
+	waitEpoch(t, f1, 1, 5*time.Second)
+	submit(f1) // runs on the promoted primary, store-gen1
+	collectFleet(t, f1, jobs, 10*time.Second)
+	f1.Close()
+
+	f2, err := NewFleet(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f2.Close()
+	countingWorker(t, f2, &runs)
+	submit(f2)
+	collectFleet(t, f2, jobs, 10*time.Second)
+	if n := runs.Load(); n != jobs {
+		t.Fatalf("%d handler runs for %d jobs: the restart re-ran %d finished jobs", n, jobs, n-jobs)
+	}
+}
+
+// TestFleetResubmitOfDeliveredJobReplays: submitting a job whose
+// result the fleet already delivered delivers it again, as a single
+// broker does, and leaves nothing outstanding.
+func TestFleetResubmitOfDeliveredJobReplays(t *testing.T) {
+	f := testFleet(t, 1)
+	fleetWorker(t, f, 0)
+	job := tasks.Job{ID: "again", Kind: "echo", Payload: json.RawMessage(`{}`)}
+	f.Submit(job)
+	first := collectFleet(t, f, 1, 10*time.Second)
+	f.Submit(job)
+	if again := collectFleet(t, f, 1, 2*time.Second); !reflect.DeepEqual(again, first) {
+		t.Fatalf("resubmit delivered %+v, first delivery %+v", again, first)
+	}
+	if n := f.Outstanding(); n != 0 {
+		t.Fatalf("%d jobs outstanding after the replay", n)
+	}
+}
+
+// TestFleetRestartDeliversRecoveredJobs: jobs still queued when a fleet
+// closes are recovered by a fleet reopened over the same Dir, which
+// runs them and delivers their results without their being submitted
+// again.
+func TestFleetRestartDeliversRecoveredJobs(t *testing.T) {
+	opts := Options{
+		Shards:       1,
+		Dir:          t.TempDir(),
+		Broker:       tasks.BrokerOptions{HeartbeatTimeout: 400 * time.Millisecond},
+		LeaseTTL:     120 * time.Millisecond,
+		ShipInterval: 10 * time.Millisecond,
+	}
+	const jobs = 5
+	f1, err := NewFleet(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < jobs; i++ {
+		f1.Submit(tasks.Job{ID: fmt.Sprintf("run-%d", i), Kind: "echo", Payload: json.RawMessage(`{}`)})
+	}
+	f1.Close() // no worker ever connected: every job is parked
+
+	f2, err := NewFleet(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f2.Close()
+	if n := f2.Outstanding(); n != jobs {
+		t.Fatalf("reopened fleet owes %d results, want %d", n, jobs)
+	}
+	var runs atomic.Int64
+	countingWorker(t, f2, &runs)
+	collectFleet(t, f2, jobs, 10*time.Second)
+	if n := f2.Outstanding(); n != 0 {
+		t.Fatalf("%d jobs outstanding after every recovered job delivered", n)
 	}
 }

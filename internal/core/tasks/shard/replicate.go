@@ -40,9 +40,6 @@ type Shipper struct {
 	offset int64
 	gen    uint64 // journal generation the offset is relative to
 	synced bool   // snapshot basis established
-
-	shipped  int64 // segments shipped (for tests)
-	replayed int64 // records replayed (for tests)
 }
 
 // NewShipper builds a shipper for one shard's queue collection. The
@@ -113,8 +110,6 @@ func (s *Shipper) ShipOnce() (int, error) {
 			s.offset = next
 		}
 		s.mu.Unlock()
-		s.shipped++
-		s.replayed += int64(applied)
 		if consumed < int64(len(data)) {
 			s.updateLag()
 			return total, nil

@@ -93,13 +93,8 @@ type JobHandler func(payload json.RawMessage) (output any, err error)
 // reconnect policy, in-flight jobs are resumed through the session
 // protocol, and finished-but-unacked results are resent.
 type Worker struct {
-	addr     string
-	id       string
-	handlers map[string]JobHandler
-	capacity int
-	inject   *faultinject.Injector
-	dial     func(addr string) (net.Conn, error)
-	opts     WorkerOptions
+	addr string
+	opts WorkerOptions // with Capacity, ID and Dial filled in
 
 	mu      sync.Mutex // guards conn/enc swap, active, closing
 	conn    net.Conn
@@ -124,31 +119,21 @@ func NewWorker(addr string, capacity int, handlers map[string]JobHandler) (*Work
 // initial dial must succeed; later connection losses are retried only
 // when opts.Reconnect is set.
 func NewWorkerWithOptions(addr string, opts WorkerOptions) (*Worker, error) {
-	capacity := opts.Capacity
-	if capacity < 1 {
-		capacity = 1
+	opts.Capacity = max(opts.Capacity, 1)
+	if opts.Dial == nil {
+		opts.Dial = func(a string) (net.Conn, error) { return net.Dial("tcp", a) }
 	}
-	dial := opts.Dial
-	if dial == nil {
-		dial = func(a string) (net.Conn, error) { return net.Dial("tcp", a) }
-	}
-	id := opts.ID
-	if id == "" {
-		id = NewWorkerID()
+	if opts.ID == "" {
+		opts.ID = NewWorkerID()
 	}
 	w := &Worker{
-		addr:     addr,
-		id:       id,
-		handlers: opts.Handlers,
-		capacity: capacity,
-		inject:   opts.Injector,
-		dial:     dial,
-		opts:     opts,
-		active:   make(map[string]*workerJob),
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
+		addr:   addr,
+		opts:   opts,
+		active: make(map[string]*workerJob),
+		stop:   make(chan struct{}),
+		done:   make(chan struct{}),
 	}
-	conn, err := dial(addr)
+	conn, err := opts.Dial(addr)
 	if err != nil {
 		return nil, fmt.Errorf("tasks: worker dial: %w", err)
 	}
@@ -192,13 +177,7 @@ func (w *Worker) installSession(conn net.Conn) error {
 	w.conn = conn
 	w.enc = enc
 	w.mu.Unlock()
-	return enc.Encode(Envelope{Type: "hello", Worker: w.id, Capacity: w.capacity})
-}
-
-func (w *Worker) isClosing() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.closing
+	return enc.Encode(Envelope{Type: "hello", Worker: w.opts.ID, Capacity: w.opts.Capacity})
 }
 
 // sendEnv writes one frame to the current session. A failure is not
@@ -223,7 +202,10 @@ func (w *Worker) run(conn net.Conn) {
 	defer close(w.done)
 	for {
 		w.readSession(conn)
-		if w.isClosing() || !w.opts.Reconnect {
+		w.mu.Lock()
+		closing := w.closing
+		w.mu.Unlock()
+		if closing || !w.opts.Reconnect {
 			return
 		}
 		conn = w.redial()
@@ -253,7 +235,7 @@ func (w *Worker) redial() net.Conn {
 			return nil
 		case <-time.After(rp.Backoff(attempt)):
 		}
-		conn, err := w.dial(w.addr)
+		conn, err := w.opts.Dial(w.addr)
 		if err != nil {
 			continue
 		}
@@ -278,30 +260,23 @@ func (w *Worker) resync(conn net.Conn) error {
 		return err
 	}
 	w.mu.Lock()
-	resumes := make([]Envelope, 0, len(w.active))
-	resends := make([]Envelope, 0, len(w.active))
+	frames := make([]Envelope, 0, len(w.active)+1)
 	for _, j := range w.active {
-		if j.abandoned {
-			continue
-		}
-		if j.result != nil {
-			resends = append(resends, *j.result)
-		} else {
-			resumes = append(resumes, Envelope{Type: "resume", ID: j.env.ID, Attempt: j.env.Attempt})
+		switch {
+		case j.abandoned:
+		case j.result != nil:
+			frames = append(frames, *j.result)
+		default:
+			frames = append(frames, Envelope{Type: "resume", ID: j.env.ID, Attempt: j.env.Attempt})
 		}
 	}
 	w.mu.Unlock()
-	for _, env := range resumes {
+	for _, env := range append(frames, Envelope{Type: "ready"}) {
 		if err := w.sendEnv(env); err != nil {
 			return err
 		}
 	}
-	for _, env := range resends {
-		if err := w.sendEnv(env); err != nil {
-			return err
-		}
-	}
-	return w.sendEnv(Envelope{Type: "ready"})
+	return nil
 }
 
 // heartbeat periodically tells the broker this worker is alive. It runs
@@ -321,7 +296,7 @@ func (w *Worker) heartbeat(interval time.Duration) {
 			return
 		case <-t.C:
 		}
-		if err := w.inject.Hit("worker.heartbeat"); err != nil {
+		if err := w.opts.Injector.Hit("worker.heartbeat"); err != nil {
 			continue
 		}
 		// Send failures are not fatal: the read loop notices the dead
@@ -399,21 +374,18 @@ func (w *Worker) runJob(j *workerJob) {
 					crashed = true
 					w.mu.Lock()
 					delete(w.active, env.ID)
-					conn := w.conn
 					w.mu.Unlock()
-					if conn != nil {
-						_ = conn.Close()
-					}
+					w.Kill()
 					return
 				}
 				panic(r)
 			}
 		}()
-		if ferr := w.inject.Hit("worker.handle"); ferr != nil {
+		if ferr := w.opts.Injector.Hit("worker.handle"); ferr != nil {
 			res.Error = ferr.Error()
 			return
 		}
-		h, ok := w.handlers[env.Kind]
+		h, ok := w.opts.Handlers[env.Kind]
 		if !ok {
 			res.Error = fmt.Sprintf("no handler for kind %q", env.Kind)
 		} else if out, err := w.safeHandle(h, env); err != nil {
@@ -461,7 +433,7 @@ func (w *Worker) safeHandle(h JobHandler, env Envelope) (out any, err error) {
 				JobID:   env.ID,
 				Kind:    env.Kind,
 				Attempt: env.Attempt,
-				Worker:  w.id,
+				Worker:  w.opts.ID,
 				RunKey:  runKeyFromPayload(env.Payload),
 			}
 			if w.opts.FaultLog != nil {

@@ -6,6 +6,7 @@ import (
 	"strconv"
 
 	"gem5art/internal/core/launch"
+	"gem5art/internal/core/run"
 	"gem5art/internal/core/tasks"
 	"gem5art/internal/sim/cpu"
 	"gem5art/internal/sim/gpu"
@@ -155,8 +156,8 @@ func (s *LaunchSpec) Jobs(tenant, launchID string) ([]tasks.Job, error) {
 	return jobs, nil
 }
 
-// payloadFor renders one sweep point in the wire shape the worker
-// handlers unmarshal (cmd/gem5worker bootJob / gpuJob).
+// payloadFor renders one sweep point as the worker handler's payload:
+// run.BootJob or run.GPUJob.
 func payloadFor(suite string, p map[string]string) (json.RawMessage, error) {
 	switch suite {
 	case "boot":
@@ -164,18 +165,9 @@ func payloadFor(suite string, p map[string]string) (json.RawMessage, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bad cores value %q", p["cores"])
 		}
-		return json.Marshal(map[string]any{
-			"kernel": p["kernel"],
-			"cpu":    p["cpu"],
-			"mem":    p["mem"],
-			"cores":  cores,
-			"boot":   p["boot"],
-		})
+		return json.Marshal(run.BootJob{Kernel: p["kernel"], CPU: p["cpu"], Mem: p["mem"], Cores: cores, Boot: p["boot"]})
 	case "gpu":
-		return json.Marshal(map[string]any{
-			"app":   p["app"],
-			"alloc": p["alloc"],
-		})
+		return json.Marshal(run.GPUJob{App: p["app"], Alloc: p["alloc"]})
 	default:
 		return nil, fmt.Errorf("unknown suite %q", suite)
 	}
