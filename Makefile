@@ -62,7 +62,8 @@ chaos:
 
 # microbench compiles and runs the go-test microbenchmarks of the
 # simulation kernel (event chain, port ping-pong, one-active-of-nine
-# window), of the store (journal append, 480-document batch commit
+# window), of the four CPU models (one boot-like program per op, with
+# simulated MIPS and allocs/op), of the store (journal append, 480-document batch commit
 # with its fsync count, a 2 KiB blob archive with its fsyncs/put — 1 —
 # and creates/put — 0, the blob pack being open — count by plain index
 # vs by scan at 10k documents, the filter matcher), of simcache run-key
@@ -89,6 +90,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzBlobPack$$' -fuzztime 30s ./internal/database/
 	$(GO) test -run '^$$' -fuzz '^FuzzWaveRNG$$' -fuzztime 30s ./internal/sim/gpu/
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckpoint$$' -fuzztime 30s ./internal/sim/cpu/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRun$$' -fuzztime 30s ./internal/sim/cpu/
 	$(GO) test -run '^$$' -fuzz '^FuzzJobTable$$' -fuzztime 30s ./internal/core/tasks/
 
 # benchmod vets and tests the benchmark module, which builds against

@@ -71,7 +71,7 @@ func (s *System) RestoreCheckpoint(ck *Checkpoint) error {
 		return fmt.Errorf("cpu: restore memory: %w", err)
 	}
 	// Restored time starts at the checkpoint tick.
-	s.eq.Schedule(ck.Tick, func() {})
+	s.eq.Schedule(ck.Tick, noop)
 	s.eq.Step()
 	return nil
 }

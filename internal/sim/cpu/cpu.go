@@ -96,8 +96,11 @@ type core struct {
 	done     bool
 	insts    uint64
 	inflight []sim.Tick      // O3: completion times of outstanding misses
-	bpred    map[int64]uint8 // O3: per-PC 2-bit counters
-	stepFn   func()          // c.step bound once, so rescheduling allocates no closure
+	bpred    branchPredictor // O3
+	// stepFn and sysFn are c.step and c.sys.sysHandler(c) bound once,
+	// so neither a reschedule nor a batch allocates a closure.
+	stepFn func()
+	sysFn  isa.SysHandler
 }
 
 // batchInsts bounds how many instructions a core executes inside one
@@ -118,8 +121,9 @@ func NewSystem(cfg Config, m mem.System) *System {
 		stats:  sim.NewStatGroup(),
 	}
 	for i := 0; i < cfg.Cores; i++ {
-		c := &core{id: i, sys: s, bpred: make(map[int64]uint8)}
+		c := &core{id: i, sys: s}
 		c.stepFn = c.step
+		c.sysFn = s.sysHandler(c)
 		s.cores = append(s.cores, c)
 	}
 	s.simInsts = s.stats.Scalar("sim_insts", "total committed instructions")
@@ -169,7 +173,14 @@ func (s *System) LoadProgram(coreID int, prog *isa.Program) {
 	c.state = isa.State{}
 	c.prog = prog
 	c.done = prog == nil
+	if prog != nil {
+		c.bpred.cover(len(prog.Insts))
+	}
 }
+
+// noop is the event a finished core schedules to advance time past its
+// final batch.
+func noop() {}
 
 // sysHandler services SYS instructions for one core.
 func (s *System) sysHandler(c *core) isa.SysHandler {
@@ -262,11 +273,11 @@ func (c *core) stepKVM() {
 	const ticksPerInst = 100 // 10 G "inst/s" in simulated time
 	eq := c.sys.eq
 	store := c.sys.memory.Store()
-	sys := c.sys.sysHandler(c)
+	var res isa.StepResult
 	executed := 0
 	for executed < kvmBatch {
 		pcBefore := c.state.PC
-		res := isa.Step(&c.state, c.prog, store, sys)
+		isa.Step(&c.state, c.prog, store, c.sysFn, &res)
 		c.sys.traceInst(c.id, eq.Now(), pcBefore, res.Inst)
 		executed++
 		if res.Done {
@@ -276,7 +287,7 @@ func (c *core) stepKVM() {
 	}
 	c.commit(uint64(executed))
 	if c.done {
-		eq.After(sim.Tick(executed*ticksPerInst), func() {})
+		eq.After(sim.Tick(executed*ticksPerInst), noop)
 		return
 	}
 	eq.After(sim.Tick(executed*ticksPerInst), c.stepFn)
@@ -289,23 +300,23 @@ func (c *core) stepSimple(atomic bool) {
 	eq := c.sys.eq
 	memory := c.sys.memory
 	store := memory.Store()
-	sys := c.sys.sysHandler(c)
 	period := c.sys.clock.Period
 	now := eq.Now()
+	var res isa.StepResult
 	executed := 0
 	for executed < batchInsts {
 		pcBefore := c.state.PC
-		res := isa.Step(&c.state, c.prog, store, sys)
+		isa.Step(&c.state, c.prog, store, c.sysFn, &res)
 		c.sys.traceInst(c.id, now, pcBefore, res.Inst)
 		executed++
 		now += period
-		isSync := res.Inst.Class() == isa.ClassAtomic || res.Inst.Class() == isa.ClassFence
+		class := res.Inst.Class()
 		if res.Inst.IsMem() && !atomic {
 			typ := mem.Read
 			if res.IsWrite {
 				typ = mem.Write
 			}
-			if res.Inst.Class() == isa.ClassAtomic {
+			if class == isa.ClassAtomic {
 				typ = mem.Atomic
 			}
 			now += memory.Access(now, mem.Request{Addr: res.MemAddr, Type: typ, Core: c.id})
@@ -314,13 +325,13 @@ func (c *core) stepSimple(atomic bool) {
 			c.done = true
 			break
 		}
-		if isSync {
+		if class == isa.ClassAtomic || class == isa.ClassFence {
 			break // resynchronize with other cores at atomics
 		}
 	}
 	c.commit(uint64(executed))
 	if c.done {
-		eq.Schedule(now, func() {}) // advance time past the final batch
+		eq.Schedule(now, noop)
 		return
 	}
 	eq.Schedule(now, c.stepFn)
@@ -346,9 +357,9 @@ func (c *core) stepO3() {
 	eq := c.sys.eq
 	memory := c.sys.memory
 	store := memory.Store()
-	sys := c.sys.sysHandler(c)
 	period := c.sys.clock.Period
 	now := eq.Now()
+	var res isa.StepResult
 	executed := 0
 	sinceOldestMiss := 0
 	var cycleFrac uint64 // instructions issued in the current cycle
@@ -366,7 +377,7 @@ func (c *core) stepO3() {
 		c.inflight = live
 
 		pcBefore := c.state.PC
-		res := isa.Step(&c.state, c.prog, store, sys)
+		isa.Step(&c.state, c.prog, store, c.sysFn, &res)
 		c.sys.traceInst(c.id, now, pcBefore, res.Inst)
 		executed++
 		cycleFrac++
@@ -374,7 +385,8 @@ func (c *core) stepO3() {
 			cycleFrac = 0
 			advance(1)
 		}
-		switch res.Inst.Class() {
+		class := res.Inst.Class()
+		switch class {
 		case isa.ClassMulDiv:
 			if res.Inst.Op == isa.DIV {
 				advance(o3DivLatency - 1)
@@ -382,7 +394,7 @@ func (c *core) stepO3() {
 				advance(o3MulLatency - 1)
 			}
 		case isa.ClassBranch:
-			if c.mispredicted(pcBefore, res) {
+			if c.bpred.miss(pcBefore, &res) {
 				c.sys.mispred.Inc()
 				advance(o3MispredCost)
 				cycleFrac = 0
@@ -393,12 +405,11 @@ func (c *core) stepO3() {
 			if res.IsWrite {
 				typ = mem.Write
 			}
-			sync := res.Inst.Class() == isa.ClassAtomic
-			if sync {
+			if class == isa.ClassAtomic {
 				typ = mem.Atomic
 			}
 			lat := memory.Access(now, mem.Request{Addr: res.MemAddr, Type: typ, Core: c.id})
-			if sync {
+			if class == isa.ClassAtomic {
 				// Atomics drain the pipeline: wait for everything.
 				for _, t := range c.inflight {
 					if t > now {
@@ -410,7 +421,7 @@ func (c *core) stepO3() {
 				c.commit(uint64(executed))
 				if res.Done {
 					c.done = true
-					eq.Schedule(now, func() {})
+					eq.Schedule(now, noop)
 					return
 				}
 				eq.Schedule(now, c.stepFn)
@@ -455,7 +466,7 @@ func (c *core) stepO3() {
 			c.done = true
 			break
 		}
-		if res.Inst.Class() == isa.ClassFence {
+		if class == isa.ClassFence {
 			break
 		}
 	}
@@ -467,25 +478,32 @@ func (c *core) stepO3() {
 	c.inflight = c.inflight[:0]
 	c.commit(uint64(executed))
 	if c.done {
-		eq.Schedule(now, func() {})
+		eq.Schedule(now, noop)
 		return
 	}
 	eq.Schedule(now, c.stepFn)
 }
 
-// mispredicted consults and updates a per-PC 2-bit saturating counter
-// keyed by the branch's own PC.
-func (c *core) mispredicted(pc int64, res isa.StepResult) bool {
-	return bpredMiss(c.bpred, pc, res)
+// branchPredictor is an O3 core's per-PC 2-bit saturating counters,
+// shared by the monolithic and parallel engines. It is indexed by the
+// branch's own PC and grows to cover every program loaded on the core;
+// it is never cleared, so counters survive a program reload.
+type branchPredictor []uint8
+
+// cover grows the predictor to at least n PCs, keeping its counters.
+func (p *branchPredictor) cover(n int) {
+	if n > len(*p) {
+		*p = append(*p, make([]uint8, n-len(*p))...)
+	}
 }
 
-// bpredMiss is the 2-bit saturating predictor shared by the monolithic
-// and parallel O3 cores.
-func bpredMiss(bpred map[int64]uint8, pc int64, res isa.StepResult) bool {
+// miss consults and updates the counter of the branch at pc, which res
+// describes, and reports whether it was mispredicted.
+func (p branchPredictor) miss(pc int64, res *isa.StepResult) bool {
 	if res.Inst.Op == isa.JAL {
 		return false // unconditional
 	}
-	ctr := bpred[pc]
+	ctr := p[pc]
 	predictTaken := ctr >= 2
 	taken := res.Taken
 	if taken && ctr < 3 {
@@ -494,6 +512,6 @@ func bpredMiss(bpred map[int64]uint8, pc int64, res isa.StepResult) bool {
 	if !taken && ctr > 0 {
 		ctr--
 	}
-	bpred[pc] = ctr
+	p[pc] = ctr
 	return predictTaken != taken
 }

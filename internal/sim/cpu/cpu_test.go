@@ -304,3 +304,146 @@ func TestTraceLimit(t *testing.T) {
 		t.Fatalf("trace limit: %d records, want 5", count)
 	}
 }
+
+// memKinds are the three memory systems of the Figure 8 sweep.
+var memKinds = []string{"classic", "ruby.MI_example", "ruby.MESI_Two_Level"}
+
+func newMem(kind string, cores int) mem.System {
+	switch kind {
+	case "classic":
+		return mem.NewClassic(cores, mem.ClassicConfig{})
+	case "ruby.MI_example":
+		return mem.NewRuby(cores, mem.MIExample, mem.ClassicConfig{})
+	default:
+		return mem.NewRuby(cores, mem.MESITwoLevel, mem.ClassicConfig{})
+	}
+}
+
+// TestNegativeDataAddress runs a program that Validate accepts and whose
+// data addresses are below zero on every model over every memory
+// system, on both engines: cache set and DRAM bank indexes must stay in
+// range for such addresses.
+func TestNegativeDataAddress(t *testing.T) {
+	p, err := isa.Assemble("negaddr", `
+		addi   x2, x0, -64
+		st     x2, 0(x2)
+		ld     x3, 0(x2)
+		amoadd x4, x2, (x2)
+		addi   x5, x0, -9024    # in a DRAM row below zero
+		ld     x6, 0(x5)
+		sys    exit
+	`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := isa.Validate(p); err != nil {
+		t.Fatal(err)
+	}
+	for _, model := range AllModels {
+		for _, kind := range memKinds {
+			t.Run(string(model)+"/"+kind, func(t *testing.T) {
+				m := newMem(kind, 1)
+				mono := NewSystem(Config{Model: model}, m)
+				mono.LoadProgram(0, p)
+				if r := mono.Run(0); !r.Finished || r.Insts != 7 {
+					t.Errorf("monolithic: finished %v after %d insts", r.Finished, r.Insts)
+				}
+				if got := m.Store().ReadWord(-64); got != -128 {
+					t.Errorf("monolithic: word at -64 is %d, want -128", got)
+				}
+				par := NewParallelSystem(Config{Model: model}, kind, mem.ClassicConfig{}, 1)
+				defer par.Close()
+				par.LoadProgram(0, p)
+				if r := par.Run(0); !r.Finished || r.Insts != 7 {
+					t.Errorf("parallel: finished %v after %d insts", r.Finished, r.Insts)
+				}
+			})
+		}
+	}
+}
+
+// mapPredictorMisses counts the mispredictions of a per-PC 2-bit
+// predictor kept in a map, the predictor's reference form, over the
+// functional execution of progs in turn on one core, and returns the
+// running total after each program.
+func mapPredictorMisses(progs ...*isa.Program) []uint64 {
+	bpred := map[int64]uint8{}
+	store := mem.NewBackingStore()
+	var totals []uint64
+	var misses uint64
+	for _, p := range progs {
+		var s isa.State
+		var res isa.StepResult
+		for !res.Done {
+			pc := s.PC
+			isa.Step(&s, p, store, nil, &res)
+			if !res.Inst.IsBranch() || res.Inst.Op == isa.JAL {
+				continue
+			}
+			ctr := bpred[pc]
+			if (ctr >= 2) != res.Taken {
+				misses++
+			}
+			if res.Taken && ctr < 3 {
+				ctr++
+			}
+			if !res.Taken && ctr > 0 {
+				ctr--
+			}
+			bpred[pc] = ctr
+		}
+		totals = append(totals, misses)
+	}
+	return totals
+}
+
+// TestO3PredictorMatchesMapAcrossReloads: the O3 predictor table grows
+// with each program and keeps its counters, so a shorter program and
+// then a longer one on the same core mispredict exactly as a per-PC map
+// that survives reloads does, on both engines. The longer program's
+// branch at PC 2 is never taken where the shorter one's looped, so a
+// predictor cleared by the reload would mispredict it less.
+func TestO3PredictorMatchesMapAcrossReloads(t *testing.T) {
+	asm := func(src string) *isa.Program {
+		p, err := isa.Assemble("bpred", src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	short := asm(`
+		addi x1, x0, 20
+	loop:
+		addi x1, x1, -1
+		bne  x1, x0, loop
+		sys  exit
+	`)
+	long := asm(`
+		addi x1, x0, 20
+		addi x1, x1, -1
+		beq  x1, x0, next
+	next:
+		addi x2, x0, 30
+	loop:
+		addi x2, x2, -1
+		blt  x0, x2, loop
+		sys  exit
+	`)
+	want := mapPredictorMisses(short, long)
+	if cold := mapPredictorMisses(long)[0]; want[1]-want[0] == cold {
+		t.Fatalf("test premise: %d mispredicts after the reload, as many as cold", cold)
+	}
+	mono := NewSystem(Config{Model: O3}, mem.NewClassic(1, mem.ClassicConfig{}))
+	par := NewParallelSystem(Config{Model: O3}, "classic", mem.ClassicConfig{}, 1)
+	defer par.Close()
+	for i, p := range []*isa.Program{short, long} {
+		mono.LoadProgram(0, p)
+		if got := mono.Run(0).Mispredict; got != want[i] {
+			t.Errorf("monolithic, program %d: %d mispredicts, want %d", i, got, want[i])
+		}
+		par.LoadProgram(0, p)
+		if got := par.Run(0).Mispredict; got != want[i] {
+			t.Errorf("parallel, program %d: %d mispredicts, want %d", i, got, want[i])
+		}
+	}
+}

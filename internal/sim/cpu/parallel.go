@@ -72,7 +72,7 @@ type pcore struct {
 	prog  *isa.Program
 	done  bool
 	insts uint64
-	bpred map[int64]uint8
+	bpred branchPredictor
 
 	console  bytes.Buffer
 	roiBegin sim.Tick
@@ -116,7 +116,6 @@ func NewParallelSystem(cfg Config, memKind string, mcfg mem.ClassicConfig, worke
 			model: cfg.Model,
 			comp:  comp,
 			store: mem.NewBackingStore(),
-			bpred: make(map[int64]uint8),
 		}
 		c.l1 = mem.NewL1Front(i, ruby, mcfg, comp.Stats())
 		c.simInsts = comp.Stats().Scalar("sim_insts", "total committed instructions")
@@ -176,6 +175,9 @@ func (ps *ParallelSystem) LoadProgram(coreID int, prog *isa.Program) {
 	c.state = isa.State{}
 	c.prog = prog
 	c.done = prog == nil
+	if prog != nil {
+		c.bpred.cover(len(prog.Insts))
+	}
 }
 
 // Run simulates until every loaded core exits or maxTicks elapses.
@@ -266,7 +268,7 @@ func (c *pcore) scheduleNext() {
 		c.bnow = c.comp.Now()
 	}
 	if c.done {
-		c.comp.Schedule(c.bnow, func() {})
+		c.comp.Schedule(c.bnow, noop)
 		return
 	}
 	c.comp.Schedule(c.bnow, c.stepFn)
@@ -402,6 +404,7 @@ func (c *pcore) kvmLoop() {
 	const kvmBatch = 4096
 	const ticksPerInst = 100
 	t0 := c.comp.Now()
+	var res isa.StepResult
 	for c.executed < kvmBatch {
 		if c.atAtomic() {
 			c.bnow = t0 + sim.Tick(c.executed)*ticksPerInst
@@ -409,7 +412,7 @@ func (c *pcore) kvmLoop() {
 			c.issueAtomic()
 			return
 		}
-		res := isa.Step(&c.state, c.prog, c.store, c.sysFn)
+		isa.Step(&c.state, c.prog, c.store, c.sysFn, &res)
 		c.executed++
 		if res.Done {
 			c.done = true
@@ -431,6 +434,7 @@ func (c *pcore) simpleLoop(atomicModel bool) {
 		return
 	}
 	period := c.comp.Clock().Period
+	var res isa.StepResult
 	for c.executed < batchInsts {
 		if c.atAtomic() {
 			c.bnow += period
@@ -438,7 +442,7 @@ func (c *pcore) simpleLoop(atomicModel bool) {
 			c.issueAtomic()
 			return
 		}
-		res := isa.Step(&c.state, c.prog, c.store, c.sysFn)
+		isa.Step(&c.state, c.prog, c.store, c.sysFn, &res)
 		c.executed++
 		c.bnow += period
 		if res.Inst.IsMem() && !atomicModel {
@@ -487,6 +491,7 @@ func (c *pcore) o3Loop() {
 	}
 	period := c.comp.Clock().Period
 	advance := func(cycles uint64) { c.bnow += sim.Tick(cycles) * period }
+	var res isa.StepResult
 	for c.executed < batchInsts {
 		if c.atAtomic() {
 			if c.outstanding > 0 {
@@ -497,7 +502,7 @@ func (c *pcore) o3Loop() {
 			return
 		}
 		pcBefore := c.state.PC
-		res := isa.Step(&c.state, c.prog, c.store, c.sysFn)
+		isa.Step(&c.state, c.prog, c.store, c.sysFn, &res)
 		c.executed++
 		c.cycleFrac++
 		if c.cycleFrac >= o3Width {
@@ -512,7 +517,7 @@ func (c *pcore) o3Loop() {
 				advance(o3MulLatency - 1)
 			}
 		case isa.ClassBranch:
-			if bpredMiss(c.bpred, pcBefore, res) {
+			if c.bpred.miss(pcBefore, &res) {
 				c.mispred.Inc()
 				advance(o3MispredCost)
 				c.cycleFrac = 0

@@ -91,31 +91,23 @@ const (
 	ClassFence
 )
 
-// Class returns the timing class of the instruction.
-func (in Inst) Class() Class {
-	switch in.Op {
-	case LD:
-		return ClassLoad
-	case ST:
-		return ClassStore
-	case AMOADD:
-		return ClassAtomic
-	case BEQ, BNE, BLT, JAL:
-		return ClassBranch
-	case MUL, DIV:
-		return ClassMulDiv
-	case SYS:
-		return ClassSys
-	case FENCE:
-		return ClassFence
-	default:
-		return ClassALU
-	}
+// opClass maps every Op value to its timing class. Values past the
+// defined ops, which Validate rejects, read as ClassALU.
+var opClass = [256]Class{
+	NOP: ClassALU, ADD: ClassALU, SUB: ClassALU, AND: ClassALU, OR: ClassALU,
+	XOR: ClassALU, SLT: ClassALU, ADDI: ClassALU, LUI: ClassALU,
+	MUL: ClassMulDiv, DIV: ClassMulDiv,
+	LD: ClassLoad, ST: ClassStore, AMOADD: ClassAtomic,
+	BEQ: ClassBranch, BNE: ClassBranch, BLT: ClassBranch, JAL: ClassBranch,
+	SYS: ClassSys, FENCE: ClassFence,
 }
+
+// Class returns the timing class of the instruction.
+func (in Inst) Class() Class { return opClass[in.Op] }
 
 // IsMem reports whether the instruction accesses memory.
 func (in Inst) IsMem() bool {
-	c := in.Class()
+	c := opClass[in.Op]
 	return c == ClassLoad || c == ClassStore || c == ClassAtomic
 }
 
@@ -181,26 +173,40 @@ type State struct {
 }
 
 // StepResult describes one executed instruction for the timing models.
+// Step writes every field on every call, so a caller can keep one
+// StepResult for a whole batch of instructions.
 type StepResult struct {
 	Inst    Inst
-	MemAddr int64 // valid when Inst.IsMem()
+	MemAddr int64 // valid when Inst.IsMem(); 0 otherwise
 	IsWrite bool
 	Taken   bool // branch taken
 	Done    bool // thread exited via SYS exit
-	NextPC  int64
 }
 
-// Step functionally executes the instruction at s.PC against mem and
-// advances the state. It is the single source of truth for instruction
-// semantics; every CPU model calls it and layers timing on top.
-func Step(s *State, prog *Program, mem Memory, sys SysHandler) StepResult {
-	if s.PC < 0 || s.PC >= int64(len(prog.Insts)) {
+// Step functionally executes the instruction at s.PC against mem,
+// advances the state, and describes the instruction in *res. It is the
+// single source of truth for instruction semantics; every CPU model
+// calls it and layers timing on top.
+//
+// The result goes through a caller-owned pointer rather than a return
+// value: Step fills it one narrow field at a time, and copying a
+// returned struct out reloads those fields with wide loads, which stall
+// on store forwarding. The caller reads the fields one at a time.
+func Step(s *State, prog *Program, mem Memory, sys SysHandler, res *StepResult) {
+	pc := s.PC
+	if pc < 0 || pc >= int64(len(prog.Insts)) {
 		// Running off the end behaves like exit: real programs end with
 		// SYS exit, but a malformed binary must not wedge the simulator.
-		return StepResult{Inst: Inst{Op: SYS, Imm: SysExit}, Done: true, NextPC: s.PC}
+		*res = StepResult{Inst: Inst{Op: SYS, Imm: SysExit}, Done: true}
+		return
 	}
-	in := prog.Insts[s.PC]
-	res := StepResult{Inst: in, NextPC: s.PC + 1}
+	in := prog.Insts[pc]
+	res.Inst = in
+	res.MemAddr = 0
+	res.IsWrite = false
+	res.Taken = false
+	res.Done = false
+	next := pc + 1
 	rs1 := s.Regs[in.Rs1]
 	rs2 := s.Regs[in.Rs2]
 	var rd int64
@@ -236,37 +242,39 @@ func Step(s *State, prog *Program, mem Memory, sys SysHandler) StepResult {
 	case LUI:
 		rd, writeRd = int64(in.Imm)<<12, true
 	case LD:
-		res.MemAddr = rs1 + int64(in.Imm)
-		rd, writeRd = mem.ReadWord(res.MemAddr), true
+		addr := rs1 + int64(in.Imm)
+		res.MemAddr = addr
+		rd, writeRd = mem.ReadWord(addr), true
 	case ST:
-		res.MemAddr = rs1 + int64(in.Imm)
+		addr := rs1 + int64(in.Imm)
+		res.MemAddr = addr
 		res.IsWrite = true
-		mem.WriteWord(res.MemAddr, rs2)
+		mem.WriteWord(addr, rs2)
 	case AMOADD:
 		res.MemAddr = rs1
 		res.IsWrite = true
-		old := mem.ReadWord(res.MemAddr)
-		mem.WriteWord(res.MemAddr, old+rs2)
+		old := mem.ReadWord(rs1)
+		mem.WriteWord(rs1, old+rs2)
 		rd, writeRd = old, true
 	case BEQ:
 		if rs1 == rs2 {
 			res.Taken = true
-			res.NextPC = s.PC + int64(in.Imm)
+			next = pc + int64(in.Imm)
 		}
 	case BNE:
 		if rs1 != rs2 {
 			res.Taken = true
-			res.NextPC = s.PC + int64(in.Imm)
+			next = pc + int64(in.Imm)
 		}
 	case BLT:
 		if rs1 < rs2 {
 			res.Taken = true
-			res.NextPC = s.PC + int64(in.Imm)
+			next = pc + int64(in.Imm)
 		}
 	case JAL:
-		rd, writeRd = s.PC+1, true
+		rd, writeRd = pc+1, true
 		res.Taken = true
-		res.NextPC = s.PC + int64(in.Imm)
+		next = pc + int64(in.Imm)
 	case SYS:
 		// By convention SYS takes its argument in x1 (the assembler has
 		// no operand slot for it).
@@ -280,6 +288,5 @@ func Step(s *State, prog *Program, mem Memory, sys SysHandler) StepResult {
 		s.Regs[in.Rd] = rd
 	}
 	s.Regs[0] = 0
-	s.PC = res.NextPC
-	return res
+	s.PC = next
 }

@@ -17,8 +17,9 @@ func run(t *testing.T, p *Program, maxSteps int) (*State, flatMem) {
 	t.Helper()
 	s := &State{}
 	mem := flatMem{}
+	var res StepResult
 	for i := 0; i < maxSteps; i++ {
-		res := Step(s, p, mem, nil)
+		Step(s, p, mem, nil, &res)
 		if res.Done {
 			return s, mem
 		}
@@ -156,14 +157,15 @@ func TestSysHandlerReceivesCalls(t *testing.T) {
 	var calls []int32
 	s := &State{}
 	mem := flatMem{}
+	var res StepResult
 	for i := 0; i < 10; i++ {
-		res := Step(s, p, mem, func(fn int32, arg int64) bool {
+		Step(s, p, mem, func(fn int32, arg int64) bool {
 			calls = append(calls, fn)
 			if fn == SysPrint && arg != 65 {
 				t.Errorf("print arg = %d", arg)
 			}
 			return fn == SysExit
-		})
+		}, &res)
 		if res.Done {
 			break
 		}
@@ -173,12 +175,46 @@ func TestSysHandlerReceivesCalls(t *testing.T) {
 	}
 }
 
+// TestStepRewritesEveryField: Step writes the whole result on every
+// call, so nothing of one instruction, or of whatever the caller's
+// StepResult held before, leaks into the next.
+func TestStepRewritesEveryField(t *testing.T) {
+	p := asm(t, `
+		addi   x1, x0, 65536
+		amoadd x2, x1, (x1)
+		beq    x0, x0, next
+	next:
+		add    x3, x1, x1
+		sys    exit
+	`)
+	want := []StepResult{
+		{Inst: p.Insts[0]},
+		{Inst: p.Insts[1], MemAddr: 65536, IsWrite: true},
+		{Inst: p.Insts[2], Taken: true},
+		{Inst: p.Insts[3]},
+		{Inst: p.Insts[4], Done: true},
+		{Inst: Inst{Op: SYS, Imm: SysExit}, Done: true}, // off the end
+	}
+	s, mem := &State{}, flatMem{}
+	res := StepResult{Inst: Inst{Op: LD}, MemAddr: -1, IsWrite: true, Taken: true, Done: true}
+	for i, w := range want {
+		Step(s, p, mem, nil, &res)
+		if res != w {
+			t.Errorf("step %d: %+v, want %+v", i, res, w)
+		}
+	}
+}
+
 func TestRunningOffEndIsExit(t *testing.T) {
 	p := &Program{Name: "no-exit", Insts: []Inst{{Op: NOP}}}
 	s := &State{}
 	mem := flatMem{}
-	Step(s, p, mem, nil)
-	res := Step(s, p, mem, nil)
+	var res StepResult
+	Step(s, p, mem, nil, &res)
+	if res.Done {
+		t.Fatal("the NOP terminated")
+	}
+	Step(s, p, mem, nil, &res)
 	if !res.Done {
 		t.Fatal("running past the end did not terminate")
 	}
@@ -303,9 +339,10 @@ func TestGeneratedInstructionCountScalesWithIterations(t *testing.T) {
 			Mix: Mix{Load: 0.3}, FootprintWords: 128})
 		s := &State{}
 		mem := flatMem{}
+		var res StepResult
 		n := 0
 		for {
-			res := Step(s, p, mem, nil)
+			Step(s, p, mem, nil, &res)
 			n++
 			if res.Done {
 				return n

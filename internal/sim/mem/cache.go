@@ -1,11 +1,13 @@
 package mem
 
+import "fmt"
+
 // cache is a set-associative tag store with LRU replacement. It tracks
 // tags and per-line coherence state only; data lives in the backing
 // store, which is the standard trick for trace- and timing-driven cache
 // models.
 type cache struct {
-	sets      int
+	setMask   uint64 // set count - 1
 	ways      int
 	lines     []cacheLine // sets × ways
 	lruClock  uint64
@@ -48,21 +50,27 @@ type cacheLine struct {
 
 // newCache builds a cache of sizeBytes with the given associativity.
 // sizeBytes must be a multiple of ways*LineBytes; set count is rounded
-// down to at least 1.
+// down to at least 1 and must be a power of two, or newCache panics.
 func newCache(sizeBytes int64, ways int) *cache {
 	sets := int(sizeBytes / (int64(ways) * LineBytes))
 	if sets < 1 {
 		sets = 1
 	}
+	if sets&(sets-1) != 0 {
+		panic(fmt.Sprintf("mem: cache of %d bytes, %d ways has %d sets, not a power of two", sizeBytes, ways, sets))
+	}
 	return &cache{
-		sets:  sets,
-		ways:  ways,
-		lines: make([]cacheLine, sets*ways),
+		setMask: uint64(sets - 1),
+		ways:    ways,
+		lines:   make([]cacheLine, sets*ways),
 	}
 }
 
+// set returns the ways addr maps to. The line number is unsigned, so a
+// negative address maps to a set like any other; for a non-negative one
+// it is the signed line number, and the mask equals the modulus.
 func (c *cache) set(addr int64) []cacheLine {
-	idx := int((addr / LineBytes) % int64(c.sets))
+	idx := int((uint64(addr) / uint64(LineBytes)) & c.setMask)
 	return c.lines[idx*c.ways : (idx+1)*c.ways]
 }
 

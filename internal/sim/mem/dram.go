@@ -49,9 +49,12 @@ const rowBytes int64 = 8 * 1024
 // `now` and returns the tick at which data is available.
 func (d *DRAM) Access(now sim.Tick, addr int64) (doneAt sim.Tick) {
 	d.requests++
-	bankIdx := (addr / rowBytes) % int64(len(d.banks))
-	row := addr / (rowBytes * int64(len(d.banks)))
-	bank := &d.banks[bankIdx]
+	// Unsigned, so a negative address picks a bank and a row like any
+	// other instead of indexing out of range; for a non-negative address
+	// the values are the signed ones.
+	rowIdx := uint64(addr) / uint64(rowBytes)
+	bank := &d.banks[rowIdx%uint64(len(d.banks))]
+	row := int64(rowIdx / uint64(len(d.banks)))
 
 	start := now
 	if bank.freeAt > start {

@@ -69,8 +69,15 @@ type System interface {
 
 // BackingStore is the functional memory image: a sparse paged store of
 // 8-byte words shared by every core. It implements isa.Memory.
+//
+// A BackingStore has a single owner: ReadWord, like WriteWord, updates
+// the last-page cache, so even reads must not run concurrently.
 type BackingStore struct {
 	pages map[int64]*[512]int64 // 4 KiB pages of words
+	// last is the most recently used page, whose key is lastKey; nil
+	// when no page is cached. Accesses cluster, so most skip the map.
+	last    *[512]int64
+	lastKey int64
 }
 
 // NewBackingStore returns an empty store.
@@ -80,22 +87,29 @@ func NewBackingStore() *BackingStore {
 
 // ReadWord returns the word at addr (byte address; word-aligned access).
 func (b *BackingStore) ReadWord(addr int64) int64 {
-	page, ok := b.pages[addr>>12]
-	if !ok {
-		return 0
+	key := addr >> 12
+	if b.last == nil || b.lastKey != key {
+		page, ok := b.pages[key]
+		if !ok {
+			return 0
+		}
+		b.last, b.lastKey = page, key
 	}
-	return page[(addr>>3)&511]
+	return b.last[(addr>>3)&511]
 }
 
 // WriteWord stores val at addr.
 func (b *BackingStore) WriteWord(addr int64, val int64) {
 	key := addr >> 12
-	page, ok := b.pages[key]
-	if !ok {
-		page = new([512]int64)
-		b.pages[key] = page
+	if b.last == nil || b.lastKey != key {
+		page, ok := b.pages[key]
+		if !ok {
+			page = new([512]int64)
+			b.pages[key] = page
+		}
+		b.last, b.lastKey = page, key
 	}
-	page[(addr>>3)&511] = val
+	b.last[(addr>>3)&511] = val
 }
 
 // lineAddr returns the cache-line-aligned address.
@@ -150,5 +164,6 @@ func (b *BackingStore) LoadSnapshot(data []byte) error {
 		pages[key] = page
 	}
 	b.pages = pages
+	b.last = nil
 	return nil
 }

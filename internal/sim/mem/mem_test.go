@@ -42,6 +42,38 @@ func TestLoadSnapshotRejectsOversizedPageCount(t *testing.T) {
 	}
 }
 
+// TestLoadSnapshotDropsCachedPage: a read after LoadSnapshot sees the
+// snapshot's image, not the page the store last cached, and a write
+// after it lands in the new image.
+func TestLoadSnapshotDropsCachedPage(t *testing.T) {
+	src := NewBackingStore()
+	src.WriteWord(0x10000, 42)
+	snap := src.Snapshot()
+	b := NewBackingStore()
+	b.WriteWord(0x10000, 7)
+	b.WriteWord(0x30000, 9)
+	if b.ReadWord(0x30000) != 9 {
+		t.Fatal("read-after-write failed")
+	}
+	if err := b.LoadSnapshot(snap); err != nil {
+		t.Fatal(err)
+	}
+	if got := b.ReadWord(0x30000); got != 0 {
+		t.Errorf("word outside the snapshot reads %d, want 0", got)
+	}
+	if got := b.ReadWord(0x10000); got != 42 {
+		t.Errorf("word in the snapshot reads %d, want 42", got)
+	}
+	b.WriteWord(0x10008, 5)
+	again := NewBackingStore()
+	if err := again.LoadSnapshot(b.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	if again.ReadWord(0x10000) != 42 || again.ReadWord(0x10008) != 5 {
+		t.Error("a write after LoadSnapshot missed the loaded image")
+	}
+}
+
 func TestBackingStoreProperty(t *testing.T) {
 	f := func(addrs []uint32, vals []int64) bool {
 		b := NewBackingStore()
@@ -99,6 +131,15 @@ func TestCacheLRUEviction(t *testing.T) {
 	if c.peek(0*64) == nil || c.peek(256*64) == nil {
 		t.Fatal("wrong lines resident after eviction")
 	}
+}
+
+func TestCacheRejectsNonPowerOfTwoSets(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("newCache accepted 3 sets")
+		}
+	}()
+	newCache(3*2*LineBytes, 2)
 }
 
 func TestCacheInvalidate(t *testing.T) {
@@ -232,6 +273,33 @@ func TestRubyWriteInvalidatesSharers(t *testing.T) {
 		if r.l1s[core].peek(0x10000) != nil {
 			t.Fatalf("core %d still holds an invalidated line", core)
 		}
+	}
+}
+
+// TestRubyEvictNotifyOnUntouchedLineIsNoop: the directory stores lines
+// a page at a time, so a line can have an entry it never used. An
+// eviction notice for such a line, or for one in a page never touched,
+// changes nothing and writes nothing back, as for a line with no entry.
+func TestRubyEvictNotifyOnUntouchedLineIsNoop(t *testing.T) {
+	r := NewRuby(2, MESITwoLevel, ClassicConfig{})
+	r.Access(0, Request{Addr: 0x10000, Type: Write, Core: 0})
+	pages, requests := len(r.dir.pages), r.dram.requests
+	for _, line := range []int64{0x10040, 0x10fc0, 0x90000, -0x40} {
+		for core := 0; core < 2; core++ {
+			r.evictNotify(0, core, line, Modified)
+		}
+		if p := r.dir.page(line, false); p != nil && p[dirSlot(line)] != (dirEntry{owner: -1}) {
+			t.Errorf("line %#x: entry %+v after the notices", line, p[dirSlot(line)])
+		}
+	}
+	if len(r.dir.pages) != pages {
+		t.Errorf("notices created %d directory pages", len(r.dir.pages)-pages)
+	}
+	if r.dram.requests != requests {
+		t.Errorf("notices wrote back %d lines", r.dram.requests-requests)
+	}
+	if e := r.entry(0x10000); e.owner != 0 {
+		t.Errorf("owner of the written line is %d, want 0", e.owner)
 	}
 }
 

@@ -21,6 +21,44 @@ type dirEntry struct {
 	sharers uint64 // bitmask of cores holding S
 }
 
+// dirPage holds the directory entries of 64 consecutive lines (4 KiB).
+// A line never touched reads as owner -1 and no sharers, which every
+// protocol action treats exactly like a line with no entry.
+type dirPage [64]dirEntry
+
+// directory maps lines to their entries, a page at a time, and keeps
+// the most recently used page out of the map.
+type directory struct {
+	pages   map[int64]*dirPage
+	last    *dirPage // nil when no page is cached
+	lastKey int64
+}
+
+// page returns the page holding line, creating it when create is set;
+// otherwise it returns nil for a page never touched.
+func (d *directory) page(line int64, create bool) *dirPage {
+	key := line >> 12
+	if d.last != nil && d.lastKey == key {
+		return d.last
+	}
+	p, ok := d.pages[key]
+	if !ok {
+		if !create {
+			return nil
+		}
+		p = new(dirPage)
+		for i := range p {
+			p[i].owner = -1
+		}
+		d.pages[key] = p
+	}
+	d.last, d.lastKey = p, key
+	return p
+}
+
+// dirSlot is line's index within its page.
+func dirSlot(line int64) int { return int(line>>6) & 63 }
+
 // remoteL1s abstracts how the directory reaches the cores' L1 caches, so
 // the same protocol logic drives both the monolithic Ruby (direct cache
 // mutation) and the componentized memory controller (coherence messages
@@ -58,7 +96,7 @@ type Ruby struct {
 	protocol Protocol
 	l1s      []*cache
 	l2       *cache
-	dir      map[int64]*dirEntry
+	dir      directory
 	dram     *DRAM
 	store    *BackingStore
 	stats    *sim.StatGroup
@@ -86,7 +124,7 @@ func NewRuby(cores int, protocol Protocol, cfg ClassicConfig) *Ruby {
 	r := &Ruby{
 		protocol: protocol,
 		l2:       newCache(cfg.L2Bytes, cfg.L2Ways),
-		dir:      make(map[int64]*dirEntry),
+		dir:      directory{pages: make(map[int64]*dirPage)},
 		dram:     NewDDR3(),
 		store:    NewBackingStore(),
 		stats:    sim.NewStatGroup(),
@@ -120,12 +158,7 @@ func (r *Ruby) Store() *BackingStore { return r.store }
 func (r *Ruby) Stats() *sim.StatGroup { return r.stats }
 
 func (r *Ruby) entry(line int64) *dirEntry {
-	e, ok := r.dir[line]
-	if !ok {
-		e = &dirEntry{owner: -1}
-		r.dir[line] = e
-	}
-	return e
+	return &r.dir.page(line, true)[dirSlot(line)]
 }
 
 // Access implements System.
@@ -249,10 +282,11 @@ func (r *Ruby) l2Fill(now sim.Tick, line int64, sofar sim.Tick) sim.Tick {
 
 // evictNotify tells the directory a core silently dropped a line.
 func (r *Ruby) evictNotify(now sim.Tick, core int, line int64, st LineState) {
-	e, ok := r.dir[line]
-	if !ok {
+	p := r.dir.page(line, false)
+	if p == nil {
 		return
 	}
+	e := &p[dirSlot(line)]
 	e.sharers &^= 1 << uint(core)
 	if e.owner == core {
 		e.owner = -1
