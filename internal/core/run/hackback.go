@@ -121,6 +121,7 @@ func runHackBack(r *Run) (*Results, error) {
 		return nil, err
 	}
 	detailed := cpu.NewSystem(cpu.Config{Model: model, Cores: cores}, detMem)
+	defer detailed.Release()
 	// Energy accounts the detailed phase-2 system only: the fast KVM
 	// boot is shared across the whole class, so charging it to one run
 	// would make identical scripts report different joules depending on
@@ -181,6 +182,7 @@ func hackBoot(cores int) (*cpu.Checkpoint, uint64, error) {
 		return nil, 0, err
 	}
 	fast := cpu.NewSystem(cpu.Config{Model: cpu.KVM, Cores: cores}, fastMem)
+	defer fast.Release()
 	for c := 0; c < cores; c++ {
 		fast.LoadProgram(c, bootProg)
 	}

@@ -265,6 +265,7 @@ func execBinary(r *Run, bin []byte) (*Results, error) {
 		return nil, err
 	}
 	system := cpu.NewSystem(cpu.Config{Model: model, Cores: cores}, memSys)
+	defer system.Release()
 	if emodel != nil {
 		// Monolithic memory counters live in their own group.
 		energy.Attach(system.Stats(), emodel, energy.AttachOptions{}, memSys.Stats())

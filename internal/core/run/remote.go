@@ -266,6 +266,7 @@ func ExecuteHackbackJob(payload json.RawMessage) (any, error) {
 		return nil, err
 	}
 	system := cpu.NewSystem(cpu.Config{Model: model, Cores: p.Cores}, memSys)
+	defer system.Release()
 	for c := 0; c < p.Cores; c++ {
 		prog, err := suiteProgram(p.Suite, p.Benchmark, p.Class, c)
 		if err != nil {

@@ -22,8 +22,9 @@ var bootLike = isa.Generate(isa.GenSpec{
 })
 
 // BenchmarkModels boots bootLike once per op on a fresh single-core
-// classic system under each CPU model, and reports simulated MIPS, the
-// per-model unit of the sim layer, beside ns/op and allocs/op.
+// classic system under each CPU model, releasing it as a finished run
+// does, and reports simulated MIPS, the per-model unit of the sim
+// layer, beside ns/op and the recycled B/op and allocs/op.
 func BenchmarkModels(b *testing.B) {
 	for _, model := range AllModels {
 		b.Run(string(model), func(b *testing.B) {
@@ -37,6 +38,7 @@ func BenchmarkModels(b *testing.B) {
 					b.Fatalf("%s did not finish", model)
 				}
 				insts += r.Insts
+				sys.Release()
 			}
 			b.ReportMetric(float64(insts)/b.Elapsed().Seconds()/1e6, "MIPS")
 		})

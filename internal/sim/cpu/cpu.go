@@ -143,6 +143,12 @@ func NewSystem(cfg Config, m mem.System) *System {
 // Stats returns the CPU-side statistics group.
 func (s *System) Stats() *sim.StatGroup { return s.stats }
 
+// Release hands the memory system's caches and pages back for reuse
+// (mem.System.Release). Call it after the last read of the system's
+// store or checkpoint; statistics stay readable, and running the
+// system again panics.
+func (s *System) Release() { s.memory.Release() }
+
 // TraceFunc receives one committed instruction — the analogue of gem5's
 // --debug-flags=Exec trace.
 type TraceFunc func(core int, tick sim.Tick, pc int64, in isa.Inst)

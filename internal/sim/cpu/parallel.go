@@ -154,9 +154,19 @@ func (ps *ParallelSystem) Workers() int { return ps.sched.Workers() }
 // benchmarks read its counters).
 func (ps *ParallelSystem) Scheduler() *sim.Scheduler { return ps.sched }
 
-// Close releases the scheduler's worker pool, if the run ever needed one.
-// Call it when the system is dropped; statistics stay readable afterwards.
-func (ps *ParallelSystem) Close() { ps.sched.Close() }
+// Close releases the scheduler's worker pool, if the run ever needed
+// one, and hands the caches and pages of every core and the controller
+// back for reuse (mem.System.Release). Call it when the system is
+// dropped; statistics stay readable afterwards, and running the system
+// again panics.
+func (ps *ParallelSystem) Close() {
+	ps.sched.Close()
+	for _, c := range ps.cores {
+		c.l1.Release()
+		c.store.Release()
+	}
+	ps.ctrl.Release()
+}
 
 // mergeStats refreshes the aggregate group from the per-component ones.
 // The scheduler calls it at window barriers, when every component is

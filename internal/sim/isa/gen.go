@@ -3,6 +3,7 @@ package isa
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 )
 
 // Mix is the fraction of each instruction class in a generated loop body.
@@ -51,6 +52,12 @@ func nextPow2(v int64) int64 {
 	return p
 }
 
+// rngPool recycles Generate's generators: a math/rand source is 4.9 KB,
+// and every core of every boot generates a program. Seed resets a
+// source fully, so a pooled generator seeded with spec.Seed yields the
+// stream rand.NewSource(spec.Seed) does.
+var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
 // Generate builds a deterministic synthetic program from the spec. The
 // same spec always yields the same program, which is what makes runs
 // recorded by gem5art reproducible.
@@ -70,7 +77,9 @@ func Generate(spec GenSpec) *Program {
 	if stride < 1 {
 		stride = 1
 	}
-	rng := rand.New(rand.NewSource(spec.Seed))
+	rng := rngPool.Get().(*rand.Rand)
+	defer rngPool.Put(rng)
+	rng.Seed(spec.Seed)
 
 	var insts []Inst
 	emit := func(in Inst) { insts = append(insts, in) }

@@ -234,16 +234,19 @@ func o3RubyOutcome(s Spec) Outcome {
 		Cores: s.Cores, Boot: s.Boot})
 }
 
+// kernelFactor scales boot work per kernel: newer kernels execute
+// somewhat more code during init.
+var kernelFactor = map[Version]float64{
+	"4.4.186": 0.85, "4.9.186": 0.90, "4.14.134": 0.95,
+	"4.19.83": 1.0, "5.4.49": 1.05,
+	KernelUbuntu1804: 0.97, KernelUbuntu2004: 1.05,
+}
+
 // bootWork returns the instruction-stream spec for the boot workload on
 // one core. Boot is mostly serial: core 0 runs the kernel init path;
 // secondary cores spin up with a short idle-and-sync loop.
 func bootWork(s Spec, core int) isa.GenSpec {
-	// Newer kernels execute somewhat more code during init.
-	kfactor := map[Version]float64{
-		"4.4.186": 0.85, "4.9.186": 0.90, "4.14.134": 0.95,
-		"4.19.83": 1.0, "5.4.49": 1.05,
-		KernelUbuntu1804: 0.97, KernelUbuntu2004: 1.05,
-	}[s.Kernel]
+	kfactor := kernelFactor[s.Kernel]
 	if kfactor == 0 {
 		kfactor = 1.0
 	}
@@ -303,8 +306,9 @@ type bootSystem interface {
 
 // newBootSystem builds the engine opts selects for s, with opts.Energy
 // attached. It returns the system, the energy counters the system does
-// not provide, and a func that releases the system and reports its
-// scheduler's counters (zero on the monolithic engine).
+// not provide, and a func that releases the system's memory for reuse
+// and reports its scheduler's counters (zero on the monolithic engine).
+// Call it after the last read of the system's stats.
 func newBootSystem(s Spec, opts BootOptions) (bootSystem, []string, func() sim.Counters) {
 	var unmatched []string
 	if opts.Workers > 0 {
@@ -328,7 +332,10 @@ func newBootSystem(s Spec, opts BootOptions) (bootSystem, []string, func() sim.C
 		// group; resolve them as an extra source.
 		unmatched = energy.Attach(system.Stats(), opts.Energy, energy.AttachOptions{}, memory.Stats())
 	}
-	return system, unmatched, func() sim.Counters { return sim.Counters{} }
+	return system, unmatched, func() sim.Counters {
+		system.Release()
+		return sim.Counters{}
+	}
 }
 
 // UnmatchedEnergy builds, without simulating, the system BootWith(s, _,

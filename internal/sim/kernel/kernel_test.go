@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -258,6 +259,43 @@ func TestParallelBootGolden(t *testing.T) {
 		}
 		if got := hex.EncodeToString(h.Sum(nil)); got != parallelBootGolden {
 			t.Errorf("workers=%d: boot digest %s, want %s", workers, got, parallelBootGolden)
+		}
+	}
+}
+
+// allocBytes returns the bytes f allocates, by runtime.MemStats
+// TotalAlloc, once a first call has filled the memory pools: the least
+// of three calls, so a collection that empties the pools midway does not
+// count.
+func allocBytes(f func()) uint64 {
+	f()
+	least := ^uint64(0)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
+
+// TestBootRecyclesMemory pins what a boot allocates once a finished boot
+// has handed its caches and pages back: system construction used to
+// allocate 451 KiB (1-core O3CPU on Ruby) and 580 KiB (8-core
+// TimingSimpleCPU on Ruby) per boot.
+func TestBootRecyclesMemory(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	for _, s := range []Spec{
+		{Kernel: "4.19.83", CPU: cpu.O3, Mem: "ruby.MESI_Two_Level", Cores: 1, Boot: BootSystemd},
+		{Kernel: "5.4.49", CPU: cpu.Timing, Mem: "ruby.MESI_Two_Level", Cores: 8, Boot: BootSystemd},
+	} {
+		got := allocBytes(func() { Boot(s, 0) })
+		t.Logf("%s: %d KiB per boot", s, got>>10)
+		if got > 64<<10 {
+			t.Errorf("%s: %d KiB per boot, want <= 64 KiB", s, got>>10)
 		}
 	}
 }

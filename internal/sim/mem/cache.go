@@ -48,9 +48,11 @@ type cacheLine struct {
 	lru   uint64 // larger = more recently used
 }
 
-// newCache builds a cache of sizeBytes with the given associativity.
-// sizeBytes must be a multiple of ways*LineBytes; set count is rounded
-// down to at least 1 and must be a power of two, or newCache panics.
+// newCache builds a cache of sizeBytes with the given associativity,
+// taking a released tag array of the same line count when the pool has
+// one. sizeBytes must be a multiple of ways*LineBytes; set count is
+// rounded down to at least 1 and must be a power of two, or newCache
+// panics.
 func newCache(sizeBytes int64, ways int) *cache {
 	sets := int(sizeBytes / (int64(ways) * LineBytes))
 	if sets < 1 {
@@ -59,11 +61,12 @@ func newCache(sizeBytes int64, ways int) *cache {
 	if sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("mem: cache of %d bytes, %d ways has %d sets, not a power of two", sizeBytes, ways, sets))
 	}
-	return &cache{
-		setMask: uint64(sets - 1),
-		ways:    ways,
-		lines:   make([]cacheLine, sets*ways),
+	c, _ := cachePool(sets * ways).Get().(*cache)
+	if c == nil {
+		c = &cache{lines: make([]cacheLine, sets*ways)}
 	}
+	c.setMask, c.ways = uint64(sets-1), ways
+	return c
 }
 
 // set returns the ways addr maps to. The line number is unsigned, so a

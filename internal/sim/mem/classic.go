@@ -105,6 +105,9 @@ func (c *Classic) Stats() *sim.StatGroup { return c.stats }
 // Access implements System.
 func (c *Classic) Access(now sim.Tick, req Request) sim.Tick {
 	if req.Core < 0 || req.Core >= len(c.l1s) {
+		if c.l2 == nil {
+			panic("mem: classic access after Release")
+		}
 		panic(fmt.Sprintf("mem: classic access from core %d of %d", req.Core, len(c.l1s)))
 	}
 	l1 := c.l1s[req.Core]

@@ -65,6 +65,12 @@ type System interface {
 	// Kind returns the configuration label ("classic", "ruby.MI_example",
 	// "ruby.MESI_Two_Level") used in run configs and Figure 8's axes.
 	Kind() string
+	// Release clears the hierarchy's caches, directory and backing
+	// store and hands their memory back for the next system to reuse.
+	// Call it after the last read of the store; statistics stay
+	// readable. Access panics afterwards, and a second Release does
+	// nothing.
+	Release()
 }
 
 // BackingStore is the functional memory image: a sparse paged store of
@@ -104,7 +110,7 @@ func (b *BackingStore) WriteWord(addr int64, val int64) {
 	if b.last == nil || b.lastKey != key {
 		page, ok := b.pages[key]
 		if !ok {
-			page = new([512]int64)
+			page = pagePool.Get().(*[512]int64)
 			b.pages[key] = page
 		}
 		b.last, b.lastKey = page, key
@@ -140,7 +146,8 @@ func (b *BackingStore) Snapshot() []byte {
 	return out
 }
 
-// LoadSnapshot replaces the store's contents with a Snapshot image.
+// LoadSnapshot replaces the store's contents with a Snapshot image. The
+// pages it replaces go back to the page pool.
 func (b *BackingStore) LoadSnapshot(data []byte) error {
 	if len(data) < 8 {
 		return fmt.Errorf("mem: truncated snapshot")
@@ -152,11 +159,12 @@ func (b *BackingStore) LoadSnapshot(data []byte) error {
 	if n > uint64(len(data)/(8+512*8)) {
 		return fmt.Errorf("mem: snapshot needs %d pages, has %d bytes", n, len(data))
 	}
+	b.Release()
 	pages := make(map[int64]*[512]int64, n)
 	for i := uint64(0); i < n; i++ {
 		key := int64(binary.LittleEndian.Uint64(data))
 		data = data[8:]
-		page := new([512]int64)
+		page := pagePool.Get().(*[512]int64)
 		for w := 0; w < 512; w++ {
 			page[w] = int64(binary.LittleEndian.Uint64(data))
 			data = data[8:]
@@ -164,6 +172,5 @@ func (b *BackingStore) LoadSnapshot(data []byte) error {
 		pages[key] = page
 	}
 	b.pages = pages
-	b.last = nil
 	return nil
 }

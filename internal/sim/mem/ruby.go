@@ -46,10 +46,7 @@ func (d *directory) page(line int64, create bool) *dirPage {
 		if !create {
 			return nil
 		}
-		p = new(dirPage)
-		for i := range p {
-			p[i].owner = -1
-		}
+		p = dirPagePool.Get().(*dirPage)
 		d.pages[key] = p
 	}
 	d.last, d.lastKey = p, key
@@ -164,6 +161,9 @@ func (r *Ruby) entry(line int64) *dirEntry {
 // Access implements System.
 func (r *Ruby) Access(now sim.Tick, req Request) sim.Tick {
 	if req.Core < 0 || req.Core >= len(r.l1s) {
+		if r.l2 == nil {
+			panic("mem: ruby access after Release")
+		}
 		panic(fmt.Sprintf("mem: ruby access from core %d of %d", req.Core, len(r.l1s)))
 	}
 	l1 := r.l1s[req.Core]

@@ -23,6 +23,7 @@ type ParsecMetrics struct {
 // metrics. It is the unit of work use case 1 fans out 60 of.
 func ExecParsec(app ParsecApp, os OSImage, cores int) (ParsecMetrics, error) {
 	system, _ := parsecSystem(app, os, cores)
+	defer system.Release()
 	res := system.Run(0)
 	if !res.Finished {
 		return ParsecMetrics{}, fmt.Errorf("workloads: %s on %s with %d cores did not finish",

@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"runtime"
 	"testing"
 
 	"gem5art/internal/sim/isa"
@@ -185,5 +186,37 @@ func TestDeterministicMetrics(t *testing.T) {
 	}
 	if a != b {
 		t.Fatalf("nondeterministic metrics: %+v vs %+v", a, b)
+	}
+}
+
+// TestParsecRecyclesMemory pins what an 8-core PARSEC run allocates once
+// a finished run has handed its caches and pages back: system
+// construction used to allocate 580 KiB per blackscholes run. The least of three
+// runs counts, so a collection that empties the pools midway does not.
+func TestParsecRecyclesMemory(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	app, err := FindParsec("blackscholes")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() {
+		if _, err := ExecParsec(app, Ubuntu2004, 8); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	least := ^uint64(0)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	t.Logf("%d KiB per run", least>>10)
+	if least > 64<<10 {
+		t.Errorf("%d KiB per 8-core PARSEC run, want <= 64 KiB", least>>10)
 	}
 }
