@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build fmt vet test race chaos microbench fuzz benchmod ci
+.PHONY: build fmt vet fma test race chaos microbench fuzz benchmod ci
 
 build:
 	$(GO) build ./...
@@ -12,6 +12,30 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+
+# fma cross-compiles the result-producing packages for the
+# architectures whose Go compiler may fuse x*y + z into one
+# multiply-add with a single rounding (amd64 never does), and fails on
+# any fused instruction outside FMA_ALLOW: a fused site records other
+# bits on those hosts than on amd64, and an explicit float64(x*y)
+# forbids the fusion. The one allowed file is the retry policy's backoff
+# jitter, a delay rather than a result. It needs only the local
+# toolchain; the first run builds the standard library for each
+# architecture into the build cache (≈30 s each).
+FMA_ARCHS ?= arm64 ppc64le s390x riscv64
+FMA_PKGS = ./internal/sim/... ./internal/energy ./internal/workloads ./internal/analysis \
+	./internal/experiments ./internal/core/... ./internal/simcache
+FMA_ALLOW = gem5art/internal/core/tasks/retry.go:
+fma:
+	@rc=0; for arch in $(FMA_ARCHS); do \
+		asm=$$(GOARCH=$$arch $(GO) build -trimpath -gcflags=-S $(FMA_PKGS) 2>&1) || { \
+			GOARCH=$$arch $(GO) build $(FMA_PKGS); echo "fma: $$arch build failed"; exit 1; }; \
+		sites=$$(echo "$$asm" | grep -E '[[:space:]]FN?M(ADD|SUB)[DS]?[[:space:]]' | \
+			sed -E 's/.*\(([^)]*)\).*/\1/' | sort -u); \
+		echo "$$arch fused sites: $$(echo $$sites)"; \
+		bad=$$(echo "$$sites" | grep -v '$(FMA_ALLOW)' | grep .); \
+		if [ -n "$$bad" ]; then echo "fma: $$arch fuses outside the allowlist"; rc=1; fi; \
+	done; exit $$rc
 
 test:
 	$(GO) test ./...
@@ -104,4 +128,4 @@ benchmod:
 # ci runs the tests once without -race as well: allocation pins such as
 # the GPU model's TestAllocsIndependentOfWaveCount skip themselves under
 # the race detector, which drops sync.Pool items on purpose.
-ci: fmt vet build test race microbench benchmod
+ci: fmt vet build fma test race microbench benchmod

@@ -100,9 +100,8 @@ func useCase(args []string, fn func(caseOpts) error) error {
 	workers := fs.Int("workers", runtime.NumCPU(), "parallel simulations")
 	quick := fs.Bool("quick", false, "run a reduced sweep")
 	retries := fs.Int("retries", 1, "attempts per run (>1 retries transient failures with backoff)")
-	cacheOn := fs.Bool("cache", true,
-		"memoize identical runs and share boot checkpoints through the simulation cache")
-	noCache := fs.Bool("no-cache", false, "disable the simulation cache (overrides -cache)")
+	noCache := fs.Bool("no-cache", false,
+		"do not memoize identical runs or share boot checkpoints through the simulation cache")
 	metricsAddr := fs.String("metrics-addr", "",
 		"serve the status/metrics daemon on this address while the sweep runs (e.g. 127.0.0.1:7788)")
 	if err := fs.Parse(args); err != nil {
@@ -113,7 +112,7 @@ func useCase(args []string, fn func(caseOpts) error) error {
 		return err
 	}
 	defer env.DB().Close()
-	if *cacheOn && !*noCache {
+	if !*noCache {
 		env.Cache = simcache.New(env.DB(), simcache.Options{})
 	}
 	if *metricsAddr != "" {
@@ -417,7 +416,7 @@ func distributeCmd(args []string) error {
 			Cores:      1,
 			Mem:        "classic",
 		}
-		blob, hash, err := run.BootClassCheckpoint(cache, class)
+		blob, hash, _, err := run.BootClassCheckpoint(cache, class)
 		if err != nil {
 			return err
 		}
@@ -425,7 +424,7 @@ func distributeCmd(args []string) error {
 			class.Key(), hash, len(blob))
 		for i, k := range workloads.NPBKernels {
 			job := run.HackbackJob{
-				Benchmark: k, Suite: "npb", Class: "S",
+				Benchmark: k, Suite: "npb",
 				Cores: 1, CPU: "TimingSimpleCPU", Mem: "classic",
 				CkptHash: hash, FetchURL: fetchURL,
 			}

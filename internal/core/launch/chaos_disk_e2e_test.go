@@ -129,7 +129,7 @@ func TestChaosDiskDegradeMidLaunchThenRecover(t *testing.T) {
 	t.Logf("chaos seed %d (set %s to replay)", seed, faultinject.SeedEnv)
 	dir := t.TempDir()
 	dc := faultinject.NewDiskChaos(seed, nil)
-	store, err := database.OpenWith(dir, database.Options{Journal: true, SyncOnCommit: true, FS: dc})
+	store, err := database.OpenWith(dir, database.Options{SyncOnCommit: true, FS: dc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestChaosDiskEveryFaultClass(t *testing.T) {
 			t.Logf("chaos seed %d (set %s to replay)", seed, faultinject.SeedEnv)
 			dir := t.TempDir()
 			dc := faultinject.NewDiskChaos(seed, nil, tc.rule)
-			store, err := database.OpenWith(dir, database.Options{Journal: true, SyncOnCommit: true, FS: dc})
+			store, err := database.OpenWith(dir, database.Options{SyncOnCommit: true, FS: dc})
 			if err != nil {
 				t.Fatal(err)
 			}

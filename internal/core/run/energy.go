@@ -48,8 +48,8 @@ func (r *Run) energyModel() (*energy.Model, error) {
 
 // evaluateEnergy folds the model's energy statistics into a finished
 // result's stat map — the path for handlers whose workloads report flat
-// metrics rather than live stat groups (PARSEC, GPU). freqHz as in
-// energy.AttachOptions.
+// metrics rather than live stat groups (PARSEC, GPU). freqHz is the
+// leakage clock, as in energy.Evaluate.
 func evaluateEnergy(res *Results, m *energy.Model, freqHz uint64) error {
 	if m == nil || res == nil {
 		return nil

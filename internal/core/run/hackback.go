@@ -6,6 +6,7 @@ import (
 	"gem5art/internal/energy"
 	"gem5art/internal/sim"
 	"gem5art/internal/sim/cpu"
+	"gem5art/internal/sim/isa"
 	"gem5art/internal/simcache"
 	"gem5art/internal/workloads"
 )
@@ -43,50 +44,32 @@ func runHackBack(r *Run) (*Results, error) {
 	var ck *cpu.Checkpoint
 	var ckptHash, resumedFrom string
 	var sharedBoot bool
-	var bootInsts uint64
 	// A prior attempt of this same run may have archived a checkpoint;
 	// it is only trustworthy if it was taken under the same boot class —
 	// same kernel and disk identity, core count, and phase-1 memory.
 	if prior, hash, priorClass := r.PriorCheckpoint(); prior != nil &&
 		priorClass == classKey && len(prior.Cores) == cores {
 		ck, ckptHash, resumedFrom = prior, hash, hash
-		for _, c := range prior.Cores {
-			bootInsts += c.Insts
-		}
 	}
 	// Boot-class cache: the first run in the class boots (concurrent
 	// siblings coalesce onto it via singleflight), everyone else
 	// restores the archived class checkpoint.
-	if ck == nil {
-		if cache := r.cacheRef(); cache != nil {
-			blob, hash, shared, err := cache.BootOnce(class, "bootclass/"+classKey+"/cpt.1",
-				func() ([]byte, error) {
-					booted, _, err := hackBoot(cores)
-					if err != nil {
-						return nil, err
-					}
-					return booted.Serialize(), nil
-				})
-			if err != nil {
-				return nil, err
-			}
-			if parsed, perr := cpu.ParseCheckpoint(blob); perr == nil {
-				ck, ckptHash, sharedBoot = parsed, hash, shared
-				for _, c := range parsed.Cores {
-					bootInsts += c.Insts
-				}
-				if hash != "" { // archive may have been skipped (low disk, degraded store)
-					r.RecordCheckpoint(hash, classKey)
-				}
+	if cache := r.cacheRef(); ck == nil && cache != nil {
+		blob, hash, shared, err := BootClassCheckpoint(cache, class)
+		if err != nil {
+			return nil, err
+		}
+		if parsed, perr := cpu.ParseCheckpoint(blob); perr == nil {
+			ck, ckptHash, sharedBoot = parsed, hash, shared
+			if hash != "" { // archive may have been skipped (low disk, degraded store)
+				r.RecordCheckpoint(hash, classKey)
 			}
 		}
 	}
 	if ck == nil {
-		booted, insts, err := hackBoot(cores)
-		if err != nil {
+		if ck, err = hackBoot(cores); err != nil {
 			return nil, err
 		}
-		ck, bootInsts = booted, insts
 		// Best-effort archive: a degraded store costs the checkpoint copy,
 		// not the run.
 		if h, err := r.reg.DB().Files().Put(r.Spec.Output+"/cpt.1", ck.Serialize()); err == nil {
@@ -101,8 +84,7 @@ func runHackBack(r *Run) (*Results, error) {
 	// Phase 2: restore the booted memory into a detailed system and run
 	// the requested script/benchmark.
 	bench := r.Param("benchmark", "boot-exit")
-	suite := r.Param("suite", "boot-exit")
-	bin, err := img.ReadFile("/benchmarks/" + suite + "/" + bench)
+	bin, err := img.ReadFile("/benchmarks/" + r.Param("suite", "boot-exit") + "/" + bench)
 	if err != nil {
 		return nil, err
 	}
@@ -110,45 +92,57 @@ func runHackBack(r *Run) (*Results, error) {
 	if err != nil {
 		return nil, err
 	}
-	model := cpu.Model(r.Param("cpu", string(cpu.Timing)))
-	memKind := r.Param("mem_sys", "classic")
 	emodel, err := r.energyModel()
 	if err != nil {
 		return nil, err
 	}
-	detMem, err := buildMemParam(memKind, cores)
+	res, err := hackBackPhase2(ck, cores, prog,
+		cpu.Model(r.Param("cpu", string(cpu.Timing))), r.Param("mem_sys", "classic"), emodel)
 	if err != nil {
 		return nil, err
 	}
-	detailed := cpu.NewSystem(cpu.Config{Model: model, Cores: cores}, detMem)
-	defer detailed.Release()
-	// Energy accounts the detailed phase-2 system only: the fast KVM
-	// boot is shared across the whole class, so charging it to one run
-	// would make identical scripts report different joules depending on
-	// who happened to pay for the boot.
-	if emodel != nil {
-		energy.Attach(detailed.Stats(), emodel, energy.AttachOptions{}, detMem.Stats())
-	}
-	for c := 0; c < cores; c++ {
-		detailed.LoadProgram(c, prog)
-	}
-	if err := detMem.Store().LoadSnapshot(ck.Mem); err != nil {
-		return nil, err
-	}
-	res := detailed.Run(sim.TicksPerSecond)
-	outcome := "success"
-	if !res.Finished {
-		outcome = "timeout"
-	}
-	console := fmt.Sprintf("m5 checkpoint (archived %s)\nrestored; script %s complete\nm5 exit",
+	res.Console = fmt.Sprintf("m5 checkpoint (archived %s)\nrestored; script %s complete\nm5 exit",
 		shortHash(ckptHash), bench)
 	switch {
 	case resumedFrom != "":
-		console = fmt.Sprintf("resumed from checkpoint %s (boot skipped)\nscript %s complete\nm5 exit",
+		res.Console = fmt.Sprintf("resumed from checkpoint %s (boot skipped)\nscript %s complete\nm5 exit",
 			shortHash(resumedFrom), bench)
 	case sharedBoot:
-		console = fmt.Sprintf("restored boot-class checkpoint %s (boot skipped)\nscript %s complete\nm5 exit",
+		res.Console = fmt.Sprintf("restored boot-class checkpoint %s (boot skipped)\nscript %s complete\nm5 exit",
 			shortHash(ckptHash), bench)
+	}
+	res.ResumedFrom, res.BootClass, res.SharedBoot = resumedFrom, classKey, sharedBoot
+	return res, nil
+}
+
+// hackBackPhase2 restores a boot checkpoint's memory image into a
+// detailed system of cores cores, runs prog on every core and builds
+// the results: the one phase 2 behind runHackBack and
+// ExecuteHackbackJob. Energy accounts the detailed system only: the
+// fast KVM boot is shared across the whole class, so charging it to one
+// run would make identical scripts report different joules depending on
+// who happened to pay for the boot.
+func hackBackPhase2(ck *cpu.Checkpoint, cores int, prog *isa.Program, model cpu.Model, memKind string,
+	emodel *energy.Model) (*Results, error) {
+	memSys, err := buildMemParam(memKind, cores)
+	if err != nil {
+		return nil, err
+	}
+	system := cpu.NewSystem(cpu.Config{Model: model, Cores: cores}, memSys)
+	defer system.Release()
+	if emodel != nil {
+		energy.Attach(system.Stats(), emodel, memSys.Stats())
+	}
+	for c := 0; c < cores; c++ {
+		system.LoadProgram(c, prog)
+	}
+	if err := memSys.Store().LoadSnapshot(ck.Mem); err != nil {
+		return nil, err
+	}
+	res := system.Run(sim.TicksPerSecond)
+	var bootInsts uint64
+	for _, c := range ck.Cores {
+		bootInsts += c.Insts
 	}
 	stats := map[string]float64{
 		"boot_insts":   float64(bootInsts),
@@ -156,41 +150,35 @@ func runHackBack(r *Run) (*Results, error) {
 		"sim_seconds":  res.SimTicks.Seconds(),
 	}
 	if emodel != nil {
-		for k, v := range detailed.Stats().Values() {
+		for k, v := range system.Stats().Values() {
 			stats[k] = v
 		}
 	}
 	return &Results{
-		Outcome:     outcome,
-		SimSeconds:  res.SimTicks.Seconds(),
-		Insts:       bootInsts + res.Insts,
-		Stats:       stats,
-		Console:     console,
-		ResumedFrom: resumedFrom,
-		BootClass:   classKey,
-		SharedBoot:  sharedBoot,
+		Outcome:    outcome(res),
+		SimSeconds: res.SimTicks.Seconds(),
+		Insts:      bootInsts + res.Insts,
+		Stats:      stats,
 	}, nil
 }
 
 // hackBoot performs the phase-1 fast boot: KVM cores on the classic
-// memory system running the boot-exit program to completion. Returns
-// the checkpoint and the instructions the boot executed.
-func hackBoot(cores int) (*cpu.Checkpoint, uint64, error) {
+// memory system running the boot-exit program to completion.
+func hackBoot(cores int) (*cpu.Checkpoint, error) {
 	bootProg := workloads.BootExitProgram()
 	fastMem, err := buildMemParam("classic", cores)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	fast := cpu.NewSystem(cpu.Config{Model: cpu.KVM, Cores: cores}, fastMem)
 	defer fast.Release()
 	for c := 0; c < cores; c++ {
 		fast.LoadProgram(c, bootProg)
 	}
-	bootRes := fast.Run(sim.TicksPerSecond)
-	if !bootRes.Finished {
-		return nil, 0, fmt.Errorf("run: hack-back boot did not finish")
+	if !fast.Run(sim.TicksPerSecond).Finished {
+		return nil, fmt.Errorf("run: hack-back boot did not finish")
 	}
-	return fast.SaveCheckpoint(), bootRes.Insts, nil
+	return fast.SaveCheckpoint(), nil
 }
 
 // shortHash abbreviates a checkpoint hash for console strings,

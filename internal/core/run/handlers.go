@@ -133,19 +133,24 @@ func runBootExit(r *Run) (*Results, error) {
 	if err != nil {
 		return nil, err
 	}
-	spec := kernel.Spec{
+	emodel, err := r.energyModel()
+	if err != nil {
+		return nil, err
+	}
+	return bootResults(kernel.Spec{
 		Kernel: kernel.Version(r.Param("kernel", string(r.kernelVersion()))),
 		CPU:    cpu.Model(r.Param("cpu", string(cpu.KVM))),
 		Mem:    r.Param("mem_sys", "classic"),
 		Cores:  cores,
 		Boot:   kernel.BootType(r.Param("boot_type", string(kernel.BootInit))),
-	}
-	emodel, err := r.energyModel()
-	if err != nil {
-		return nil, err
-	}
-	res := kernel.BootWith(spec, workloads.BootBudget,
-		kernel.BootOptions{Energy: emodel})
+	}, emodel), nil
+}
+
+// bootResults boots one Figure 8 cell within the kernel's default
+// budget and builds its results: the one boot cell behind runBootExit
+// and ExecuteBootJob.
+func bootResults(spec kernel.Spec, emodel *energy.Model) *Results {
+	res := kernel.BootWith(spec, 0, kernel.BootOptions{Energy: emodel})
 	stats := map[string]float64{
 		"sim_seconds": res.SimTicks.Seconds(),
 		"sim_insts":   float64(res.Insts),
@@ -162,7 +167,7 @@ func runBootExit(r *Run) (*Results, error) {
 		Stats:      stats,
 		Console:    res.Console,
 		ConfigINI:  renderConfig(string(spec.CPU), spec.Cores, spec.Mem, "boot-exit/"+string(spec.Boot)),
-	}, nil
+	}
 }
 
 // kernelVersion extracts the kernel version from the linux binary
@@ -184,12 +189,21 @@ func runGPU(r *Run) (*Results, error) {
 		return nil, fmt.Errorf("run: %s: GPU runs require a GCN3_X86 gem5 build, got %s",
 			r.Spec.Name, r.Spec.Gem5Binary)
 	}
-	app := r.Param("app", "")
+	emodel, err := r.energyModel()
+	if err != nil {
+		return nil, err
+	}
+	return gpuResults(r.Param("app", ""), gpu.Allocator(r.Param("reg_alloc", string(gpu.Simple))), emodel)
+}
+
+// gpuResults runs one Table IV application under one register allocator
+// and builds its results: the one GPU cell behind runGPU and
+// ExecuteGPUJob.
+func gpuResults(app string, alloc gpu.Allocator, emodel *energy.Model) (*Results, error) {
 	w, err := workloads.FindGPUWorkload(app)
 	if err != nil {
 		return nil, err
 	}
-	alloc := gpu.Allocator(r.Param("reg_alloc", string(gpu.Simple)))
 	res, err := gpu.Run(gpu.Config{}, w.Kernel, alloc)
 	if err != nil {
 		return nil, err
@@ -211,10 +225,6 @@ func runGPU(r *Run) (*Results, error) {
 	}
 	// The GPU model has no stat group; evaluate the model over the
 	// reported counters at the 1 GHz shader clock.
-	emodel, err := r.energyModel()
-	if err != nil {
-		return nil, err
-	}
 	if err := evaluateEnergy(out, emodel, 1_000_000_000); err != nil {
 		return nil, err
 	}
@@ -238,6 +248,14 @@ func runSuiteProgram(r *Run, suite string) (*Results, error) {
 
 func runNPB(r *Run) (*Results, error)   { return runSuiteProgram(r, "npb") }
 func runGAPBS(r *Run) (*Results, error) { return runSuiteProgram(r, "gapbs") }
+
+// outcome names how a program run ended.
+func outcome(res cpu.Result) string {
+	if res.Finished {
+		return "success"
+	}
+	return "timeout"
+}
 
 // execBinary decodes and runs one program on the configured system —
 // monolithic by default, or the parallel component/port engine when the
@@ -268,18 +286,14 @@ func execBinary(r *Run, bin []byte) (*Results, error) {
 	defer system.Release()
 	if emodel != nil {
 		// Monolithic memory counters live in their own group.
-		energy.Attach(system.Stats(), emodel, energy.AttachOptions{}, memSys.Stats())
+		energy.Attach(system.Stats(), emodel, memSys.Stats())
 	}
 	for i := 0; i < cores; i++ {
 		system.LoadProgram(i, prog)
 	}
 	res := system.Run(sim.TicksPerSecond) // 1 s simulated budget
-	outcome := "success"
-	if !res.Finished {
-		outcome = "timeout"
-	}
 	return &Results{
-		Outcome:    outcome,
+		Outcome:    outcome(res),
 		SimSeconds: res.SimTicks.Seconds(),
 		Insts:      res.Insts,
 		Stats:      system.Stats().Values(),

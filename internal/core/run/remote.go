@@ -10,10 +10,8 @@ import (
 
 	"gem5art/internal/core/tasks"
 	"gem5art/internal/database"
-	"gem5art/internal/sim"
 	"gem5art/internal/sim/cpu"
 	"gem5art/internal/sim/gpu"
-	"gem5art/internal/sim/isa"
 	"gem5art/internal/sim/kernel"
 	"gem5art/internal/simcache"
 	"gem5art/internal/workloads"
@@ -23,12 +21,12 @@ import (
 // phase 2 only. The boot is paid once on the launcher (or restored from
 // the shared cache) and its checkpoint travels to the worker either
 // inline (Ckpt) or by content hash through the status daemon's cache
-// endpoint (CkptHash + FetchURL). Workers regenerate the benchmark
-// program from the suite generators, so no disk image ships.
+// endpoint (CkptHash + FetchURL). Workers regenerate the program the
+// disk image holds for the benchmark (workloads.ImageProgram), so no
+// disk image ships.
 type HackbackJob struct {
 	Benchmark string `json:"benchmark"`
 	Suite     string `json:"suite"` // boot-exit | npb | gapbs | spec
-	Class     string `json:"class,omitempty"`
 	Cores     int    `json:"cores"`
 	CPU       string `json:"cpu"`
 	Mem       string `json:"mem"`
@@ -48,24 +46,29 @@ type BootJob struct {
 	Boot   string `json:"boot"`
 }
 
+// jobOutput is a worker's answer for one cell: the outcome, simulated
+// seconds and instructions of the results the run layer records for it.
+func jobOutput(res *Results) map[string]any {
+	return map[string]any{
+		"outcome":     res.Outcome,
+		"sim_seconds": res.SimSeconds,
+		"insts":       res.Insts,
+	}
+}
+
 // ExecuteBootJob is the worker-side handler for "boot" jobs.
 func ExecuteBootJob(payload json.RawMessage) (any, error) {
 	var j BootJob
 	if err := json.Unmarshal(payload, &j); err != nil {
 		return nil, fmt.Errorf("bad boot payload: %w", err)
 	}
-	res := kernel.Boot(kernel.Spec{
+	return jobOutput(bootResults(kernel.Spec{
 		Kernel: kernel.Version(j.Kernel),
 		CPU:    cpu.Model(j.CPU),
 		Mem:    j.Mem,
 		Cores:  j.Cores,
 		Boot:   kernel.BootType(j.Boot),
-	}, 0)
-	return map[string]any{
-		"outcome":     string(res.Outcome),
-		"sim_seconds": res.SimTicks.Seconds(),
-		"insts":       res.Insts,
-	}, nil
+	}, nil)), nil
 }
 
 // GPUJob is the broker payload for one Figure 9 register-allocator
@@ -81,34 +84,28 @@ func ExecuteGPUJob(payload json.RawMessage) (any, error) {
 	if err := json.Unmarshal(payload, &j); err != nil {
 		return nil, fmt.Errorf("bad gpu payload: %w", err)
 	}
-	w, err := workloads.FindGPUWorkload(j.App)
+	res, err := gpuResults(j.App, gpu.Allocator(j.Alloc), nil)
 	if err != nil {
 		return nil, err
 	}
-	res, err := gpu.Run(gpu.Config{}, w.Kernel, gpu.Allocator(j.Alloc))
-	if err != nil {
-		return nil, err
-	}
-	return map[string]any{
-		"shader_ticks": res.Cycles,
-		"ops":          res.Ops,
-	}, nil
+	out := jobOutput(res)
+	out["shader_ticks"] = uint64(res.Stats["shader_ticks"])
+	return out, nil
 }
 
 // BootClassCheckpoint boots (or restores) the class's shared checkpoint
-// through the cache, returning the serialized blob and its content
-// hash. The launcher calls this once per boot class before fanning a
-// matrix out to workers.
-func BootClassCheckpoint(cache *simcache.Cache, class simcache.BootClass) ([]byte, string, error) {
-	blob, hash, _, err := cache.BootOnce(class, "bootclass/"+class.Key()+"/cpt.1",
-		func() ([]byte, error) {
-			ck, _, err := hackBoot(class.Cores)
-			if err != nil {
-				return nil, err
-			}
-			return ck.Serialize(), nil
-		})
-	return blob, hash, err
+// through the cache, returning the serialized blob, its content hash and
+// whether another caller paid for the boot. The launcher calls this once
+// per boot class before fanning a matrix out to workers; a hack-back run
+// calls it for its own class.
+func BootClassCheckpoint(cache *simcache.Cache, class simcache.BootClass) ([]byte, string, bool, error) {
+	return cache.BootOnce(class, "bootclass/"+class.Key()+"/cpt.1", func() ([]byte, error) {
+		ck, err := hackBoot(class.Cores)
+		if err != nil {
+			return nil, err
+		}
+		return ck.Serialize(), nil
+	})
 }
 
 // CheckpointFetchRetry is the default policy for by-hash checkpoint
@@ -197,30 +194,10 @@ func fetchCheckpointOnce(client *http.Client, url, hash string) ([]byte, error) 
 	return blob, nil
 }
 
-// suiteProgram regenerates the benchmark program a worker runs; the
-// generators are deterministic, so launcher and worker agree on the
-// workload without shipping a disk image.
-func suiteProgram(suite, bench, class string, core int) (*isa.Program, error) {
-	switch suite {
-	case "", "boot-exit":
-		return workloads.BootExitProgram(), nil
-	case "npb":
-		if class == "" {
-			class = "S"
-		}
-		return workloads.NPBProgram(bench, workloads.NPBClass(class), core)
-	case "gapbs":
-		return workloads.GAPBSProgram(bench, 1, core)
-	case "spec":
-		return workloads.SPECProgram(bench, core)
-	}
-	return nil, fmt.Errorf("run: unknown suite %q", suite)
-}
-
 // ExecuteHackbackJob is the worker-side handler for "hackback" jobs:
 // obtain the boot-class checkpoint (inline or fetched by hash, always
-// integrity-verified), restore its memory image into a detailed system,
-// and run the benchmark.
+// integrity-verified) and run hack-back's phase 2 on the program the
+// disk image holds for the benchmark.
 func ExecuteHackbackJob(payload json.RawMessage) (any, error) {
 	var p HackbackJob
 	if err := json.Unmarshal(payload, &p); err != nil {
@@ -248,46 +225,26 @@ func ExecuteHackbackJob(payload json.RawMessage) (any, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bad checkpoint blob: %w", err)
 	}
-	var bootInsts uint64
-	for _, c := range ck.Cores {
-		bootInsts += c.Insts
+	if p.Suite == "" {
+		p.Suite = "boot-exit"
 	}
-
-	model := cpu.Model(p.CPU)
-	if model == "" {
-		model = cpu.Timing
-	}
-	memName := p.Mem
-	if memName == "" {
-		memName = "classic"
-	}
-	memSys, err := buildMemParam(memName, p.Cores)
+	prog, err := workloads.ImageProgram(p.Suite, p.Benchmark)
 	if err != nil {
 		return nil, err
 	}
-	system := cpu.NewSystem(cpu.Config{Model: model, Cores: p.Cores}, memSys)
-	defer system.Release()
-	for c := 0; c < p.Cores; c++ {
-		prog, err := suiteProgram(p.Suite, p.Benchmark, p.Class, c)
-		if err != nil {
-			return nil, err
-		}
-		system.LoadProgram(c, prog)
+	if p.CPU == "" {
+		p.CPU = string(cpu.Timing)
 	}
-	if err := memSys.Store().LoadSnapshot(ck.Mem); err != nil {
+	if p.Mem == "" {
+		p.Mem = "classic"
+	}
+	res, err := hackBackPhase2(ck, p.Cores, prog, cpu.Model(p.CPU), p.Mem, nil)
+	if err != nil {
 		return nil, err
 	}
-	res := system.Run(sim.TicksPerSecond)
-	outcome := "success"
-	if !res.Finished {
-		outcome = "timeout"
-	}
-	return map[string]any{
-		"outcome":      outcome,
-		"sim_seconds":  res.SimTicks.Seconds(),
-		"boot_insts":   bootInsts,
-		"script_insts": res.Insts,
-		"insts":        bootInsts + res.Insts,
-		"shared_boot":  true,
-	}, nil
+	out := jobOutput(res)
+	out["boot_insts"] = uint64(res.Stats["boot_insts"])
+	out["script_insts"] = uint64(res.Stats["script_insts"])
+	out["shared_boot"] = true
+	return out, nil
 }

@@ -18,7 +18,7 @@ import (
 // checkpoint with its content hash.
 func bootBlob(t *testing.T) ([]byte, string) {
 	t.Helper()
-	ck, _, err := hackBoot(1)
+	ck, err := hackBoot(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func bootBlob(t *testing.T) ([]byte, string) {
 func TestExecuteHackbackJobInline(t *testing.T) {
 	blob, hash := bootBlob(t)
 	payload, _ := json.Marshal(HackbackJob{
-		Benchmark: "cg", Suite: "npb", Class: "S",
+		Benchmark: "cg", Suite: "npb",
 		Cores: 1, CPU: "TimingSimpleCPU", Mem: "classic",
 		CkptHash: hash, Ckpt: blob,
 	})

@@ -165,10 +165,7 @@ func (f *Fleet) openStore(shard, gen int) (*database.DB, error) {
 	// No fsync per commit: shipping cadence, not fsync, bounds the
 	// failover window for in-process fleets, and chaos runs push tens of
 	// thousands of journal records.
-	store, err := database.OpenWith(dir, database.Options{
-		Journal:      true,
-		CompactAfter: 1 << 30,
-	})
+	store, err := database.OpenWith(dir, database.Options{CompactAfter: 1 << 30})
 	if err != nil {
 		return nil, fmt.Errorf("shard %d: %w", shard, err)
 	}

@@ -11,7 +11,7 @@ import (
 func openShardStore(t *testing.T) *database.DB {
 	t.Helper()
 	store, err := database.OpenWith(t.TempDir(), database.Options{
-		Journal: true, SyncOnCommit: false, CompactAfter: 1 << 30,
+		SyncOnCommit: false, CompactAfter: 1 << 30,
 	})
 	if err != nil {
 		t.Fatal(err)

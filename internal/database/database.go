@@ -49,12 +49,10 @@ type (
 // artifact deduplication throughout gem5art.
 func HashBytes(data []byte) string { return storage.HashBytes(data) }
 
-// Options selects and tunes the engine's durability path.
+// Options tunes the engine's durability path. A store with a directory
+// always journals: mutations append records to the append-only journal,
+// and Flush or compaction folds them into snapshots.
 type Options struct {
-	// Journal enables the append-only journal: mutations append records
-	// instead of relying on whole-file snapshot rewrites at Flush time.
-	// Ignored for in-memory stores (empty dir).
-	Journal bool
 	// SyncOnCommit fsyncs the journal after every mutation, making each
 	// committed operation durable against process crashes.
 	SyncOnCommit bool
@@ -71,10 +69,9 @@ type Options struct {
 	FS storage.FS
 }
 
-// DefaultOptions is the configuration Open uses: journaled, fsync on
-// every commit.
+// DefaultOptions is the configuration Open uses: fsync on every commit.
 func DefaultOptions() Options {
-	return Options{Journal: true, SyncOnCommit: true, CompactAfter: 8192}
+	return Options{SyncOnCommit: true, CompactAfter: 8192}
 }
 
 // Open opens (or creates) a database with the default engine options.
@@ -210,11 +207,10 @@ func (db *DB) snapshot() []*collection {
 	return cols
 }
 
-// Close makes the database durable and releases it. With the journal
-// enabled this is cheap — journals are already synced per commit, so
-// Close only drains background compactions and closes file handles; it
-// does not rewrite collections. Snapshot-mode stores flush in full.
-// Both close the blob pack, whose frames Put already fsynced.
+// Close releases the database. It is cheap: journals are already
+// synced per commit, so Close only drains background compactions and
+// closes file handles and the blob pack, whose frames Put already
+// fsynced; it does not rewrite collections.
 func (db *DB) Close() error {
 	db.mu.Lock()
 	db.closed = true
@@ -224,9 +220,6 @@ func (db *DB) Close() error {
 	}
 	db.compactWG.Wait()
 	var firstErr error
-	if !db.opts.Journal {
-		firstErr = db.Flush()
-	}
 	for _, c := range db.snapshot() {
 		c.mu.Lock()
 		if c.journal != nil {

@@ -19,7 +19,7 @@ import (
 func openChaos(t *testing.T, dir string, rules ...faultinject.DiskRule) (*DB, *faultinject.DiskChaos) {
 	t.Helper()
 	dc := faultinject.NewDiskChaos(1, nil, rules...)
-	store, err := OpenWith(dir, Options{Journal: true, SyncOnCommit: true, FS: dc})
+	store, err := OpenWith(dir, Options{SyncOnCommit: true, FS: dc})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -338,7 +338,7 @@ func TestScrubDetectsTornJournal(t *testing.T) {
 // journaled inserts, and the compactions those inserts trigger, never
 // report damage on a healthy store.
 func TestScrubHealthyStoreUnderWrites(t *testing.T) {
-	store, err := OpenWith(t.TempDir(), Options{Journal: true, SyncOnCommit: false, CompactAfter: 256})
+	store, err := OpenWith(t.TempDir(), Options{SyncOnCommit: false, CompactAfter: 256})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,7 +65,7 @@ func indexProperty(t *testing.T, seed int64, steps int) {
 	rng := rand.New(rand.NewSource(seed))
 	dir := t.TempDir()
 	open := func() (Store, Collection) {
-		db, err := OpenWith(dir, Options{Journal: true})
+		db, err := OpenWith(dir, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -249,7 +249,7 @@ func (c *collection) logRecord(recs ...journalRecord) error {
 			return c.db.degrade("journal-open", err)
 		}
 		if c.journal == nil {
-			return nil // in-memory or snapshot-mode store
+			return nil // in-memory store
 		}
 	}
 	if reason, err := c.journal.append(recs...); err != nil {

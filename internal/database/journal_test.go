@@ -139,19 +139,17 @@ func TestJournalTruncatedTailRecovery(t *testing.T) {
 }
 
 // TestJournalReplayMatchesFlush drives an identical randomized op
-// sequence into a journaled store (reopened via replay, no Flush) and a
-// snapshot-mode store (reopened via Flush), and requires identical
-// final states. This is the engine's core equivalence property.
+// sequence into a journaled store (reopened via replay, no Flush) and an
+// in-memory store that applies the same operations, and requires
+// identical final states. This is the engine's core equivalence
+// property.
 func TestJournalReplayMatchesFlush(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			jDir, sDir := t.TempDir(), t.TempDir()
+			jDir := t.TempDir()
 			jdb := MustOpen(jDir)
-			sdb, err := OpenWith(sDir, Options{Journal: false})
-			if err != nil {
-				t.Fatal(err)
-			}
+			mdb := MustOpen("")
 			apply := func(rng *rand.Rand, c Collection) {
 				for i := 0; i < 300; i++ {
 					switch op := rng.Intn(10); {
@@ -171,22 +169,17 @@ func TestJournalReplayMatchesFlush(t *testing.T) {
 			}
 			// Same seed, same decisions, same generated values on both stores.
 			apply(rand.New(rand.NewSource(seed)), jdb.Collection("ops"))
-			apply(rand.New(rand.NewSource(seed)), sdb.Collection("ops"))
+			apply(rand.New(rand.NewSource(seed)), mdb.Collection("ops"))
 			if err := jdb.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if err := sdb.Close(); err != nil {
 				t.Fatal(err)
 			}
 
 			jdb2 := MustOpen(jDir)
 			defer jdb2.Close()
-			sdb2 := MustOpen(sDir)
-			defer sdb2.Close()
 			got := normalize(t, docsByID(jdb2.Collection("ops")))
-			want := normalize(t, docsByID(sdb2.Collection("ops")))
+			want := normalize(t, docsByID(mdb.Collection("ops")))
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("journal replay and snapshot flush diverge:\nreplay: %d docs\nflush:  %d docs", len(got), len(want))
+				t.Fatalf("journal replay and in-memory store diverge:\nreplay:    %d docs\nin-memory: %d docs", len(got), len(want))
 			}
 			if len(got) == 0 {
 				t.Fatal("degenerate sequence: no documents survived")
@@ -197,7 +190,7 @@ func TestJournalReplayMatchesFlush(t *testing.T) {
 
 func TestJournalCompaction(t *testing.T) {
 	dir := t.TempDir()
-	db, err := OpenWith(dir, Options{Journal: true, CompactAfter: 16})
+	db, err := OpenWith(dir, Options{CompactAfter: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +238,7 @@ func TestJournalCompaction(t *testing.T) {
 // guards the journal/compaction locking.
 func TestJournalConcurrentMutations(t *testing.T) {
 	dir := t.TempDir()
-	db, err := OpenWith(dir, Options{Journal: true, CompactAfter: 32})
+	db, err := OpenWith(dir, Options{CompactAfter: 32})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,17 +62,13 @@ func (c *collection) flushLocked() error {
 	if err := c.writeSnapshotLocked(); err != nil {
 		return c.db.degrade("snapshot", err)
 	}
+	// A collection created since open that no mutation has touched has
+	// no journal yet.
 	if c.journal != nil {
 		if err := c.journal.reset(); err != nil {
 			return c.db.degrade("compaction", err)
 		}
 		c.journal.snapGen = c.journal.gen
-		return nil
-	}
-	// Snapshot-mode store: a wal left behind by a journaled session is
-	// now folded into the snapshot and must not replay again.
-	if err := c.db.fs().Remove(journalPath(c.db.dir, c.name)); err != nil && !os.IsNotExist(err) {
-		return err
 	}
 	return nil
 }
@@ -224,13 +220,11 @@ func (db *DB) loadCollection(name, snapshotPath string) error {
 		c.bumpNextID(fmt.Sprint(d["_id"]))
 	}
 
-	if db.opts.Journal {
-		w, err := openJournalWriter(db.fs(), walPath, goodBytes, len(recs), db.opts.SyncOnCommit)
-		if err != nil {
-			return fmt.Errorf("database: journal %s: %w", name, err)
-		}
-		c.journal = w
+	w, err := openJournalWriter(db.fs(), walPath, goodBytes, len(recs), db.opts.SyncOnCommit)
+	if err != nil {
+		return fmt.Errorf("database: journal %s: %w", name, err)
 	}
+	c.journal = w
 	return nil
 }
 
@@ -240,7 +234,7 @@ func (db *DB) loadCollection(name, snapshotPath string) error {
 // rather than silently running the collection unjournaled. Caller
 // holds c.mu.
 func (c *collection) ensureJournal() error {
-	if c.journal != nil || c.db.dir == "" || !c.db.opts.Journal {
+	if c.journal != nil || c.db.dir == "" {
 		return nil
 	}
 	w, err := openJournalWriter(c.db.fs(), journalPath(c.db.dir, c.name), 0, 0, c.db.opts.SyncOnCommit)

@@ -33,7 +33,7 @@ import (
 var ErrJournalReset = errors.New("database: journal reset since last segment; full resync required")
 
 // ErrNotJournaled reports that the collection has no journal to ship —
-// the store is in-memory or opened with Options.Journal disabled.
+// the store is in-memory.
 var ErrNotJournaled = errors.New("database: collection is not journaled")
 
 // JournalSegment returns up to max bytes (0 = 1 MiB) of the named
@@ -64,7 +64,7 @@ func (db *DB) JournalSegment(collection string, gen uint64, from int64, max int)
 	if c.journal != nil {
 		size = c.journal.size
 		curGen = c.journal.gen
-	} else if db.dir == "" || !db.opts.Journal {
+	} else if db.dir == "" {
 		return nil, from, ErrNotJournaled
 	}
 	if gen != curGen || from > size {

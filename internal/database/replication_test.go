@@ -15,7 +15,7 @@ import (
 // engine-level hooks the storage.Store interface does not carry.
 func openDB(t *testing.T, dir string) *DB {
 	t.Helper()
-	db, err := open(dir, Options{Journal: true, SyncOnCommit: false, CompactAfter: 1 << 20})
+	db, err := open(dir, Options{SyncOnCommit: false, CompactAfter: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}

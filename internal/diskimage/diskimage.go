@@ -102,34 +102,19 @@ func installSuite(img *Image, suite string, os workloads.OSImage) error {
 			// hashable executables.
 			put("/benchmarks/parsec/"+app.Name, isa.Encode(app.Programs(os, 1)[0]))
 		}
-	case "npb":
-		for _, k := range workloads.NPBKernels {
-			p, err := workloads.NPBProgram(k, workloads.NPBClassS, 0)
-			if err != nil {
-				return err
-			}
-			put("/benchmarks/npb/"+k, isa.Encode(p))
-		}
-	case "gapbs":
-		for _, k := range workloads.GAPBSKernels {
-			p, err := workloads.GAPBSProgram(k, 1, 0)
-			if err != nil {
-				return err
-			}
-			put("/benchmarks/gapbs/"+k, isa.Encode(p))
-		}
-	case "spec":
-		for _, b := range workloads.SPECBenchmarks {
-			p, err := workloads.SPECProgram(b, 0)
-			if err != nil {
-				return err
-			}
-			put("/benchmarks/spec/"+b, isa.Encode(p))
-		}
-	case "boot-exit":
-		put("/benchmarks/boot-exit/boot-exit", isa.Encode(workloads.BootExitProgram()))
 	default:
-		return fmt.Errorf("unknown suite %q", suite)
+		benches, ok := map[string][]string{"npb": workloads.NPBKernels, "gapbs": workloads.GAPBSKernels,
+			"spec": workloads.SPECBenchmarks, "boot-exit": {"boot-exit"}}[suite]
+		if !ok {
+			return fmt.Errorf("unknown suite %q", suite)
+		}
+		for _, b := range benches {
+			p, err := workloads.ImageProgram(suite, b)
+			if err != nil {
+				return err
+			}
+			put("/benchmarks/"+suite+"/"+b, isa.Encode(p))
+		}
 	}
 	return nil
 }

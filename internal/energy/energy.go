@@ -110,10 +110,9 @@ func validComponentName(s string) bool {
 	return true
 }
 
-// Counters returns the sorted set of activity-counter names the model
-// reads. The fixed order also makes every energy sum evaluate in a
-// deterministic order, which keeps energy totals bit-identical across
-// scheduler worker counts.
+// counters returns the component's counter names, sorted. The fixed
+// order makes every energy sum evaluate in a deterministic order, which
+// keeps energy totals bit-identical across scheduler worker counts.
 func (c *Component) counters() []string {
 	names := make([]string, 0, len(c.Dynamic))
 	for n := range c.Dynamic {
@@ -123,29 +122,32 @@ func (c *Component) counters() []string {
 	return names
 }
 
-// AttachOptions parameterize Attach.
-type AttachOptions struct {
-	// FreqHz is the frequency domain StaticWPerGHz leakage scales with
-	// (the simulated system's core clock). 0 defaults to 3 GHz, the CPU
-	// models' default clock.
-	FreqHz uint64
-	// Ticks overrides the simulated-time source for leakage integration.
-	// Nil reads the destination group's "sim_ticks" stat (both engines
-	// register it); a group with neither yields zero static energy.
-	Ticks func() float64
+// energy is the one energy formula, which Attach's read-through stats
+// and Evaluate both compute through: the component's dynamic joules,
+// value(i) events of names[i] (its counters()) at their pJ/event summed
+// in that order, and its static joules, its leakage at freqHz (0 is the
+// CPU models' 3 GHz) over secs. Each product is rounded by float64(…)
+// before it is added, which forbids fusing the two into one
+// multiply-add: arm64, ppc64le, s390x and riscv64 would round once and
+// record other joules than amd64.
+func (c *Component) energy(names []string, value func(i int) float64, freqHz uint64, secs float64) (dynamic, static float64) {
+	pj := 0.0
+	for i, name := range names {
+		pj += float64(value(i) * c.Dynamic[name])
+	}
+	if freqHz == 0 {
+		freqHz = 3_000_000_000
+	}
+	staticW := c.StaticW + float64(c.StaticWPerGHz*(float64(freqHz)/1e9))
+	return pj / PicojoulesPerJoule, float64(staticW * secs)
 }
 
-func (o *AttachOptions) defaults(dst *sim.StatGroup) {
-	if o.FreqHz == 0 {
-		o.FreqHz = 3_000_000_000
+// perSecond is j joules over secs seconds in watts, 0 for no time.
+func perSecond(j, secs float64) float64 {
+	if secs > 0 {
+		return j / secs
 	}
-	if o.Ticks == nil {
-		if st := dst.Lookup("sim_ticks"); st != nil {
-			o.Ticks = st.Value
-		} else {
-			o.Ticks = func() float64 { return 0 }
-		}
-	}
+	return 0
 }
 
 // Attach registers the model's energy statistics on dst as read-through
@@ -155,6 +157,9 @@ func (o *AttachOptions) defaults(dst *sim.StatGroup) {
 // everything). Counters the model names but no group provides are
 // returned — they contribute zero energy, letting one preset span both
 // engines' vocabularies — so callers can surface them in dry-run checks.
+// Static leakage integrates over dst's "sim_ticks" stat (both engines
+// register it; a group without one has zero static energy) at the CPU
+// models' 3 GHz clock.
 //
 // Registered stats, all composing with Dump, Values and window-barrier
 // merging (formulas read the merged destination group):
@@ -169,13 +174,14 @@ func (o *AttachOptions) defaults(dst *sim.StatGroup) {
 //
 // Attaching two models (or one model twice) to a group panics via the
 // stat framework's duplicate-registration check.
-func Attach(dst *sim.StatGroup, m *Model, opts AttachOptions, extra ...*sim.StatGroup) []string {
+func Attach(dst *sim.StatGroup, m *Model, extra ...*sim.StatGroup) []string {
 	if err := m.Validate(); err != nil {
 		panic(err)
 	}
-	opts.defaults(dst)
-	secs := func() float64 { return opts.Ticks() / float64(sim.TicksPerSecond) }
-	ghz := float64(opts.FreqHz) / 1e9
+	secs := func() float64 { return 0 }
+	if ticks := dst.Lookup("sim_ticks"); ticks != nil {
+		secs = func() float64 { return ticks.Value() / float64(sim.TicksPerSecond) }
+	}
 
 	lookup := func(name string) sim.Stat {
 		if s := dst.Lookup(name); s != nil {
@@ -189,46 +195,45 @@ func Attach(dst *sim.StatGroup, m *Model, opts AttachOptions, extra ...*sim.Stat
 		return nil
 	}
 
-	type term struct {
-		stat sim.Stat
-		pj   float64
-	}
 	var unmatched []string
 	var compJoules []func() float64
 	for i := range m.Components {
 		c := &m.Components[i]
-		var terms []term
-		for _, name := range c.counters() {
-			if s := lookup(name); s != nil {
-				terms = append(terms, term{s, c.Dynamic[name]})
-			} else {
+		names := c.counters()
+		stats := make([]sim.Stat, len(names))
+		for i, name := range names {
+			if stats[i] = lookup(name); stats[i] == nil {
 				unmatched = append(unmatched, c.Name+":"+name)
 			}
 		}
-		dynamic := func() float64 {
-			pj := 0.0
-			for _, t := range terms {
-				pj += t.stat.Value() * t.pj
+		value := func(i int) float64 {
+			if stats[i] == nil {
+				return 0
 			}
-			return pj / PicojoulesPerJoule
+			return stats[i].Value()
 		}
-		staticW := c.StaticW + c.StaticWPerGHz*ghz
-		static := func() float64 { return staticW * secs() }
-		joules := func() float64 { return dynamic() + static() }
+		energy := func() (float64, float64) { return c.energy(names, value, 0, secs()) }
+		joules := func() float64 {
+			dynamic, static := energy()
+			return dynamic + static
+		}
 		compJoules = append(compJoules, joules)
 
 		dst.Formula("energy."+c.Name+".dynamic_joules",
-			"dynamic energy attributed to "+c.Name+" (J)", dynamic)
+			"dynamic energy attributed to "+c.Name+" (J)", func() float64 {
+				dynamic, _ := energy()
+				return dynamic
+			})
 		dst.Formula("energy."+c.Name+".static_joules",
-			"static leakage of "+c.Name+" integrated over sim time (J)", static)
+			"static leakage of "+c.Name+" integrated over sim time (J)", func() float64 {
+				_, static := energy()
+				return static
+			})
 		dst.Formula("energy."+c.Name+".joules",
 			"total energy attributed to "+c.Name+" (J)", joules)
 		dst.Formula("energy."+c.Name+".avg_watts",
 			"average power of "+c.Name+" over sim time (W)", func() float64 {
-				if s := secs(); s > 0 {
-					return joules() / s
-				}
-				return 0
+				return perSecond(joules(), secs())
 			})
 	}
 	total := func() float64 {
@@ -240,10 +245,7 @@ func Attach(dst *sim.StatGroup, m *Model, opts AttachOptions, extra ...*sim.Stat
 	}
 	dst.Formula("energy.total_joules", "total energy, all components (J)", total)
 	dst.Formula("energy.avg_watts", "average total power over sim time (W)", func() float64 {
-		if s := secs(); s > 0 {
-			return total() / s
-		}
-		return 0
+		return perSecond(total(), secs())
 	})
 	dst.Formula("energy.edp", "energy-delay product (J*s)", func() float64 {
 		return total() * secs()
@@ -252,47 +254,31 @@ func Attach(dst *sim.StatGroup, m *Model, opts AttachOptions, extra ...*sim.Stat
 	return unmatched
 }
 
-// Evaluate computes the same energy statistics Attach would register,
-// from a flat counter-value map instead of live stat groups — for
-// results that only survive as Values() maps (archived run documents,
-// the GPU model's counter struct). simSeconds is the simulated duration
-// the static leakage integrates over; freqHz of 0 defaults as in
-// AttachOptions.
+// Evaluate computes the statistics Attach registers from a flat
+// counter-value map instead of live stat groups — for results that only
+// survive as Values() maps (the PARSEC metrics, the GPU model's counter
+// struct). simSeconds is the simulated duration the static leakage
+// integrates over, at freqHz (0 is Attach's 3 GHz).
 func Evaluate(m *Model, values map[string]float64, simSeconds float64, freqHz uint64) (map[string]float64, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	if freqHz == 0 {
-		freqHz = 3_000_000_000
-	}
-	ghz := float64(freqHz) / 1e9
 	out := make(map[string]float64, 4*len(m.Components)+3)
 	total := 0.0
 	for i := range m.Components {
 		c := &m.Components[i]
-		dynamic := 0.0
-		for _, name := range c.counters() {
-			dynamic += values[name] * c.Dynamic[name]
-		}
-		dynamic /= PicojoulesPerJoule
-		static := (c.StaticW + c.StaticWPerGHz*ghz) * simSeconds
+		names := c.counters()
+		dynamic, static := c.energy(names, func(i int) float64 { return values[names[i]] },
+			freqHz, simSeconds)
 		joules := dynamic + static
 		total += joules
 		out["energy."+c.Name+".dynamic_joules"] = dynamic
 		out["energy."+c.Name+".static_joules"] = static
 		out["energy."+c.Name+".joules"] = joules
-		if simSeconds > 0 {
-			out["energy."+c.Name+".avg_watts"] = joules / simSeconds
-		} else {
-			out["energy."+c.Name+".avg_watts"] = 0
-		}
+		out["energy."+c.Name+".avg_watts"] = perSecond(joules, simSeconds)
 	}
 	out["energy.total_joules"] = total
-	if simSeconds > 0 {
-		out["energy.avg_watts"] = total / simSeconds
-	} else {
-		out["energy.avg_watts"] = 0
-	}
+	out["energy.avg_watts"] = perSecond(total, simSeconds)
 	out["energy.edp"] = total * simSeconds
 	return out, nil
 }

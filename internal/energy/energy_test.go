@@ -46,7 +46,7 @@ func TestAttachComputesEnergy(t *testing.T) {
 	extra := sim.NewStatGroup()
 	dram := extra.Scalar("dram.reqs", "dram")
 
-	unmatched := Attach(g, testModel(), AttachOptions{FreqHz: 2_000_000_000}, extra)
+	unmatched := Attach(g, testModel(), extra)
 	if len(unmatched) != 1 || unmatched[0] != "mem:not.a.stat" {
 		t.Fatalf("unmatched = %v, want [mem:not.a.stat]", unmatched)
 	}
@@ -61,7 +61,7 @@ func TestAttachComputesEnergy(t *testing.T) {
 	coreDyn := (1_000_000*100 + 10_000*400) / 1e12
 	coreStatic := 2.0 * 1e-3
 	memDyn := 5_000 * 20_000 / 1e12
-	memStatic := (1.0 + 0.5*2.0) * 1e-3
+	memStatic := (1.0 + 0.5*3.0) * 1e-3 // leakage at the 3 GHz CPU clock
 	total := coreDyn + coreStatic + memDyn + memStatic
 
 	almost(t, "core.dynamic", v["energy.core.dynamic_joules"], coreDyn)
@@ -91,7 +91,7 @@ func TestAttachComputesEnergy(t *testing.T) {
 
 func TestAttachZeroTimeMeansZeroWatts(t *testing.T) {
 	g := sim.NewStatGroup()
-	Attach(g, testModel(), AttachOptions{}) // no sim_ticks stat at all
+	Attach(g, testModel()) // no sim_ticks stat at all
 	v := g.Values()
 	if v["energy.avg_watts"] != 0 || v["energy.edp"] != 0 {
 		t.Fatalf("zero sim time should produce 0 W and 0 EDP, got %v / %v",
@@ -103,23 +103,27 @@ func TestAttachZeroTimeMeansZeroWatts(t *testing.T) {
 	}
 }
 
+// TestEvaluateMatchesAttach requires the flat-map and the live-stat
+// paths to give the same bits: both compute through Component.energy.
 func TestEvaluateMatchesAttach(t *testing.T) {
 	g := sim.NewStatGroup()
 	g.Scalar("sim_ticks", "ticks").Set(float64(sim.TicksPerSecond) / 1000)
 	g.Scalar("insts", "insts").Set(123_456)
 	g.Scalar("mispredicts", "mispredicts").Set(789)
 	g.Scalar("dram.reqs", "dram").Set(4_321)
-	Attach(g, testModel(), AttachOptions{FreqHz: 2_000_000_000})
+	Attach(g, testModel())
 	live := g.Values()
 
 	flat, err := Evaluate(testModel(), map[string]float64{
 		"insts": 123_456, "mispredicts": 789, "dram.reqs": 4_321,
-	}, 1e-3, 2_000_000_000)
+	}, 1e-3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for name, want := range flat {
-		almost(t, name, live[name], want)
+		if got := live[name]; got != want {
+			t.Errorf("%s: Attach %v, Evaluate %v", name, got, want)
+		}
 	}
 }
 

@@ -24,7 +24,7 @@ func TestEnergyDeterministicAcrossWorkers(t *testing.T) {
 	var goldenJoules float64
 	for _, workers := range []int{1, 2, 4} {
 		ps := buildParallel(t, O3, "ruby.MESI_Two_Level", 4, workers)
-		if unmatched := energy.Attach(ps.Stats(), m, energy.AttachOptions{}); len(unmatched) != 0 {
+		if unmatched := energy.Attach(ps.Stats(), m); len(unmatched) != 0 {
 			t.Fatalf("workers=%d: unmatched counters %v", workers, unmatched)
 		}
 		res := ps.Run(0)

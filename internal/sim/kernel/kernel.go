@@ -317,7 +317,7 @@ func newBootSystem(s Spec, opts BootOptions) (bootSystem, []string, func() sim.C
 		if opts.Energy != nil {
 			// The parallel engine's merged group already carries every
 			// core and controller counter.
-			unmatched = energy.Attach(ps.Stats(), opts.Energy, energy.AttachOptions{})
+			unmatched = energy.Attach(ps.Stats(), opts.Energy)
 		}
 		return ps, unmatched, func() sim.Counters {
 			c := ps.Scheduler().Counters()
@@ -330,7 +330,7 @@ func newBootSystem(s Spec, opts BootOptions) (bootSystem, []string, func() sim.C
 	if opts.Energy != nil {
 		// The monolithic engine keeps memory counters in their own
 		// group; resolve them as an extra source.
-		unmatched = energy.Attach(system.Stats(), opts.Energy, energy.AttachOptions{}, memory.Stats())
+		unmatched = energy.Attach(system.Stats(), opts.Energy, memory.Stats())
 	}
 	return system, unmatched, func() sim.Counters {
 		system.Release()

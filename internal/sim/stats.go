@@ -157,7 +157,9 @@ func (h *Histogram) Render() []string {
 		fmt.Sprintf("%-50s %20.6f  # %s (mean)", h.name+"::mean", h.Mean(), h.desc),
 	}
 	for i, b := range h.buckets {
-		lo := h.min + float64(i)*h.width
+		// Rounding the product forbids a fused multiply-add, so the
+		// labels read the same on every GOARCH.
+		lo := h.min + float64(float64(i)*h.width)
 		label := fmt.Sprintf("%s::%g-%g", h.name, lo, lo+h.width)
 		if i == len(h.buckets)-1 {
 			label = fmt.Sprintf("%s::%g+", h.name, lo)

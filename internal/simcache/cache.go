@@ -23,19 +23,15 @@ const (
 	DefaultMaxBytes   = 64 << 20
 )
 
-// Options configures a Cache. The zero value gives the defaults: the
-// process salt, a 512-entry / 64 MiB memory tier, and no TTL.
+// Options configures a Cache. The zero value gives the defaults: a
+// 512-entry / 64 MiB memory tier. Entries never expire; persistent
+// entries minted under another SimVersionSalt are swept when the cache
+// opens.
 type Options struct {
-	// Salt is the sim-version salt; persistent entries minted under a
-	// different salt are swept when the cache opens. "" = SimVersionSalt.
-	Salt string
 	// MaxEntries bounds the in-memory tier's entry count.
 	MaxEntries int
 	// MaxBytes bounds the in-memory tier's estimated byte footprint.
 	MaxBytes int
-	// TTL expires entries (both tiers) this long after they were stored.
-	// 0 disables expiry.
-	TTL time.Duration
 
 	// MinFreeBytes is the disk low-water mark for checkpoint archives:
 	// PutCheckpoint refuses (ErrLowDisk) rather than write a blob that
@@ -47,8 +43,6 @@ type Options struct {
 	// FreeBytes overrides the free-space probe (test hook; nil = statfs
 	// on Dir).
 	FreeBytes func() (int64, error)
-
-	now func() time.Time // test hook
 }
 
 // Stats is one cache's counter snapshot, served at /api/cache.
@@ -98,10 +92,9 @@ type Cache struct {
 }
 
 type entry struct {
-	key     string
-	doc     database.Doc
-	size    int
-	created time.Time
+	key  string
+	doc  database.Doc
+	size int
 }
 
 type call struct {
@@ -120,17 +113,11 @@ type bootCall struct {
 // New opens a cache over db, sweeping any persistent entries recorded
 // under a different sim-version salt.
 func New(db database.Store, opts Options) *Cache {
-	if opts.Salt == "" {
-		opts.Salt = SimVersionSalt
-	}
 	if opts.MaxEntries <= 0 {
 		opts.MaxEntries = DefaultMaxEntries
 	}
 	if opts.MaxBytes <= 0 {
 		opts.MaxBytes = DefaultMaxBytes
-	}
-	if opts.now == nil {
-		opts.now = time.Now
 	}
 	c := &Cache{
 		db:         db,
@@ -150,7 +137,7 @@ func (c *Cache) sweepSalt() {
 	for _, name := range []string{ResultCollection, CheckpointCollection} {
 		col := c.db.Collection(name)
 		for _, d := range col.Find(nil) {
-			if s, _ := d["salt"].(string); s != c.opts.Salt {
+			if s, _ := d["salt"].(string); s != SimVersionSalt {
 				col.DeleteMany(database.Doc{"_id": d["_id"]})
 				c.n.evictions.Add(1)
 			}
@@ -177,12 +164,8 @@ func (c *Cache) Stats() Stats {
 		Corrupt:          c.n.corrupt.Load(),
 		Boots:            c.n.boots.Load(),
 		BootsShared:      c.n.bootsShared.Load(),
-		Salt:             c.opts.Salt,
+		Salt:             SimVersionSalt,
 	}
-}
-
-func (c *Cache) expired(created, now time.Time) bool {
-	return c.opts.TTL > 0 && now.Sub(created) > c.opts.TTL
 }
 
 // docSize estimates a result's footprint for the byte bound.
@@ -210,48 +193,37 @@ func (c *Cache) Lookup(key string) (database.Doc, bool) {
 // GetOrCompute counts it, so the request still counts exactly one hit
 // or one miss.
 func (c *Cache) Probe(key string) (database.Doc, bool) {
-	now := c.opts.now()
 	c.mu.Lock()
-	doc, ok := c.lookupMemLocked(key, now)
+	doc, ok := c.lookupMemLocked(key)
 	c.mu.Unlock()
 	if ok {
 		c.n.hitsMemory.Add(1)
 		return doc, true
 	}
-	return c.lookupPersistent(key, now)
+	return c.lookupPersistent(key)
 }
 
 // lookupMemLocked serves the memory tier. Caller holds c.mu.
-func (c *Cache) lookupMemLocked(key string, now time.Time) (database.Doc, bool) {
+func (c *Cache) lookupMemLocked(key string) (database.Doc, bool) {
 	el, ok := c.items[key]
 	if !ok {
 		return nil, false
 	}
-	e := el.Value.(*entry)
-	if c.expired(e.created, now) {
-		c.removeLocked(el)
-		return nil, false
-	}
 	c.lru.MoveToFront(el)
-	return storage.CloneDoc(e.doc), true
+	return storage.CloneDoc(el.Value.(*entry).doc), true
 }
 
 // lookupPersistent serves the persistent tier, promoting hits into the
 // memory tier. It counts its own hits; misses are counted by callers
 // (Lookup counts a combined miss, GetOrCompute counts before running,
 // Probe counts none).
-func (c *Cache) lookupPersistent(key string, now time.Time) (database.Doc, bool) {
+func (c *Cache) lookupPersistent(key string) (database.Doc, bool) {
 	col := c.db.Collection(ResultCollection)
 	d := col.FindOne(database.Doc{"_id": key})
 	if d == nil {
 		return nil, false
 	}
-	if s, _ := d["salt"].(string); s != c.opts.Salt {
-		col.DeleteMany(database.Doc{"_id": key})
-		c.n.evictions.Add(1)
-		return nil, false
-	}
-	if created, _ := d["created_unix"].(float64); c.expired(time.Unix(int64(created), 0), now) {
+	if s, _ := d["salt"].(string); s != SimVersionSalt {
 		col.DeleteMany(database.Doc{"_id": key})
 		c.n.evictions.Add(1)
 		return nil, false
@@ -267,7 +239,7 @@ func (c *Cache) lookupPersistent(key string, now time.Time) (database.Doc, bool)
 	if !ok {
 		size = docSize(res)
 	}
-	c.admit(key, res, size, now)
+	c.admit(key, res, size)
 	c.n.hitsPersistent.Add(1)
 	return storage.CloneDoc(res), true
 }
@@ -275,12 +247,11 @@ func (c *Cache) lookupPersistent(key string, now time.Time) (database.Doc, bool)
 // Store records a result under key in both tiers. The result is
 // deep-copied on the way in.
 func (c *Cache) Store(key string, result database.Doc) {
-	now := c.opts.now()
 	cp := storage.CloneDoc(result)
 	size := docSize(cp)
 	doc := database.Doc{
-		"salt":         c.opts.Salt,
-		"created_unix": float64(now.Unix()),
+		"salt":         SimVersionSalt,
+		"created_unix": float64(time.Now().Unix()),
 		"result":       cp,
 		"size":         float64(size),
 	}
@@ -289,23 +260,23 @@ func (c *Cache) Store(key string, result database.Doc) {
 		doc["_id"] = key
 		_, _ = col.InsertOne(doc) // a concurrent Store already won: fine
 	}
-	c.admit(key, cp, size, now)
+	c.admit(key, cp, size)
 	c.n.stores.Add(1)
 }
 
 // admit inserts (or refreshes) a memory-tier entry of size bytes (its
 // docSize) and enforces the entry and byte bounds, evicting from the LRU
 // tail.
-func (c *Cache) admit(key string, doc database.Doc, size int, now time.Time) {
+func (c *Cache) admit(key string, doc database.Doc, size int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
 		e := el.Value.(*entry)
 		c.bytes += size - e.size
-		e.doc, e.size, e.created = doc, size, now
+		e.doc, e.size = doc, size
 		c.lru.MoveToFront(el)
 	} else {
-		c.items[key] = c.lru.PushFront(&entry{key: key, doc: doc, size: size, created: now})
+		c.items[key] = c.lru.PushFront(&entry{key: key, doc: doc, size: size})
 		c.bytes += size
 	}
 	for c.lru.Len() > c.opts.MaxEntries {
@@ -345,9 +316,8 @@ func (c *Cache) Invalidate(key string) {
 // from the cache (or a coalesced computation) rather than this caller's
 // own fn.
 func (c *Cache) GetOrCompute(key string, fn func() (database.Doc, error)) (database.Doc, bool, error) {
-	now := c.opts.now()
 	c.mu.Lock()
-	if doc, ok := c.lookupMemLocked(key, now); ok {
+	if doc, ok := c.lookupMemLocked(key); ok {
 		c.mu.Unlock()
 		c.n.hitsMemory.Add(1)
 		return doc, true, nil
@@ -374,7 +344,7 @@ func (c *Cache) GetOrCompute(key string, fn func() (database.Doc, error)) (datab
 	}
 	// Holding the flight slot, no one else can compute: a persistent hit
 	// here resolves every waiter without running fn.
-	if doc, ok := c.lookupPersistent(key, now); ok {
+	if doc, ok := c.lookupPersistent(key); ok {
 		finish(doc, nil)
 		return doc, true, nil
 	}

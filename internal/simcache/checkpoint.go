@@ -3,6 +3,7 @@ package simcache
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"gem5art/internal/database"
 )
@@ -59,13 +60,13 @@ func (c *Cache) PutCheckpoint(class BootClass, name string, blob []byte) (string
 	}
 	key := class.Key()
 	doc := database.Doc{
-		"salt":         c.opts.Salt,
+		"salt":         SimVersionSalt,
 		"blob_hash":    hash,
 		"kernel_hash":  class.KernelHash,
 		"disk_hash":    class.DiskHash,
 		"cores":        float64(class.Cores),
 		"mem":          class.Mem,
-		"created_unix": float64(c.opts.now().Unix()),
+		"created_unix": float64(time.Now().Unix()),
 		"size":         float64(len(blob)),
 	}
 	col := c.db.Collection(CheckpointCollection)

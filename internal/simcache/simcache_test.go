@@ -199,43 +199,33 @@ func TestEvictionByBytes(t *testing.T) {
 	}
 }
 
-func TestTTLExpiry(t *testing.T) {
-	now := time.Unix(1000000, 0)
-	clock := func() time.Time { return now }
-	c := New(memDB(t), Options{TTL: time.Hour, now: clock})
-	c.Store("k", database.Doc{"v": float64(1)})
-	if _, ok := c.Lookup("k"); !ok {
-		t.Fatal("fresh entry missing")
-	}
-	now = now.Add(2 * time.Hour)
-	if _, ok := c.Lookup("k"); ok {
-		t.Fatal("expired entry served from cache")
-	}
-	st := c.Stats()
-	if st.Evictions < 2 { // memory-tier TTL + persistent-tier TTL
-		t.Fatalf("TTL evictions not recorded in both tiers: %+v", st)
-	}
-}
-
 func TestSaltSweepInvalidatesPersistedEntries(t *testing.T) {
 	db := memDB(t)
-	c1 := New(db, Options{Salt: "sim-v1"})
-	c1.Store("k", database.Doc{"v": float64(1)})
-	c1.PutCheckpoint(BootClass{KernelHash: "k", DiskHash: "d", Cores: 1, Mem: "classic"}, "cpt", []byte("blob"))
-	if n := db.Collection(ResultCollection).Count(nil); n != 1 {
-		t.Fatalf("results persisted: %d", n)
+	c1 := New(db, Options{})
+	c1.Store("fresh", database.Doc{"v": float64(1)})
+	// Entries a simulator with other semantics minted.
+	if _, err := db.Collection(ResultCollection).InsertOne(database.Doc{
+		"_id": "stale", "salt": "sim-v0", "result": map[string]any{"v": float64(0)}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Collection(CheckpointCollection).InsertOne(database.Doc{
+		"_id": "stale-class", "salt": "sim-v0", "blob_hash": "h"}); err != nil {
+		t.Fatal(err)
 	}
 
-	// Opening under a new salt sweeps entries minted under the old one.
-	c2 := New(db, Options{Salt: "sim-v2"})
-	if n := db.Collection(ResultCollection).Count(nil); n != 0 {
-		t.Fatalf("stale-salt result survived the sweep: %d", n)
+	// Opening the cache sweeps entries minted under another salt.
+	c2 := New(db, Options{})
+	if n := db.Collection(ResultCollection).Count(nil); n != 1 {
+		t.Fatalf("%d results after the sweep, want the fresh one", n)
 	}
 	if n := db.Collection(CheckpointCollection).Count(nil); n != 0 {
 		t.Fatalf("stale-salt checkpoint survived the sweep: %d", n)
 	}
 	if st := c2.Stats(); st.Evictions != 2 {
 		t.Fatalf("sweep evictions: %+v", st)
+	}
+	if _, ok := c2.Lookup("fresh"); !ok {
+		t.Fatal("current-salt result swept")
 	}
 }
 

@@ -3,7 +3,6 @@ package workloads
 import (
 	"fmt"
 
-	"gem5art/internal/sim"
 	"gem5art/internal/sim/cpu"
 	"gem5art/internal/sim/mem"
 )
@@ -54,6 +53,3 @@ func parsecSystem(app ParsecApp, os OSImage, cores int) (*cpu.System, *mem.Class
 
 // ParsecCoreCounts is Table II's CPU-count axis.
 var ParsecCoreCounts = []int{1, 2, 8}
-
-// BootBudget is the default simulated-time budget for boot tests.
-const BootBudget sim.Tick = 10 * sim.TicksPerSecond / 1000

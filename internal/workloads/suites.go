@@ -115,6 +115,25 @@ func SPECProgram(name string, core int) (*isa.Program, error) {
 	return isa.Generate(spec), nil
 }
 
+// ImageProgram is the program a disk image ships as
+// /benchmarks/<suite>/<bench>: the suite generator's core-0 program, NPB
+// at class S and GAPBS at scale 1 (boot-exit has the one program). A
+// worker that regenerates a benchmark instead of reading the image runs
+// the same program.
+func ImageProgram(suite, bench string) (*isa.Program, error) {
+	switch suite {
+	case "npb":
+		return NPBProgram(bench, NPBClassS, 0)
+	case "gapbs":
+		return GAPBSProgram(bench, 1, 0)
+	case "spec":
+		return SPECProgram(bench, 0)
+	case "boot-exit":
+		return BootExitProgram(), nil
+	}
+	return nil, fmt.Errorf("workloads: unknown suite %q", suite)
+}
+
 // BootExitProgram is the boot-exit test resource's workload: the minimal
 // "boot the kernel, exit via m5" program.
 func BootExitProgram() *isa.Program {
