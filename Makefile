@@ -22,7 +22,7 @@ vet:
 # jitter, a delay rather than a result. It needs only the local
 # toolchain; the first run builds the standard library for each
 # architecture into the build cache (≈30 s each).
-FMA_ARCHS ?= arm64 ppc64le s390x riscv64
+FMA_ARCHS = arm64 ppc64le s390x riscv64
 FMA_PKGS = ./internal/sim/... ./internal/energy ./internal/workloads ./internal/analysis \
 	./internal/experiments ./internal/core/... ./internal/simcache
 FMA_ALLOW = gem5art/internal/core/tasks/retry.go:

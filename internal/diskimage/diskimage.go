@@ -103,10 +103,9 @@ func installSuite(img *Image, suite string, os workloads.OSImage) error {
 			put("/benchmarks/parsec/"+app.Name, isa.Encode(app.Programs(os, 1)[0]))
 		}
 	default:
-		benches, ok := map[string][]string{"npb": workloads.NPBKernels, "gapbs": workloads.GAPBSKernels,
-			"spec": workloads.SPECBenchmarks, "boot-exit": {"boot-exit"}}[suite]
-		if !ok {
-			return fmt.Errorf("unknown suite %q", suite)
+		benches, err := workloads.ImageBenchmarks(suite)
+		if err != nil {
+			return err
 		}
 		for _, b := range benches {
 			p, err := workloads.ImageProgram(suite, b)

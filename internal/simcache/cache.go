@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"gem5art/internal/database"
 	"gem5art/internal/database/storage"
@@ -250,10 +249,9 @@ func (c *Cache) Store(key string, result database.Doc) {
 	cp := storage.CloneDoc(result)
 	size := docSize(cp)
 	doc := database.Doc{
-		"salt":         SimVersionSalt,
-		"created_unix": float64(time.Now().Unix()),
-		"result":       cp,
-		"size":         float64(size),
+		"salt":   SimVersionSalt,
+		"result": cp,
+		"size":   float64(size),
 	}
 	col := c.db.Collection(ResultCollection)
 	if ok, err := col.UpdateOne(database.Doc{"_id": key}, doc); err != nil || !ok {

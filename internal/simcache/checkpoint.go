@@ -3,7 +3,6 @@ package simcache
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"gem5art/internal/database"
 )
@@ -60,14 +59,13 @@ func (c *Cache) PutCheckpoint(class BootClass, name string, blob []byte) (string
 	}
 	key := class.Key()
 	doc := database.Doc{
-		"salt":         SimVersionSalt,
-		"blob_hash":    hash,
-		"kernel_hash":  class.KernelHash,
-		"disk_hash":    class.DiskHash,
-		"cores":        float64(class.Cores),
-		"mem":          class.Mem,
-		"created_unix": float64(time.Now().Unix()),
-		"size":         float64(len(blob)),
+		"salt":        SimVersionSalt,
+		"blob_hash":   hash,
+		"kernel_hash": class.KernelHash,
+		"disk_hash":   class.DiskHash,
+		"cores":       float64(class.Cores),
+		"mem":         class.Mem,
+		"size":        float64(len(blob)),
 	}
 	col := c.db.Collection(CheckpointCollection)
 	if ok, uerr := col.UpdateOne(database.Doc{"_id": key}, doc); uerr != nil || !ok {

@@ -136,7 +136,7 @@ func TestPersistentHitReusesRecordedSize(t *testing.T) {
 	// A result document without a recorded size.
 	col := db.Collection(ResultCollection)
 	if _, err := col.InsertOne(database.Doc{"_id": "unsized", "salt": SimVersionSalt,
-		"created_unix": float64(time.Now().Unix()), "result": result}); err != nil {
+		"result": result}); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := fresh.Lookup("unsized"); !ok {

@@ -115,6 +115,23 @@ func SPECProgram(name string, core int) (*isa.Program, error) {
 	return isa.Generate(spec), nil
 }
 
+// ImageBenchmarks lists the benchmarks a disk image of suite ships as
+// /benchmarks/<suite>/<bench>, each built by ImageProgram. PARSEC images
+// carry application descriptors instead and are not listed here.
+func ImageBenchmarks(suite string) ([]string, error) {
+	switch suite {
+	case "npb":
+		return NPBKernels, nil
+	case "gapbs":
+		return GAPBSKernels, nil
+	case "spec":
+		return SPECBenchmarks, nil
+	case "boot-exit":
+		return []string{"boot-exit"}, nil
+	}
+	return nil, fmt.Errorf("workloads: unknown suite %q", suite)
+}
+
 // ImageProgram is the program a disk image ships as
 // /benchmarks/<suite>/<bench>: the suite generator's core-0 program, NPB
 // at class S and GAPBS at scale 1 (boot-exit has the one program). A
