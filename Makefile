@@ -40,12 +40,12 @@ fma:
 test:
 	$(GO) test ./...
 
-# race runs every test under the race detector. The scheduler's cost
-# gate keeps fine-grained windows on the calling goroutine, so the tests
-# that put components on real pool goroutines are the ones built to open
-# it: the chatter ring with a primed gate and the heavy-window ring in
-# internal/sim, and the lockstep KVM cores in internal/sim/cpu. Any
-# cross-component data race the barrier protocol misses surfaces there.
+# race runs every test under the race detector. A simulation runs on
+# one goroutine, so in the simulator the shared state is what systems
+# built at once share: the memory pools of internal/sim/mem, which
+# workloads.TestConcurrentRunsMatchSerial exercises from 4 goroutines.
+# The service layers (broker, worker, fleet, gateway, store) are where
+# most goroutines meet.
 race:
 	$(GO) test -race ./...
 
@@ -85,9 +85,9 @@ chaos:
 	exit $$rc
 
 # microbench compiles and runs the go-test microbenchmarks of the
-# simulation kernel (event chain, port ping-pong, one-active-of-nine
-# window), of the four CPU models (one boot-like program per op, with
-# simulated MIPS, B/op and allocs/op; each op releases its system, so
+# simulation kernel (a self-rescheduling event chain), of the four CPU
+# models (one boot-like program per op, with simulated MIPS, B/op and
+# allocs/op; each op releases its system, so
 # B/op is the recycled figure, ≈5 KB against ≈239 KB when every op
 # allocated its caches and pages), of the store (journal append, 480-document batch commit
 # with its fsync count, a 2 KiB blob archive with its fsyncs/put — 1 —
@@ -118,6 +118,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckpoint$$' -fuzztime 30s ./internal/sim/cpu/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRun$$' -fuzztime 30s ./internal/sim/cpu/
 	$(GO) test -run '^$$' -fuzz '^FuzzJobTable$$' -fuzztime 30s ./internal/core/tasks/
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 30s ./internal/energy/
 
 # benchmod vets and tests the benchmark module, which builds against
 # this module's internal packages: an API change that breaks it fails

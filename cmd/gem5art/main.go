@@ -248,32 +248,15 @@ func summaryCmd(args []string) error {
 		return err
 	}
 	defer db.Close()
-	fmt.Println(launch.Summarize(db))
-	printFlakyRuns(db)
-	return nil
-}
-
-// printFlakyRuns lists runs that needed more than one attempt, with
-// each attempt's status — the per-run history the retry layer persists.
-func printFlakyRuns(db database.Store) {
-	for _, d := range db.Collection("runs").Find(nil) {
-		atts, ok := d["attempts"].([]any)
-		if !ok || len(atts) < 2 {
-			continue
-		}
-		fmt.Printf("flaky run %v (%v):\n", d["name"], d["_id"])
-		for _, raw := range atts {
-			a, _ := raw.(map[string]any)
-			line := fmt.Sprintf("  attempt %v: %v", a["index"], a["status"])
-			if e, _ := a["error"].(string); e != "" {
-				line += " (" + e + ")"
-			}
-			if rf, _ := a["resumed_from"].(string); rf != "" {
-				line += fmt.Sprintf(" [resumed from %.12s]", rf)
-			}
-			fmt.Println(line)
+	s := launch.Summarize(db)
+	fmt.Println(s)
+	for _, f := range s.Flaky {
+		fmt.Printf("flaky run %s (%s):\n", f.Name, f.ID)
+		for _, a := range f.Attempts {
+			fmt.Println("  " + a)
 		}
 	}
+	return nil
 }
 
 func artifactsCmd(args []string) error {

@@ -6,23 +6,16 @@
 //
 //	gem5sim -workload boot -kernel 5.4.49 -cpu TimingSimpleCPU \
 //	        -mem classic -cores 2 -boot init
-//	gem5sim -workload boot -cpu O3CPU -mem ruby.MESI_Two_Level \
-//	        -cores 8 -parallel 4
+//	gem5sim -workload boot -cpu O3CPU -mem ruby.MESI_Two_Level -cores 8
 //	gem5sim -workload parsec -benchmark dedup -os ubuntu-20.04 -cores 8
 //	gem5sim -workload gpu -benchmark FAMutex -alloc dynamic
-//
-// -parallel N runs boot workloads on the parallel component/port engine
-// with N workers. Results are deterministic — identical for every N —
-// but come from a different timing model than the default single-queue
-// engine, so compare parallel runs only with other parallel runs.
 //
 // -energy enables per-component energy accounting: pass a built-in
 // preset name, "auto" to match the run's CPU/memory configuration, or a
 // path to a JSON model file; per-component joules, average watts, and
 // EDP print after the run (and appear in the stat dump). -energy-check
 // validates a model file (or preset) and reports which of its activity
-// counters the chosen configuration provides on the engine the same
-// flags would boot (monolithic unless -parallel), without simulating:
+// counters the chosen configuration provides, without simulating:
 //
 //	gem5sim -workload boot -cpu O3CPU -mem ruby.MESI_Two_Level -energy auto
 //	gem5sim -energy-check mymodel.json -cpu O3CPU -mem classic
@@ -63,7 +56,6 @@ func main() {
 		osName     = flag.String("os", "ubuntu-18.04", "disk image OS (parsec)")
 		alloc      = flag.String("alloc", "simple", "GPU register allocator (gpu)")
 		trace      = flag.Int64("trace", 0, "print the first N executed instructions (boot)")
-		parallel   = flag.Int("parallel", 0, "run on the parallel engine with N workers (boot)")
 		energySpec = flag.String("energy", "",
 			"energy model: preset name, \"auto\", or JSON model file (boot)")
 		energyCheck = flag.String("energy-check", "",
@@ -77,27 +69,24 @@ func main() {
 	}
 	traceInsts = *trace
 	if *energyCheck != "" {
-		if err := checkEnergy(os.Stdout, *energyCheck, *cpuModel, *memSys, *cores, *parallel); err != nil {
+		if err := checkEnergy(os.Stdout, *energyCheck, *cpuModel, *memSys, *cores); err != nil {
 			fmt.Fprintln(os.Stderr, "gem5sim:", err)
 			os.Exit(1)
 		}
 		return
 	}
 	if err := runCLI(*workload, *kver, *cpuModel, *memSys, *cores, *bootType,
-		*benchmark, *osName, *alloc, *parallel, *energySpec); err != nil {
+		*benchmark, *osName, *alloc, *energySpec); err != nil {
 		fmt.Fprintln(os.Stderr, "gem5sim:", err)
 		os.Exit(1)
 	}
 }
 
 func runCLI(workload, kver, cpuModel, memSys string, cores int,
-	bootType, benchmark, osName, alloc string, parallel int, energySpec string) error {
+	bootType, benchmark, osName, alloc, energySpec string) error {
 	switch workload {
 	case "boot":
 		if traceInsts > 0 {
-			if parallel > 0 {
-				return fmt.Errorf("-trace is only supported on the monolithic engine (drop -parallel)")
-			}
 			return traceBoot(cpuModel, cores)
 		}
 		var emodel *energy.Model
@@ -113,12 +102,7 @@ func runCLI(workload, kver, cpuModel, memSys string, cores int,
 			Mem:    memSys,
 			Cores:  cores,
 			Boot:   kernel.BootType(bootType),
-		}, 0, kernel.BootOptions{Workers: parallel, Energy: emodel})
-		if parallel > 0 {
-			fmt.Printf("engine:      parallel (%d workers)\n", parallel)
-			fmt.Printf("windows:     %d (%d inline, %d pool), %d messages\n", res.Sched.Windows,
-				res.Sched.InlineWindows, res.Sched.PoolWindows, res.Sched.Messages)
-		}
+		}, 0, kernel.BootOptions{Energy: emodel})
 		fmt.Printf("outcome:     %s\n", res.Outcome)
 		fmt.Printf("sim seconds: %.6f\n", res.SimTicks.Seconds())
 		fmt.Printf("insts:       %d\n", res.Insts)
@@ -185,11 +169,10 @@ func printEnergy(m *energy.Model, stats map[string]float64) {
 }
 
 // checkEnergy is the -energy-check dry run: resolve and validate the
-// model against the -cpu/-mem/-cores configuration on the engine the
-// same flags would boot (parallel only when -parallel > 0), then report
-// each component's counters and which ones that system would not
+// model against the system the -cpu/-mem/-cores flags would boot, then
+// report each component's counters and which ones that system would not
 // provide — without running a simulation.
-func checkEnergy(w io.Writer, spec, cpuModel, memSys string, cores, parallel int) error {
+func checkEnergy(w io.Writer, spec, cpuModel, memSys string, cores int) error {
 	m, err := energy.Resolve(spec, cpuModel, memSys)
 	if err != nil {
 		return err
@@ -200,17 +183,12 @@ func checkEnergy(w io.Writer, spec, cpuModel, memSys string, cores, parallel int
 		return fmt.Errorf("unknown memory system %q", memSys)
 	}
 	unmatched := kernel.UnmatchedEnergy(kernel.Spec{CPU: cpu.Model(cpuModel), Mem: memSys, Cores: cores},
-		kernel.BootOptions{Workers: parallel, Energy: m})
+		kernel.BootOptions{Energy: m})
 	missing := map[string]bool{}
 	for _, u := range unmatched {
 		missing[u] = true
 	}
-	engine := "monolithic"
-	if parallel > 0 {
-		engine = "parallel"
-	}
 	fmt.Fprintf(w, "model %s: valid (%d components, salt %s)\n", m.Name, len(m.Components), m.Salt())
-	fmt.Fprintf(w, "engine: %s\n", engine)
 	for _, c := range m.Components {
 		fmt.Fprintf(w, "  %s: static %.3f W + %.3f W/GHz\n", c.Name, c.StaticW, c.StaticWPerGHz)
 		counters := make([]string, 0, len(c.Dynamic))

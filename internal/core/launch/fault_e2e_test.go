@@ -105,6 +105,9 @@ func TestEndToEndCrashRecovery(t *testing.T) {
 	if sum.Retried != 1 || sum.Resumed != 1 {
 		t.Fatalf("summary must surface the flaky run: %s", sum)
 	}
+	if len(sum.Flaky) != 1 || sum.Flaky[0].ID != r.ID || len(sum.Flaky[0].Attempts) != len(hist) {
+		t.Fatalf("summary's flaky runs: %+v, want %s with %d attempts", sum.Flaky, r.ID, len(hist))
+	}
 }
 
 // TestExperimentPoolRetries wires the retry policy through the launch

@@ -164,8 +164,9 @@ func (e *Experiment) Runs() []*run.Run { return e.runs }
 
 // Summary aggregates run statuses and outcomes from the database — the
 // "query the database at any time" step of Figure 2. Retried counts
-// runs that needed more than one attempt (flaky runs); Resumed counts
-// runs that recovered from a prior attempt's checkpoint.
+// runs that needed more than one attempt (flaky runs), and Flaky lists
+// them; Resumed counts runs that recovered from a prior attempt's
+// checkpoint.
 type Summary struct {
 	Total      int
 	ByStatus   map[string]int
@@ -175,6 +176,14 @@ type Summary struct {
 	Resumed    int
 	Cached     int // runs whose result replayed from the simulation cache
 	SharedBoot int // runs that restored a shared boot-class checkpoint
+	Flaky      []FlakyRun
+}
+
+// FlakyRun is one run that needed more than one attempt, with one line
+// per attempt: the per-run history the retry layer persists.
+type FlakyRun struct {
+	Name, ID string
+	Attempts []string
 }
 
 // Summarize builds a Summary over all runs in the database.
@@ -192,6 +201,7 @@ func Summarize(db database.Store) Summary {
 			s.Attempts += len(atts)
 			if len(atts) > 1 {
 				s.Retried++
+				s.Flaky = append(s.Flaky, flakyRun(d, atts))
 			}
 		}
 		if rf, ok := d["resumed_from"].(string); ok && rf != "" {
@@ -205,6 +215,23 @@ func Summarize(db database.Store) Summary {
 		}
 	}
 	return s
+}
+
+// flakyRun renders the attempts of the run document d.
+func flakyRun(d database.Doc, atts []any) FlakyRun {
+	f := FlakyRun{Name: fmt.Sprint(d["name"]), ID: fmt.Sprint(d["_id"])}
+	for _, raw := range atts {
+		a, _ := raw.(map[string]any)
+		line := fmt.Sprintf("attempt %v: %v", a["index"], a["status"])
+		if e, _ := a["error"].(string); e != "" {
+			line += " (" + e + ")"
+		}
+		if rf, _ := a["resumed_from"].(string); rf != "" {
+			line += fmt.Sprintf(" [resumed from %.12s]", rf)
+		}
+		f.Attempts = append(f.Attempts, line)
+	}
+	return f
 }
 
 // String renders the summary for terminals, flagging flaky runs.

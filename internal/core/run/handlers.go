@@ -257,9 +257,7 @@ func outcome(res cpu.Result) string {
 	return "timeout"
 }
 
-// execBinary decodes and runs one program on the configured system —
-// monolithic by default, or the parallel component/port engine when the
-// run spec asks for workers.
+// execBinary decodes and runs one program on the configured system.
 func execBinary(r *Run, bin []byte) (*Results, error) {
 	if err := r.faultPoint("run.exec"); err != nil {
 		return nil, err

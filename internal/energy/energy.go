@@ -37,7 +37,8 @@ type Component struct {
 	// Dynamic maps an activity-counter stat name (e.g. "sim_insts",
 	// "system.l1.misses") to the dynamic energy in picojoules charged per
 	// counted event. Counters absent from the attached groups contribute
-	// nothing, so one model can cover both engines' stat vocabularies.
+	// nothing, so one model can cover every memory system's stat
+	// vocabulary.
 	Dynamic map[string]float64 `json:"dynamic_pj,omitempty"`
 	// StaticW is static leakage in watts, integrated over simulated time.
 	StaticW float64 `json:"static_watts,omitempty"`
@@ -112,7 +113,7 @@ func validComponentName(s string) bool {
 
 // counters returns the component's counter names, sorted. The fixed
 // order makes every energy sum evaluate in a deterministic order, which
-// keeps energy totals bit-identical across scheduler worker counts.
+// keeps energy totals bit-identical from run to run.
 func (c *Component) counters() []string {
 	names := make([]string, 0, len(c.Dynamic))
 	for n := range c.Dynamic {
@@ -152,17 +153,15 @@ func perSecond(j, secs float64) float64 {
 
 // Attach registers the model's energy statistics on dst as read-through
 // formulas. Activity counters are resolved against dst first, then the
-// extra groups in order (the monolithic engine keeps CPU and memory
-// stats in separate groups; the parallel engine's merged group holds
-// everything). Counters the model names but no group provides are
-// returned — they contribute zero energy, letting one preset span both
-// engines' vocabularies — so callers can surface them in dry-run checks.
-// Static leakage integrates over dst's "sim_ticks" stat (both engines
-// register it; a group without one has zero static energy) at the CPU
-// models' 3 GHz clock.
+// extra groups in order (a simulated system keeps CPU and memory stats
+// in separate groups). Counters the model names but no group provides
+// are returned — they contribute zero energy, letting one preset span
+// several memory systems' vocabularies — so callers can surface them in
+// dry-run checks. Static leakage integrates over dst's "sim_ticks" stat
+// (every CPU system registers it; a group without one has zero static
+// energy) at the CPU models' 3 GHz clock.
 //
-// Registered stats, all composing with Dump, Values and window-barrier
-// merging (formulas read the merged destination group):
+// Registered stats, all composing with Dump and Values:
 //
 //	energy.<component>.dynamic_joules
 //	energy.<component>.static_joules

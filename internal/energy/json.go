@@ -45,6 +45,13 @@ func Parse(data []byte) (*Model, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
+	// An empty dynamic_pj reads as an absent one, as json.Marshal
+	// writes it, so a parsed model re-encodes to itself.
+	for i := range m.Components {
+		if len(m.Components[i].Dynamic) == 0 {
+			m.Components[i].Dynamic = nil
+		}
+	}
 	return &m, nil
 }
 

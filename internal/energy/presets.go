@@ -67,7 +67,7 @@ var classicMem = []Component{
 		Name: "dram",
 		Dynamic: map[string]float64{
 			"system.mem.requests": 20_000,
-			"system.mem.atomics":  21_000, // RMW at the controller (parallel engine)
+			"system.mem.atomics":  21_000, // counted by no system (0 J); kept so Salt holds
 		},
 		StaticW: 0.80, // refresh + PHY
 	},

@@ -490,10 +490,10 @@ func (c *core) stepO3() {
 	eq.Schedule(now, c.stepFn)
 }
 
-// branchPredictor is an O3 core's per-PC 2-bit saturating counters,
-// shared by the monolithic and parallel engines. It is indexed by the
-// branch's own PC and grows to cover every program loaded on the core;
-// it is never cleared, so counters survive a program reload.
+// branchPredictor is an O3 core's per-PC 2-bit saturating counters.
+// It is indexed by the branch's own PC and grows to cover every program
+// loaded on the core; it is never cleared, so counters survive a
+// program reload.
 type branchPredictor []uint8
 
 // cover grows the predictor to at least n PCs, keeping its counters.

@@ -321,8 +321,8 @@ func newMem(kind string, cores int) mem.System {
 
 // TestNegativeDataAddress runs a program that Validate accepts and whose
 // data addresses are below zero on every model over every memory
-// system, on both engines: cache set and DRAM bank indexes must stay in
-// range for such addresses.
+// system: cache set and DRAM bank indexes must stay in range for such
+// addresses.
 func TestNegativeDataAddress(t *testing.T) {
 	p, err := isa.Assemble("negaddr", `
 		addi   x2, x0, -64
@@ -350,12 +350,6 @@ func TestNegativeDataAddress(t *testing.T) {
 				}
 				if got := m.Store().ReadWord(-64); got != -128 {
 					t.Errorf("monolithic: word at -64 is %d, want -128", got)
-				}
-				par := NewParallelSystem(Config{Model: model}, kind, mem.ClassicConfig{}, 1)
-				defer par.Close()
-				par.LoadProgram(0, p)
-				if r := par.Run(0); !r.Finished || r.Insts != 7 {
-					t.Errorf("parallel: finished %v after %d insts", r.Finished, r.Insts)
 				}
 			})
 		}
@@ -400,7 +394,7 @@ func mapPredictorMisses(progs ...*isa.Program) []uint64 {
 // TestO3PredictorMatchesMapAcrossReloads: the O3 predictor table grows
 // with each program and keeps its counters, so a shorter program and
 // then a longer one on the same core mispredict exactly as a per-PC map
-// that survives reloads does, on both engines. The longer program's
+// that survives reloads does. The longer program's
 // branch at PC 2 is never taken where the shorter one's looped, so a
 // predictor cleared by the reload would mispredict it less.
 func TestO3PredictorMatchesMapAcrossReloads(t *testing.T) {
@@ -434,16 +428,10 @@ func TestO3PredictorMatchesMapAcrossReloads(t *testing.T) {
 		t.Fatalf("test premise: %d mispredicts after the reload, as many as cold", cold)
 	}
 	mono := NewSystem(Config{Model: O3}, mem.NewClassic(1, mem.ClassicConfig{}))
-	par := NewParallelSystem(Config{Model: O3}, "classic", mem.ClassicConfig{}, 1)
-	defer par.Close()
 	for i, p := range []*isa.Program{short, long} {
 		mono.LoadProgram(0, p)
 		if got := mono.Run(0).Mispredict; got != want[i] {
-			t.Errorf("monolithic, program %d: %d mispredicts, want %d", i, got, want[i])
-		}
-		par.LoadProgram(0, p)
-		if got := par.Run(0).Mispredict; got != want[i] {
-			t.Errorf("parallel, program %d: %d mispredicts, want %d", i, got, want[i])
+			t.Errorf("program %d: %d mispredicts, want %d", i, got, want[i])
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"gem5art/internal/sim"
 	"gem5art/internal/sim/isa"
-	"gem5art/internal/sim/mem"
 )
 
 // fuzzBudget bounds each fuzzed run in simulated time, so a program
@@ -17,8 +16,8 @@ const fuzzBudget sim.Tick = 1_000_000
 // runs what it decodes on the CPU models. It decodes arbitrary bytes as
 // an executable, as the run layer does with a fetched binary; a program
 // Decode and Validate accept must survive Encode and Decode unchanged,
-// and then run on two cores under every model over every memory system,
-// on both engines, within fuzzBudget, without a panic. The committed
+// and then run on two cores under every model over every memory system
+// within fuzzBudget without a panic. The committed
 // seeds under testdata/fuzz/FuzzDecodeRun are the cases of
 // isa.TestDecodeRejectsCorruption and the valid program they cut, a
 // program of one instruction of every op in the shape of
@@ -40,15 +39,12 @@ func FuzzDecodeRun(f *testing.F) {
 		const cores = 2
 		for _, model := range AllModels {
 			for _, kind := range memKinds {
-				mono := NewSystem(Config{Model: model, Cores: cores}, newMem(kind, cores))
-				par := NewParallelSystem(Config{Model: model, Cores: cores}, kind, mem.ClassicConfig{}, 1)
+				system := NewSystem(Config{Model: model, Cores: cores}, newMem(kind, cores))
 				for c := 0; c < cores; c++ {
-					mono.LoadProgram(c, p)
-					par.LoadProgram(c, p)
+					system.LoadProgram(c, p)
 				}
-				mono.Run(fuzzBudget)
-				par.Run(fuzzBudget)
-				par.Close()
+				system.Run(fuzzBudget)
+				system.Release()
 			}
 		}
 	})

@@ -47,27 +47,19 @@ func NewClock(hz uint64) Clock {
 // Cycles converts a cycle count to ticks.
 func (c Clock) Cycles(n uint64) Tick { return Tick(n) * c.Period }
 
-// event is one scheduled record, stored by value in the queue's heap: a
-// callback (fn) or, when port is set, a port delivery whose message rides
-// in the record itself. Scheduling therefore allocates nothing — the only
-// memory an event owns is its slot in the heap's backing array, which the
-// queue reuses.
+// event is one scheduled callback, stored by value in the queue's heap.
+// Scheduling therefore allocates nothing: the only memory an event owns
+// is its slot in the heap's backing array, which the queue reuses.
 type event struct {
 	when Tick
-	prio int    // lower runs first at equal tick
-	seq  uint64 // FIFO among equal (when, prio) for determinism
+	seq  uint64 // FIFO among equal ticks for determinism
 	fn   func()
-	port *Port // receiving port of a delivery; nil for a callback
-	msg  Msg
 }
 
-// before is the queue's total order: (when, prio, seq).
+// before is the queue's total order: (when, seq).
 func (e *event) before(o *event) bool {
 	if e.when != o.when {
 		return e.when < o.when
-	}
-	if e.prio != o.prio {
-		return e.prio < o.prio
 	}
 	return e.seq < o.seq
 }
@@ -75,10 +67,9 @@ func (e *event) before(o *event) bool {
 // EventQueue is a deterministic discrete-event scheduler. It is not safe
 // for concurrent use: a simulation is a single logical thread of time.
 type EventQueue struct {
-	now     Tick
-	seq     uint64
-	events  []event // binary min-heap by event.before
-	stopped bool
+	now    Tick
+	seq    uint64
+	events []event // binary min-heap by event.before
 }
 
 // NewEventQueue returns an empty queue at tick zero.
@@ -90,57 +81,38 @@ func (q *EventQueue) Now() Tick { return q.now }
 // Schedule runs fn at the given absolute tick. Scheduling in the past
 // panics: it indicates a model bug.
 func (q *EventQueue) Schedule(when Tick, fn func()) {
-	q.ScheduleP(when, 0, fn)
-}
-
-// ScheduleP schedules with an explicit priority; lower priorities run
-// first among events at the same tick.
-func (q *EventQueue) ScheduleP(when Tick, prio int, fn func()) {
 	if when < q.now {
 		panic(fmt.Sprintf("sim: schedule at %d before now %d", when, q.now))
 	}
-	e := q.place(when, prio)
-	e.fn, e.port, e.msg = fn, nil, Msg{}
+	q.place(when).fn = fn
 }
 
-// deliver schedules a port message as an event on the receiving
-// component's queue; it is the barrier's counterpart of Schedule and
-// draws from the same seq counter, so deliveries order against local
-// events exactly as scheduled callbacks would.
-func (q *EventQueue) deliver(when Tick, port *Port, msg *Msg) {
-	if when < q.now {
-		panic(fmt.Sprintf("sim: delivery to %s at %d before now %d", port, when, q.now))
-	}
-	e := q.place(when, 0)
-	e.fn, e.port, e.msg = nil, port, *msg
-}
-
-// place opens the heap slot for a new event keyed (when, prio, next seq)
-// and returns it with the key filled in; the caller writes the payload in
+// place opens the heap slot for a new event keyed (when, next seq) and
+// returns it with the key filled in; the caller writes the callback in
 // place, so an event is never copied on its way in. Parents move down
 // into the hole rather than swapping. The new event carries the largest
-// seq so far, so on a (when, prio) tie it never overtakes a parent.
-func (q *EventQueue) place(when Tick, prio int) *event {
+// seq so far, so on a tick tie it never overtakes a parent.
+func (q *EventQueue) place(when Tick) *event {
 	q.seq++
 	q.events = append(q.events, event{})
 	h := q.events
 	i := len(h) - 1
 	for i > 0 {
 		parent := &h[(i-1)/2]
-		if when > parent.when || when == parent.when && prio >= parent.prio {
+		if when >= parent.when {
 			break
 		}
 		h[i] = *parent
 		i = (i - 1) / 2
 	}
 	e := &h[i]
-	e.when, e.prio, e.seq = when, prio, q.seq
+	e.when, e.seq = when, q.seq
 	return e
 }
 
 // removeTop deletes the earliest event: the last one sifts down from the
-// root, children moving up into the hole. The vacated slot's pointers are
-// cleared so the backing array does not pin closures or payloads.
+// root, children moving up into the hole. The vacated slot's callback is
+// cleared so the backing array does not pin closures.
 func (q *EventQueue) removeTop() {
 	h := q.events
 	n := len(h) - 1
@@ -163,7 +135,7 @@ func (q *EventQueue) removeTop() {
 		}
 		h[i] = *last
 	}
-	h[n].fn, h[n].port, h[n].msg.Ref = nil, nil, nil
+	h[n].fn = nil
 	q.events = h[:n]
 }
 
@@ -172,9 +144,6 @@ func (q *EventQueue) After(delay Tick, fn func()) {
 	q.Schedule(q.now+delay, fn)
 }
 
-// Pending returns the number of scheduled events.
-func (q *EventQueue) Pending() int { return len(q.events) }
-
 // Step executes the single next event and reports whether one ran.
 func (q *EventQueue) Step() bool {
 	if len(q.events) == 0 {
@@ -182,30 +151,18 @@ func (q *EventQueue) Step() bool {
 	}
 	top := &q.events[0]
 	q.now = top.when
-	if port := top.port; port != nil {
-		msg := top.msg
-		q.removeTop()
-		port.handler(q.now, msg)
-	} else {
-		fn := top.fn
-		q.removeTop()
-		fn()
-	}
+	fn := top.fn
+	q.removeTop()
+	fn()
 	return true
 }
 
-// Stop makes the current Run/RunUntil call return after the in-flight
-// event completes. It is how models signal simulation exit (e.g., the
-// workload wrote to the m5 exit device).
-func (q *EventQueue) Stop() { q.stopped = true }
-
-// Run executes events until the queue is empty or Stop is called, and
-// returns the final tick. Executed-event counts flush to telemetry in
-// batches so the per-event cost is a local increment.
+// Run executes events until the queue is empty and returns the final
+// tick. Executed-event counts flush to telemetry in batches so the
+// per-event cost is a local increment.
 func (q *EventQueue) Run() Tick {
-	q.stopped = false
 	var n uint64
-	for !q.stopped && q.Step() {
+	for q.Step() {
 		if n++; n == telemetryBatch {
 			flushEvents(n)
 			n = 0
@@ -215,20 +172,12 @@ func (q *EventQueue) Run() Tick {
 	return q.now
 }
 
-// RunUntil executes events with tick <= limit, stopping early on Stop or
-// an empty queue.
-//
-// Note the gap this leaves: time does NOT advance beyond the last
-// executed event, so a caller stepping a quiesced component observes
-// Now() < limit even though the queue is provably idle through limit.
-// Use AdvanceTo when the caller needs Now() == limit afterwards.
+// RunUntil executes events with tick <= limit, stopping early on an
+// empty queue. Time does not advance beyond the last executed event, so
+// afterwards Now() may read below limit.
 func (q *EventQueue) RunUntil(limit Tick) Tick {
-	q.stopped = false
 	var n uint64
-	for !q.stopped {
-		if len(q.events) == 0 || q.events[0].when > limit {
-			break
-		}
+	for len(q.events) > 0 && q.events[0].when <= limit {
 		q.Step()
 		if n++; n == telemetryBatch {
 			flushEvents(n)
@@ -237,41 +186,4 @@ func (q *EventQueue) RunUntil(limit Tick) Tick {
 	}
 	flushEvents(n)
 	return q.now
-}
-
-// AdvanceTo executes events with tick <= limit like RunUntil, then — if
-// the run was not stopped early — advances Now() to limit itself, so a
-// quiesced queue does not report stale time. Scheduling "after" a call
-// to AdvanceTo is therefore relative to limit, not to the last event.
-func (q *EventQueue) AdvanceTo(limit Tick) Tick {
-	q.RunUntil(limit)
-	if !q.stopped && limit > q.now {
-		q.now = limit
-	}
-	return q.now
-}
-
-// noEvent is nextWhen's answer for an empty queue. No event can sit
-// there: Scheduler.Run's limit is one tick below it.
-const noEvent = ^Tick(0)
-
-// nextWhen returns the tick of the next pending event, or noEvent.
-func (q *EventQueue) nextWhen() Tick {
-	if len(q.events) == 0 {
-		return noEvent
-	}
-	return q.events[0].when
-}
-
-// runWindow executes events with tick < end (exclusive), never stopping
-// early on Stop (conservative windows always complete), and returns the
-// number of events executed. It is the scheduler's per-component inner
-// loop; telemetry flushing is the scheduler's job, batched per component
-// at window barriers.
-func (q *EventQueue) runWindow(end Tick) (executed uint64) {
-	for len(q.events) > 0 && q.events[0].when < end {
-		q.Step()
-		executed++
-	}
-	return executed
 }

@@ -98,12 +98,6 @@ type Result struct {
 	// otherwise (plain boots keep the lean result the sweep machinery
 	// always had).
 	Stats map[string]float64
-	// Sched holds the scheduler's window and message totals for a boot on
-	// the parallel engine (zero on the monolithic one). They describe
-	// where the host executed windows, which varies with the worker count
-	// and the host, so they are diagnostics and never part of comparing
-	// two results.
-	Sched sim.Counters
 }
 
 // Expected returns the outcome the gem5 v20.1 compatibility model
@@ -284,12 +278,11 @@ func buildMem(name string, cores int) mem.System {
 	}
 }
 
-// BootOptions selects the simulation engine for a boot attempt.
+// BootOptions configures a boot attempt.
 type BootOptions struct {
-	// Workers > 0 runs the boot on the parallel component/port engine
-	// with that many workers; 0 uses the monolithic single-queue engine.
-	// The parallel engine is a distinct (deterministic) timing model, so
-	// results are comparable across worker counts but not across engines.
+	// Deprecated: Workers is ignored. Every boot runs on the one
+	// simulation engine; the field stays declared because the benchmark
+	// module (benchmark/sim.go) still sets it.
 	Workers int
 	// Energy, when non-nil, attaches the energy model to the booted
 	// system's stat group before the simulation runs and returns the
@@ -297,64 +290,38 @@ type BootOptions struct {
 	Energy *energy.Model
 }
 
-// bootSystem is what Boot needs from either simulation engine.
-type bootSystem interface {
-	LoadProgram(core int, prog *isa.Program)
-	Run(maxTicks sim.Tick) cpu.Result
-	Stats() *sim.StatGroup
-}
-
-// newBootSystem builds the engine opts selects for s, with opts.Energy
-// attached. It returns the system, the energy counters the system does
-// not provide, and a func that releases the system's memory for reuse
-// and reports its scheduler's counters (zero on the monolithic engine).
-// Call it after the last read of the system's stats.
-func newBootSystem(s Spec, opts BootOptions) (bootSystem, []string, func() sim.Counters) {
-	var unmatched []string
-	if opts.Workers > 0 {
-		ps := cpu.NewParallelSystem(cpu.Config{Model: s.CPU, Cores: s.Cores},
-			s.Mem, mem.ClassicConfig{}, opts.Workers)
-		if opts.Energy != nil {
-			// The parallel engine's merged group already carries every
-			// core and controller counter.
-			unmatched = energy.Attach(ps.Stats(), opts.Energy)
-		}
-		return ps, unmatched, func() sim.Counters {
-			c := ps.Scheduler().Counters()
-			ps.Close()
-			return c
-		}
-	}
+// newBootSystem builds the system for s with opts.Energy attached and
+// returns it with the energy counters it does not provide. The caller
+// releases the system after the last read of its stats.
+func newBootSystem(s Spec, opts BootOptions) (*cpu.System, []string) {
 	memory := buildMem(s.Mem, s.Cores)
 	system := cpu.NewSystem(cpu.Config{Model: s.CPU, Cores: s.Cores}, memory)
+	var unmatched []string
 	if opts.Energy != nil {
-		// The monolithic engine keeps memory counters in their own
-		// group; resolve them as an extra source.
+		// Memory counters live in their own group; resolve them as an
+		// extra source.
 		unmatched = energy.Attach(system.Stats(), opts.Energy, memory.Stats())
 	}
-	return system, unmatched, func() sim.Counters {
-		system.Release()
-		return sim.Counters{}
-	}
+	return system, unmatched
 }
 
 // UnmatchedEnergy builds, without simulating, the system BootWith(s, _,
 // opts) would run and returns the opts.Energy counters it does not
 // provide; each contributes 0 J to that run.
 func UnmatchedEnergy(s Spec, opts BootOptions) []string {
-	_, unmatched, release := newBootSystem(s, opts)
-	release()
+	system, unmatched := newBootSystem(s, opts)
+	system.Release()
 	return unmatched
 }
 
 // Boot simulates one boot attempt with the given simulated-time budget
 // (0 means the default of 10 ms simulated, which generously covers every
-// successful boot at this workload scale) on the monolithic engine.
+// successful boot at this workload scale).
 func Boot(s Spec, budget sim.Tick) Result {
 	return BootWith(s, budget, BootOptions{})
 }
 
-// BootWith is Boot with an engine choice.
+// BootWith is Boot with options.
 func BootWith(s Spec, budget sim.Tick, opts BootOptions) (res Result) {
 	if budget == 0 {
 		budget = 10 * sim.TicksPerSecond / 1000
@@ -366,8 +333,8 @@ func BootWith(s Spec, budget sim.Tick, opts BootOptions) (res Result) {
 		return res
 	}
 
-	system, _, release := newBootSystem(s, opts)
-	defer func() { res.Sched = release() }()
+	system, _ := newBootSystem(s, opts)
+	defer system.Release()
 	for core := 0; core < s.Cores; core++ {
 		system.LoadProgram(core, isa.Generate(bootWork(s, core)))
 	}

@@ -129,9 +129,7 @@ func (c *Classic) Access(now sim.Tick, req Request) sim.Tick {
 }
 
 // backsideAccess services an L1 miss arriving at the crossbar at time now
-// and returns the crossbar→L2→DRAM latency. It is shared between the
-// monolithic Access path and the componentized memory controller, which
-// fields the same misses as port messages.
+// and returns the crossbar→L2→DRAM latency.
 func (c *Classic) backsideAccess(now sim.Tick, addr int64) sim.Tick {
 	lat := c.xbarLat
 	if c.l2.lookup(addr) != nil {

@@ -102,22 +102,3 @@ func (r *Ruby) Release() {
 	r.store.Release()
 	r.l1s, r.l2 = nil, nil
 }
-
-// Release hands the L1 back. The front must not be used afterwards; a
-// second Release does nothing.
-func (f *L1Front) Release() {
-	if f.cache != nil {
-		f.cache.release()
-		f.cache = nil
-	}
-}
-
-// Release hands back the wrapped hierarchy's memory. Its statistics
-// stay readable.
-func (c *Controller) Release() {
-	if c.classic != nil {
-		c.classic.Release()
-	} else {
-		c.ruby.Release()
-	}
-}

@@ -56,31 +56,6 @@ func (d *directory) page(line int64, create bool) *dirPage {
 // dirSlot is line's index within its page.
 func dirSlot(line int64) int { return int(line>>6) & 63 }
 
-// remoteL1s abstracts how the directory reaches the cores' L1 caches, so
-// the same protocol logic drives both the monolithic Ruby (direct cache
-// mutation) and the componentized memory controller (coherence messages
-// over ports, applied when they arrive at the owning core).
-type remoteL1s interface {
-	// downgrade demotes the core's copy of line to Shared, if present.
-	downgrade(core int, line int64)
-	// invalidate removes the core's copy of line.
-	invalidate(core int, line int64)
-}
-
-// localL1s is the monolithic implementation: the L1s live in the same
-// structure, so coherence actions apply immediately.
-type localL1s struct{ r *Ruby }
-
-func (l localL1s) downgrade(core int, line int64) {
-	if ol := l.r.l1s[core].peek(line); ol != nil {
-		ol.state = Shared
-	}
-}
-
-func (l localL1s) invalidate(core int, line int64) {
-	l.r.l1s[core].invalidate(line)
-}
-
 // Ruby is a directory-based coherent memory system ("slower but models
 // detailed memory with cache coherence flexibility"). The directory sits
 // with an inclusive shared L2; misses go to DDR3 DRAM.
@@ -97,7 +72,6 @@ type Ruby struct {
 	dram     *DRAM
 	store    *BackingStore
 	stats    *sim.StatGroup
-	remote   remoteL1s
 	nCores   int
 
 	l1HitLat sim.Tick
@@ -131,7 +105,6 @@ func NewRuby(cores int, protocol Protocol, cfg ClassicConfig) *Ruby {
 		invLat:   28000,
 	}
 	r.nCores = cores
-	r.remote = localL1s{r}
 	for i := 0; i < cores; i++ {
 		r.l1s = append(r.l1s, newCache(cfg.L1Bytes, cfg.L1Ways))
 	}
@@ -205,7 +178,9 @@ func (r *Ruby) gets(now sim.Tick, core int, line int64) (sim.Tick, LineState) {
 	lat := r.dirLat
 	if e.owner >= 0 && e.owner != core {
 		// Owner forwards the line; both end Shared.
-		r.remote.downgrade(e.owner, line)
+		if ol := r.l1s[e.owner].peek(line); ol != nil {
+			ol.state = Shared
+		}
 		r.forwards.Inc()
 		e.sharers |= 1 << uint(e.owner)
 		e.owner = -1
@@ -229,7 +204,7 @@ func (r *Ruby) getx(now sim.Tick, core int, line int64) (sim.Tick, LineState) {
 	e := r.entry(line)
 	lat := r.dirLat
 	if e.owner >= 0 && e.owner != core {
-		r.remote.invalidate(e.owner, line)
+		r.l1s[e.owner].invalidate(line)
 		r.invals.Inc()
 		r.forwards.Inc()
 		lat += r.fwdLat
@@ -241,7 +216,7 @@ func (r *Ruby) getx(now sim.Tick, core int, line int64) (sim.Tick, LineState) {
 		nshare := 0
 		for c := 0; c < r.nCores; c++ {
 			if c != core && e.sharers&(1<<uint(c)) != 0 {
-				r.remote.invalidate(c, line)
+				r.l1s[c].invalidate(line)
 				r.invals.Inc()
 				nshare++
 			}

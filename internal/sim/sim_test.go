@@ -38,37 +38,28 @@ func TestEventFIFOAtSameTick(t *testing.T) {
 		}
 	}
 
-	// Mixed priorities at one tick: priority classes run lowest first,
-	// and insertion order survives inside each class — through enough
-	// events that the heap sifts both ways.
+	// Same-tick events interleaved with earlier ones, through enough
+	// events that the heap sifts both ways: insertion order survives.
 	q = NewEventQueue()
 	order = order[:0]
 	var want []int
-	for _, prio := range []int{-1, 0, 1} {
-		for i := 0; i < 30; i++ {
-			if i%3-1 == prio {
-				want = append(want, i)
-			}
-		}
-	}
 	for i := 0; i < 30; i++ {
 		i := i
-		q.ScheduleP(7, i%3-1, func() { order = append(order, i) })
+		when := Tick(7)
+		if i%3 == 0 {
+			when = Tick(30 - i)
+		} else {
+			want = append(want, i)
+		}
+		q.Schedule(when, func() {
+			if q.Now() == 7 {
+				order = append(order, i)
+			}
+		})
 	}
 	q.Run()
 	if !reflect.DeepEqual(order, want) {
-		t.Fatalf("mixed-priority same-tick order = %v, want %v", order, want)
-	}
-}
-
-func TestEventPriority(t *testing.T) {
-	q := NewEventQueue()
-	var order []string
-	q.ScheduleP(5, 1, func() { order = append(order, "low") })
-	q.ScheduleP(5, -1, func() { order = append(order, "high") })
-	q.Run()
-	if order[0] != "high" {
-		t.Fatalf("priority order = %v", order)
+		t.Fatalf("same-tick order among mixed ticks = %v, want %v", order, want)
 	}
 }
 
@@ -104,22 +95,6 @@ func TestEventsScheduledDuringRun(t *testing.T) {
 	}
 }
 
-func TestStopEndsRun(t *testing.T) {
-	q := NewEventQueue()
-	ran := 0
-	q.Schedule(1, func() { ran++; q.Stop() })
-	q.Schedule(2, func() { ran++ })
-	q.Run()
-	if ran != 1 {
-		t.Fatalf("Stop did not halt the run; ran=%d", ran)
-	}
-	// The remaining event is still pending and a new Run resumes.
-	q.Run()
-	if ran != 2 {
-		t.Fatalf("resumed run did not execute pending events; ran=%d", ran)
-	}
-}
-
 func TestRunUntil(t *testing.T) {
 	q := NewEventQueue()
 	var ticks []Tick
@@ -127,24 +102,28 @@ func TestRunUntil(t *testing.T) {
 		w := w
 		q.Schedule(w, func() { ticks = append(ticks, w) })
 	}
-	q.RunUntil(20)
+	q.RunUntil(25)
 	if len(ticks) != 2 {
-		t.Fatalf("RunUntil(20) executed %v", ticks)
+		t.Fatalf("RunUntil(25) executed %v", ticks)
 	}
-	if q.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", q.Pending())
+	// Time stays at the last executed event, not the limit.
+	if q.Now() != 20 {
+		t.Fatalf("RunUntil(25): Now()=%d, want 20", q.Now())
+	}
+	// The remaining event is still pending and a new Run executes it.
+	q.Run()
+	if len(ticks) != 3 || q.Now() != 30 {
+		t.Fatalf("resumed run executed %v, now %d", ticks, q.Now())
 	}
 }
 
 func TestRandomOrderProperty(t *testing.T) {
-	// Property: whatever order events are scheduled in, with whatever mix
-	// of priorities, they execute in (tick, priority, insertion) order —
-	// the reference is a stable sort of the schedule calls. Half the
-	// events are scheduled from inside running events, so pushes
-	// interleave with pops.
+	// Property: whatever order events are scheduled in, they execute in
+	// (tick, insertion) order — the reference is a stable sort of the
+	// schedule calls. Half the events are scheduled from inside running
+	// events, so pushes interleave with pops.
 	type key struct {
 		when Tick
-		prio int
 		id   int
 	}
 	f := func(seed int64, n uint8) bool {
@@ -155,25 +134,20 @@ func TestRandomOrderProperty(t *testing.T) {
 		var add func(k key, spawn int)
 		add = func(k key, spawn int) {
 			want = append(want, k)
-			q.ScheduleP(k.when, k.prio, func() {
+			q.Schedule(k.when, func() {
 				got = append(got, k)
 				for j := 0; j < spawn; j++ {
 					// Strictly later, so the reference order stays a plain
 					// stable sort of all schedule calls.
-					add(key{q.Now() + 1 + Tick(rng.Intn(50)), rng.Intn(5) - 2, len(want)}, 0)
+					add(key{q.Now() + 1 + Tick(rng.Intn(50)), len(want)}, 0)
 				}
 			})
 		}
 		for i := 0; i < count; i++ {
-			add(key{Tick(rng.Intn(1000)), rng.Intn(5) - 2, len(want)}, rng.Intn(2))
+			add(key{Tick(rng.Intn(1000)), len(want)}, rng.Intn(2))
 		}
 		q.Run()
-		sort.SliceStable(want, func(i, j int) bool {
-			if want[i].when != want[j].when {
-				return want[i].when < want[j].when
-			}
-			return want[i].prio < want[j].prio
-		})
+		sort.SliceStable(want, func(i, j int) bool { return want[i].when < want[j].when })
 		return reflect.DeepEqual(got, want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -330,41 +304,5 @@ func TestClockRounding(t *testing.T) {
 	// Above 1 THz the period clamps to one tick.
 	if p := NewClock(3_000_000_000_000).Period; p != 1 {
 		t.Fatalf("3 THz period = %d ticks, want clamp to 1", p)
-	}
-}
-
-func TestAdvanceTo(t *testing.T) {
-	q := NewEventQueue()
-	ran := 0
-	q.Schedule(10, func() { ran++ })
-	q.Schedule(20, func() { ran++ })
-	q.Schedule(500, func() { ran++ })
-
-	// RunUntil leaves Now at the last executed event (the documented gap).
-	q.RunUntil(100)
-	if q.Now() != 20 {
-		t.Fatalf("RunUntil(100): Now()=%d, want 20 (last event)", q.Now())
-	}
-
-	// AdvanceTo closes it: a quiesced queue reports the limit.
-	if got := q.AdvanceTo(100); got != 100 || q.Now() != 100 {
-		t.Fatalf("AdvanceTo(100) = %d, Now()=%d, want 100", got, q.Now())
-	}
-	if ran != 2 {
-		t.Fatalf("ran %d events, want 2", ran)
-	}
-	// After advancing, relative scheduling is relative to the limit.
-	q.After(50, func() { ran++ })
-	q.Run()
-	if ran != 4 || q.Now() != 500 {
-		t.Fatalf("ran=%d now=%d, want 4 events and now=500", ran, q.Now())
-	}
-
-	// AdvanceTo interrupted by Stop does NOT jump to the limit: time
-	// stays at the stopping event so exit causes are attributable.
-	q2 := NewEventQueue()
-	q2.Schedule(7, func() { q2.Stop() })
-	if got := q2.AdvanceTo(1000); got != 7 {
-		t.Fatalf("stopped AdvanceTo = %d, want 7", got)
 	}
 }

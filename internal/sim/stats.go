@@ -258,90 +258,6 @@ func (g *StatGroup) Values() map[string]float64 {
 	return out
 }
 
-// DeclareFrom registers an empty counterpart in g for every accumulating
-// statistic in the sources that g does not already hold, preserving
-// shape (vector length, histogram binning). It is how an aggregate group
-// is derived from per-component groups before MergeGroups fills it;
-// formulas are skipped — derived stats belong to the aggregate itself.
-func (g *StatGroup) DeclareFrom(srcs ...*StatGroup) {
-	for _, src := range srcs {
-		for _, s := range src.stats {
-			if _, have := g.byName[s.StatName()]; have {
-				continue
-			}
-			switch o := s.(type) {
-			case *Scalar:
-				g.Scalar(o.name, o.desc)
-			case *Vector:
-				g.Vector(o.name, o.desc, len(o.vs))
-			case *Histogram:
-				g.Histogram(o.name, o.desc, o.min, o.width, len(o.buckets)-1)
-			}
-		}
-	}
-}
-
-// MergeGroups refreshes every accumulating statistic in dst from the
-// same-named statistics in srcs: scalars and vectors become the sum over
-// sources, histograms the bucket-wise sum. It recomputes from scratch on
-// every call, so it is safe to invoke repeatedly at window barriers while
-// the sources keep accumulating. Formulas are left alone — they derive
-// from dst's own (merged) stats at dump time. Source stats with no
-// counterpart in dst are ignored; dst stats missing from a source simply
-// receive no contribution from it. Mismatched shapes (a vector shorter in
-// dst than in a source, differing histogram binning) panic: they indicate
-// the aggregate group was declared inconsistently with the per-component
-// groups.
-func MergeGroups(dst *StatGroup, srcs ...*StatGroup) {
-	for _, s := range dst.stats {
-		switch d := s.(type) {
-		case *Scalar:
-			d.v = 0
-			for _, src := range srcs {
-				if o, ok := src.byName[d.name].(*Scalar); ok {
-					d.v += o.v
-				}
-			}
-		case *Vector:
-			for i := range d.vs {
-				d.vs[i] = 0
-			}
-			for _, src := range srcs {
-				o, ok := src.byName[d.name].(*Vector)
-				if !ok {
-					continue
-				}
-				if len(o.vs) > len(d.vs) {
-					panic(fmt.Sprintf("sim: merge of vector %s: source has %d entries, dst %d",
-						d.name, len(o.vs), len(d.vs)))
-				}
-				for i, x := range o.vs {
-					d.vs[i] += x
-				}
-			}
-		case *Histogram:
-			for i := range d.buckets {
-				d.buckets[i] = 0
-			}
-			d.samples, d.sum = 0, 0
-			for _, src := range srcs {
-				o, ok := src.byName[d.name].(*Histogram)
-				if !ok {
-					continue
-				}
-				if len(o.buckets) != len(d.buckets) || o.min != d.min || o.width != d.width {
-					panic(fmt.Sprintf("sim: merge of histogram %s: mismatched binning", d.name))
-				}
-				for i, x := range o.buckets {
-					d.buckets[i] += x
-				}
-				d.samples += o.samples
-				d.sum += o.sum
-			}
-		}
-	}
-}
-
 // Dump renders the group in gem5 stats.txt format with stats sorted by
 // name, bracketed by the begin/end markers gem5 emits.
 func (g *StatGroup) Dump() string {

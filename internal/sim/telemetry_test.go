@@ -35,23 +35,3 @@ func TestRunUntilFlushesPartialBatch(t *testing.T) {
 		t.Errorf("telemetry counted %g events, want 5", got)
 	}
 }
-
-// TestSchedulerCountersReachTelemetry checks a scheduler's
-// counters (all windows inline on one worker) and that the process-wide
-// event counter counts one per executed event, deliveries included.
-func TestSchedulerCountersReachTelemetry(t *testing.T) {
-	events := simEvents.Value()
-
-	p := newPingPong()
-	const rounds = 192
-	p.s.RunUntil((rounds + 1) * p.round)
-	c := p.s.Counters()
-	if c.Windows == 0 || c.Messages == 0 || c.PoolWindows != 0 || c.InlineWindows != c.Windows {
-		t.Fatalf("counters after ping-pong: %+v", c)
-	}
-	// One kick-off callback, then one delivery event per message except
-	// the last, which is still in flight at the limit.
-	if got := simEvents.Value() - events; got != float64(c.Messages) {
-		t.Errorf("telemetry counted %g events for %d deliveries + 1 callback - 1 in flight", got, c.Messages)
-	}
-}

@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"gem5art/internal/energy"
-	"gem5art/internal/sim"
 	"gem5art/internal/sim/kernel"
 )
 
@@ -105,9 +104,9 @@ func TestMonolithicGolden(t *testing.T) {
 	}
 }
 
-// TestConcurrentRunsMatchSerial runs a mixed list of boots (both
-// engines, every memory system, 1 to 8 cores) and PARSEC runs serially,
-// then again from 4 goroutines, and requires every result to match.
+// TestConcurrentRunsMatchSerial runs a mixed list of boots (every
+// memory system, 1 to 8 cores) and PARSEC runs serially, then again
+// from 4 goroutines, and requires every result to match.
 // Systems built and released at once share the memory pools, so under
 // make race this checks the pools too.
 func TestConcurrentRunsMatchSerial(t *testing.T) {
@@ -120,14 +119,8 @@ func TestConcurrentRunsMatchSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := kernel.BootOptions{Energy: model}
-		if i%2 == 1 {
-			opts.Workers = 1
-		}
 		cells = append(cells, func() string {
-			r := kernel.BootWith(s, 0, opts)
-			r.Sched = sim.Counters{} // host diagnostics, not results
-			return fmt.Sprintf("%+v", r)
+			return fmt.Sprintf("%+v", kernel.BootWith(s, 0, kernel.BootOptions{Energy: model}))
 		})
 	}
 	for _, app := range ParsecApps()[:3] {
