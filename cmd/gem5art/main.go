@@ -145,11 +145,11 @@ func cacheTotals(c *simcache.Cache) string {
 		return ""
 	}
 	st := c.Stats()
-	if st.HitsMemory+st.HitsPersistent+st.Misses+st.Boots+st.BootsShared == 0 {
+	if st.HitsPersistent+st.Misses+st.Boots+st.BootsShared == 0 {
 		return ""
 	}
 	return fmt.Sprintf(" cache[hits=%d misses=%d dedup=%d boots=%d shared_boots=%d]",
-		st.HitsMemory+st.HitsPersistent, st.Misses, st.Dedups, st.Boots, st.BootsShared)
+		st.HitsPersistent, st.Misses, st.Dedups, st.Boots, st.BootsShared)
 }
 
 // telemetryTotals renders the process-wide retry/revocation counters for

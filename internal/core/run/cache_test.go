@@ -185,7 +185,7 @@ func TestRunMemoization(t *testing.T) {
 		t.Fatalf("cache_key not recorded: %v", doc["cache_key"])
 	}
 	st := cache.Stats()
-	if st.Misses != 1 || st.HitsMemory != 1 {
+	if st.Misses != 1 || st.HitsPersistent != 1 {
 		t.Fatalf("cache stats: %+v", st)
 	}
 
@@ -284,8 +284,8 @@ func TestReplayedRunMatchesExecutedHit(t *testing.T) {
 			t.Errorf("%s: replayed %v, executed hit %v", k, got[k], want[k])
 		}
 	}
-	if st := cache.Stats(); st.Misses != 1 || st.HitsMemory != 2 {
-		t.Fatalf("cache stats: %+v, want 1 miss and 2 memory hits", st)
+	if st := cache.Stats(); st.Misses != 1 || st.HitsPersistent != 2 {
+		t.Fatalf("cache stats: %+v, want 1 miss and 2 hits", st)
 	}
 }
 

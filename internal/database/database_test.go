@@ -39,6 +39,36 @@ func TestInsertPreservesCallerDoc(t *testing.T) {
 	}
 }
 
+// TestStoreCopiesNestedValues: InsertOne and UpdateOne store deep
+// copies, so a caller that mutates a nested map it passed in, or one it
+// got back from FindOne, leaves the stored document as it was.
+func TestStoreCopiesNestedValues(t *testing.T) {
+	c := MustOpen("").Collection("a")
+	d := Doc{"_id": "x", "stats": map[string]any{"ipc": 1.5}}
+	if _, err := c.InsertOne(d); err != nil {
+		t.Fatal(err)
+	}
+	d["stats"].(map[string]any)["ipc"] = 2.0
+	if got := c.FindOne(Doc{"_id": "x"})["stats"].(map[string]any)["ipc"]; got != 1.5 {
+		t.Fatalf("after mutating the inserted doc: ipc = %v, want 1.5", got)
+	}
+
+	set := Doc{"stats": map[string]any{"ipc": 3.0}}
+	if ok, err := c.UpdateOne(Doc{"_id": "x"}, set); err != nil || !ok {
+		t.Fatalf("UpdateOne = %v, %v", ok, err)
+	}
+	set["stats"].(map[string]any)["ipc"] = 4.0
+	got := c.FindOne(Doc{"_id": "x"})
+	if ipc := got["stats"].(map[string]any)["ipc"]; ipc != 3.0 {
+		t.Fatalf("after mutating the update's set: ipc = %v, want 3", ipc)
+	}
+
+	got["stats"].(map[string]any)["ipc"] = 5.0
+	if ipc := c.FindOne(Doc{"_id": "x"})["stats"].(map[string]any)["ipc"]; ipc != 3.0 {
+		t.Fatalf("after mutating a found doc: ipc = %v, want 3", ipc)
+	}
+}
+
 func TestFindEquality(t *testing.T) {
 	db := MustOpen("")
 	c := db.Collection("runs")

@@ -70,7 +70,8 @@ type Collection interface {
 	FindWith(filter Doc, opts FindOptions) []Doc
 	// Count returns the number of matching documents.
 	Count(filter Doc) int
-	// UpdateOne merges set into the first document matching filter. It
+	// UpdateOne merges a deep copy of set into the first document
+	// matching filter, so the caller may mutate set afterwards. It
 	// reports whether a document matched; a merge that would violate a
 	// unique index is rejected with *ErrDuplicate and leaves the
 	// document unchanged.

@@ -164,6 +164,12 @@ func Parse(data []byte) (*Image, error) {
 	}
 	count := int(binary.LittleEndian.Uint32(data))
 	data = data[4:]
+	// Every entry carries two 4-byte length prefixes, so a count the
+	// remaining bytes cannot hold is corrupt; checked before the count
+	// sizes the map.
+	if count > len(data)/8 {
+		return nil, fmt.Errorf("diskimage: %d entries do not fit in %d bytes", count, len(data))
+	}
 	img := &Image{Name: name, OS: osName, Files: make(map[string][]byte, count)}
 	for i := 0; i < count; i++ {
 		var p string

@@ -166,22 +166,31 @@ func TestBuildErrors(t *testing.T) {
 	}
 }
 
+// corruptions returns damaged copies of the serialized image data, by
+// the damage each carries.
+func corruptions(data []byte) map[string][]byte {
+	badMagic := bytes.Clone(data)
+	badMagic[0] = 'X'
+	// Empty name and OS, then an entry count of 2^32-1 with no entries:
+	// 18 bytes that must not size a map of that many entries.
+	hugeCount := append(bytes.Clone(magic), 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff)
+	return map[string][]byte{
+		"truncated magic":   data[:3],
+		"truncated payload": data[:len(data)-2],
+		"bad magic":         badMagic,
+		"huge count":        hugeCount,
+	}
+}
+
 func TestParseRejectsCorruption(t *testing.T) {
 	img, err := Build(Template{Name: "x", OS: workloads.Ubuntu1804})
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := img.Serialize()
-	if _, err := Parse(data[:3]); err == nil {
-		t.Fatal("parsed truncated magic")
-	}
-	if _, err := Parse(data[:len(data)-2]); err == nil {
-		t.Fatal("parsed truncated payload")
-	}
-	bad := bytes.Clone(data)
-	bad[0] = 'X'
-	if _, err := Parse(bad); err == nil {
-		t.Fatal("parsed bad magic")
+	for name, data := range corruptions(img.Serialize()) {
+		if _, err := Parse(data); err == nil {
+			t.Errorf("%s: parsed", name)
+		}
 	}
 }
 

@@ -233,6 +233,10 @@ func TestParseErrors(t *testing.T) {
 		{"semantic", `{"name": "x", "components": [{"name": "c", "dynamic_pj": {"i": -5}}]}`,
 			`components[0].dynamic_pj["i"]`},
 		{"trailing", `{"name": "x", "components": [{"name": "c"}]} {"more": 1}`, "unexpected data"},
+		{"trailing bracket", "{\"name\": \"x\", \"components\": [{\"name\": \"c\"}]}\n ]", "line 2:2: unexpected data"},
+		{"key case", `{"nAme": "x", "components": [{"name": "c"}]}`, `field "nAme"`},
+		{"component key case", `{"name": "x", "components": [{"name": "c", "dYnAmiC_pj": {"i": 1}}]}`,
+			`field "components[0].dYnAmiC_pj"`},
 	}
 	for _, c := range cases {
 		if _, err := Parse([]byte(c.src)); err == nil || !strings.Contains(err.Error(), c.want) {

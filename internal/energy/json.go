@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"reflect"
 	"sort"
 	"strings"
 )
@@ -24,9 +25,11 @@ import (
 //	  ]
 //	}
 //
-// Parse rejects unknown fields and reports syntax and type errors with
-// line:column positions, then runs semantic validation with field-path
-// messages — a bad model file fails at load time, never mid-simulation.
+// Keys are case-sensitive. Parse rejects unknown fields, a key that
+// differs from a field name only in letter case among them, and reports
+// syntax and type errors with line:column positions, then runs semantic
+// validation with field-path messages — a bad model file fails at load
+// time, never mid-simulation.
 
 // Parse decodes and validates a JSON model.
 func Parse(data []byte) (*Model, error) {
@@ -37,10 +40,12 @@ func Parse(data []byte) (*Model, error) {
 		return nil, decodeError(data, err)
 	}
 	// Trailing garbage after the model object is a malformed file too.
-	if dec.More() {
-		off := dec.InputOffset()
-		line, col := lineCol(data, off)
+	if rest := bytes.TrimLeft(data[dec.InputOffset():], " \t\r\n"); len(rest) > 0 {
+		line, col := lineCol(data, int64(len(data)-len(rest)))
 		return nil, fmt.Errorf("energy: line %d:%d: unexpected data after model object", line, col)
+	}
+	if err := exactKeys(data); err != nil {
+		return nil, err
 	}
 	if err := m.Validate(); err != nil {
 		return nil, err
@@ -53,6 +58,54 @@ func Parse(data []byte) (*Model, error) {
 		}
 	}
 	return &m, nil
+}
+
+// exactKeys rejects a key that encoding/json matched to a field only
+// when case is ignored ("nAme" for "name"): the format's keys are exact.
+// data has already decoded into a Model, so any key that is not a field
+// name is such a key.
+func exactKeys(data []byte) error {
+	var model map[string]json.RawMessage
+	if err := json.NewDecoder(bytes.NewReader(data)).Decode(&model); err != nil {
+		return fmt.Errorf("energy: %v", err)
+	}
+	if err := checkKeys("", model, Model{}); err != nil {
+		return err
+	}
+	var comps []map[string]json.RawMessage
+	if raw, ok := model["components"]; ok {
+		if err := json.Unmarshal(raw, &comps); err != nil {
+			return fmt.Errorf("energy: %v", err)
+		}
+	}
+	for i, c := range comps {
+		if err := checkKeys(fmt.Sprintf("components[%d].", i), c, Component{}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkKeys reports the first key of obj that is not the JSON name of
+// one of fields' struct fields.
+func checkKeys(path string, obj map[string]json.RawMessage, fields any) error {
+	names := map[string]bool{}
+	t := reflect.TypeOf(fields)
+	for i := 0; i < t.NumField(); i++ {
+		name, _, _ := strings.Cut(t.Field(i).Tag.Get("json"), ",")
+		names[name] = true
+	}
+	keys := make([]string, 0, len(obj))
+	for k := range obj {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		if !names[k] {
+			return fmt.Errorf("energy: field %q: unknown field (field names are case-sensitive)", path+k)
+		}
+	}
+	return nil
 }
 
 // Load reads and parses a JSON model file.

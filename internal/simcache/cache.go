@@ -1,8 +1,6 @@
 package simcache
 
 import (
-	"container/list"
-	"encoding/json"
 	"sync"
 	"sync/atomic"
 
@@ -10,50 +8,36 @@ import (
 	"gem5art/internal/database/storage"
 )
 
-// Collections the persistent tier lives in.
+// Collections the cache lives in.
 const (
 	ResultCollection     = "simcache_results"
 	CheckpointCollection = "simcache_checkpoints"
 )
 
-// Defaults for the in-memory tier.
-const (
-	DefaultMaxEntries = 512
-	DefaultMaxBytes   = 64 << 20
-)
+// DefaultMaxEntries was the entry bound of a memory tier the cache no
+// longer has.
+//
+// Deprecated: nothing reads it; it stays until the benchmark module
+// stops naming it.
+const DefaultMaxEntries = 512
 
-// Options configures a Cache. The zero value gives the defaults: a
-// 512-entry / 64 MiB memory tier. Entries never expire; persistent
-// entries minted under another SimVersionSalt are swept when the cache
-// opens.
-type Options struct {
-	// MaxEntries bounds the in-memory tier's entry count.
-	MaxEntries int
-	// MaxBytes bounds the in-memory tier's estimated byte footprint.
-	MaxBytes int
-
-	// MinFreeBytes is the disk low-water mark for checkpoint archives:
-	// PutCheckpoint refuses (ErrLowDisk) rather than write a blob that
-	// would leave less than this free. 0 disables the preflight.
-	MinFreeBytes int64
-	// Dir is the filesystem to measure free space on ("" = the current
-	// directory) — point it at the database directory.
-	Dir string
-	// FreeBytes overrides the free-space probe (test hook; nil = statfs
-	// on Dir).
-	FreeBytes func() (int64, error)
-}
+// Options configures nothing: the cache has no settings.
+//
+// Deprecated: pass Options{}; the type stays until the benchmark
+// module stops naming it.
+type Options struct{}
 
 // Stats is one cache's counter snapshot, served at /api/cache.
 type Stats struct {
-	HitsMemory     int64 `json:"hits_memory"`
+	// Deprecated: always 0, as the cache has one tier and counts every
+	// hit in HitsPersistent. It stays until the benchmark module stops
+	// naming it, and /api/cache does not serve it.
+	HitsMemory     int64 `json:"-"`
 	HitsPersistent int64 `json:"hits_persistent"`
 	Misses         int64 `json:"misses"`
 	Stores         int64 `json:"stores"`
 	Dedups         int64 `json:"singleflight_dedups"`
 	Evictions      int64 `json:"evictions"`
-	MemoryEntries  int64 `json:"memory_entries"`
-	MemoryBytes    int64 `json:"memory_bytes"`
 
 	CheckpointHits   int64 `json:"checkpoint_hits"`
 	CheckpointMisses int64 `json:"checkpoint_misses"`
@@ -67,38 +51,28 @@ type Stats struct {
 // counters backs Stats with atomics so hot-path updates never contend
 // on the cache mutex.
 type counters struct {
-	hitsMemory, hitsPersistent, misses, stores, dedups, evictions atomic.Int64
-	ckptHits, ckptMisses, corrupt, boots, bootsShared             atomic.Int64
+	hitsPersistent, misses, stores, dedups, evictions atomic.Int64
+	ckptHits, ckptMisses, corrupt, boots, bootsShared atomic.Int64
 }
 
-// Cache is the two-tier content-addressed simulation cache: an
-// in-memory LRU in front of a persistent tier in db (documents for
-// results, the file store for checkpoint blobs). All methods are safe
-// for concurrent use; results passed in and out are deep-copied, so no
-// caller ever aliases cached state.
+// Cache is the content-addressed simulation cache: singleflight over
+// db, which holds results as documents and checkpoint blobs in its file
+// store. All methods are safe for concurrent use. The store copies
+// documents in and out, and singleflight waiters get private copies,
+// so no caller ever aliases cached state.
 type Cache struct {
-	db   database.Store
-	opts Options
+	db database.Store
 
 	mu         sync.Mutex
-	lru        *list.List               // front = most recently used
-	items      map[string]*list.Element // key -> lru element
-	bytes      int
 	flight     map[string]*call     // result singleflight, by run key
 	bootFlight map[string]*bootCall // checkpoint singleflight, by class key
 
 	n counters
 }
 
-type entry struct {
-	key  string
-	doc  database.Doc
-	size int
-}
-
 type call struct {
 	done chan struct{}
-	doc  database.Doc
+	doc  database.Doc // waiters' copy; only read once done is closed
 	err  error
 }
 
@@ -109,20 +83,11 @@ type bootCall struct {
 	err  error
 }
 
-// New opens a cache over db, sweeping any persistent entries recorded
-// under a different sim-version salt.
-func New(db database.Store, opts Options) *Cache {
-	if opts.MaxEntries <= 0 {
-		opts.MaxEntries = DefaultMaxEntries
-	}
-	if opts.MaxBytes <= 0 {
-		opts.MaxBytes = DefaultMaxBytes
-	}
+// New opens a cache over db, sweeping any entries recorded under a
+// different sim-version salt.
+func New(db database.Store, _ Options) *Cache {
 	c := &Cache{
 		db:         db,
-		opts:       opts,
-		lru:        list.New(),
-		items:      make(map[string]*list.Element),
 		flight:     make(map[string]*call),
 		bootFlight: make(map[string]*bootCall),
 	}
@@ -130,8 +95,8 @@ func New(db database.Store, opts Options) *Cache {
 	return c
 }
 
-// sweepSalt drops persistent entries minted under a different salt —
-// the explicit invalidation path when simulator semantics change.
+// sweepSalt drops entries minted under a different salt — the explicit
+// invalidation path when simulator semantics change.
 func (c *Cache) sweepSalt() {
 	for _, name := range []string{ResultCollection, CheckpointCollection} {
 		col := c.db.Collection(name)
@@ -146,18 +111,12 @@ func (c *Cache) sweepSalt() {
 
 // Stats snapshots the cache's counters.
 func (c *Cache) Stats() Stats {
-	c.mu.Lock()
-	entries, bytes := int64(c.lru.Len()), int64(c.bytes)
-	c.mu.Unlock()
 	return Stats{
-		HitsMemory:       c.n.hitsMemory.Load(),
 		HitsPersistent:   c.n.hitsPersistent.Load(),
 		Misses:           c.n.misses.Load(),
 		Stores:           c.n.stores.Load(),
 		Dedups:           c.n.dedups.Load(),
 		Evictions:        c.n.evictions.Load(),
-		MemoryEntries:    entries,
-		MemoryBytes:      bytes,
 		CheckpointHits:   c.n.ckptHits.Load(),
 		CheckpointMisses: c.n.ckptMisses.Load(),
 		Corrupt:          c.n.corrupt.Load(),
@@ -167,18 +126,8 @@ func (c *Cache) Stats() Stats {
 	}
 }
 
-// docSize estimates a result's footprint for the byte bound.
-func docSize(d database.Doc) int {
-	raw, err := json.Marshal(d)
-	if err != nil {
-		return 256
-	}
-	return len(raw)
-}
-
-// Lookup returns a deep copy of the cached result for key, consulting
-// the memory tier and then the persistent tier (promoting on hit). It
-// counts one hit or one miss.
+// Lookup returns a deep copy of the cached result for key. It counts
+// one hit or one miss.
 func (c *Cache) Lookup(key string) (database.Doc, bool) {
 	if doc, ok := c.Probe(key); ok {
 		return doc, true
@@ -192,31 +141,6 @@ func (c *Cache) Lookup(key string) (database.Doc, bool) {
 // GetOrCompute counts it, so the request still counts exactly one hit
 // or one miss.
 func (c *Cache) Probe(key string) (database.Doc, bool) {
-	c.mu.Lock()
-	doc, ok := c.lookupMemLocked(key)
-	c.mu.Unlock()
-	if ok {
-		c.n.hitsMemory.Add(1)
-		return doc, true
-	}
-	return c.lookupPersistent(key)
-}
-
-// lookupMemLocked serves the memory tier. Caller holds c.mu.
-func (c *Cache) lookupMemLocked(key string) (database.Doc, bool) {
-	el, ok := c.items[key]
-	if !ok {
-		return nil, false
-	}
-	c.lru.MoveToFront(el)
-	return storage.CloneDoc(el.Value.(*entry).doc), true
-}
-
-// lookupPersistent serves the persistent tier, promoting hits into the
-// memory tier. It counts its own hits; misses are counted by callers
-// (Lookup counts a combined miss, GetOrCompute counts before running,
-// Probe counts none).
-func (c *Cache) lookupPersistent(key string) (database.Doc, bool) {
 	col := c.db.Collection(ResultCollection)
 	d := col.FindOne(database.Doc{"_id": key})
 	if d == nil {
@@ -231,76 +155,23 @@ func (c *Cache) lookupPersistent(key string) (database.Doc, bool) {
 	if res == nil {
 		return nil, false
 	}
-	// Store recorded the result's size; a document without one is sized
-	// here.
-	sz, ok := d["size"].(float64)
-	size := int(sz)
-	if !ok {
-		size = docSize(res)
-	}
-	c.admit(key, res, size)
 	c.n.hitsPersistent.Add(1)
-	return storage.CloneDoc(res), true
+	return res, true
 }
 
-// Store records a result under key in both tiers. The result is
-// deep-copied on the way in.
+// Store records a result under key. The store copies it in.
 func (c *Cache) Store(key string, result database.Doc) {
-	cp := storage.CloneDoc(result)
-	size := docSize(cp)
-	doc := database.Doc{
-		"salt":   SimVersionSalt,
-		"result": cp,
-		"size":   float64(size),
-	}
+	doc := database.Doc{"salt": SimVersionSalt, "result": result}
 	col := c.db.Collection(ResultCollection)
 	if ok, err := col.UpdateOne(database.Doc{"_id": key}, doc); err != nil || !ok {
 		doc["_id"] = key
 		_, _ = col.InsertOne(doc) // a concurrent Store already won: fine
 	}
-	c.admit(key, cp, size)
 	c.n.stores.Add(1)
 }
 
-// admit inserts (or refreshes) a memory-tier entry of size bytes (its
-// docSize) and enforces the entry and byte bounds, evicting from the LRU
-// tail.
-func (c *Cache) admit(key string, doc database.Doc, size int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		e := el.Value.(*entry)
-		c.bytes += size - e.size
-		e.doc, e.size = doc, size
-		c.lru.MoveToFront(el)
-	} else {
-		c.items[key] = c.lru.PushFront(&entry{key: key, doc: doc, size: size})
-		c.bytes += size
-	}
-	for c.lru.Len() > c.opts.MaxEntries {
-		c.removeLocked(c.lru.Back())
-	}
-	for c.bytes > c.opts.MaxBytes && c.lru.Len() > 1 {
-		c.removeLocked(c.lru.Back())
-	}
-}
-
-// removeLocked drops one memory-tier entry. Caller holds c.mu.
-func (c *Cache) removeLocked(el *list.Element) {
-	e := el.Value.(*entry)
-	c.lru.Remove(el)
-	delete(c.items, e.key)
-	c.bytes -= e.size
-	c.n.evictions.Add(1)
-}
-
-// Invalidate removes key from both tiers.
+// Invalidate removes key.
 func (c *Cache) Invalidate(key string) {
-	c.mu.Lock()
-	if el, ok := c.items[key]; ok {
-		c.removeLocked(el)
-	}
-	c.mu.Unlock()
 	if n := c.db.Collection(ResultCollection).DeleteMany(database.Doc{"_id": key}); n > 0 {
 		c.n.evictions.Add(int64(n))
 	}
@@ -308,18 +179,13 @@ func (c *Cache) Invalidate(key string) {
 
 // GetOrCompute returns the cached result for key, or runs fn to produce
 // it. N concurrent calls with the same key execute fn exactly once: the
-// first caller computes while the rest wait on the in-flight computation
-// and receive their own deep copies of its result (or its error —
-// errors are never cached). The bool reports whether the result came
-// from the cache (or a coalesced computation) rather than this caller's
-// own fn.
+// first caller takes the key's flight slot, looks the key up and
+// computes on a miss, while the rest wait on the flight and receive
+// their own deep copies of its result (or its error — errors are never
+// cached). The bool reports whether the result came from the cache (or
+// a coalesced computation) rather than this caller's own fn.
 func (c *Cache) GetOrCompute(key string, fn func() (database.Doc, error)) (database.Doc, bool, error) {
 	c.mu.Lock()
-	if doc, ok := c.lookupMemLocked(key); ok {
-		c.mu.Unlock()
-		c.n.hitsMemory.Add(1)
-		return doc, true, nil
-	}
 	if fl, ok := c.flight[key]; ok {
 		c.mu.Unlock()
 		c.n.dedups.Add(1)
@@ -333,16 +199,21 @@ func (c *Cache) GetOrCompute(key string, fn func() (database.Doc, error)) (datab
 	c.flight[key] = fl
 	c.mu.Unlock()
 
+	// finish hands waiters a copy of doc, so the caller may keep doc.
 	finish := func(doc database.Doc, err error) {
-		fl.doc, fl.err = doc, err
+		if doc != nil {
+			fl.doc = storage.CloneDoc(doc)
+		}
+		fl.err = err
 		c.mu.Lock()
 		delete(c.flight, key)
 		c.mu.Unlock()
 		close(fl.done)
 	}
-	// Holding the flight slot, no one else can compute: a persistent hit
-	// here resolves every waiter without running fn.
-	if doc, ok := c.lookupPersistent(key); ok {
+	// Holding the flight slot, no one else can compute: a hit here
+	// resolves every waiter without running fn, and a miss is stored
+	// before the slot is given up, so the next caller hits.
+	if doc, ok := c.Probe(key); ok {
 		finish(doc, nil)
 		return doc, true, nil
 	}
@@ -353,6 +224,6 @@ func (c *Cache) GetOrCompute(key string, fn func() (database.Doc, error)) (datab
 		return nil, false, err
 	}
 	c.Store(key, doc)
-	finish(storage.CloneDoc(doc), nil)
-	return storage.CloneDoc(doc), false, nil
+	finish(doc, nil)
+	return doc, false, nil
 }

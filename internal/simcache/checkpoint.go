@@ -1,58 +1,18 @@
 package simcache
 
 import (
-	"errors"
 	"fmt"
 
 	"gem5art/internal/database"
 )
 
-// ErrLowDisk reports that a checkpoint archive was refused by the
-// low-water preflight: admitting the blob would push free space under
-// Options.MinFreeBytes. The boot still succeeds — only the archive is
-// skipped — so a full disk degrades checkpoint reuse, not simulation.
-var ErrLowDisk = errors.New("simcache: disk free space below low-water mark")
-
-// preflight enforces the disk low-water mark before a checkpoint write
-// of need bytes. An unknown free-space reading never blocks: the write
-// itself will surface the real failure fail-fast.
-func (c *Cache) preflight(need int64) error {
-	if c.opts.MinFreeBytes <= 0 {
-		return nil
-	}
-	free, err := c.freeBytes()
-	if err != nil {
-		return nil
-	}
-	if free-need < c.opts.MinFreeBytes {
-		return fmt.Errorf("%w: %d bytes free, need %d + %d reserve",
-			ErrLowDisk, free, need, c.opts.MinFreeBytes)
-	}
-	return nil
-}
-
-func (c *Cache) freeBytes() (int64, error) {
-	if c.opts.FreeBytes != nil {
-		return c.opts.FreeBytes()
-	}
-	dir := c.opts.Dir
-	if dir == "" {
-		dir = "."
-	}
-	return diskFree(dir)
-}
-
 // PutCheckpoint archives blob as the checkpoint for class: the blob
 // goes into the content-addressed file store and a class document
 // records its hash. Returns the blob's content hash. The archive is
-// fail-fast: a low-water preflight refusal (ErrLowDisk), a degraded
-// file store, or an unrecordable class document fails the Put without
-// leaving a class document that points at content the store never
-// acknowledged.
+// fail-fast: a degraded file store (a full disk among its causes) or an
+// unrecordable class document fails the Put without leaving a class
+// document that points at content the store never acknowledged.
 func (c *Cache) PutCheckpoint(class BootClass, name string, blob []byte) (string, error) {
-	if err := c.preflight(int64(len(blob))); err != nil {
-		return "", err
-	}
 	hash, err := c.db.Files().Put(name, blob)
 	if err != nil {
 		return "", fmt.Errorf("simcache: archive checkpoint: %w", err)
@@ -127,27 +87,6 @@ func (c *Cache) verifiedBlob(hash string) ([]byte, error) {
 	return blob, nil
 }
 
-// ScrubCheckpoints re-verifies every archived checkpoint blob against
-// the hash its class document recorded — the simcache half of the
-// integrity scrub. Corrupt or missing blobs evict the class document,
-// so the next BootOnce for that class re-boots instead of restoring
-// bad bytes; the class collection is left consistent (no document ever
-// points at content that fails verification). Returns how many classes
-// were scanned and how many were evicted.
-func (c *Cache) ScrubCheckpoints() (scanned, evicted int) {
-	col := c.db.Collection(CheckpointCollection)
-	for _, d := range col.Find(nil) {
-		scanned++
-		hash, _ := d["blob_hash"].(string)
-		if _, err := c.verifiedBlob(hash); err != nil {
-			col.DeleteMany(database.Doc{"_id": d["_id"]})
-			evicted++
-			c.n.evictions.Add(1)
-		}
-	}
-	return scanned, evicted
-}
-
 // BootOnce returns the boot checkpoint for class, executing bootFn at
 // most once per class across concurrent callers: the first caller with
 // no archived checkpoint boots while the rest wait, and everyone —
@@ -155,9 +94,9 @@ func (c *Cache) ScrubCheckpoints() (scanned, evicted int) {
 // shared reports whether this caller skipped the boot (restored an
 // archived or coalesced checkpoint). Returned blobs are private copies.
 //
-// An archive failure after a successful boot (low disk, degraded
-// store) does not fail the run: the freshly booted blob is returned
-// with an empty hash, and the next class member boots again.
+// An archive failure after a successful boot (a degraded store) does
+// not fail the run: the freshly booted blob is returned with an empty
+// hash, and the next class member boots again.
 func (c *Cache) BootOnce(class BootClass, name string, bootFn func() ([]byte, error)) (blob []byte, hash string, shared bool, err error) {
 	key := class.Key()
 	c.mu.Lock()

@@ -2,11 +2,10 @@
 // reproducibility machinery (every run is fully identified by the
 // hashes of its input artifacts plus its parameters, §IV) turned into a
 // speed mechanism. A run's canonical key is a stable content hash over
-// its input closure; a two-tier cache (in-memory LRU in front of a
-// persistent tier backed by database.Store) memoizes results under that
-// key with singleflight deduplication, so the same experiment is never
-// simulated twice — not within a launch, not across launches sharing a
-// database. The same machinery archives boot checkpoints under
+// its input closure; the cache memoizes results under that key in a
+// database.Store, with singleflight deduplication, so the same
+// experiment is never simulated twice — not within a launch, not across
+// launches sharing a database. The same machinery archives boot checkpoints under
 // boot-equivalence class keys so a matrix of full-system runs sharing a
 // kernel/disk/core/mem boot prefix pays for exactly one boot.
 package simcache

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"gem5art/internal/database"
+	"gem5art/internal/database/dbtest"
 )
 
 func memDB(t *testing.T) database.Store { return openDB(t, "") }
@@ -74,6 +75,9 @@ func TestBootClassKey(t *testing.T) {
 	}
 }
 
+// TestLookupStoreAndPersistentPromotion: a stored result hits in the
+// cache that stored it and in a second cache over the same store, and
+// every hit counts as persistent.
 func TestLookupStoreAndPersistentPromotion(t *testing.T) {
 	db := memDB(t)
 	c1 := New(db, Options{})
@@ -82,120 +86,37 @@ func TestLookupStoreAndPersistentPromotion(t *testing.T) {
 	}
 	c1.Store("k", database.Doc{"Outcome": "success", "Insts": float64(42)})
 	if d, ok := c1.Lookup("k"); !ok || d["Outcome"] != "success" {
-		t.Fatalf("memory-tier lookup failed: %v %v", d, ok)
+		t.Fatalf("lookup after store failed: %v %v", d, ok)
 	}
-	if st := c1.Stats(); st.HitsMemory != 1 || st.Misses != 1 || st.Stores != 1 {
-		t.Fatalf("stats after memory hit: %+v", st)
+	if st := c1.Stats(); st.HitsPersistent != 1 || st.HitsMemory != 0 || st.Misses != 1 || st.Stores != 1 {
+		t.Fatalf("stats after hit: %+v", st)
 	}
 
-	// A second cache over the same store has a cold memory tier: the hit
-	// must come from the persistent tier and promote into memory.
 	c2 := New(db, Options{})
 	d, ok := c2.Lookup("k")
 	if !ok || d["Outcome"] != "success" {
-		t.Fatalf("persistent-tier lookup failed: %v %v", d, ok)
+		t.Fatalf("second cache's lookup failed: %v %v", d, ok)
 	}
 	if st := c2.Stats(); st.HitsPersistent != 1 {
-		t.Fatalf("stats after persistent hit: %+v", st)
-	}
-	if _, ok := c2.Lookup("k"); !ok {
-		t.Fatal("promoted entry missing from memory tier")
-	}
-	if st := c2.Stats(); st.HitsMemory != 1 {
-		t.Fatalf("promotion did not serve from memory: %+v", st)
+		t.Fatalf("stats after second cache's hit: %+v", st)
 	}
 }
 
-// TestPersistentHitReusesRecordedSize checks that a persistent hit
-// charges the memory tier the size Store recorded, on a store reopened
-// from disk too, and that a document without one is sized afresh.
-func TestPersistentHitReusesRecordedSize(t *testing.T) {
-	result := database.Doc{"Outcome": "success", "Stats": map[string]any{"ipc": 1.25, "insts": float64(7)}}
-	dir := t.TempDir()
-	db, err := database.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := New(db, Options{})
-	c.Store("k", result)
-	want := c.Stats().MemoryBytes
-	if want != int64(docSize(result)) {
-		t.Fatalf("Store charged %d bytes, docSize says %d", want, docSize(result))
-	}
-	_ = db.Close()
-
-	db = openDB(t, dir)
-	fresh := New(db, Options{})
-	if _, ok := fresh.Lookup("k"); !ok {
-		t.Fatal("persistent lookup missed")
-	}
-	if got := fresh.Stats().MemoryBytes; got != want {
-		t.Fatalf("persistent hit charged %d bytes, Store %d", got, want)
-	}
-
-	// A result document without a recorded size.
-	col := db.Collection(ResultCollection)
-	if _, err := col.InsertOne(database.Doc{"_id": "unsized", "salt": SimVersionSalt,
-		"result": result}); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := fresh.Lookup("unsized"); !ok {
-		t.Fatal("lookup of unsized document missed")
-	}
-	if got := fresh.Stats().MemoryBytes; got != 2*want {
-		t.Fatalf("unsized hit: memory tier holds %d bytes, want %d", got, 2*want)
-	}
-}
-
+// TestLookupReturnsDeepCopies: neither a caller's mutation of a
+// looked-up result nor of a result it stored reaches the cached entry.
 func TestLookupReturnsDeepCopies(t *testing.T) {
 	c := New(memDB(t), Options{})
-	c.Store("k", database.Doc{"Stats": map[string]any{"ipc": 1.5}})
+	stored := database.Doc{"Stats": map[string]any{"ipc": 1.5}}
+	c.Store("k", stored)
+	stored["Stats"].(map[string]any)["ipc"] = 42.0
 	d1, _ := c.Lookup("k")
+	if got := d1["Stats"].(map[string]any)["ipc"]; got != 1.5 {
+		t.Fatalf("cached entry aliased by the stored result: ipc=%v", got)
+	}
 	d1["Stats"].(map[string]any)["ipc"] = 99.0
 	d2, _ := c.Lookup("k")
 	if got := d2["Stats"].(map[string]any)["ipc"]; got != 1.5 {
 		t.Fatalf("cached entry aliased by caller mutation: ipc=%v", got)
-	}
-}
-
-func TestLRUEvictionByEntries(t *testing.T) {
-	c := New(memDB(t), Options{MaxEntries: 3})
-	for i := 0; i < 3; i++ {
-		c.Store(fmt.Sprintf("k%d", i), database.Doc{"i": float64(i)})
-	}
-	c.Lookup("k0") // refresh k0: k1 is now the LRU entry
-	c.Store("k3", database.Doc{"i": float64(3)})
-	c.mu.Lock()
-	_, has0 := c.items["k0"]
-	_, has1 := c.items["k1"]
-	c.mu.Unlock()
-	if !has0 || has1 {
-		t.Fatalf("LRU eviction wrong: k0=%v k1=%v", has0, has1)
-	}
-	if st := c.Stats(); st.Evictions != 1 || st.MemoryEntries != 3 {
-		t.Fatalf("eviction stats: %+v", st)
-	}
-	// The evicted entry must still hit through the persistent tier.
-	if _, ok := c.Lookup("k1"); !ok {
-		t.Fatal("evicted entry lost from persistent tier")
-	}
-}
-
-func TestEvictionByBytes(t *testing.T) {
-	c := New(memDB(t), Options{MaxBytes: 100})
-	big := make([]any, 0, 30)
-	for i := 0; i < 30; i++ {
-		big = append(big, float64(i))
-	}
-	c.Store("big1", database.Doc{"v": big})
-	c.Store("big2", database.Doc{"v": big})
-	c.Store("big3", database.Doc{"v": big})
-	st := c.Stats()
-	if st.MemoryBytes > 100 && st.MemoryEntries > 1 {
-		t.Fatalf("byte bound not enforced: %+v", st)
-	}
-	if st.Evictions == 0 {
-		t.Fatalf("no byte evictions recorded: %+v", st)
 	}
 }
 
@@ -329,7 +250,7 @@ func TestGetOrComputeHitsPersistentTier(t *testing.T) {
 
 // TestProbeThenComputeCountsOnce: a probe that misses and falls back to
 // GetOrCompute counts one miss, and a probe that hits counts one hit,
-// from either tier.
+// in the cache that stored the result and in a fresh one.
 func TestProbeThenComputeCountsOnce(t *testing.T) {
 	db := memDB(t)
 	c := New(db, Options{})
@@ -347,8 +268,8 @@ func TestProbeThenComputeCountsOnce(t *testing.T) {
 	if d, ok := c.Probe("k"); !ok || d["v"] != float64(1) {
 		t.Fatalf("probe after store: %v %v", d, ok)
 	}
-	if st := c.Stats(); st.Misses != 1 || st.HitsMemory != 1 {
-		t.Fatalf("stats: %+v, want 1 miss and 1 memory hit", st)
+	if st := c.Stats(); st.Misses != 1 || st.HitsPersistent != 1 {
+		t.Fatalf("stats: %+v, want 1 miss and 1 hit", st)
 	}
 	fresh := New(db, Options{})
 	if _, ok := fresh.Probe("k"); !ok {
@@ -496,5 +417,52 @@ func TestBootOnceErrorNotArchived(t *testing.T) {
 	blob, _, shared, err := c.BootOnce(class, "cpt.1", func() ([]byte, error) { return []byte("ok"), nil })
 	if err != nil || shared || string(blob) != "ok" {
 		t.Fatalf("retry after failed boot: %q shared=%v err=%v", blob, shared, err)
+	}
+}
+
+// TestRestoreEvictsRottedCheckpoint: a checkpoint blob that rotted on
+// disk never restores. The store sets it aside when it reopens, BootOnce
+// on its class re-boots and records the new blob in place of the stale
+// class document, and a healthy class still restores.
+func TestRestoreEvictsRottedCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	db, err := database.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := New(db, Options{})
+	bad := BootClass{KernelHash: "k1", DiskHash: "d1", Cores: 1, Mem: "classic"}
+	good := BootClass{KernelHash: "k2", DiskHash: "d2", Cores: 2, Mem: "classic"}
+	rot, intact := []byte("blob that will rot"), []byte("blob that stays intact")
+	if _, err := c.PutCheckpoint(bad, "cpt.bad", rot); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.PutCheckpoint(good, "cpt.good", intact); err != nil {
+		t.Fatal(err)
+	}
+	// Reopening makes the store re-read the blob from disk rather than
+	// serve the bytes it still holds in memory.
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	dbtest.RotBlob(t, dir, rot)
+	db = openDB(t, dir)
+	c = New(db, Options{})
+
+	reboot := []byte("re-booted")
+	blob, hash, shared, err := c.BootOnce(bad, "cpt.bad", func() ([]byte, error) { return reboot, nil })
+	if err != nil || shared || string(blob) != string(reboot) {
+		t.Fatalf("rotted class: BootOnce = (%q, shared=%v, %v), want a fresh boot", blob, shared, err)
+	}
+	d := db.Collection(CheckpointCollection).FindOne(database.Doc{"_id": bad.Key()})
+	if d == nil || d["blob_hash"] != hash || hash != database.HashBytes(reboot) {
+		t.Fatalf("rotted class document = %v, want one naming the re-booted blob %s", d, database.HashBytes(reboot))
+	}
+	blob, _, shared, err = c.BootOnce(good, "cpt.good", func() ([]byte, error) {
+		t.Fatal("re-booted a healthy class")
+		return nil, nil
+	})
+	if err != nil || !shared || string(blob) != string(intact) {
+		t.Fatalf("healthy class: BootOnce = (%q, shared=%v, %v), want a restore", blob, shared, err)
 	}
 }

@@ -258,11 +258,19 @@ func TestCacheStatsEndpoint(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/api/cache", &st); code != http.StatusOK {
 		t.Fatalf("status = %d", code)
 	}
-	if st.HitsMemory != 1 || st.Misses != 1 || st.Stores != 1 {
+	if st.HitsPersistent != 1 || st.Misses != 1 || st.Stores != 1 {
 		t.Fatalf("stats: %+v", st)
 	}
 	if st.Salt != simcache.SimVersionSalt {
 		t.Fatalf("salt = %q", st.Salt)
+	}
+	// The cache has one tier: no memory-tier field is served.
+	var served map[string]any
+	getJSON(t, ts.URL+"/api/cache", &served)
+	for _, k := range []string{"hits_memory", "memory_entries", "memory_bytes"} {
+		if _, ok := served[k]; ok {
+			t.Errorf("/api/cache serves %q: %v", k, served)
+		}
 	}
 }
 
