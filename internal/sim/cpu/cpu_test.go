@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"strings"
 	"testing"
 
 	"gem5art/internal/sim"
@@ -433,5 +434,52 @@ func TestO3PredictorMatchesMapAcrossReloads(t *testing.T) {
 		if got := mono.Run(0).Mispredict; got != want[i] {
 			t.Errorf("program %d: %d mispredicts, want %d", i, got, want[i])
 		}
+	}
+}
+
+// robWindowProgram is a single-core program that reaches O3's ROB-window
+// stall while one miss has completed and another is still outstanding:
+// an L2-hit load and a DRAM load issue together, and the 63 instructions
+// after them (eight DIVs among ALU ops) outlast the first and not the
+// second. Four DIVs follow the window, so a stall that waits for the
+// wrong miss, or for none, ends the run at another tick.
+func robWindowProgram(t *testing.T) *isa.Program {
+	t.Helper()
+	var src strings.Builder
+	src.WriteString(`
+		addi x10, x0, 65536
+		ld   x5, 0(x10)       # DRAM; the L2 prefetches the next line
+		fence                 # the batch ends with no miss in flight
+		ld   x5, 64(x10)      # L2 hit
+		ld   x6, 8192(x10)    # DRAM, another bank
+	`)
+	for i := 0; i < 63; i++ {
+		if i%8 == 3 {
+			src.WriteString("div x7, x7, x8\n")
+		} else {
+			src.WriteString("addi x8, x8, 1\n")
+		}
+	}
+	src.WriteString(strings.Repeat("div x7, x7, x8\n", 4) + "sys exit\n")
+	p, err := isa.Assemble("robwindow", src.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestO3ROBStallWaitsForOutstandingMiss pins the ROB-window stall where
+// completed and outstanding misses coexist: the stall must wait for the
+// oldest miss still in flight, not for one that has already completed.
+func TestO3ROBStallWaitsForOutstandingMiss(t *testing.T) {
+	sys := NewSystem(Config{Model: O3, Cores: 1}, mem.NewClassic(1, mem.ClassicConfig{L2Prefetch: true}))
+	sys.LoadProgram(0, robWindowProgram(t))
+	res := sys.Run(0)
+	if !res.Finished || res.Insts != 73 {
+		t.Fatalf("finished %v after %d insts, want 73", res.Finished, res.Insts)
+	}
+	const want = 125652
+	if res.SimTicks != want {
+		t.Errorf("SimTicks = %d, want %d", res.SimTicks, want)
 	}
 }
