@@ -42,10 +42,26 @@ func (s LineState) String() string {
 	}
 }
 
+// cacheLine is one way of a set. A tag is line-aligned, so its low six
+// bits are free and hold the line's state: a tag check compares one
+// word.
 type cacheLine struct {
-	tag   int64
-	state LineState
-	lru   uint64 // larger = more recently used
+	tagState int64  // line address | LineState
+	lru      uint64 // larger = more recently used; 0 when Invalid
+}
+
+// stateMask selects the state bits of tagState.
+const stateMask = LineBytes - 1
+
+func (l *cacheLine) tag() int64            { return l.tagState &^ stateMask }
+func (l *cacheLine) state() LineState      { return LineState(l.tagState & stateMask) }
+func (l *cacheLine) setState(st LineState) { l.tagState = l.tag() | int64(st) }
+
+// holds reports whether the line is valid and tagged tag. tagState^tag
+// is the state when the tags match and at least LineBytes when they do
+// not, so one unsigned compare tests 1 <= state <= Modified.
+func (l *cacheLine) holds(tag int64) bool {
+	return uint64(l.tagState^tag)-1 < uint64(Modified)
 }
 
 // newCache builds a cache of sizeBytes with the given associativity,
@@ -77,58 +93,68 @@ func (c *cache) set(addr int64) []cacheLine {
 	return c.lines[idx*c.ways : (idx+1)*c.ways]
 }
 
-// lookup returns the line holding addr, or nil. Hits update LRU order.
-func (c *cache) lookup(addr int64) *cacheLine {
+// find returns the line holding addr, updating LRU order and the hit
+// count, or on a miss nil and the way insert would fill: a miss followed
+// by fill, with nothing touching the cache in between, scans the set
+// once.
+func (c *cache) find(addr int64) (hit, way *cacheLine) {
 	tag := lineAddr(addr)
 	set := c.set(addr)
+	way = &set[0]
 	for i := range set {
-		if set[i].state != Invalid && set[i].tag == tag {
+		l := &set[i]
+		if l.holds(tag) {
 			c.lruClock++
-			set[i].lru = c.lruClock
+			l.lru = c.lruClock
 			c.hits++
-			return &set[i]
+			return l, nil
+		}
+		if l.lru < way.lru {
+			way = l
 		}
 	}
 	c.misses++
-	return nil
+	return nil, way
 }
 
-// peek is lookup without touching hit/miss counters or LRU — used by
+// peek is find's hit without touching hit/miss counters or LRU — used by
 // directory probes of remote caches.
 func (c *cache) peek(addr int64) *cacheLine {
 	tag := lineAddr(addr)
 	set := c.set(addr)
 	for i := range set {
-		if set[i].state != Invalid && set[i].tag == tag {
+		if set[i].holds(tag) {
 			return &set[i]
 		}
 	}
 	return nil
 }
 
-// insert allocates a line for addr in the given state, evicting the LRU
-// way if needed. It returns the victim line's tag and state (state
-// Invalid when no eviction happened).
+// insert allocates a line for addr in the given state in the way with
+// the smallest LRU stamp: the first Invalid way, whose stamp is 0, else
+// the least recently used one. It returns the victim line's tag and
+// state (state Invalid when no eviction happened).
 func (c *cache) insert(addr int64, st LineState) (victimTag int64, victimState LineState) {
-	tag := lineAddr(addr)
 	set := c.set(addr)
-	victim := 0
+	way := &set[0]
 	for i := range set {
-		if set[i].state == Invalid {
-			victim = i
-			victimState = Invalid
-			goto place
-		}
-		if set[i].lru < set[victim].lru {
-			victim = i
+		if set[i].lru < way.lru {
+			way = &set[i]
 		}
 	}
-	victimTag = set[victim].tag
-	victimState = set[victim].state
-	c.evictions++
-place:
+	return c.fill(way, addr, st)
+}
+
+// fill places addr's line, in state st, in way, a way of addr's set, and
+// returns the tag and state of the line it evicts (state Invalid when
+// the way was free).
+func (c *cache) fill(way *cacheLine, addr int64, st LineState) (victimTag int64, victimState LineState) {
+	if victimState = way.state(); victimState != Invalid {
+		victimTag = way.tag()
+		c.evictions++
+	}
 	c.lruClock++
-	set[victim] = cacheLine{tag: tag, state: st, lru: c.lruClock}
+	*way = cacheLine{tagState: lineAddr(addr) | int64(st), lru: c.lruClock}
 	return victimTag, victimState
 }
 
@@ -136,8 +162,8 @@ place:
 // state.
 func (c *cache) invalidate(addr int64) LineState {
 	if l := c.peek(addr); l != nil {
-		st := l.state
-		l.state = Invalid
+		st := l.state()
+		*l = cacheLine{} // Invalid, with the smallest LRU stamp
 		return st
 	}
 	return Invalid

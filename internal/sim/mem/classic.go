@@ -111,10 +111,11 @@ func (c *Classic) Access(now sim.Tick, req Request) sim.Tick {
 		panic(fmt.Sprintf("mem: classic access from core %d of %d", req.Core, len(c.l1s)))
 	}
 	l1 := c.l1s[req.Core]
-	if line := l1.lookup(req.Addr); line != nil {
+	line, way := l1.find(req.Addr)
+	if line != nil {
 		c.l1Hits.Inc()
 		if req.Type != Read {
-			line.state = Modified
+			line.setState(Modified)
 		}
 		return c.l1HitLat
 	}
@@ -124,7 +125,7 @@ func (c *Classic) Access(now sim.Tick, req Request) sim.Tick {
 	if req.Type != Read {
 		st = Modified
 	}
-	l1.insert(req.Addr, st)
+	l1.fill(way, req.Addr, st) // the backside touches only the L2
 	return lat
 }
 
@@ -132,7 +133,8 @@ func (c *Classic) Access(now sim.Tick, req Request) sim.Tick {
 // and returns the crossbar→L2→DRAM latency.
 func (c *Classic) backsideAccess(now sim.Tick, addr int64) sim.Tick {
 	lat := c.xbarLat
-	if c.l2.lookup(addr) != nil {
+	hit, way := c.l2.find(addr)
+	if hit != nil {
 		c.l2Hits.Inc()
 		return lat + c.l2HitLat
 	}
@@ -141,7 +143,7 @@ func (c *Classic) backsideAccess(now sim.Tick, addr int64) sim.Tick {
 	doneAt := c.dram.Access(now+lat, addr)
 	c.dramReqs.Inc()
 	lat = doneAt - now
-	if _, vs := c.l2.insert(addr, Shared); vs == Modified {
+	if _, vs := c.l2.fill(way, addr, Shared); vs == Modified {
 		// Dirty victim writeback occupies the channel but the CPU
 		// does not wait for it.
 		c.dram.Access(doneAt, addr)

@@ -16,7 +16,7 @@ package mem
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"gem5art/internal/sim"
 )
@@ -76,46 +76,36 @@ type System interface {
 // BackingStore is the functional memory image: a sparse paged store of
 // 8-byte words shared by every core. It implements isa.Memory.
 //
-// A BackingStore has a single owner: ReadWord, like WriteWord, updates
-// the last-page cache, so even reads must not run concurrently.
+// ReadWord writes nothing, so reads may run concurrently; WriteWord may
+// make a page and so must not run beside any other access.
 type BackingStore struct {
-	pages map[int64]*[512]int64 // 4 KiB pages of words
-	// last is the most recently used page, whose key is lastKey; nil
-	// when no page is cached. Accesses cluster, so most skip the map.
-	last    *[512]int64
-	lastKey int64
+	pages    pageTable[[512]int64] // 4 KiB pages of words
+	released bool
 }
 
 // NewBackingStore returns an empty store.
-func NewBackingStore() *BackingStore {
-	return &BackingStore{pages: make(map[int64]*[512]int64)}
-}
+func NewBackingStore() *BackingStore { return &BackingStore{} }
 
 // ReadWord returns the word at addr (byte address; word-aligned access).
 func (b *BackingStore) ReadWord(addr int64) int64 {
-	key := addr >> 12
-	if b.last == nil || b.lastKey != key {
-		page, ok := b.pages[key]
-		if !ok {
-			return 0
-		}
-		b.last, b.lastKey = page, key
+	if page := b.pages.get(addr >> 12); page != nil {
+		return page[(addr>>3)&511]
 	}
-	return b.last[(addr>>3)&511]
+	return 0
 }
 
 // WriteWord stores val at addr.
 func (b *BackingStore) WriteWord(addr int64, val int64) {
 	key := addr >> 12
-	if b.last == nil || b.lastKey != key {
-		page, ok := b.pages[key]
-		if !ok {
-			page = pagePool.Get().(*[512]int64)
-			b.pages[key] = page
+	page := b.pages.get(key)
+	if page == nil {
+		if b.released {
+			panic("mem: write to a released store")
 		}
-		b.last, b.lastKey = page, key
+		page = pagePool.Get().(*[512]int64)
+		b.pages.put(key, page)
 	}
-	b.last[(addr>>3)&511] = val
+	page[(addr>>3)&511] = val
 }
 
 // lineAddr returns the cache-line-aligned address.
@@ -124,11 +114,9 @@ func lineAddr(addr int64) int64 { return addr &^ (LineBytes - 1) }
 // Snapshot serializes the backing store (for checkpoints): page count,
 // then sorted (pageKey, 512 words) records.
 func (b *BackingStore) Snapshot() []byte {
-	keys := make([]int64, 0, len(b.pages))
-	for k := range b.pages {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	var keys []int64
+	b.pages.each(func(k int64, _ *[512]int64) { keys = append(keys, k) })
+	slices.Sort(keys)
 	out := make([]byte, 0, 8+len(keys)*(8+512*8))
 	var u [8]byte
 	put := func(v int64) {
@@ -138,8 +126,7 @@ func (b *BackingStore) Snapshot() []byte {
 	put(int64(len(keys)))
 	for _, k := range keys {
 		put(k)
-		page := b.pages[k]
-		for _, w := range page {
+		for _, w := range b.pages.get(k) {
 			put(w)
 		}
 	}
@@ -160,7 +147,7 @@ func (b *BackingStore) LoadSnapshot(data []byte) error {
 		return fmt.Errorf("mem: snapshot needs %d pages, has %d bytes", n, len(data))
 	}
 	b.Release()
-	pages := make(map[int64]*[512]int64, n)
+	b.released = false
 	for i := uint64(0); i < n; i++ {
 		key := int64(binary.LittleEndian.Uint64(data))
 		data = data[8:]
@@ -169,8 +156,7 @@ func (b *BackingStore) LoadSnapshot(data []byte) error {
 			page[w] = int64(binary.LittleEndian.Uint64(data))
 			data = data[8:]
 		}
-		pages[key] = page
+		b.pages.put(key, page)
 	}
-	b.pages = pages
 	return nil
 }

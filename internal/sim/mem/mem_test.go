@@ -101,14 +101,14 @@ func TestBackingStoreProperty(t *testing.T) {
 
 func TestCacheHitAfterInsert(t *testing.T) {
 	c := newCache(1024, 2) // 8 sets x 2 ways
-	if c.lookup(0x1000) != nil {
+	if hit, _ := c.find(0x1000); hit != nil {
 		t.Fatal("hit in empty cache")
 	}
 	c.insert(0x1000, Shared)
-	if c.lookup(0x1000) == nil {
+	if hit, _ := c.find(0x1000); hit == nil {
 		t.Fatal("miss after insert")
 	}
-	if c.lookup(0x1008) == nil {
+	if hit, _ := c.find(0x1008); hit == nil {
 		t.Fatal("same line, different word missed")
 	}
 	if c.hits != 2 || c.misses != 1 {
@@ -120,7 +120,7 @@ func TestCacheLRUEviction(t *testing.T) {
 	c := newCache(128, 2) // 1 set x 2 ways, 64B lines
 	c.insert(0*64, Shared)
 	c.insert(128*64, Shared)
-	c.lookup(0 * 64) // make line 0 most recent
+	c.find(0 * 64) // make line 0 most recent
 	victimTag, vs := c.insert(256*64, Shared)
 	if vs == Invalid {
 		t.Fatal("full set should evict")
@@ -276,6 +276,12 @@ func TestRubyWriteInvalidatesSharers(t *testing.T) {
 	}
 }
 
+// dirPages counts r's directory pages.
+func dirPages(r *Ruby) (n int) {
+	r.dir.each(func(int64, *dirPage) { n++ })
+	return n
+}
+
 // TestRubyEvictNotifyOnUntouchedLineIsNoop: the directory stores lines
 // a page at a time, so a line can have an entry it never used. An
 // eviction notice for such a line, or for one in a page never touched,
@@ -283,17 +289,17 @@ func TestRubyWriteInvalidatesSharers(t *testing.T) {
 func TestRubyEvictNotifyOnUntouchedLineIsNoop(t *testing.T) {
 	r := NewRuby(2, MESITwoLevel, ClassicConfig{})
 	r.Access(0, Request{Addr: 0x10000, Type: Write, Core: 0})
-	pages, requests := len(r.dir.pages), r.dram.requests
+	pages, requests := dirPages(r), r.dram.requests
 	for _, line := range []int64{0x10040, 0x10fc0, 0x90000, -0x40} {
 		for core := 0; core < 2; core++ {
 			r.evictNotify(0, core, line, Modified)
 		}
-		if p := r.dir.page(line, false); p != nil && p[dirSlot(line)] != (dirEntry{owner: -1}) {
+		if p := r.dir.get(line >> 12); p != nil && p[dirSlot(line)] != (dirEntry{owner: -1}) {
 			t.Errorf("line %#x: entry %+v after the notices", line, p[dirSlot(line)])
 		}
 	}
-	if len(r.dir.pages) != pages {
-		t.Errorf("notices created %d directory pages", len(r.dir.pages)-pages)
+	if n := dirPages(r); n != pages {
+		t.Errorf("notices created %d directory pages", n-pages)
 	}
 	if r.dram.requests != requests {
 		t.Errorf("notices wrote back %d lines", r.dram.requests-requests)

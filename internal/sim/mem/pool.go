@@ -60,20 +60,8 @@ var dirPagePool = sync.Pool{New: func() any {
 // pool. The store reads as empty afterwards and panics on a write; a
 // second Release does nothing.
 func (b *BackingStore) Release() {
-	for _, p := range b.pages {
-		*p = [512]int64{}
-		pagePool.Put(p)
-	}
-	b.pages, b.last = nil, nil
-}
-
-// release resets the directory's pages and hands them back.
-func (d *directory) release() {
-	for _, p := range d.pages {
-		*p = emptyDirPage
-		dirPagePool.Put(p)
-	}
-	d.pages, d.last = nil, nil
+	b.pages.release(&pagePool, func(p *[512]int64) { *p = [512]int64{} })
+	b.released = true
 }
 
 // Release implements System.
@@ -98,7 +86,7 @@ func (r *Ruby) Release() {
 		l1.release()
 	}
 	r.l2.release()
-	r.dir.release()
+	r.dir.release(&dirPagePool, func(p *dirPage) { *p = emptyDirPage })
 	r.store.Release()
 	r.l1s, r.l2 = nil, nil
 }

@@ -38,14 +38,10 @@ func parts(s System) (caches []*cache, dir []*dirPage, pages []*[512]int64) {
 		store = s.store
 	case *Ruby:
 		caches = append(append(caches, s.l1s...), s.l2)
-		for _, p := range s.dir.pages {
-			dir = append(dir, p)
-		}
+		s.dir.each(func(_ int64, p *dirPage) { dir = append(dir, p) })
 		store = s.store
 	}
-	for _, p := range store.pages {
-		pages = append(pages, p)
-	}
+	store.pages.each(func(_ int64, p *[512]int64) { pages = append(pages, p) })
 	return caches, dir, pages
 }
 
@@ -94,7 +90,7 @@ func TestReleasedMemoryComesBackClean(t *testing.T) {
 		states := map[LineState]bool{}
 		for _, c := range caches {
 			for _, l := range c.lines {
-				states[l.state] = true
+				states[l.state()] = true
 			}
 		}
 		want := []LineState{Invalid, Shared, Modified}

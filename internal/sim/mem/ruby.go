@@ -2,6 +2,7 @@ package mem
 
 import (
 	"fmt"
+	"math/bits"
 
 	"gem5art/internal/sim"
 )
@@ -26,33 +27,6 @@ type dirEntry struct {
 // protocol action treats exactly like a line with no entry.
 type dirPage [64]dirEntry
 
-// directory maps lines to their entries, a page at a time, and keeps
-// the most recently used page out of the map.
-type directory struct {
-	pages   map[int64]*dirPage
-	last    *dirPage // nil when no page is cached
-	lastKey int64
-}
-
-// page returns the page holding line, creating it when create is set;
-// otherwise it returns nil for a page never touched.
-func (d *directory) page(line int64, create bool) *dirPage {
-	key := line >> 12
-	if d.last != nil && d.lastKey == key {
-		return d.last
-	}
-	p, ok := d.pages[key]
-	if !ok {
-		if !create {
-			return nil
-		}
-		p = dirPagePool.Get().(*dirPage)
-		d.pages[key] = p
-	}
-	d.last, d.lastKey = p, key
-	return p
-}
-
 // dirSlot is line's index within its page.
 func dirSlot(line int64) int { return int(line>>6) & 63 }
 
@@ -68,7 +42,7 @@ type Ruby struct {
 	protocol Protocol
 	l1s      []*cache
 	l2       *cache
-	dir      directory
+	dir      pageTable[dirPage] // by page number, as the store's pages
 	dram     *DRAM
 	store    *BackingStore
 	stats    *sim.StatGroup
@@ -95,7 +69,6 @@ func NewRuby(cores int, protocol Protocol, cfg ClassicConfig) *Ruby {
 	r := &Ruby{
 		protocol: protocol,
 		l2:       newCache(cfg.L2Bytes, cfg.L2Ways),
-		dir:      directory{pages: make(map[int64]*dirPage)},
 		dram:     NewDDR3(),
 		store:    NewBackingStore(),
 		stats:    sim.NewStatGroup(),
@@ -127,8 +100,14 @@ func (r *Ruby) Store() *BackingStore { return r.store }
 // Stats implements System.
 func (r *Ruby) Stats() *sim.StatGroup { return r.stats }
 
+// entry returns line's directory entry, making its page if need be.
 func (r *Ruby) entry(line int64) *dirEntry {
-	return &r.dir.page(line, true)[dirSlot(line)]
+	p := r.dir.get(line >> 12)
+	if p == nil {
+		p = dirPagePool.Get().(*dirPage)
+		r.dir.put(line>>12, p)
+	}
+	return &p[dirSlot(line)]
 }
 
 // Access implements System.
@@ -141,13 +120,14 @@ func (r *Ruby) Access(now sim.Tick, req Request) sim.Tick {
 	}
 	l1 := r.l1s[req.Core]
 	line := lineAddr(req.Addr)
-	if cl := l1.lookup(req.Addr); cl != nil {
-		switch {
+	cl, way := l1.find(req.Addr)
+	if cl != nil {
+		switch st := cl.state(); {
 		case req.Type == Read:
 			r.l1Hits.Inc()
 			return r.l1HitLat
-		case cl.state == Modified || cl.state == Exclusive:
-			cl.state = Modified
+		case st == Modified || st == Exclusive:
+			cl.setState(Modified)
 			r.l1Hits.Inc()
 			return r.l1HitLat
 		default:
@@ -165,7 +145,9 @@ func (r *Ruby) Access(now sim.Tick, req Request) sim.Tick {
 		// MI_example treats every request as a GETX; MESI writes too.
 		lat, grant = r.getx(now, req.Core, line)
 	}
-	if victimTag, vs := l1.insert(req.Addr, grant); vs != Invalid {
+	// gets and getx touch only other cores' L1s, so way is still the
+	// one to fill.
+	if victimTag, vs := l1.fill(way, req.Addr, grant); vs != Invalid {
 		r.evictNotify(now, req.Core, victimTag, vs)
 	}
 	return r.l1HitLat + lat
@@ -179,7 +161,7 @@ func (r *Ruby) gets(now sim.Tick, core int, line int64) (sim.Tick, LineState) {
 	if e.owner >= 0 && e.owner != core {
 		// Owner forwards the line; both end Shared.
 		if ol := r.l1s[e.owner].peek(line); ol != nil {
-			ol.state = Shared
+			ol.setState(Shared)
 		}
 		r.forwards.Inc()
 		e.sharers |= 1 << uint(e.owner)
@@ -214,12 +196,10 @@ func (r *Ruby) getx(now sim.Tick, core int, line int64) (sim.Tick, LineState) {
 		// trip dominates, with a small serialization cost per extra
 		// sharer.
 		nshare := 0
-		for c := 0; c < r.nCores; c++ {
-			if c != core && e.sharers&(1<<uint(c)) != 0 {
-				r.l1s[c].invalidate(line)
-				r.invals.Inc()
-				nshare++
-			}
+		for others := e.sharers &^ (1 << uint(core)); others != 0; others &= others - 1 {
+			r.l1s[bits.TrailingZeros64(others)].invalidate(line)
+			r.invals.Inc()
+			nshare++
 		}
 		if nshare > 0 {
 			lat += r.invLat + sim.Tick(nshare-1)*2000
@@ -237,19 +217,20 @@ func (r *Ruby) getx(now sim.Tick, core int, line int64) (sim.Tick, LineState) {
 func (r *Ruby) upgrade(now sim.Tick, core int, line int64) sim.Tick {
 	lat, _ := r.getx(now, core, line)
 	if cl := r.l1s[core].peek(line); cl != nil {
-		cl.state = Modified
+		cl.setState(Modified)
 	}
 	return lat
 }
 
 // l2Fill charges for getting the line's data from L2 or memory.
 func (r *Ruby) l2Fill(now sim.Tick, line int64, sofar sim.Tick) sim.Tick {
-	if r.l2.lookup(line) != nil {
+	hit, way := r.l2.find(line)
+	if hit != nil {
 		return 0 // data was in L2; dirLat already covered the lookup
 	}
 	doneAt := r.dram.Access(now+sofar, line)
 	r.memReads.Inc()
-	if victimTag, vs := r.l2.insert(line, Shared); vs == Modified {
+	if victimTag, vs := r.l2.fill(way, line, Shared); vs == Modified {
 		r.dram.Access(doneAt, victimTag)
 	}
 	return doneAt - (now + sofar)
@@ -257,7 +238,7 @@ func (r *Ruby) l2Fill(now sim.Tick, line int64, sofar sim.Tick) sim.Tick {
 
 // evictNotify tells the directory a core silently dropped a line.
 func (r *Ruby) evictNotify(now sim.Tick, core int, line int64, st LineState) {
-	p := r.dir.page(line, false)
+	p := r.dir.get(line >> 12)
 	if p == nil {
 		return
 	}
