@@ -18,6 +18,7 @@ package cpu
 import (
 	"bytes"
 	"fmt"
+	"slices"
 
 	"gem5art/internal/sim"
 	"gem5art/internal/sim/isa"
@@ -372,16 +373,25 @@ func (c *core) stepO3() {
 
 	advance := func(cycles uint64) { now += sim.Tick(cycles) * period }
 
-	for executed < batchInsts {
-		// Drain MSHRs that have completed by 'now'.
+	// c.inflight holds the completion times of the misses issued this
+	// batch, completed ones included until a drain drops them; maxIn is
+	// the latest. A miss is outstanding at an instruction's start top
+	// when its time is past top, so "any miss outstanding" is maxIn >
+	// top, and only the MSHR-full check and the ROB-window stall, which
+	// read the outstanding count or minimum, drain.
+	var maxIn sim.Tick
+	drain := func(top sim.Tick) {
 		live := c.inflight[:0]
 		for _, t := range c.inflight {
-			if t > now {
+			if t > top {
 				live = append(live, t)
 			}
 		}
 		c.inflight = live
+	}
 
+	for executed < batchInsts {
+		top := now
 		pcBefore := c.state.PC
 		isa.Step(&c.state, c.prog, store, c.sysFn, &res)
 		c.sys.traceInst(c.id, now, pcBefore, res.Inst)
@@ -417,11 +427,7 @@ func (c *core) stepO3() {
 			lat := memory.Access(now, mem.Request{Addr: res.MemAddr, Type: typ, Core: c.id})
 			if class == isa.ClassAtomic {
 				// Atomics drain the pipeline: wait for everything.
-				for _, t := range c.inflight {
-					if t > now {
-						now = t
-					}
-				}
+				now = max(now, maxIn)
 				c.inflight = c.inflight[:0]
 				now += lat
 				c.commit(uint64(executed))
@@ -436,35 +442,24 @@ func (c *core) stepO3() {
 			if lat > o3MissThresh {
 				// A miss: issue it and keep going under the ROB window.
 				if len(c.inflight) >= o3MSHRs {
+					drain(top)
+				}
+				if len(c.inflight) >= o3MSHRs {
 					// Structural stall: wait for the oldest miss.
-					oldest := c.inflight[0]
-					for _, t := range c.inflight {
-						if t < oldest {
-							oldest = t
-						}
-					}
-					if oldest > now {
-						now = oldest
-					}
+					now = max(now, slices.Min(c.inflight))
 				}
 				c.inflight = append(c.inflight, now+lat)
+				maxIn = max(maxIn, now+lat)
 				sinceOldestMiss = 0
 			} else {
 				now += lat // L1 hits still serialize a little
 			}
 		}
-		if len(c.inflight) > 0 {
+		if maxIn > top {
 			sinceOldestMiss++
 			if sinceOldestMiss >= o3ROB {
-				oldest := c.inflight[0]
-				for _, t := range c.inflight {
-					if t < oldest {
-						oldest = t
-					}
-				}
-				if oldest > now {
-					now = oldest
-				}
+				drain(top)
+				now = max(now, slices.Min(c.inflight))
 				sinceOldestMiss = 0
 			}
 		}
@@ -476,11 +471,7 @@ func (c *core) stepO3() {
 			break
 		}
 	}
-	for _, t := range c.inflight {
-		if t > now {
-			now = t
-		}
-	}
+	now = max(now, maxIn)
 	c.inflight = c.inflight[:0]
 	c.commit(uint64(executed))
 	if c.done {
