@@ -58,10 +58,46 @@ func nextPow2(v int64) int64 {
 // stream rand.NewSource(spec.Seed) does.
 var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
 
+// programs memoizes Generate. A program is a pure function of its spec
+// and nothing writes one after Generate returns, so every core of every
+// boot shares one copy instead of re-seeding a generator and rebuilding
+// it. At most maxPrograms specs are held; a full cache starts over.
+var programs struct {
+	sync.Mutex
+	bySpec map[GenSpec]*Program
+}
+
+// maxPrograms bounds the program cache: the boot sweep generates 80
+// distinct programs, and its cells with the PARSEC ones 300, each under
+// 1 KiB.
+const maxPrograms = 1024
+
 // Generate builds a deterministic synthetic program from the spec. The
 // same spec always yields the same program, which is what makes runs
-// recorded by gem5art reproducible.
+// recorded by gem5art reproducible. The program is shared with every
+// other caller that passes an equal spec: the caller must not modify it.
 func Generate(spec GenSpec) *Program {
+	programs.Lock()
+	p := programs.bySpec[spec]
+	programs.Unlock()
+	if p != nil {
+		return p
+	}
+	p = generate(spec)
+	programs.Lock()
+	defer programs.Unlock()
+	if q := programs.bySpec[spec]; q != nil {
+		return q // another caller generated it meanwhile
+	}
+	if programs.bySpec == nil || len(programs.bySpec) >= maxPrograms {
+		programs.bySpec = make(map[GenSpec]*Program)
+	}
+	programs.bySpec[spec] = p
+	return p
+}
+
+// generate is Generate without the cache.
+func generate(spec GenSpec) *Program {
 	if spec.BodyOps < 4 {
 		spec.BodyOps = 4
 	}

@@ -296,13 +296,13 @@ func TestInstEncodeDecodeProperty(t *testing.T) {
 func TestGenerateDeterministic(t *testing.T) {
 	spec := GenSpec{Name: "w", Seed: 42, Iterations: 10, BodyOps: 30,
 		Mix: Mix{Load: 0.3, Store: 0.1, MulDiv: 0.1, Branch: 0.1}, FootprintWords: 1024}
-	a := Generate(spec)
-	b := Generate(spec)
+	a := generate(spec)
+	b := generate(spec)
 	if !bytes.Equal(Encode(a), Encode(b)) {
 		t.Fatal("same spec produced different programs")
 	}
 	spec.Seed = 43
-	c := Generate(spec)
+	c := generate(spec)
 	if bytes.Equal(Encode(a), Encode(c)) {
 		t.Fatal("different seed produced identical programs")
 	}
