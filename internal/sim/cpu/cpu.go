@@ -281,11 +281,14 @@ func (c *core) stepKVM() {
 	eq := c.sys.eq
 	store := c.sys.memory.Store()
 	var res isa.StepResult
+	tracing := c.sys.trace != nil
 	executed := 0
 	for executed < kvmBatch {
 		pcBefore := c.state.PC
 		isa.Step(&c.state, c.prog, store, c.sysFn, &res)
-		c.sys.traceInst(c.id, eq.Now(), pcBefore, res.Inst)
+		if tracing {
+			c.sys.traceInst(c.id, eq.Now(), pcBefore, res.Inst)
+		}
 		executed++
 		if res.Done {
 			c.done = true
@@ -310,11 +313,14 @@ func (c *core) stepSimple(atomic bool) {
 	period := c.sys.clock.Period
 	now := eq.Now()
 	var res isa.StepResult
+	tracing := c.sys.trace != nil
 	executed := 0
 	for executed < batchInsts {
 		pcBefore := c.state.PC
 		isa.Step(&c.state, c.prog, store, c.sysFn, &res)
-		c.sys.traceInst(c.id, now, pcBefore, res.Inst)
+		if tracing {
+			c.sys.traceInst(c.id, now, pcBefore, res.Inst)
+		}
 		executed++
 		now += period
 		class := res.Inst.Class()
@@ -367,11 +373,11 @@ func (c *core) stepO3() {
 	period := c.sys.clock.Period
 	now := eq.Now()
 	var res isa.StepResult
+	tracing := c.sys.trace != nil
 	executed := 0
 	sinceOldestMiss := 0
 	var cycleFrac uint64 // instructions issued in the current cycle
 
-	advance := func(cycles uint64) { now += sim.Tick(cycles) * period }
 
 	// c.inflight holds the completion times of the misses issued this
 	// batch, completed ones included until a drain drops them; maxIn is
@@ -380,39 +386,32 @@ func (c *core) stepO3() {
 	// top, and only the MSHR-full check and the ROB-window stall, which
 	// read the outstanding count or minimum, drain.
 	var maxIn sim.Tick
-	drain := func(top sim.Tick) {
-		live := c.inflight[:0]
-		for _, t := range c.inflight {
-			if t > top {
-				live = append(live, t)
-			}
-		}
-		c.inflight = live
-	}
 
 	for executed < batchInsts {
 		top := now
 		pcBefore := c.state.PC
 		isa.Step(&c.state, c.prog, store, c.sysFn, &res)
-		c.sys.traceInst(c.id, now, pcBefore, res.Inst)
+		if tracing {
+			c.sys.traceInst(c.id, now, pcBefore, res.Inst)
+		}
 		executed++
 		cycleFrac++
 		if cycleFrac >= o3Width {
 			cycleFrac = 0
-			advance(1)
+			now += period
 		}
 		class := res.Inst.Class()
 		switch class {
 		case isa.ClassMulDiv:
 			if res.Inst.Op == isa.DIV {
-				advance(o3DivLatency - 1)
+				now += (o3DivLatency - 1) * period
 			} else {
-				advance(o3MulLatency - 1)
+				now += (o3MulLatency - 1) * period
 			}
 		case isa.ClassBranch:
 			if c.bpred.miss(pcBefore, &res) {
 				c.sys.mispred.Inc()
-				advance(o3MispredCost)
+				now += o3MispredCost * period
 				cycleFrac = 0
 			}
 		}
@@ -442,7 +441,7 @@ func (c *core) stepO3() {
 			if lat > o3MissThresh {
 				// A miss: issue it and keep going under the ROB window.
 				if len(c.inflight) >= o3MSHRs {
-					drain(top)
+					c.drainMSHRs(top)
 				}
 				if len(c.inflight) >= o3MSHRs {
 					// Structural stall: wait for the oldest miss.
@@ -458,7 +457,7 @@ func (c *core) stepO3() {
 		if maxIn > top {
 			sinceOldestMiss++
 			if sinceOldestMiss >= o3ROB {
-				drain(top)
+				c.drainMSHRs(top)
 				now = max(now, slices.Min(c.inflight))
 				sinceOldestMiss = 0
 			}
@@ -479,6 +478,17 @@ func (c *core) stepO3() {
 		return
 	}
 	eq.Schedule(now, c.stepFn)
+}
+
+// drainMSHRs drops the misses that completed by top from c.inflight.
+func (c *core) drainMSHRs(top sim.Tick) {
+	live := c.inflight[:0]
+	for _, t := range c.inflight {
+		if t > top {
+			live = append(live, t)
+		}
+	}
+	c.inflight = live
 }
 
 // branchPredictor is an O3 core's per-PC 2-bit saturating counters.
