@@ -43,7 +43,9 @@ test:
 # race runs every test under the race detector. A simulation runs on
 # one goroutine, so in the simulator the shared state is what systems
 # built at once share: the memory pools of internal/sim/mem, which
-# workloads.TestConcurrentRunsMatchSerial exercises from 4 goroutines.
+# workloads.TestConcurrentRunsMatchSerial exercises from 4 goroutines,
+# and the generated-program cache of internal/sim/isa, which
+# isa.TestGenerateConcurrent fills from 8.
 # The service layers (broker, worker, fleet, gateway, store) are where
 # most goroutines meet.
 race:
@@ -88,8 +90,10 @@ chaos:
 # simulation kernel (a self-rescheduling event chain), of the four CPU
 # models (one boot-like program per op, with simulated MIPS, B/op and
 # allocs/op; each op releases its system, so
-# B/op is the recycled figure, ≈5 KB against ≈239 KB when every op
-# allocated its caches and pages), of the store (journal append, 480-document batch commit
+# B/op is the recycled figure, ≈4 KB against ≈239 KB when every op
+# allocated its caches and pages), of 4-core TimingSimpleCPU and O3CPU
+# boots on both Ruby protocols (kernel.BenchmarkMulticoreBoot, one
+# kernel.Boot per op, with simulated MIPS), of the store (journal append, 480-document batch commit
 # with its fsync count, a 2 KiB blob archive with its fsyncs/put — 1 —
 # and creates/put — 0, the blob pack being open — count by plain index
 # vs by scan at 10k documents, the filter matcher), of simcache run-key

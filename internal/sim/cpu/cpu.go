@@ -378,13 +378,12 @@ func (c *core) stepO3() {
 	sinceOldestMiss := 0
 	var cycleFrac uint64 // instructions issued in the current cycle
 
-
 	// c.inflight holds the completion times of the misses issued this
-	// batch, completed ones included until a drain drops them; maxIn is
-	// the latest. A miss is outstanding at an instruction's start top
+	// batch, completed ones included until drainMSHRs drops them; maxIn
+	// is the latest. A miss is outstanding at an instruction's start top
 	// when its time is past top, so "any miss outstanding" is maxIn >
-	// top, and only the MSHR-full check and the ROB-window stall, which
-	// read the outstanding count or minimum, drain.
+	// top. Only the MSHR-full check and the ROB-window stall, which read
+	// the outstanding count or minimum, drain.
 	var maxIn sim.Tick
 
 	for executed < batchInsts {

@@ -2,6 +2,8 @@ package isa
 
 import (
 	"bytes"
+	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -391,5 +393,56 @@ func TestClassification(t *testing.T) {
 	}
 	if (Inst{Op: ADD}).IsMem() || (Inst{Op: ADD}).IsBranch() {
 		t.Error("ADD misclassified")
+	}
+}
+
+// TestGenerateConcurrent fills the program cache from 8 goroutines at
+// once, on specs no other test generates, so that under -race a racy
+// fill shows. Every result must equal a fresh generation, and every
+// caller of one spec must get the same program.
+func TestGenerateConcurrent(t *testing.T) {
+	specs := make([]GenSpec, 4)
+	for i := range specs {
+		specs[i] = GenSpec{Name: "concurrent", Seed: 9100 + int64(i), Iterations: 5,
+			BodyOps: 24, Mix: Mix{Load: 0.3, Store: 0.1, Atomic: 0.1}, FootprintWords: 256, SharedWords: 4}
+	}
+	const goroutines = 8
+	got := make([][]*Program, goroutines)
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for i := range specs {
+				// Half the goroutines walk the specs backwards, so
+				// first fills of one spec meet.
+				if g%2 == 1 {
+					i = len(specs) - 1 - i
+				}
+				got[g] = append(got[g], Generate(specs[i]))
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i, spec := range specs {
+		want := generate(spec)
+		var first *Program
+		for g := range got {
+			p := got[g][i]
+			if g%2 == 1 {
+				p = got[g][len(specs)-1-i]
+			}
+			if !reflect.DeepEqual(p, want) {
+				t.Fatalf("spec %d, goroutine %d: program differs from a fresh generation", i, g)
+			}
+			if first == nil {
+				first = p
+			} else if p != first {
+				t.Errorf("spec %d: goroutines %d and 0 got different programs", i, g)
+			}
+		}
 	}
 }

@@ -1,8 +1,10 @@
 package mem
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -43,8 +45,8 @@ func TestLoadSnapshotRejectsOversizedPageCount(t *testing.T) {
 }
 
 // TestLoadSnapshotDropsCachedPage: a read after LoadSnapshot sees the
-// snapshot's image, not the page the store last cached, and a write
-// after it lands in the new image.
+// snapshot's image, not a page the store held before, and a write after
+// it lands in the new image.
 func TestLoadSnapshotDropsCachedPage(t *testing.T) {
 	src := NewBackingStore()
 	src.WriteWord(0x10000, 42)
@@ -71,6 +73,54 @@ func TestLoadSnapshotDropsCachedPage(t *testing.T) {
 	}
 	if again.ReadWord(0x10000) != 42 || again.ReadWord(0x10008) != 5 {
 		t.Error("a write after LoadSnapshot missed the loaded image")
+	}
+}
+
+// TestSnapshotListsPagesOfBothParts: pages in the page table's slice
+// and in its map, negative ones included, read back, and Snapshot lists
+// them all in ascending key order: the bytes a sorted page map gave.
+func TestSnapshotListsPagesOfBothParts(t *testing.T) {
+	b := NewBackingStore()
+	words := map[int64]int64{}
+	for _, addr := range []int64{lowPages<<12 + 8, 0x10000, -8, -3 << 12, 0x11ff8, lowPages<<12 - 8, 1 << 40} {
+		words[addr] = addr/8 + 1
+		b.WriteWord(addr, addr/8+1)
+	}
+	for addr, v := range words {
+		if got := b.ReadWord(addr); got != v {
+			t.Errorf("word at %#x reads %d, want %d", addr, got, v)
+		}
+	}
+	// The image a map of pages, sorted by key, serializes to.
+	pages := map[int64]*[512]int64{}
+	for addr, v := range words {
+		if pages[addr>>12] == nil {
+			pages[addr>>12] = new([512]int64)
+		}
+		pages[addr>>12][(addr>>3)&511] = v
+	}
+	keys := make([]int64, 0, len(pages))
+	for k := range pages {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	want := binary.LittleEndian.AppendUint64(nil, uint64(len(keys)))
+	for _, k := range keys {
+		want = binary.LittleEndian.AppendUint64(want, uint64(k))
+		for _, w := range pages[k] {
+			want = binary.LittleEndian.AppendUint64(want, uint64(w))
+		}
+	}
+	snap := b.Snapshot()
+	if !bytes.Equal(snap, want) {
+		t.Fatalf("snapshot of %d bytes differs from the sorted page image of %d", len(snap), len(want))
+	}
+	again := NewBackingStore()
+	if err := again.LoadSnapshot(snap); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Snapshot(), snap) {
+		t.Error("snapshot does not survive LoadSnapshot")
 	}
 }
 
