@@ -18,6 +18,9 @@ func (c *Cache) PutCheckpoint(class BootClass, name string, blob []byte) (string
 		return "", fmt.Errorf("simcache: archive checkpoint: %w", err)
 	}
 	key := class.Key()
+	// Checkpoint reads blob_hash and the salt sweep reads salt. The
+	// class fields stay although no code reads them: _id is a hash, and
+	// they are the only readable record of the class it names.
 	doc := database.Doc{
 		"salt":        SimVersionSalt,
 		"blob_hash":   hash,
@@ -25,7 +28,6 @@ func (c *Cache) PutCheckpoint(class BootClass, name string, blob []byte) (string
 		"disk_hash":   class.DiskHash,
 		"cores":       float64(class.Cores),
 		"mem":         class.Mem,
-		"size":        float64(len(blob)),
 	}
 	col := c.db.Collection(CheckpointCollection)
 	if ok, uerr := col.UpdateOne(database.Doc{"_id": key}, doc); uerr != nil || !ok {
