@@ -101,18 +101,30 @@ func reportCmd(w io.Writer, args []string) error {
 	supported := 120 - o3["unsupported"]
 	fmt.Fprintln(w, "## Figure 8 — use case 2 (Linux boot cross product)")
 	fmt.Fprintln(w)
-	fmt.Fprintln(w, "| Claim (paper) | Measured |")
-	fmt.Fprintln(w, "|---|---|")
-	fmt.Fprintf(w, "| 480 runs (5 kernels x 4 CPUs x 3 memory systems x 4 core counts x 2 boot types) | %d cells executed |\n", len(boot.Cells))
-	fmt.Fprintf(w, "| kvmCPU works in all cases | %d/120 success |\n", boot.Counts(cpu.KVM)["success"])
-	fmt.Fprintf(w, "| AtomicSimpleCPU unsupported on Ruby | %d unsupported |\n", boot.Counts(cpu.Atomic)["unsupported"])
-	fmt.Fprintf(w, "| TimingSimpleCPU fails >1 core on Classic only | %d unsupported |\n", boot.Counts(cpu.Timing)["unsupported"])
-	fmt.Fprintf(w, "| O3 ~40%% of runs successful | %d/%d supported runs succeed (%.0f%%) |\n",
+	// The third column says where each outcome comes from: a
+	// configuration check that refuses the cell before simulating, as
+	// gem5 does; the simulation itself; or kernel.Expected's table of
+	// gem5 v20.1 bugs, which assigns every O3-on-Ruby failure.
+	const table = "assigned by the `kernel.Expected` table"
+	fmt.Fprintln(w, "| Claim (paper) | Measured | Outcome comes from |")
+	fmt.Fprintln(w, "|---|---|---|")
+	fmt.Fprintf(w, "| 480 runs (5 kernels x 4 CPUs x 3 memory systems x 4 core counts x 2 boot types) | %d cells executed | — |\n", len(boot.Cells))
+	fmt.Fprintf(w, "| kvmCPU works in all cases | %d/120 success | simulation: a success is a boot that reached its exit within budget |\n", boot.Counts(cpu.KVM)["success"])
+	fmt.Fprintf(w, "| AtomicSimpleCPU unsupported on Ruby | %d unsupported | configuration check: refused before simulating, as gem5 refuses it |\n", boot.Counts(cpu.Atomic)["unsupported"])
+	fmt.Fprintf(w, "| TimingSimpleCPU fails >1 core on Classic only | %d unsupported | configuration check, as above |\n", boot.Counts(cpu.Timing)["unsupported"])
+	fmt.Fprintf(w, "| O3 ~40%% of runs successful | %d/%d supported runs succeed (%.0f%%) | simulation, on the cells the table does not fail |\n",
 		o3["success"], supported, 100*float64(o3["success"])/float64(supported))
-	fmt.Fprintf(w, "| 27 kernel panics | %d |\n", o3["kernel-panic"])
-	fmt.Fprintf(w, "| 11 segmentation faults | %d |\n", o3["sim-crash"])
-	fmt.Fprintf(w, "| 4 \"possible deadlock detected\" (all MI_example) | %d, all MI_example |\n", o3["deadlock"])
-	fmt.Fprintf(w, "| remaining failures time out | %d timeouts |\n", o3["timeout"])
+	fmt.Fprintf(w, "| 27 kernel panics | %d | %s |\n", o3["kernel-panic"], table)
+	fmt.Fprintf(w, "| 11 segmentation faults | %d | %s |\n", o3["sim-crash"], table)
+	fmt.Fprintf(w, "| 4 \"possible deadlock detected\" (all MI_example) | %d, all MI_example | %s |\n", o3["deadlock"], table)
+	fmt.Fprintf(w, "| remaining failures time out | %d timeouts | %s |\n", o3["timeout"], table)
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "Every O3-on-Ruby failure is assigned per cell by `kernel.Expected`, a table of")
+	fmt.Fprintln(w, "the paper's gem5 v20.1 bugs; the models do not produce it. Such a cell still")
+	fmt.Fprintln(w, "simulates the share of its budget its outcome sets (1/4 for a panic, 1/8 for a")
+	fmt.Fprintln(w, "deadlock, 1/16 for a segfault, all of it for a timeout), so its stats are")
+	fmt.Fprintln(w, "measured. The unsupported cells are a faithful table: gem5 also refuses those")
+	fmt.Fprintln(w, "configurations before it simulates.")
 	fmt.Fprintln(w)
 
 	// ---- Use case 3 -------------------------------------------------
