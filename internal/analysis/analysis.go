@@ -1,14 +1,12 @@
 // Package analysis extracts experiment results from the database and
 // renders them — the role Jupyter + Matplotlib play in the paper's
 // workflow (§VI-A: "the database can then be queried... and generate
-// plots to visualize results for further analysis"). Output targets are
-// CSV (for external tools) and ASCII bar charts (for terminals and the
-// benchmark harness).
+// plots to visualize results for further analysis"). The output target
+// is ASCII bar charts, for terminals and the benchmark harness.
 package analysis
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 
@@ -124,36 +122,6 @@ func GroupBy(rows []RunRow, seriesKey, labelKey string, metric func(RunRow) floa
 		out = append(out, s)
 	}
 	return out
-}
-
-// WriteCSV emits header + rows.
-func WriteCSV(w io.Writer, header []string, rows [][]string) error {
-	write := func(fields []string) error {
-		for i, f := range fields {
-			if strings.ContainsAny(f, ",\"\n") {
-				f = `"` + strings.ReplaceAll(f, `"`, `""`) + `"`
-			}
-			if i > 0 {
-				if _, err := io.WriteString(w, ","); err != nil {
-					return err
-				}
-			}
-			if _, err := io.WriteString(w, f); err != nil {
-				return err
-			}
-		}
-		_, err := io.WriteString(w, "\n")
-		return err
-	}
-	if err := write(header); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		if err := write(r); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // BarChart renders grouped horizontal bars: for each label, one bar per

@@ -76,22 +76,6 @@ func TestGroupByAverages(t *testing.T) {
 	}
 }
 
-func TestWriteCSV(t *testing.T) {
-	var sb strings.Builder
-	err := WriteCSV(&sb, []string{"app", "time"}, [][]string{
-		{"dedup", "1.5"},
-		{`quo"ted`, "2,5"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := sb.String()
-	want := "app,time\ndedup,1.5\n\"quo\"\"ted\",\"2,5\"\n"
-	if got != want {
-		t.Fatalf("csv = %q, want %q", got, want)
-	}
-}
-
 func TestBarChart(t *testing.T) {
 	series := []Series{
 		{Name: "18.04", Labels: []string{"dedup", "vips"}, Values: []float64{2, 4}},

@@ -205,26 +205,6 @@ func (r *Registry) Get(id string) (*Artifact, error) {
 	return FromDoc(d), nil
 }
 
-// ByName returns all registered versions of the named artifact, in
-// registration order.
-func (r *Registry) ByName(name string) []*Artifact {
-	var out []*Artifact
-	for _, d := range r.db.Collection(Collection).Find(database.Doc{"name": name}) {
-		out = append(out, FromDoc(d))
-	}
-	return out
-}
-
-// Latest returns the most recently registered version of the named
-// artifact.
-func (r *Registry) Latest(name string) (*Artifact, error) {
-	all := r.ByName(name)
-	if len(all) == 0 {
-		return nil, fmt.Errorf("artifact: no artifact named %q", name)
-	}
-	return all[len(all)-1], nil
-}
-
 // All returns every registered artifact.
 func (r *Registry) All() []*Artifact {
 	var out []*Artifact

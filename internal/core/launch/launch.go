@@ -68,13 +68,6 @@ func (s *Sweep) Points() []map[string]string {
 	}
 }
 
-// Each calls fn for every point.
-func (s *Sweep) Each(fn func(p map[string]string)) {
-	for _, p := range s.Points() {
-		fn(p)
-	}
-}
-
 // Experiment drives a set of runs through a task pool, mirroring the
 // main() of Figure 5.
 type Experiment struct {

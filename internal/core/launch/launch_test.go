@@ -3,6 +3,7 @@ package launch
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 
 	"gem5art/internal/core/artifact"
@@ -58,12 +59,15 @@ func TestEmptySweepHasOnePoint(t *testing.T) {
 	}
 }
 
-func TestSweepEach(t *testing.T) {
-	n := 0
-	NewSweep().Axis("a", "1", "2").Each(func(map[string]string) { n++ })
-	if n != 2 {
-		t.Fatalf("Each visited %d", n)
-	}
+// hackBase converts the shared buildEnv spec into a hack-back spec.
+func hackBase(base run.FSSpec, name string, params ...string) run.FSSpec {
+	spec := base
+	spec.Name = name
+	spec.RunScript = "configs/run_hackback.py"
+	spec.Output = "results/" + name
+	spec.Params = append([]string{"benchmark=boot-exit", "suite=boot-exit",
+		"cpu=TimingSimpleCPU"}, params...)
+	return spec
 }
 
 func buildEnv(t *testing.T) (*artifact.Registry, run.FSSpec) {
@@ -122,7 +126,7 @@ func TestExperimentLaunchesSweep(t *testing.T) {
 	sweep := NewSweep().
 		Axis("cpu", "kvmCPU", "AtomicSimpleCPU").
 		Axis("num_cpus", "1", "2")
-	sweep.Each(func(p map[string]string) {
+	for _, p := range sweep.Points() {
 		spec := base
 		spec.Name = fmt.Sprintf("boot-%s-%s", p["cpu"], p["num_cpus"])
 		spec.Params = []string{
@@ -132,7 +136,7 @@ func TestExperimentLaunchesSweep(t *testing.T) {
 		if _, err := e.LaunchFS(spec); err != nil {
 			t.Errorf("launch %s: %v", spec.Name, err)
 		}
-	})
+	}
 	e.Wait(context.Background())
 
 	if len(e.Runs()) != 4 {
@@ -263,5 +267,46 @@ func TestRecordScript(t *testing.T) {
 	}
 	if b.ID != a.ID {
 		t.Fatal("script registration not idempotent")
+	}
+}
+
+// TestExperimentSharedBootAndCacheSummary: an experiment with a cache
+// boots each class once, and the launch summary reports shared boots
+// and cache hits.
+func TestExperimentSharedBootAndCacheSummary(t *testing.T) {
+	reg, base := buildEnv(t)
+	cache := simcache.New(reg.DB(), simcache.Options{})
+	e := NewExperiment("cached", reg, 1)
+	defer e.Close()
+	e.SetCache(cache)
+
+	if _, err := e.LaunchFS(hackBase(base, "cold-1", "num_cpus=1", "tag=1")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.LaunchFS(hackBase(base, "cold-2", "num_cpus=1", "tag=2")); err != nil {
+		t.Fatal(err)
+	}
+	// Identical params to cold-1: memoized, no simulation at all.
+	if _, err := e.LaunchFS(hackBase(base, "warm-1", "num_cpus=1", "tag=1")); err != nil {
+		t.Fatal(err)
+	}
+	e.Wait(context.Background())
+
+	sum := Summarize(reg.DB())
+	if sum.ByStatus["done"] != 3 || sum.ByOutcome["success"] != 3 {
+		t.Fatalf("summary: %s", sum)
+	}
+	if sum.Cached != 1 {
+		t.Fatalf("cached = %d, want 1 (summary %s)", sum.Cached, sum)
+	}
+	if sum.SharedBoot != 1 {
+		t.Fatalf("shared-boot = %d, want 1 (summary %s)", sum.SharedBoot, sum)
+	}
+	st := cache.Stats()
+	if st.Boots != 1 {
+		t.Fatalf("cache booted %d times, want 1", st.Boots)
+	}
+	if !strings.Contains(sum.String(), "cached=1") || !strings.Contains(sum.String(), "shared-boot=1") {
+		t.Fatalf("summary line: %q", sum.String())
 	}
 }

@@ -47,8 +47,8 @@ func TestCanTransitionTable(t *testing.T) {
 			}
 		}
 	}
-	if !Done.Terminal() || Failed.Terminal() || Running.Terminal() {
-		t.Fatal("Terminal() misclassifies states")
+	if len(validNext[Done]) != 0 || len(validNext[Failed]) == 0 || len(validNext[Running]) == 0 {
+		t.Fatal("validNext: Done must be the only terminal state of Done, Failed and Running")
 	}
 }
 

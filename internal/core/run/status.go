@@ -35,6 +35,3 @@ func (s Status) CanTransition(to Status) error {
 	}
 	return &TransitionError{From: s, To: to}
 }
-
-// Terminal reports whether no further transitions are possible.
-func (s Status) Terminal() bool { return len(validNext[s]) == 0 }

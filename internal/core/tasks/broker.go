@@ -611,13 +611,6 @@ func (b *Broker) dispatch() {
 	}
 }
 
-// PendingCount reports queued (not yet assigned) jobs, for tests.
-func (b *Broker) PendingCount() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.jobs.pending()
-}
-
 // AssignmentState describes one in-flight assignment for the status
 // daemon's broker API.
 type AssignmentState struct {

@@ -39,14 +39,14 @@ func TestBrokerDurablePersistsAcrossRestart(t *testing.T) {
 		b1.Submit(Job{ID: fmt.Sprintf("job-%d", i), Kind: "echo",
 			Payload: json.RawMessage(fmt.Sprintf(`{"n":%d}`, i))})
 	}
-	if n := b1.PendingCount(); n != 10 {
+	if n := b1.State().Pending; n != 10 {
 		t.Fatalf("pending before crash = %d", n)
 	}
 	b1.Kill()
 
 	b2 := durableBroker(t, db, "127.0.0.1:0")
 	defer b2.Close()
-	if n := b2.PendingCount(); n != 10 {
+	if n := b2.State().Pending; n != 10 {
 		t.Fatalf("recovered pending = %d, want 10", n)
 	}
 	var count atomic.Int64
@@ -107,7 +107,7 @@ func TestBrokerDurableDoneResultsReplayIdempotently(t *testing.T) {
 	if count.Load() != 1 {
 		t.Fatalf("handler ran %d times, want 1 (replay must not re-execute)", count.Load())
 	}
-	if n := b2.PendingCount(); n != 0 {
+	if n := b2.State().Pending; n != 0 {
 		t.Fatalf("replay left %d jobs pending", n)
 	}
 }
@@ -120,7 +120,7 @@ func TestBrokerDurableSubmitDeduplicates(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		b.Submit(Job{ID: "same", Kind: "echo"})
 	}
-	if n := b.PendingCount(); n != 1 {
+	if n := b.State().Pending; n != 1 {
 		t.Fatalf("pending = %d, want 1 (duplicate submits must collapse)", n)
 	}
 }
@@ -170,7 +170,7 @@ func TestBrokerDurableInFlightRequeuedAfterCrash(t *testing.T) {
 	// forgiven: the crash hid it.
 	b2 := durableBroker(t, db, "127.0.0.1:0")
 	defer b2.Close()
-	if n := b2.PendingCount(); n != 1 {
+	if n := b2.State().Pending; n != 1 {
 		t.Fatalf("recovered pending = %d, want 1 (in-flight job must requeue)", n)
 	}
 	if n := b2.Executions("stuck"); n != 0 {
@@ -204,7 +204,7 @@ func TestBrokerDurableCloseParksUnfinishedJobs(t *testing.T) {
 	if res, ok := b2.Result("parked"); ok {
 		t.Fatalf("durable Close recorded a terminal result: %+v", res)
 	}
-	if n := b2.PendingCount(); n != 1 {
+	if n := b2.State().Pending; n != 1 {
 		t.Fatalf("parked job not resumed: pending = %d", n)
 	}
 }
@@ -300,7 +300,7 @@ func TestBrokerKillLeavesQueueAsCrashFoundIt(t *testing.T) {
 	if got := brokerQueueDepth.Value(); got != depth {
 		t.Fatalf("queue-depth gauge %v after Kill, want %v", got, depth)
 	}
-	if n := b.PendingCount(); n != 0 {
+	if n := b.State().Pending; n != 0 {
 		t.Fatalf("killed broker holds %d pending jobs", n)
 	}
 }

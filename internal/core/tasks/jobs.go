@@ -289,9 +289,6 @@ func (t *jobTable) result(id string) (JobResult, bool) {
 	return JobResult{}, false
 }
 
-// pending reports how many jobs are queued.
-func (t *jobTable) pending() int { return t.order.Len() }
-
 // held reports how many jobs session s leases.
 func (t *jobTable) held(s session) int { return t.load[s] }
 

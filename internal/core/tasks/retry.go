@@ -24,10 +24,6 @@ type RetryPolicy struct {
 	Multiplier  float64       // exponential growth factor (default 2)
 	Jitter      float64       // fraction of the delay added as jitter, 0..1
 	Seed        int64         // jitter seed; the same seed yields the same schedule
-
-	// Classify reports whether an error is worth retrying. Nil means
-	// DefaultRetryable.
-	Classify func(error) bool
 }
 
 // DefaultRetryPolicy is a sensible starting point: three attempts with
@@ -82,14 +78,8 @@ func (p RetryPolicy) Backoff(retry int) time.Duration {
 	return cap
 }
 
-// Retryable classifies an error under this policy.
+// Retryable classifies an error under this policy: DefaultRetryable.
 func (p RetryPolicy) Retryable(err error) bool {
-	if err == nil {
-		return false
-	}
-	if p.Classify != nil {
-		return p.Classify(err)
-	}
 	return DefaultRetryable(err)
 }
 

@@ -23,6 +23,3 @@ type Map struct {
 	// Shards lists every shard's current primary, indexed by ring slot.
 	Shards []Info `json:"shards"`
 }
-
-// Ring rebuilds the consistent-hash ring this map routes over.
-func (m Map) Ring() *Ring { return NewRing(len(m.Shards), m.VNodes) }

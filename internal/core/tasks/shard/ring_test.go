@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"encoding/json"
 	"fmt"
 	"testing"
 )
@@ -60,9 +61,18 @@ func TestRingSingleShard(t *testing.T) {
 	}
 }
 
+// TestMapRingRoundTrip: a map decoded from its JSON carries what a
+// client needs to rebuild the fleet's ring.
 func TestMapRingRoundTrip(t *testing.T) {
-	m := Map{Epoch: 3, VNodes: 32, Shards: []Info{{Index: 0}, {Index: 1}, {Index: 2}}}
-	local, remote := NewRing(3, 32), m.Ring()
+	data, err := json.Marshal(Map{Epoch: 3, VNodes: 32, Shards: []Info{{Index: 0}, {Index: 1}, {Index: 2}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m Map
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	local, remote := NewRing(3, 32), NewRing(len(m.Shards), m.VNodes)
 	for i := 0; i < 500; i++ {
 		key := fmt.Sprintf("job-%d", i)
 		if local.Owner(key) != remote.Owner(key) {

@@ -319,7 +319,7 @@ func TestBrokerQueuesBeyondCapacity(t *testing.T) {
 		b.Submit(Job{ID: fmt.Sprintf("j%d", i), Kind: "wait"})
 	}
 	time.Sleep(50 * time.Millisecond)
-	if n := b.PendingCount(); n != 4 {
+	if n := b.State().Pending; n != 4 {
 		t.Fatalf("pending = %d, want 4 (capacity 2 in flight)", n)
 	}
 	close(release)

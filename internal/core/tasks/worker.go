@@ -103,10 +103,9 @@ type Worker struct {
 	active  map[string]*workerJob
 	closing bool
 
-	wg         sync.WaitGroup
-	stop       chan struct{}
-	done       chan struct{}
-	reconnects int
+	wg   sync.WaitGroup
+	stop chan struct{}
+	done chan struct{}
 }
 
 // NewWorker connects to the broker at addr with the given parallel
@@ -156,14 +155,6 @@ func NewWorkerWithOptions(addr string, opts WorkerOptions) (*Worker, error) {
 // the connection dropped with reconnect disabled, or the reconnect
 // policy ran out of attempts.
 func (w *Worker) Done() <-chan struct{} { return w.done }
-
-// Reconnects reports how many times this worker has re-established its
-// broker session.
-func (w *Worker) Reconnects() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.reconnects
-}
 
 // installSession swaps the live connection and greets the broker. The
 // swap and the hello share one encMu critical section so the
@@ -243,9 +234,6 @@ func (w *Worker) redial() net.Conn {
 			_ = conn.Close()
 			continue
 		}
-		w.mu.Lock()
-		w.reconnects++
-		w.mu.Unlock()
 		return conn
 	}
 }

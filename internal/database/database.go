@@ -41,7 +41,6 @@ type (
 	FileStore    = storage.FileStore
 	FileMeta     = storage.FileMeta
 	ErrDuplicate = storage.ErrDuplicate
-	FindOptions  = storage.FindOptions
 	Aggregate    = storage.Aggregate
 )
 
@@ -453,11 +452,6 @@ func (c *collection) Count(filter Doc) int {
 	return n
 }
 
-// FindWith returns matching documents refined by opts.
-func (c *collection) FindWith(filter Doc, opts FindOptions) []Doc {
-	return storage.ApplyFindOptions(c.Find(filter), opts)
-}
-
 // AggregateKey summarizes the numeric values of key over matching
 // documents without copying them.
 func (c *collection) AggregateKey(filter Doc, key string) Aggregate {
@@ -599,31 +593,6 @@ func (c *collection) DeleteMany(filter Doc) int {
 	c.docs = kept
 	c.rebuildIndexesLocked()
 	return len(removedIDs)
-}
-
-// Distinct returns the distinct values of key across matching
-// documents, in first-seen order. Values are deep-copied.
-func (c *collection) Distinct(key string, filter Doc) []any {
-	defer observeOp("distinct", time.Now())
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	var out []any
-	seen := make(map[string]bool)
-	for _, d := range c.docs {
-		if !storage.Matches(d, filter) {
-			continue
-		}
-		v, ok := storage.Lookup(d, key)
-		if !ok {
-			continue
-		}
-		k := fmt.Sprintf("%T:%v", v, v)
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, storage.CloneValue(v))
-		}
-	}
-	return out
 }
 
 // bumpNextID advances the id counter past a loaded document's

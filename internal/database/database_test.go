@@ -203,23 +203,6 @@ func TestDeleteMany(t *testing.T) {
 	}
 }
 
-func TestDistinct(t *testing.T) {
-	db := MustOpen("")
-	c := db.Collection("runs")
-	for _, cpu := range []string{"kvm", "timing", "kvm", "o3", "timing"} {
-		if _, err := c.InsertOne(Doc{"cpu": cpu}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := c.Distinct("cpu", nil)
-	if len(got) != 3 {
-		t.Fatalf("Distinct = %v, want 3 values", got)
-	}
-	if got[0] != "kvm" || got[1] != "timing" || got[2] != "o3" {
-		t.Fatalf("Distinct order = %v, want first-seen order", got)
-	}
-}
-
 func TestNumericCrossTypeEquality(t *testing.T) {
 	db := MustOpen("")
 	c := db.Collection("x")

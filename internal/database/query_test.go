@@ -1,11 +1,6 @@
 package database
 
-import (
-	"testing"
-	"testing/quick"
-
-	"gem5art/internal/database/storage"
-)
+import "testing"
 
 func seeded(t *testing.T) Collection {
 	t.Helper()
@@ -23,67 +18,6 @@ func seeded(t *testing.T) Collection {
 	return c
 }
 
-func TestFindWithSort(t *testing.T) {
-	c := seeded(t)
-	asc := c.FindWith(nil, FindOptions{SortBy: "seconds"})
-	if len(asc) != 4 {
-		t.Fatalf("%d docs", len(asc))
-	}
-	if asc[0]["app"] != "vips" || asc[1]["app"] != "ferret" || asc[2]["app"] != "dedup" {
-		t.Fatalf("ascending order: %v %v %v", asc[0]["app"], asc[1]["app"], asc[2]["app"])
-	}
-	if asc[3]["app"] != "noval" {
-		t.Fatal("missing key should sort last ascending")
-	}
-	desc := c.FindWith(nil, FindOptions{SortBy: "seconds", Descending: true})
-	if desc[0]["app"] != "noval" && desc[0]["app"] != "dedup" {
-		// Missing-first is acceptable descending; the numeric head must
-		// still be dedup among valued docs.
-		t.Fatalf("descending head: %v", desc[0]["app"])
-	}
-}
-
-func TestFindWithSortDottedKey(t *testing.T) {
-	c := seeded(t)
-	docs := c.FindWith(Doc{"seconds": Doc{"$exists": true}},
-		FindOptions{SortBy: "cpu.model"})
-	if docs[0]["app"] != "vips" { // "o3" < "timing"
-		t.Fatalf("dotted sort head: %v", docs[0]["app"])
-	}
-}
-
-func TestFindWithSkipLimit(t *testing.T) {
-	c := seeded(t)
-	page := c.FindWith(nil, FindOptions{SortBy: "seconds", Skip: 1, Limit: 2})
-	if len(page) != 2 {
-		t.Fatalf("page size %d", len(page))
-	}
-	if page[0]["app"] != "ferret" {
-		t.Fatalf("page head: %v", page[0]["app"])
-	}
-	if got := c.FindWith(nil, FindOptions{Skip: 100}); got != nil {
-		t.Fatal("skip past end should return nil")
-	}
-}
-
-func TestFindWithProjection(t *testing.T) {
-	c := seeded(t)
-	docs := c.FindWith(Doc{"app": "dedup"}, FindOptions{Fields: []string{"seconds", "cpu.model"}})
-	if len(docs) != 1 {
-		t.Fatalf("%d docs", len(docs))
-	}
-	d := docs[0]
-	if _, ok := d["app"]; ok {
-		t.Fatal("projection leaked unrequested field")
-	}
-	if d["seconds"] != 3.0 || d["cpu.model"] != "timing" {
-		t.Fatalf("projected: %v", d)
-	}
-	if _, ok := d["_id"]; !ok {
-		t.Fatal("projection dropped _id")
-	}
-}
-
 func TestAggregateKey(t *testing.T) {
 	c := seeded(t)
 	agg := c.AggregateKey(nil, "seconds")
@@ -96,33 +30,5 @@ func TestAggregateKey(t *testing.T) {
 	empty := c.AggregateKey(Doc{"app": "nothere"}, "seconds")
 	if empty.Count != 0 || empty.Mean() != 0 {
 		t.Fatalf("empty aggregate: %+v", empty)
-	}
-}
-
-// Property: FindWith sorting never loses or duplicates documents.
-func TestFindWithSortPreservesSetProperty(t *testing.T) {
-	f := func(vals []int16) bool {
-		db := MustOpen("")
-		c := db.Collection("x")
-		for _, v := range vals {
-			if _, err := c.InsertOne(Doc{"v": int(v)}); err != nil {
-				return false
-			}
-		}
-		sorted := c.FindWith(nil, FindOptions{SortBy: "v"})
-		if len(sorted) != len(vals) {
-			return false
-		}
-		for i := 1; i < len(sorted); i++ {
-			a, _ := storage.ToFloat(sorted[i-1]["v"])
-			b, _ := storage.ToFloat(sorted[i]["v"])
-			if a > b {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
 	}
 }

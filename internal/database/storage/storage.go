@@ -8,7 +8,7 @@
 //
 // The package also owns the pieces of the contract that must behave
 // identically across engines: the document type, the filter semantics
-// (Matches), query refinement (FindOptions), and deep-copy helpers that
+// (Matches), numeric aggregation (Aggregate), and deep-copy helpers that
 // keep stored documents isolated from caller-held ones.
 package storage
 
@@ -66,8 +66,6 @@ type Collection interface {
 	Find(filter Doc) []Doc
 	// FindOne returns the first matching document, or nil.
 	FindOne(filter Doc) Doc
-	// FindWith returns matching documents refined by opts.
-	FindWith(filter Doc, opts FindOptions) []Doc
 	// Count returns the number of matching documents.
 	Count(filter Doc) int
 	// UpdateOne merges a deep copy of set into the first document
@@ -79,9 +77,6 @@ type Collection interface {
 	// DeleteMany removes all matching documents and returns how many
 	// were removed.
 	DeleteMany(filter Doc) int
-	// Distinct returns the distinct values of key across matching
-	// documents, in first-seen order.
-	Distinct(key string, filter Doc) []any
 	// AggregateKey summarizes the numeric values of key over matching
 	// documents; non-numeric and missing values are skipped.
 	AggregateKey(filter Doc, key string) Aggregate

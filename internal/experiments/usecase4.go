@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"gem5art/internal/analysis"
 	"gem5art/internal/core/run"
@@ -89,13 +88,6 @@ func (s *EnergyStudy) JoulesChart() string {
 func (s *EnergyStudy) EDPChart() string {
 	return analysis.BarChart("Use case 4: boot EDP (J*s) by OS version x CPU model",
 		analysis.GroupBy(s.Rows, "cpu", "kernel", analysis.MetricEDP), 40)
-}
-
-// CSV renders the study's energy columns for external tools.
-func (s *EnergyStudy) CSV() string {
-	var sb strings.Builder
-	_ = analysis.EnergyCSV(&sb, s.Rows, "kernel", "cpu")
-	return sb.String()
 }
 
 // Summary reports the cheapest and most expensive cells by energy.

@@ -185,13 +185,6 @@ func (c *NetChaos) takeConns() []*ChaosConn {
 	return out
 }
 
-// ActiveConns reports the live wrapped connections.
-func (c *NetChaos) ActiveConns() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.conns)
-}
-
 // Events returns the network faults fired so far, in firing order.
 func (c *NetChaos) Events() []NetEvent {
 	c.mu.Lock()

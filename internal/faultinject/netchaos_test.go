@@ -165,8 +165,11 @@ func TestNetChaosPartitionAndHeal(t *testing.T) {
 	if _, err := conn2.Write([]byte("back\n")); err != nil {
 		t.Fatalf("write after heal: %v", err)
 	}
-	if chaos.ActiveConns() != 1 {
-		t.Fatalf("active conns = %d, want 1", chaos.ActiveConns())
+	chaos.mu.Lock()
+	active := len(chaos.conns)
+	chaos.mu.Unlock()
+	if active != 1 {
+		t.Fatalf("active conns = %d, want 1", active)
 	}
 }
 

@@ -76,10 +76,6 @@ func New(cfg *Config, ctrl *Controller, backend Backend, store storage.Store, ne
 	return g
 }
 
-// Controller exposes the admission controller, for wiring into
-// tasks.BrokerOptions.Admission or shard.Options.Admission.
-func (g *Gateway) Controller() *Controller { return g.ctrl }
-
 // Reload swaps in a new tenant/quota config atomically. In-flight
 // requests finish against the old snapshot; parked queues and in-flight
 // accounting survive. This is the SIGHUP path.

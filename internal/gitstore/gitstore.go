@@ -23,25 +23,23 @@ import (
 // Tree is a snapshot of a repository's files: path -> content.
 type Tree map[string][]byte
 
-// Commit is one recorded state of a repository.
-type Commit struct {
-	Hash    string // revision hash (hex SHA-1 over the tree and metadata)
-	Message string
-	Parent  string // hash of the previous commit, "" for the root
-	tree    Tree
+// commit is one recorded state of a repository.
+type commit struct {
+	hash string // revision hash (hex SHA-1 over the tree and metadata)
+	tree Tree
 }
 
 // Repo is a versioned tree of files identified by a URL.
 type Repo struct {
-	mu      sync.RWMutex
-	url     string
-	commits []*Commit          // in commit order
-	byHash  map[string]*Commit // hash -> commit
+	mu     sync.RWMutex
+	url    string
+	head   *commit            // the latest commit, nil when empty
+	byHash map[string]*commit // hash -> commit
 }
 
 // NewRepo creates an empty repository with the given origin URL.
 func NewRepo(url string) *Repo {
-	return &Repo{url: url, byHash: make(map[string]*Commit)}
+	return &Repo{url: url, byHash: make(map[string]*commit)}
 }
 
 // URL returns the repository's origin URL.
@@ -53,29 +51,14 @@ func (r *Repo) Commit(tree Tree, message string) string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	parent := ""
-	if len(r.commits) > 0 {
-		parent = r.commits[len(r.commits)-1].Hash
+	if r.head != nil {
+		parent = r.head.hash
 	}
-	c := &Commit{
-		Message: message,
-		Parent:  parent,
-		tree:    copyTree(tree),
-	}
-	c.Hash = hashCommit(r.url, parent, message, c.tree)
-	r.commits = append(r.commits, c)
-	r.byHash[c.Hash] = c
-	return c.Hash
-}
-
-// Head returns the hash of the latest commit, or "" if the repository is
-// empty.
-func (r *Repo) Head() string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if len(r.commits) == 0 {
-		return ""
-	}
-	return r.commits[len(r.commits)-1].Hash
+	c := &commit{tree: copyTree(tree)}
+	c.hash = hashCommit(r.url, parent, message, c.tree)
+	r.head = c
+	r.byHash[c.hash] = c
+	return c.hash
 }
 
 // Checkout returns a deep copy of the tree at the given revision. The
@@ -97,18 +80,7 @@ func (r *Repo) RevParse(rev string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return c.Hash, nil
-}
-
-// Log returns all commits, oldest first.
-func (r *Repo) Log() []Commit {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]Commit, len(r.commits))
-	for i, c := range r.commits {
-		out[i] = Commit{Hash: c.Hash, Message: c.Message, Parent: c.Parent}
-	}
-	return out
+	return c.hash, nil
 }
 
 // ReadFile returns the content of one file at a revision.
@@ -128,19 +100,19 @@ func (r *Repo) ReadFile(rev, path string) ([]byte, error) {
 	return out, nil
 }
 
-func (r *Repo) resolve(rev string) (*Commit, error) {
+func (r *Repo) resolve(rev string) (*commit, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	if rev == "" || rev == "HEAD" {
-		if len(r.commits) == 0 {
+		if r.head == nil {
 			return nil, fmt.Errorf("gitstore: %s: empty repository", r.url)
 		}
-		return r.commits[len(r.commits)-1], nil
+		return r.head, nil
 	}
 	if c, ok := r.byHash[rev]; ok {
 		return c, nil
 	}
-	var found *Commit
+	var found *commit
 	for h, c := range r.byHash {
 		if strings.HasPrefix(h, rev) {
 			if found != nil {

@@ -24,8 +24,8 @@ func TestCommitAndCheckout(t *testing.T) {
 	if _, ok := tree1["README"]; ok {
 		t.Fatal("old revision contains a file added later")
 	}
-	if r.Head() != h2 {
-		t.Fatalf("Head = %s, want %s", r.Head(), h2)
+	if head, err := r.RevParse("HEAD"); err != nil || head != h2 {
+		t.Fatalf("HEAD = %s (%v), want %s", head, err, h2)
 	}
 }
 
@@ -93,19 +93,17 @@ func TestHeadRevisionKeywords(t *testing.T) {
 	}
 }
 
+// TestLogLinksParents: the history links each commit to its parent:
+// a revision hash covers its parent's hash.
 func TestLogLinksParents(t *testing.T) {
 	r := NewRepo("u")
 	h1 := r.Commit(Tree{"f": []byte("1")}, "first")
 	h2 := r.Commit(Tree{"f": []byte("2")}, "second")
-	log := r.Log()
-	if len(log) != 2 {
-		t.Fatalf("log has %d entries", len(log))
+	if want := hashCommit("u", "", "first", Tree{"f": []byte("1")}); h1 != want {
+		t.Fatalf("root commit %s, want %s", h1, want)
 	}
-	if log[0].Hash != h1 || log[0].Parent != "" {
-		t.Fatalf("root commit: %+v", log[0])
-	}
-	if log[1].Hash != h2 || log[1].Parent != h1 {
-		t.Fatalf("second commit: %+v", log[1])
+	if want := hashCommit("u", h1, "second", Tree{"f": []byte("2")}); h2 != want {
+		t.Fatalf("second commit %s, want %s (parent %s)", h2, want, h1)
 	}
 }
 

@@ -7,13 +7,10 @@ import "fmt"
 // store, which is the standard trick for trace- and timing-driven cache
 // models.
 type cache struct {
-	setMask   uint64 // set count - 1
-	ways      int
-	lines     []cacheLine // sets × ways
-	lruClock  uint64
-	hits      uint64
-	misses    uint64
-	evictions uint64
+	setMask  uint64 // set count - 1
+	ways     int
+	lines    []cacheLine // sets × ways
+	lruClock uint64
 }
 
 // LineState is the coherence state of a cached line. Classic caches use
@@ -93,10 +90,9 @@ func (c *cache) set(addr int64) []cacheLine {
 	return c.lines[idx*c.ways : (idx+1)*c.ways]
 }
 
-// find returns the line holding addr, updating LRU order and the hit
-// count, or on a miss nil and the way insert would fill: a miss followed
-// by fill, with nothing touching the cache in between, scans the set
-// once.
+// find returns the line holding addr, updating LRU order, or on a miss
+// nil and the way insert would fill: a miss followed by fill, with
+// nothing touching the cache in between, scans the set once.
 func (c *cache) find(addr int64) (hit, way *cacheLine) {
 	tag := lineAddr(addr)
 	set := c.set(addr)
@@ -106,19 +102,17 @@ func (c *cache) find(addr int64) (hit, way *cacheLine) {
 		if l.holds(tag) {
 			c.lruClock++
 			l.lru = c.lruClock
-			c.hits++
 			return l, nil
 		}
 		if l.lru < way.lru {
 			way = l
 		}
 	}
-	c.misses++
 	return nil, way
 }
 
-// peek is find's hit without touching hit/miss counters or LRU — used by
-// directory probes of remote caches.
+// peek is find's hit without touching LRU order — used by directory
+// probes of remote caches.
 func (c *cache) peek(addr int64) *cacheLine {
 	tag := lineAddr(addr)
 	set := c.set(addr)
@@ -151,7 +145,6 @@ func (c *cache) insert(addr int64, st LineState) (victimTag int64, victimState L
 func (c *cache) fill(way *cacheLine, addr int64, st LineState) (victimTag int64, victimState LineState) {
 	if victimState = way.state(); victimState != Invalid {
 		victimTag = way.tag()
-		c.evictions++
 	}
 	c.lruClock++
 	*way = cacheLine{tagState: lineAddr(addr) | int64(st), lru: c.lruClock}

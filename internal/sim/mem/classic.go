@@ -143,11 +143,7 @@ func (c *Classic) backsideAccess(now sim.Tick, addr int64) sim.Tick {
 	doneAt := c.dram.Access(now+lat, addr)
 	c.dramReqs.Inc()
 	lat = doneAt - now
-	if _, vs := c.l2.fill(way, addr, Shared); vs == Modified {
-		// Dirty victim writeback occupies the channel but the CPU
-		// does not wait for it.
-		c.dram.Access(doneAt, addr)
-	}
+	c.l2.fill(way, addr, Shared) // L2 lines are never dirty: no writeback
 	if c.prefetch {
 		next := lineAddr(addr) + LineBytes
 		if c.l2.peek(next) == nil {

@@ -151,18 +151,15 @@ func TestBackingStoreProperty(t *testing.T) {
 
 func TestCacheHitAfterInsert(t *testing.T) {
 	c := newCache(1024, 2) // 8 sets x 2 ways
-	if hit, _ := c.find(0x1000); hit != nil {
-		t.Fatal("hit in empty cache")
+	if hit, way := c.find(0x1000); hit != nil || way == nil {
+		t.Fatalf("empty cache: find = %v, %v; want a miss with a way to fill", hit, way)
 	}
 	c.insert(0x1000, Shared)
-	if hit, _ := c.find(0x1000); hit == nil {
-		t.Fatal("miss after insert")
+	if hit, way := c.find(0x1000); hit == nil || way != nil {
+		t.Fatalf("after insert: find = %v, %v; want a hit", hit, way)
 	}
-	if hit, _ := c.find(0x1008); hit == nil {
-		t.Fatal("same line, different word missed")
-	}
-	if c.hits != 2 || c.misses != 1 {
-		t.Fatalf("hits=%d misses=%d", c.hits, c.misses)
+	if hit, _ := c.find(0x1008); hit == nil || hit.tag() != 0x1000 || hit.state() != Shared {
+		t.Fatalf("same line, different word: find = %+v", hit)
 	}
 }
 
@@ -287,8 +284,8 @@ func TestRubyMESIReadSharing(t *testing.T) {
 	if l0 != r.l1HitLat || l1 != r.l1HitLat {
 		t.Fatalf("shared readers should hit locally: %d, %d", l0, l1)
 	}
-	if r.Invalidations() != 0 {
-		t.Fatalf("MESI read sharing caused %v invalidations", r.Invalidations())
+	if r.invals.Value() != 0 {
+		t.Fatalf("MESI read sharing caused %v invalidations", r.invals.Value())
 	}
 }
 
@@ -301,9 +298,9 @@ func TestRubyMIExamplePingPong(t *testing.T) {
 			mesi.Access(0, Request{Addr: 0x10000, Type: Read, Core: core})
 		}
 	}
-	if mi.Invalidations() <= mesi.Invalidations() {
+	if mi.invals.Value() <= mesi.invals.Value() {
 		t.Fatalf("MI_example (%v invals) should thrash more than MESI (%v) on shared reads",
-			mi.Invalidations(), mesi.Invalidations())
+			mi.invals.Value(), mesi.invals.Value())
 	}
 }
 
@@ -312,11 +309,11 @@ func TestRubyWriteInvalidatesSharers(t *testing.T) {
 	for core := 0; core < 4; core++ {
 		r.Access(0, Request{Addr: 0x10000, Type: Read, Core: core})
 	}
-	before := r.Invalidations()
+	before := r.invals.Value()
 	r.Access(0, Request{Addr: 0x10000, Type: Write, Core: 0})
-	if r.Invalidations()-before != 3 {
+	if r.invals.Value()-before != 3 {
 		t.Fatalf("write to 4-way shared line sent %v invalidations, want 3",
-			r.Invalidations()-before)
+			r.invals.Value()-before)
 	}
 	// Other cores must now miss.
 	for core := 1; core < 4; core++ {
@@ -366,7 +363,7 @@ func TestRubyExclusiveSilentUpgrade(t *testing.T) {
 	if lat != r.l1HitLat {
 		t.Fatalf("E->M upgrade paid directory latency: %d", lat)
 	}
-	if r.Invalidations() != 0 {
+	if r.invals.Value() != 0 {
 		t.Fatal("silent upgrade sent invalidations")
 	}
 }
@@ -379,8 +376,8 @@ func TestRubySharedUpgradePaysDirectory(t *testing.T) {
 	if lat <= r.l1HitLat {
 		t.Fatalf("S->M upgrade was free: %d", lat)
 	}
-	if r.Invalidations() != 1 {
-		t.Fatalf("upgrade sent %v invalidations, want 1", r.Invalidations())
+	if r.invals.Value() != 1 {
+		t.Fatalf("upgrade sent %v invalidations, want 1", r.invals.Value())
 	}
 }
 

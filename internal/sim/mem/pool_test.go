@@ -46,13 +46,13 @@ func parts(s System) (caches []*cache, dir []*dirPage, pages []*[512]int64) {
 }
 
 // checkClean fails t unless every line is Invalid with no tag or LRU
-// stamp, every counter 0, every word 0 and every directory entry has
+// stamp, every LRU clock 0, every word 0 and every directory entry has
 // owner -1 and no sharers.
 func checkClean(t *testing.T, what string, caches []*cache, dir []*dirPage, pages []*[512]int64) {
 	t.Helper()
 	for i, c := range caches {
-		if c.lruClock != 0 || c.hits != 0 || c.misses != 0 || c.evictions != 0 {
-			t.Errorf("%s: cache %d keeps counters %+v", what, i, *c)
+		if c.lruClock != 0 {
+			t.Errorf("%s: cache %d keeps LRU clock %d", what, i, c.lruClock)
 		}
 		for j, l := range c.lines {
 			if l != (cacheLine{}) {

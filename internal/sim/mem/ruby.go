@@ -230,9 +230,7 @@ func (r *Ruby) l2Fill(now sim.Tick, line int64, sofar sim.Tick) sim.Tick {
 	}
 	doneAt := r.dram.Access(now+sofar, line)
 	r.memReads.Inc()
-	if victimTag, vs := r.l2.fill(way, line, Shared); vs == Modified {
-		r.dram.Access(doneAt, victimTag)
-	}
+	r.l2.fill(way, line, Shared) // L2 lines are never dirty: no writeback
 	return doneAt - (now + sofar)
 }
 
@@ -251,7 +249,3 @@ func (r *Ruby) evictNotify(now sim.Tick, core int, line int64, st LineState) {
 		}
 	}
 }
-
-// Invalidations returns the invalidation count — the signature difference
-// between MI_example and MESI_Two_Level on shared-read workloads.
-func (r *Ruby) Invalidations() float64 { return r.invals.Value() }

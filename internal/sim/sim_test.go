@@ -194,26 +194,8 @@ func TestVector(t *testing.T) {
 	v := g.Vector("committedInsts", "per-core instructions", 4)
 	v.Add(0, 10)
 	v.Add(3, 5)
-	if v.At(0) != 10 || v.At(3) != 5 || v.Value() != 15 || v.Len() != 4 {
+	if v.vs[0] != 10 || v.vs[3] != 5 || v.Value() != 15 || v.Len() != 4 {
 		t.Fatalf("vector state wrong: %v total %v", v, v.Value())
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram("latency", "miss latency", 0, 10, 5)
-	for _, s := range []float64{1, 11, 12, 49, 1000} {
-		h.Sample(s)
-	}
-	if h.Samples() != 5 {
-		t.Fatalf("samples = %v", h.Samples())
-	}
-	wantMean := (1.0 + 11 + 12 + 49 + 1000) / 5
-	if h.Mean() != wantMean {
-		t.Fatalf("mean = %v, want %v", h.Mean(), wantMean)
-	}
-	lines := strings.Join(h.Render(), "\n")
-	if !strings.Contains(lines, "latency::samples") {
-		t.Fatal("render missing samples line")
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 // Stat is any named statistic that can render itself.
 type Stat interface {
 	StatName() string
-	Desc() string
 	Value() float64
 	Render() []string // lines in stats.txt format
 }
@@ -40,9 +39,6 @@ func (s *Scalar) Set(v float64) { s.v = v }
 // StatName implements Stat.
 func (s *Scalar) StatName() string { return s.name }
 
-// Desc implements Stat.
-func (s *Scalar) Desc() string { return s.desc }
-
 // Value implements Stat.
 func (s *Scalar) Value() float64 { return s.v }
 
@@ -66,17 +62,11 @@ func NewVector(name, desc string, n int) *Vector {
 // Add adds delta to entry i.
 func (v *Vector) Add(i int, delta float64) { v.vs[i] += delta }
 
-// At returns entry i.
-func (v *Vector) At(i int) float64 { return v.vs[i] }
-
 // Len returns the number of entries.
 func (v *Vector) Len() int { return len(v.vs) }
 
 // StatName implements Stat.
 func (v *Vector) StatName() string { return v.name }
-
-// Desc implements Stat.
-func (v *Vector) Desc() string { return v.desc }
 
 // Value implements Stat; for a vector it is the total.
 func (v *Vector) Value() float64 {
@@ -98,77 +88,6 @@ func (v *Vector) Render() []string {
 	return out
 }
 
-// Histogram buckets samples into fixed-width bins plus an overflow bin.
-type Histogram struct {
-	name    string
-	desc    string
-	min     float64
-	width   float64
-	buckets []float64
-	samples float64
-	sum     float64
-}
-
-// NewHistogram creates a histogram with nbuckets bins of the given width
-// starting at min; samples beyond the last bin land in an overflow bucket.
-func NewHistogram(name, desc string, min, width float64, nbuckets int) *Histogram {
-	return &Histogram{name: name, desc: desc, min: min, width: width,
-		buckets: make([]float64, nbuckets+1)}
-}
-
-// Sample records one observation.
-func (h *Histogram) Sample(v float64) {
-	h.samples++
-	h.sum += v
-	idx := int((v - h.min) / h.width)
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(h.buckets)-1 {
-		idx = len(h.buckets) - 1
-	}
-	h.buckets[idx]++
-}
-
-// Mean returns the mean of all samples (0 when empty).
-func (h *Histogram) Mean() float64 {
-	if h.samples == 0 {
-		return 0
-	}
-	return h.sum / h.samples
-}
-
-// Samples returns the number of observations.
-func (h *Histogram) Samples() float64 { return h.samples }
-
-// StatName implements Stat.
-func (h *Histogram) StatName() string { return h.name }
-
-// Desc implements Stat.
-func (h *Histogram) Desc() string { return h.desc }
-
-// Value implements Stat; for a histogram it is the mean.
-func (h *Histogram) Value() float64 { return h.Mean() }
-
-// Render implements Stat.
-func (h *Histogram) Render() []string {
-	out := []string{
-		fmt.Sprintf("%-50s %20.6f  # %s (samples)", h.name+"::samples", h.samples, h.desc),
-		fmt.Sprintf("%-50s %20.6f  # %s (mean)", h.name+"::mean", h.Mean(), h.desc),
-	}
-	for i, b := range h.buckets {
-		// Rounding the product forbids a fused multiply-add, so the
-		// labels read the same on every GOARCH.
-		lo := h.min + float64(float64(i)*h.width)
-		label := fmt.Sprintf("%s::%g-%g", h.name, lo, lo+h.width)
-		if i == len(h.buckets)-1 {
-			label = fmt.Sprintf("%s::%g+", h.name, lo)
-		}
-		out = append(out, fmt.Sprintf("%-50s %20.6f  # %s", label, b, h.desc))
-	}
-	return out
-}
-
 // Formula is a statistic computed from others at dump time (e.g., IPC =
 // instructions / cycles).
 type Formula struct {
@@ -184,9 +103,6 @@ func NewFormula(name, desc string, fn func() float64) *Formula {
 
 // StatName implements Stat.
 func (f *Formula) StatName() string { return f.name }
-
-// Desc implements Stat.
-func (f *Formula) Desc() string { return f.desc }
 
 // Value implements Stat.
 func (f *Formula) Value() float64 { return f.fn() }
@@ -236,13 +152,6 @@ func (g *StatGroup) Formula(name, desc string, fn func() float64) *Formula {
 	f := NewFormula(name, desc, fn)
 	g.Register(f)
 	return f
-}
-
-// Histogram is a convenience that creates and registers a histogram.
-func (g *StatGroup) Histogram(name, desc string, min, width float64, n int) *Histogram {
-	h := NewHistogram(name, desc, min, width, n)
-	g.Register(h)
-	return h
 }
 
 // Lookup returns the named statistic, or nil.

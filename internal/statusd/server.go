@@ -54,9 +54,7 @@ type Server struct {
 	// SSEWriteTimeout bounds each SSE write; a client that cannot keep
 	// up is dropped instead of wedging the stream goroutine (default 5s).
 	SSEWriteTimeout time.Duration
-	// Client performs front-tier fan-out requests (default: 2s timeout).
-	Client *http.Client
-	Start  time.Time
+	Start           time.Time
 
 	// stop ends long-lived handlers (the SSE stream) during graceful
 	// shutdown. Lazily initialized so struct-literal construction — the
@@ -277,19 +275,11 @@ func str(v any) string {
 	return s
 }
 
-// fanClient returns the HTTP client used for front-tier fan-out.
-func (s *Server) fanClient() *http.Client {
-	if s.Client != nil {
-		return s.Client
-	}
-	return &http.Client{Timeout: 2 * time.Second}
-}
-
 // fanout GETs path on every configured shard backend. Unreachable (or
 // non-200) backends land in failed rather than aborting the whole
 // aggregation — partial answers degrade, they don't disappear.
 func (s *Server) fanout(path string) (bodies []json.RawMessage, failed []string) {
-	client := s.fanClient()
+	client := &http.Client{Timeout: 2 * time.Second}
 	for _, base := range s.ShardURLs {
 		resp, err := client.Get(base + path)
 		if err != nil {
