@@ -121,6 +121,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzWaveRNG$$' -fuzztime 30s ./internal/sim/gpu/
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckpoint$$' -fuzztime 30s ./internal/sim/cpu/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRun$$' -fuzztime 30s ./internal/sim/cpu/
+	$(GO) test -run '^$$' -fuzz '^FuzzRun$$' -fuzztime 30s ./internal/sim/isa/
 	$(GO) test -run '^$$' -fuzz '^FuzzJobTable$$' -fuzztime 30s ./internal/core/tasks/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 30s ./internal/energy/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 30s ./internal/diskimage/
