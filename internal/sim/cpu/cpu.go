@@ -155,21 +155,35 @@ func (s *System) Release() { s.memory.Release() }
 type TraceFunc func(core int, tick sim.Tick, pc int64, in isa.Inst)
 
 // SetTrace installs a per-instruction trace callback, limited to the
-// first max instructions (0 = unlimited). Tracing costs host time; leave
-// it off for sweeps.
+// first max instructions (0 = unlimited). While it records, the models
+// execute one instruction per isa.Run; tracing costs host time, so
+// leave it off for sweeps.
 func (s *System) SetTrace(fn TraceFunc, max int64) {
 	s.trace = fn
 	if max <= 0 {
 		max = 1 << 62
 	}
+	if fn == nil {
+		max = 0
+	}
 	s.traceLeft = max
 }
 
-// traceInst emits one trace record if tracing is armed.
-func (s *System) traceInst(core int, tick sim.Tick, pc int64, in isa.Inst) {
-	if s.trace == nil || s.traceLeft <= 0 {
-		return
+// tracing reports whether the next instruction is to be traced.
+func (s *System) tracing() bool { return s.traceLeft > 0 }
+
+// runLimit bounds the next isa.Run of a core that may run n more
+// instructions in its batch: one while tracing, so that each traced
+// instruction is the last of its run.
+func (s *System) runLimit(n int) int {
+	if s.tracing() {
+		return 1
 	}
+	return n
+}
+
+// traceInst emits one trace record; the caller checks tracing first.
+func (s *System) traceInst(core int, tick sim.Tick, pc int64, in isa.Inst) {
 	s.traceLeft--
 	s.trace(core, tick, pc, in)
 }
@@ -273,6 +287,15 @@ func (c *core) commit(n uint64) {
 	c.sys.perCore.Add(c.id, float64(n))
 }
 
+// The instructions each model's timing must see one at a time; a run
+// of other instructions before one of them is charged in bulk.
+var (
+	atomicStops = isa.SetOf(isa.ClassAtomic, isa.ClassFence)
+	timingStops = isa.SetOf(isa.ClassLoad, isa.ClassStore, isa.ClassAtomic, isa.ClassFence)
+	o3Stops     = isa.SetOf(isa.ClassLoad, isa.ClassStore, isa.ClassAtomic, isa.ClassFence,
+		isa.ClassBranch, isa.ClassMulDiv)
+)
+
 // stepKVM executes a large batch functionally with a nominal host-speed
 // cost (~10 GIPS equivalent) and no memory timing.
 func (c *core) stepKVM() {
@@ -280,16 +303,14 @@ func (c *core) stepKVM() {
 	const ticksPerInst = 100 // 10 G "inst/s" in simulated time
 	eq := c.sys.eq
 	store := c.sys.memory.Store()
-	var res isa.StepResult
-	tracing := c.sys.trace != nil
+	var res isa.Result
 	executed := 0
 	for executed < kvmBatch {
-		pcBefore := c.state.PC
-		isa.Step(&c.state, c.prog, store, c.sysFn, &res)
+		pc, tracing := c.state.PC, c.sys.tracing()
+		executed += isa.Run(&c.state, c.prog, store, c.sysFn, c.sys.runLimit(kvmBatch-executed), 0, &res)
 		if tracing {
-			c.sys.traceInst(c.id, eq.Now(), pcBefore, res.Inst)
+			c.sys.traceInst(c.id, eq.Now(), pc, res.Inst)
 		}
-		executed++
 		if res.Done {
 			c.done = true
 			break
@@ -312,19 +333,22 @@ func (c *core) stepSimple(atomic bool) {
 	store := memory.Store()
 	period := c.sys.clock.Period
 	now := eq.Now()
-	var res isa.StepResult
-	tracing := c.sys.trace != nil
+	stops := timingStops
+	if atomic {
+		stops = atomicStops
+	}
+	var res isa.Result
 	executed := 0
 	for executed < batchInsts {
-		pcBefore := c.state.PC
-		isa.Step(&c.state, c.prog, store, c.sysFn, &res)
+		pc, tracing := c.state.PC, c.sys.tracing()
+		k := isa.Run(&c.state, c.prog, store, c.sysFn, c.sys.runLimit(batchInsts-executed), stops, &res)
 		if tracing {
-			c.sys.traceInst(c.id, now, pcBefore, res.Inst)
+			c.sys.traceInst(c.id, now, pc, res.Inst)
 		}
-		executed++
-		now += period
+		executed += k
+		now += sim.Tick(k) * period
 		class := res.Inst.Class()
-		if res.Inst.IsMem() && !atomic {
+		if !atomic && res.Inst.IsMem() {
 			typ := mem.Read
 			if res.IsWrite {
 				typ = mem.Write
@@ -372,8 +396,7 @@ func (c *core) stepO3() {
 	store := memory.Store()
 	period := c.sys.clock.Period
 	now := eq.Now()
-	var res isa.StepResult
-	tracing := c.sys.trace != nil
+	var res isa.Result
 	executed := 0
 	sinceOldestMiss := 0
 	var cycleFrac uint64 // instructions issued in the current cycle
@@ -387,13 +410,36 @@ func (c *core) stepO3() {
 	var maxIn sim.Tick
 
 	for executed < batchInsts {
-		top := now
-		pcBefore := c.state.PC
-		isa.Step(&c.state, c.prog, store, c.sysFn, &res)
-		if tracing {
-			c.sys.traceInst(c.id, now, pcBefore, res.Inst)
+		pc, tracing := c.state.PC, c.sys.tracing()
+		k := isa.Run(&c.state, c.prog, store, c.sysFn, c.sys.runLimit(batchInsts-executed), o3Stops, &res)
+		executed += k
+		// The k-1 instructions before the last only take issue slots
+		// and count against the ROB window while a miss is
+		// outstanding at their start. Once none is, none will be
+		// until the next miss, so the rest take issue slots only.
+		plain := uint64(k - 1)
+		for ; plain > 0 && maxIn > now; plain-- {
+			top := now
+			cycleFrac++
+			if cycleFrac >= o3Width {
+				cycleFrac = 0
+				now += period
+			}
+			sinceOldestMiss++
+			if sinceOldestMiss >= o3ROB {
+				c.drainMSHRs(top)
+				now = max(now, slices.Min(c.inflight))
+				sinceOldestMiss = 0
+			}
 		}
-		executed++
+		cycleFrac += plain
+		now += sim.Tick(cycleFrac/o3Width) * period
+		cycleFrac %= o3Width
+
+		top := now
+		if tracing {
+			c.sys.traceInst(c.id, now, pc, res.Inst)
+		}
 		cycleFrac++
 		if cycleFrac >= o3Width {
 			cycleFrac = 0
@@ -408,7 +454,12 @@ func (c *core) stepO3() {
 				now += (o3MulLatency - 1) * period
 			}
 		case isa.ClassBranch:
-			if c.bpred.miss(pcBefore, &res) {
+			// The branch's own PC, from the PC it left behind.
+			bpc := c.state.PC - 1
+			if res.Taken {
+				bpc = c.state.PC - int64(res.Inst.Imm)
+			}
+			if c.bpred.miss(bpc, &res) {
 				c.sys.mispred.Inc()
 				now += o3MispredCost * period
 				cycleFrac = 0
@@ -505,7 +556,7 @@ func (p *branchPredictor) cover(n int) {
 
 // miss consults and updates the counter of the branch at pc, which res
 // describes, and reports whether it was mispredicted.
-func (p branchPredictor) miss(pc int64, res *isa.StepResult) bool {
+func (p branchPredictor) miss(pc int64, res *isa.Result) bool {
 	if res.Inst.Op == isa.JAL {
 		return false // unconditional
 	}

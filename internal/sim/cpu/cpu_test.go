@@ -368,10 +368,10 @@ func mapPredictorMisses(progs ...*isa.Program) []uint64 {
 	var misses uint64
 	for _, p := range progs {
 		var s isa.State
-		var res isa.StepResult
+		var res isa.Result
 		for !res.Done {
 			pc := s.PC
-			isa.Step(&s, p, store, nil, &res)
+			isa.Run(&s, p, store, nil, 1, 0, &res)
 			if !res.Inst.IsBranch() || res.Inst.Op == isa.JAL {
 				continue
 			}

@@ -172,10 +172,22 @@ type State struct {
 	PC   int64
 }
 
-// StepResult describes one executed instruction for the timing models.
-// Step writes every field on every call, so a caller can keep one
-// StepResult for a whole batch of instructions.
-type StepResult struct {
+// ClassSet is a set of instruction classes: Class c is in the set when
+// bit c is set.
+type ClassSet uint8
+
+// SetOf returns the set of the given classes.
+func SetOf(cs ...Class) ClassSet {
+	var set ClassSet
+	for _, c := range cs {
+		set |= 1 << c
+	}
+	return set
+}
+
+// Result describes the last instruction a Run executed. Run writes
+// every field, so a caller can keep one Result for all its runs.
+type Result struct {
 	Inst    Inst
 	MemAddr int64 // valid when Inst.IsMem(); 0 otherwise
 	IsWrite bool
@@ -183,110 +195,202 @@ type StepResult struct {
 	Done    bool // thread exited via SYS exit
 }
 
-// Step functionally executes the instruction at s.PC against mem,
-// advances the state, and describes the instruction in *res. It is the
-// single source of truth for instruction semantics; every CPU model
-// calls it and layers timing on top.
+// set writes every field of r, one at a time: a composite literal is
+// built on the stack and copied with wide loads, which stall on store
+// forwarding from its narrow field stores.
+func (r *Result) set(in Inst, addr int64, write, taken, done bool) {
+	r.Inst = in
+	r.MemAddr = addr
+	r.IsWrite = write
+	r.Taken = taken
+	r.Done = done
+}
+
+// Run functionally executes instructions from s.PC against mem,
+// advancing the state, until it has executed max of them (max >= 1),
+// or has executed one whose class is in stop, or one that ends the
+// thread. It returns the count and describes the last instruction in
+// *res. It is the single source of truth for instruction semantics:
+// every CPU model calls it, asking to stop at the instructions its
+// timing must see, and charges the ones before them in bulk.
+//
+// x0 reads as zero in every state a thread can hold: Run never writes
+// it, and a state whose x0 is not zero (which LoadProgram and a parsed
+// checkpoint never give) runs with that value in x0. Register indices
+// are taken mod 32, which changes no program Decode accepts.
 //
 // The result goes through a caller-owned pointer rather than a return
-// value: Step fills it one narrow field at a time, and copying a
-// returned struct out reloads those fields with wide loads, which stall
-// on store forwarding. The caller reads the fields one at a time.
-func Step(s *State, prog *Program, mem Memory, sys SysHandler, res *StepResult) {
+// value, and is written once, as the run ends; the caller reads the
+// fields one at a time.
+func Run(s *State, prog *Program, mem Memory, sys SysHandler, max int, stop ClassSet, res *Result) int {
+	insts := prog.Insts
+	regs := &s.Regs
 	pc := s.PC
-	if pc < 0 || pc >= int64(len(prog.Insts)) {
-		// Running off the end behaves like exit: real programs end with
-		// SYS exit, but a malformed binary must not wedge the simulator.
-		*res = StepResult{Inst: Inst{Op: SYS, Imm: SysExit}, Done: true}
-		return
+	for n := 1; ; n++ {
+		if uint64(pc) >= uint64(len(insts)) {
+			// Running off the end behaves like exit: real programs
+			// end with SYS exit, but a malformed binary must not
+			// wedge the simulator.
+			s.PC = pc
+			*res = Result{Inst: Inst{Op: SYS, Imm: SysExit}, Done: true}
+			return n
+		}
+		in := insts[pc]
+		rs1 := regs[in.Rs1&31]
+		rs2 := regs[in.Rs2&31]
+		rd := in.Rd & 31
+		pc++
+		var addr int64
+		var write, taken, done bool
+		// Each case continues the run unless the instruction ends it.
+		switch in.Op {
+		case ADD:
+			if rd != 0 {
+				regs[rd] = rs1 + rs2
+			}
+			if n < max && stop&(1<<ClassALU) == 0 {
+				continue
+			}
+		case SUB:
+			if rd != 0 {
+				regs[rd] = rs1 - rs2
+			}
+			if n < max && stop&(1<<ClassALU) == 0 {
+				continue
+			}
+		case AND:
+			if rd != 0 {
+				regs[rd] = rs1 & rs2
+			}
+			if n < max && stop&(1<<ClassALU) == 0 {
+				continue
+			}
+		case OR:
+			if rd != 0 {
+				regs[rd] = rs1 | rs2
+			}
+			if n < max && stop&(1<<ClassALU) == 0 {
+				continue
+			}
+		case XOR:
+			if rd != 0 {
+				regs[rd] = rs1 ^ rs2
+			}
+			if n < max && stop&(1<<ClassALU) == 0 {
+				continue
+			}
+		case SLT:
+			if rd != 0 {
+				v := int64(0)
+				if rs1 < rs2 {
+					v = 1
+				}
+				regs[rd] = v
+			}
+			if n < max && stop&(1<<ClassALU) == 0 {
+				continue
+			}
+		case ADDI:
+			if rd != 0 {
+				regs[rd] = rs1 + int64(in.Imm)
+			}
+			if n < max && stop&(1<<ClassALU) == 0 {
+				continue
+			}
+		case LUI:
+			if rd != 0 {
+				regs[rd] = int64(in.Imm) << 12
+			}
+			if n < max && stop&(1<<ClassALU) == 0 {
+				continue
+			}
+		case MUL:
+			if rd != 0 {
+				regs[rd] = rs1 * rs2
+			}
+			if n < max && stop&(1<<ClassMulDiv) == 0 {
+				continue
+			}
+		case DIV:
+			if rd != 0 {
+				q := int64(0)
+				if rs2 != 0 {
+					q = rs1 / rs2
+				}
+				regs[rd] = q
+			}
+			if n < max && stop&(1<<ClassMulDiv) == 0 {
+				continue
+			}
+		case LD:
+			addr = rs1 + int64(in.Imm)
+			v := mem.ReadWord(addr)
+			if rd != 0 {
+				regs[rd] = v
+			}
+			if n < max && stop&(1<<ClassLoad) == 0 {
+				continue
+			}
+		case ST:
+			addr = rs1 + int64(in.Imm)
+			write = true
+			mem.WriteWord(addr, rs2)
+			if n < max && stop&(1<<ClassStore) == 0 {
+				continue
+			}
+		case AMOADD:
+			addr = rs1
+			write = true
+			old := mem.ReadWord(rs1)
+			mem.WriteWord(rs1, old+rs2)
+			if rd != 0 {
+				regs[rd] = old
+			}
+			if n < max && stop&(1<<ClassAtomic) == 0 {
+				continue
+			}
+		case BEQ, BNE, BLT, JAL:
+			switch in.Op {
+			case BEQ:
+				taken = rs1 == rs2
+			case BNE:
+				taken = rs1 != rs2
+			case BLT:
+				taken = rs1 < rs2
+			default:
+				if rd != 0 {
+					regs[rd] = pc
+				}
+				taken = true
+			}
+			if taken {
+				pc += int64(in.Imm) - 1
+			}
+			if n < max && stop&(1<<ClassBranch) == 0 {
+				continue
+			}
+		case SYS:
+			// By convention SYS takes its argument in x1 (the assembler
+			// has no operand slot for it).
+			if sys != nil {
+				done = sys(in.Imm, regs[1])
+			} else {
+				done = in.Imm == SysExit
+			}
+			if n < max && stop&(1<<ClassSys) == 0 && !done {
+				continue
+			}
+		case FENCE:
+			if n < max && stop&(1<<ClassFence) == 0 {
+				continue
+			}
+		default: // NOP
+			if n < max && stop&(1<<ClassALU) == 0 {
+				continue
+			}
+		}
+		s.PC = pc
+		res.set(in, addr, write, taken, done)
+		return n
 	}
-	in := prog.Insts[pc]
-	res.Inst = in
-	res.MemAddr = 0
-	res.IsWrite = false
-	res.Taken = false
-	res.Done = false
-	next := pc + 1
-	rs1 := s.Regs[in.Rs1]
-	rs2 := s.Regs[in.Rs2]
-	var rd int64
-	writeRd := false
-	switch in.Op {
-	case NOP, FENCE:
-	case ADD:
-		rd, writeRd = rs1+rs2, true
-	case SUB:
-		rd, writeRd = rs1-rs2, true
-	case MUL:
-		rd, writeRd = rs1*rs2, true
-	case DIV:
-		if rs2 == 0 {
-			rd = 0
-		} else {
-			rd = rs1 / rs2
-		}
-		writeRd = true
-	case AND:
-		rd, writeRd = rs1&rs2, true
-	case OR:
-		rd, writeRd = rs1|rs2, true
-	case XOR:
-		rd, writeRd = rs1^rs2, true
-	case SLT:
-		if rs1 < rs2 {
-			rd = 1
-		}
-		writeRd = true
-	case ADDI:
-		rd, writeRd = rs1+int64(in.Imm), true
-	case LUI:
-		rd, writeRd = int64(in.Imm)<<12, true
-	case LD:
-		addr := rs1 + int64(in.Imm)
-		res.MemAddr = addr
-		rd, writeRd = mem.ReadWord(addr), true
-	case ST:
-		addr := rs1 + int64(in.Imm)
-		res.MemAddr = addr
-		res.IsWrite = true
-		mem.WriteWord(addr, rs2)
-	case AMOADD:
-		res.MemAddr = rs1
-		res.IsWrite = true
-		old := mem.ReadWord(rs1)
-		mem.WriteWord(rs1, old+rs2)
-		rd, writeRd = old, true
-	case BEQ:
-		if rs1 == rs2 {
-			res.Taken = true
-			next = pc + int64(in.Imm)
-		}
-	case BNE:
-		if rs1 != rs2 {
-			res.Taken = true
-			next = pc + int64(in.Imm)
-		}
-	case BLT:
-		if rs1 < rs2 {
-			res.Taken = true
-			next = pc + int64(in.Imm)
-		}
-	case JAL:
-		rd, writeRd = pc+1, true
-		res.Taken = true
-		next = pc + int64(in.Imm)
-	case SYS:
-		// By convention SYS takes its argument in x1 (the assembler has
-		// no operand slot for it).
-		if sys != nil {
-			res.Done = sys(in.Imm, s.Regs[1])
-		} else if in.Imm == SysExit {
-			res.Done = true
-		}
-	}
-	if writeRd && in.Rd != 0 {
-		s.Regs[in.Rd] = rd
-	}
-	s.Regs[0] = 0
-	s.PC = next
 }

@@ -19,9 +19,9 @@ func run(t *testing.T, p *Program, maxSteps int) (*State, flatMem) {
 	t.Helper()
 	s := &State{}
 	mem := flatMem{}
-	var res StepResult
+	var res Result
 	for i := 0; i < maxSteps; i++ {
-		Step(s, p, mem, nil, &res)
+		Run(s, p, mem, nil, 1, 0, &res)
 		if res.Done {
 			return s, mem
 		}
@@ -159,15 +159,15 @@ func TestSysHandlerReceivesCalls(t *testing.T) {
 	var calls []int32
 	s := &State{}
 	mem := flatMem{}
-	var res StepResult
+	var res Result
 	for i := 0; i < 10; i++ {
-		Step(s, p, mem, func(fn int32, arg int64) bool {
+		Run(s, p, mem, func(fn int32, arg int64) bool {
 			calls = append(calls, fn)
 			if fn == SysPrint && arg != 65 {
 				t.Errorf("print arg = %d", arg)
 			}
 			return fn == SysExit
-		}, &res)
+		}, 1, 0, &res)
 		if res.Done {
 			break
 		}
@@ -177,10 +177,10 @@ func TestSysHandlerReceivesCalls(t *testing.T) {
 	}
 }
 
-// TestStepRewritesEveryField: Step writes the whole result on every
-// call, so nothing of one instruction, or of whatever the caller's
-// StepResult held before, leaks into the next.
-func TestStepRewritesEveryField(t *testing.T) {
+// TestRunRewritesEveryField: Run writes the whole result on every
+// call, so nothing of one instruction, of an earlier one in the same
+// run, or of whatever the caller's Result held before, leaks into it.
+func TestRunRewritesEveryField(t *testing.T) {
 	p := asm(t, `
 		addi   x1, x0, 65536
 		amoadd x2, x1, (x1)
@@ -189,7 +189,7 @@ func TestStepRewritesEveryField(t *testing.T) {
 		add    x3, x1, x1
 		sys    exit
 	`)
-	want := []StepResult{
+	want := []Result{
 		{Inst: p.Insts[0]},
 		{Inst: p.Insts[1], MemAddr: 65536, IsWrite: true},
 		{Inst: p.Insts[2], Taken: true},
@@ -197,12 +197,26 @@ func TestStepRewritesEveryField(t *testing.T) {
 		{Inst: p.Insts[4], Done: true},
 		{Inst: Inst{Op: SYS, Imm: SysExit}, Done: true}, // off the end
 	}
+	dirty := Result{Inst: Inst{Op: LD}, MemAddr: -1, IsWrite: true, Taken: true, Done: true}
 	s, mem := &State{}, flatMem{}
-	res := StepResult{Inst: Inst{Op: LD}, MemAddr: -1, IsWrite: true, Taken: true, Done: true}
+	res := dirty
 	for i, w := range want {
-		Step(s, p, mem, nil, &res)
+		Run(s, p, mem, nil, 1, 0, &res)
 		if res != w {
 			t.Errorf("step %d: %+v, want %+v", i, res, w)
+		}
+	}
+	// Longer runs: one to the taken branch after the atomic, and one
+	// through the rest, which ends at the exit.
+	runs := []struct {
+		stop ClassSet
+		n    int
+		want Result
+	}{{SetOf(ClassBranch), 3, want[2]}, {0, 2, want[4]}}
+	s, mem, res = &State{}, flatMem{}, dirty
+	for i, r := range runs {
+		if n := Run(s, p, mem, nil, 200, r.stop, &res); n != r.n || res != r.want {
+			t.Errorf("run %d: %d insts, %+v; want %d, %+v", i, n, res, r.n, r.want)
 		}
 	}
 }
@@ -211,12 +225,12 @@ func TestRunningOffEndIsExit(t *testing.T) {
 	p := &Program{Name: "no-exit", Insts: []Inst{{Op: NOP}}}
 	s := &State{}
 	mem := flatMem{}
-	var res StepResult
-	Step(s, p, mem, nil, &res)
+	var res Result
+	Run(s, p, mem, nil, 1, 0, &res)
 	if res.Done {
 		t.Fatal("the NOP terminated")
 	}
-	Step(s, p, mem, nil, &res)
+	Run(s, p, mem, nil, 1, 0, &res)
 	if !res.Done {
 		t.Fatal("running past the end did not terminate")
 	}
@@ -341,10 +355,10 @@ func TestGeneratedInstructionCountScalesWithIterations(t *testing.T) {
 			Mix: Mix{Load: 0.3}, FootprintWords: 128})
 		s := &State{}
 		mem := flatMem{}
-		var res StepResult
+		var res Result
 		n := 0
 		for {
-			Step(s, p, mem, nil, &res)
+			Run(s, p, mem, nil, 1, 0, &res)
 			n++
 			if res.Done {
 				return n

@@ -5,15 +5,15 @@ package isa
 // writing every field. It is the instruction semantics written once
 // more, one instruction per call and as plainly as possible, so that
 // the interpreter the CPU models run can be checked against it.
-func refStep(s *State, prog *Program, mem Memory, sys SysHandler, res *StepResult) {
+func refStep(s *State, prog *Program, mem Memory, sys SysHandler, res *Result) {
 	pc := s.PC
 	if pc < 0 || pc >= int64(len(prog.Insts)) {
 		// Running off the end behaves like exit.
-		*res = StepResult{Inst: Inst{Op: SYS, Imm: SysExit}, Done: true}
+		*res = Result{Inst: Inst{Op: SYS, Imm: SysExit}, Done: true}
 		return
 	}
 	in := prog.Insts[pc]
-	*res = StepResult{Inst: in}
+	*res = Result{Inst: in}
 	next := pc + 1
 	rs1 := s.Regs[in.Rs1]
 	rs2 := s.Regs[in.Rs2]
@@ -90,7 +90,7 @@ func refStep(s *State, prog *Program, mem Memory, sys SysHandler, res *StepResul
 // refRun single-steps refStep the way the interpreter batches: until
 // max instructions ran, or one whose class is in stop ran, or one
 // ended the thread. It returns the count; *res describes the last.
-func refRun(s *State, prog *Program, mem Memory, sys SysHandler, max int, stop uint8, res *StepResult) int {
+func refRun(s *State, prog *Program, mem Memory, sys SysHandler, max int, stop uint8, res *Result) int {
 	n := 0
 	for {
 		refStep(s, prog, mem, sys, res)

@@ -7,20 +7,6 @@ import (
 	"testing"
 )
 
-// runUnderTest is the interpreter the CPU models call, in the shape
-// refRun has: it executes until max instructions ran, or one whose
-// class is in stop ran, or one ended the thread.
-func runUnderTest(s *State, prog *Program, mem Memory, sys SysHandler, max int, stop uint8, res *StepResult) int {
-	n := 0
-	for {
-		Step(s, prog, mem, sys, res)
-		n++
-		if n >= max || stop&(1<<res.Inst.Class()) != 0 || res.Done {
-			return n
-		}
-	}
-}
-
 // sysCall is one call a SYS handler received.
 type sysCall struct {
 	fn  int32
@@ -44,10 +30,10 @@ type interp struct {
 	s   State
 	mem flatMem
 	sys sysLog
-	res StepResult
+	res Result
 }
 
-// checkAgainstReference runs p from init under runUnderTest and under
+// checkAgainstReference runs p from init under Run and under
 // refRun side by side, one call each with the same max (from nextMax)
 // and stop set, until the thread ends or budget instructions ran, and
 // fails at the first call after which the count, the state, the last
@@ -63,7 +49,7 @@ func checkAgainstReference(t *testing.T, p *Program, init State, stop uint8, nex
 		if !nilSys {
 			gotSys, wantSys = got.sys.handler(), want.sys.handler()
 		}
-		gn := runUnderTest(&got.s, p, got.mem, gotSys, max, stop, &got.res)
+		gn := Run(&got.s, p, got.mem, gotSys, max, ClassSet(stop), &got.res)
 		wn := refRun(&want.s, p, want.mem, wantSys, max, stop, &want.res)
 		switch {
 		case gn != wn:
