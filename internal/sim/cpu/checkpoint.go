@@ -51,7 +51,9 @@ func (s *System) SaveCheckpoint() *Checkpoint {
 // RestoreCheckpoint loads a snapshot into this system. The system must
 // have the same core count and already have its programs loaded; the
 // target CPU model and memory system may differ from the source's —
-// that is the point of the workflow.
+// that is the point of the workflow. A core whose x0 is not zero is
+// refused, as ParseCheckpoint refuses it: isa.Run never writes x0, so
+// x0 is zero in every state a system can hold.
 func (s *System) RestoreCheckpoint(ck *Checkpoint) error {
 	if len(ck.Cores) != len(s.cores) {
 		return fmt.Errorf("cpu: checkpoint has %d cores, system has %d",
@@ -61,6 +63,9 @@ func (s *System) RestoreCheckpoint(ck *Checkpoint) error {
 		c := s.cores[i]
 		if c.prog == nil && !cs.Done {
 			return fmt.Errorf("cpu: core %d has no program loaded", i)
+		}
+		if cs.Regs[0] != 0 {
+			return fmt.Errorf("cpu: core %d: x0 is %d, not 0", i, cs.Regs[0])
 		}
 		c.state.Regs = cs.Regs
 		c.state.PC = cs.PC
@@ -139,6 +144,9 @@ func ParseCheckpoint(data []byte) (*Checkpoint, error) {
 				return nil, err
 			}
 			cs.Regs[r] = int64(v)
+		}
+		if cs.Regs[0] != 0 {
+			return nil, fmt.Errorf("cpu: core %d: x0 is %d, not 0", i, cs.Regs[0])
 		}
 		pc, err := next()
 		if err != nil {

@@ -138,6 +138,28 @@ func TestParseCheckpointRejectsCorruption(t *testing.T) {
 	if _, err := ParseCheckpoint(bad); err == nil {
 		t.Fatal("parsed bad magic")
 	}
+	// Core 0's x0 follows the magic, the tick and the core count.
+	x0 := bytes.Clone(data)
+	x0[4+8+8] = 1
+	if _, err := ParseCheckpoint(x0); err == nil {
+		t.Fatal("parsed a core whose x0 is not zero")
+	}
+}
+
+func TestRestoreRejectsNonzeroX0(t *testing.T) {
+	sys := NewSystem(Config{Model: Atomic, Cores: 1}, mem.NewClassic(1, mem.ClassicConfig{}))
+	sys.LoadProgram(0, checkpointProg(t))
+	sys.Run(100_000)
+	ck := sys.SaveCheckpoint()
+	if ck.Cores[0].Regs[0] != 0 {
+		t.Fatalf("saved x0 = %d", ck.Cores[0].Regs[0])
+	}
+	ck.Cores[0].Regs[0] = 7
+	again := NewSystem(Config{Model: Atomic, Cores: 1}, mem.NewClassic(1, mem.ClassicConfig{}))
+	again.LoadProgram(0, checkpointProg(t))
+	if err := again.RestoreCheckpoint(ck); err == nil {
+		t.Fatal("restored a core whose x0 is not zero")
+	}
 }
 
 func TestRestoreRejectsCoreMismatch(t *testing.T) {
