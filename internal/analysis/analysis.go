@@ -17,7 +17,6 @@ import (
 type RunRow struct {
 	Name       string
 	Params     map[string]string
-	Status     string
 	Outcome    string
 	SimSeconds float64
 	Insts      float64
@@ -42,7 +41,6 @@ func ExtractRuns(db database.Store, filter database.Doc) []RunRow {
 func Row(d database.Doc) RunRow {
 	row := RunRow{Params: map[string]string{}}
 	row.Name, _ = d["name"].(string)
-	row.Status, _ = d["status"].(string)
 	row.Outcome, _ = d["outcome"].(string)
 	row.SimSeconds, _ = d["sim_seconds"].(float64)
 	row.Insts, _ = d["insts"].(float64)

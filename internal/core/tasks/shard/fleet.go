@@ -425,7 +425,7 @@ func (f *Fleet) Owner(key string) int { return f.ring.Owner(key) }
 func (f *Fleet) Map() Map {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	m := Map{Epoch: f.epoch, VNodes: DefaultVNodes}
+	m := Map{Epoch: f.epoch}
 	for _, s := range f.shards {
 		m.Shards = append(m.Shards, Info{Index: s.index, Addr: s.broker.Addr(), Epoch: s.epoch})
 	}

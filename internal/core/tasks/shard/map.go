@@ -17,9 +17,6 @@ type Info struct {
 type Map struct {
 	// Epoch is the fleet-wide map version, bumped on every promotion.
 	Epoch uint64 `json:"epoch"`
-	// VNodes is the ring's virtual-node count, so remote clients can
-	// rebuild an identical ring and route locally.
-	VNodes int `json:"vnodes"`
 	// Shards lists every shard's current primary, indexed by ring slot.
 	Shards []Info `json:"shards"`
 }

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"encoding/json"
 	"fmt"
 	"testing"
 )
@@ -57,26 +56,6 @@ func TestRingSingleShard(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		if got := r.Owner(fmt.Sprintf("k%d", i)); got != 0 {
 			t.Fatalf("Owner = %d, want 0", got)
-		}
-	}
-}
-
-// TestMapRingRoundTrip: a map decoded from its JSON carries what a
-// client needs to rebuild the fleet's ring.
-func TestMapRingRoundTrip(t *testing.T) {
-	data, err := json.Marshal(Map{Epoch: 3, VNodes: 32, Shards: []Info{{Index: 0}, {Index: 1}, {Index: 2}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m Map
-	if err := json.Unmarshal(data, &m); err != nil {
-		t.Fatal(err)
-	}
-	local, remote := NewRing(3, 32), NewRing(len(m.Shards), m.VNodes)
-	for i := 0; i < 500; i++ {
-		key := fmt.Sprintf("job-%d", i)
-		if local.Owner(key) != remote.Owner(key) {
-			t.Fatalf("map-rebuilt ring disagrees on %q", key)
 		}
 	}
 }
