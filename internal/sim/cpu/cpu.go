@@ -11,8 +11,14 @@
 //     limited MSHRs, and a reorder-buffer window that overlaps miss
 //     latency with independent work.
 //
-// All models execute the same functional ISA (isa.Step) and differ only
-// in how they charge time, which is exactly gem5's structure.
+// All models execute the same functional ISA through one interpreter,
+// isa.Run, and differ only in how they charge time, which is exactly
+// gem5's structure. Each model asks Run to stop only at the instructions
+// its timing reads — kvmCPU at none, AtomicSimpleCPU at atomics and
+// fences, TimingSimpleCPU also at loads and stores, O3CPU also at
+// branches and mul/div — and charges the run of instructions before the
+// stop in bulk, to the same tick the one-at-a-time charge gave. While a
+// trace records, every model runs one instruction per call.
 package cpu
 
 import (

@@ -5,6 +5,11 @@
 // work-begin, work-end). It includes an assembler, a binary encoder used
 // to produce "benchmark executables" stored on disk images, and a
 // deterministic synthetic program generator used by the workload models.
+//
+// There is one interpreter, Run: it executes a batch of instructions up
+// to the next one whose class the caller's timing model must see, and
+// describes only that last one. One switch in Run holds the semantics
+// of every instruction.
 package isa
 
 import "fmt"
@@ -210,17 +215,18 @@ func (r *Result) set(in Inst, addr int64, write, taken, done bool) {
 // advancing the state, until it has executed max of them (max >= 1),
 // or has executed one whose class is in stop, or one that ends the
 // thread. It returns the count and describes the last instruction in
-// *res. It is the single source of truth for instruction semantics:
-// every CPU model calls it, asking to stop at the instructions its
-// timing must see, and charges the ones before them in bulk.
+// *res. Run is the one interpreter: every CPU model calls it, asking it
+// to stop at the instructions its timing must see, and charges the ones
+// before them in bulk. Running one instruction is Run(…, 1, …).
 //
-// x0 reads as zero in every state a thread can hold: Run never writes
-// it, and a state whose x0 is not zero (which LoadProgram and a parsed
-// checkpoint never give) runs with that value in x0. Register indices
-// are taken mod 32, which changes no program Decode accepts.
+// x0 is zero in every state a thread can hold: cpu.System.LoadProgram
+// starts from a zeroed state, a checkpoint whose x0 is not zero is
+// refused, and Run never writes x0. Register indices are taken mod 32,
+// which changes no program Decode accepts (it rejects indices of 32 and
+// over) and spares the bounds checks.
 //
-// The result goes through a caller-owned pointer rather than a return
-// value, and is written once, as the run ends; the caller reads the
+// The PC lives in a local for the whole run, and *res is written once,
+// as the run ends, through a caller-owned pointer; the caller reads its
 // fields one at a time.
 func Run(s *State, prog *Program, mem Memory, sys SysHandler, max int, stop ClassSet, res *Result) int {
 	insts := prog.Insts
