@@ -238,7 +238,7 @@ func Run(s *State, prog *Program, mem Memory, sys SysHandler, max int, stop Clas
 			// end with SYS exit, but a malformed binary must not
 			// wedge the simulator.
 			s.PC = pc
-			*res = Result{Inst: Inst{Op: SYS, Imm: SysExit}, Done: true}
+			res.set(Inst{Op: SYS, Imm: SysExit}, 0, false, false, true)
 			return n
 		}
 		in := insts[pc]
