@@ -53,8 +53,10 @@ race:
 
 # chaos runs the fault-injection suites under the race detector: the
 # seeded network-chaos proxy tests, the broker/worker session and
-# durability tests, the shard replication/failover unit suite, and the
-# end-to-end launches that kill the broker, partition each worker, flap
+# durability tests, the shard replication/failover unit suite, the
+# gateway's admission suite (it frees a job's in-flight slot when the
+# result reaches its pump, over a real durable broker and a 2-shard
+# fleet), and the end-to-end launches that kill the broker, partition each worker, flap
 # every connection, rolling-kill all four shard primaries mid-launch,
 # and inject every disk-fault class (EIO, ENOSPC, short write, fsync
 # failure, torn rename, torn write) into the broker's durable queue.
@@ -72,7 +74,8 @@ CHAOS_SEEDS ?= 4242 1337 90210
 CHAOS_JOBS ?= 10000
 CHAOS_ARTIFACTS ?= $(CURDIR)/chaos-artifacts
 chaos:
-	$(GO) test -race -count=1 ./internal/faultinject/ ./internal/core/tasks/ ./internal/core/tasks/shard/
+	$(GO) test -race -count=1 ./internal/faultinject/ ./internal/core/tasks/ ./internal/core/tasks/shard/ \
+		./internal/gateway/
 	@mkdir -p $(CHAOS_ARTIFACTS); rc=0; \
 	for seed in $(CHAOS_SEEDS); do \
 		log=$(CHAOS_ARTIFACTS)/chaos-seed$$seed.log; \

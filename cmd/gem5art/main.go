@@ -314,45 +314,34 @@ func distributeCmd(args []string) error {
 		Retry:            rp,
 	}
 
-	// The launch submits and collects through one of two control planes:
-	// a single broker, or a sharded fleet with replicated standbys.
-	var (
-		submit  func(tasks.Job)
-		results <-chan tasks.JobResult
-		broker  *tasks.Broker
-		fleet   *shard.Fleet
-	)
+	// The launch submits and collects through one of two executors: a
+	// single broker, or a sharded fleet with replicated standbys.
+	var ex tasks.Executor
 	if *shards > 1 {
 		if *dbDir == "" {
 			return fmt.Errorf("-shards %d requires -db: shard queues and their replicas are durable stores", *shards)
 		}
-		fleet, err = shard.NewFleet(shard.Options{
+		ex, err = shard.NewFleet(shard.Options{
 			Shards: *shards,
 			Dir:    filepath.Join(*dbDir, "shards"),
 			Broker: bopts,
 		})
-		if err != nil {
-			return err
-		}
-		defer fleet.Close()
-		submit, results = fleet.Submit, fleet.Results()
 	} else {
 		if *dbDir != "" {
 			bopts.DB = db // persist the queue only when the operator names a directory
 		}
-		broker, err = tasks.NewBrokerWithOptions(*listen, bopts)
-		if err != nil {
-			return err
-		}
-		defer broker.Close()
-		submit, results = broker.Submit, broker.Results()
+		ex, err = tasks.NewBrokerWithOptions(*listen, bopts)
 	}
+	if err != nil {
+		return err
+	}
+	defer ex.Close()
 	cache := simcache.New(db, simcache.Options{})
 	fetchURL := ""
 	if *metricsAddr != "" {
 		sd := statusd.New(nil)
-		sd.Broker = broker
-		sd.Fleet = fleet
+		sd.Broker, _ = ex.(*tasks.Broker)
+		sd.Fleet, _ = ex.(*shard.Fleet)
 		sd.Cache = cache
 		bound, _, err := statusd.ListenAndServe(*metricsAddr, sd)
 		if err != nil {
@@ -361,8 +350,9 @@ func distributeCmd(args []string) error {
 		fetchURL = "http://" + bound
 		fmt.Printf("status daemon on http://%s (/metrics, /api/broker, /api/shards, /api/cache, /api/events)\n", bound)
 	}
-	if fleet != nil {
-		m := fleet.Map()
+	switch ex := ex.(type) {
+	case *shard.Fleet:
+		m := ex.Map()
 		for _, info := range m.Shards {
 			fmt.Printf("shard %d primary on %s\n", info.Index, info.Addr)
 		}
@@ -371,8 +361,8 @@ func distributeCmd(args []string) error {
 		} else {
 			fmt.Printf("sharded fleet up (epoch %d); use -metrics-addr so workers can resolve the shard map\n", m.Epoch)
 		}
-	} else {
-		fmt.Printf("broker listening on %s; start gem5worker -broker %s\n", broker.Addr(), broker.Addr())
+	case *tasks.Broker:
+		fmt.Printf("broker listening on %s; start gem5worker -broker %s\n", ex.Addr(), ex.Addr())
 	}
 
 	var jobs int
@@ -387,7 +377,9 @@ func distributeCmd(args []string) error {
 			if err != nil {
 				return err
 			}
-			submit(tasks.Job{ID: fmt.Sprintf("boot-%d", i), Kind: "boot", Payload: payload})
+			if err := ex.Submit(tasks.Job{ID: fmt.Sprintf("boot-%d", i), Kind: "boot", Payload: payload}); err != nil {
+				return err
+			}
 		}
 		jobs = len(cells)
 	case "hackback":
@@ -418,7 +410,9 @@ func distributeCmd(args []string) error {
 			if err != nil {
 				return err
 			}
-			submit(tasks.Job{ID: fmt.Sprintf("hackback-%d", i), Kind: "hackback", Payload: payload})
+			if err := ex.Submit(tasks.Job{ID: fmt.Sprintf("hackback-%d", i), Kind: "hackback", Payload: payload}); err != nil {
+				return err
+			}
 		}
 		jobs = len(workloads.NPBKernels)
 	default:
@@ -426,7 +420,7 @@ func distributeCmd(args []string) error {
 	}
 	counts := map[string]int{}
 	for done := 0; done < jobs; done++ {
-		r := <-results
+		r := <-ex.Results()
 		if r.Err != "" {
 			counts["error"]++
 			continue

@@ -127,7 +127,7 @@ func startScrubber(db database.Store, interval time.Duration) *database.Scrubber
 	if !ok {
 		return nil
 	}
-	return database.StartScrubber(real, interval, nil)
+	return database.StartScrubber(real, interval)
 }
 
 // runGateway hosts the multi-tenant service: broker or fleet, statusd
@@ -148,71 +148,51 @@ func runGateway(addr, dbDir, tenantsPath, quotaFlag, rateFlag string,
 	}
 	defer db.Close()
 
-	ctrl := gateway.NewController(cfg)
-	bopts := tasks.BrokerOptions{Admission: ctrl}
-
-	// The hosted control plane: one TCP broker, or a sharded fleet with
+	// The hosted executor: one TCP broker, or a sharded fleet with
 	// journal-replicated standbys when -fleet asks for it.
-	var (
-		backend gateway.Backend
-		fleet   *shard.Fleet
-		broker  *tasks.Broker
-	)
+	var ex tasks.Executor
 	if fleetN > 1 {
 		if dbDir == "" {
 			return fmt.Errorf("-fleet %d requires -db: shard queues and their replicas are durable stores", fleetN)
 		}
-		fleet, err = shard.NewFleet(shard.Options{
-			Shards:    fleetN,
-			Dir:       filepath.Join(dbDir, "shards"),
-			Broker:    bopts,
-			Admission: ctrl,
-		})
-		if err != nil {
-			return err
-		}
-		backend = fleet
+		ex, err = shard.NewFleet(shard.Options{Shards: fleetN, Dir: filepath.Join(dbDir, "shards")})
 	} else {
+		var bopts tasks.BrokerOptions
 		if dbDir != "" {
 			bopts.DB = db
 		}
-		broker, err = tasks.NewBrokerWithOptions(listen, bopts)
-		if err != nil {
-			return err
-		}
-		backend = broker
+		ex, err = tasks.NewBrokerWithOptions(listen, bopts)
+	}
+	if err != nil {
+		return err
 	}
 
 	s := statusd.New(db)
-	s.Broker = broker
-	s.Fleet = fleet
+	s.Broker, _ = ex.(*tasks.Broker)
+	s.Fleet, _ = ex.(*shard.Fleet)
 	if sc := startScrubber(db, scrub); sc != nil {
 		defer sc.Close()
 		s.Scrubber = sc
 	}
-	g := gateway.New(cfg, ctrl, backend, db, s.Handler())
+	g := gateway.New(cfg, nil, ex, db, s.Handler())
 
 	d, err := statusd.StartDaemon(addr, s, g.Handler())
 	if err != nil {
-		if fleet != nil {
-			fleet.Close()
-		}
-		if broker != nil {
-			broker.Close()
-		}
+		ex.Close()
 		return err
 	}
 
 	fmt.Printf("gem5artd gateway on http://%s (%d tenants; submit: /api/launches)\n",
 		d.Addr, len(cfg.Tenants))
-	if fleet != nil {
-		m := fleet.Map()
+	switch ex := ex.(type) {
+	case *shard.Fleet:
+		m := ex.Map()
 		for _, info := range m.Shards {
 			fmt.Printf("shard %d primary on %s\n", info.Index, info.Addr)
 		}
 		fmt.Printf("sharded fleet up (epoch %d); start gem5worker -resolve http://%s\n", m.Epoch, d.Addr)
-	} else {
-		fmt.Printf("broker listening on %s; start gem5worker -broker %s\n", broker.Addr(), broker.Addr())
+	case *tasks.Broker:
+		fmt.Printf("broker listening on %s; start gem5worker -broker %s\n", ex.Addr(), ex.Addr())
 	}
 
 	// SIGHUP reloads the tenant file in place: new snapshot for auth and
@@ -231,16 +211,11 @@ func runGateway(addr, dbDir, tenantsPath, quotaFlag, rateFlag string,
 		}
 	}()
 
-	closeBackend := func() {
-		if fleet != nil {
-			fleet.Close()
-		}
-		if broker != nil {
-			broker.Close()
-		}
-		g.Wait() // result pump drains once the backend's channel closes
+	closeExecutor := func() {
+		ex.Close()
+		g.Wait() // the result pump drains once the executor's channel closes
 	}
-	return waitAndDrain(d, closeBackend, drain)
+	return waitAndDrain(d, closeExecutor, drain)
 }
 
 // loadGatewayConfig reads the tenant file (plus env overlay) and applies
@@ -271,13 +246,13 @@ func loadGatewayConfig(path, quotaFlag, rateFlag string) (*gateway.Config, error
 // signal arrives, then shuts down gracefully: stop accepting, release
 // SSE streams, drain in-flight HTTP within the deadline, and finally
 // close the hosted control plane.
-func waitAndDrain(d *statusd.Daemon, closeBackend func(), drain time.Duration) error {
+func waitAndDrain(d *statusd.Daemon, closeExecutor func(), drain time.Duration) error {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
 	select {
 	case err := <-d.Err():
-		if closeBackend != nil {
-			closeBackend()
+		if closeExecutor != nil {
+			closeExecutor()
 		}
 		return err
 	case got := <-sig:
@@ -285,8 +260,8 @@ func waitAndDrain(d *statusd.Daemon, closeBackend func(), drain time.Duration) e
 		ctx, cancel := context.WithTimeout(context.Background(), drain)
 		defer cancel()
 		err := d.Shutdown(ctx)
-		if closeBackend != nil {
-			closeBackend()
+		if closeExecutor != nil {
+			closeExecutor()
 		}
 		if err != nil {
 			return fmt.Errorf("drain: %w", err)

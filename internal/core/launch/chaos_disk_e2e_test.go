@@ -34,7 +34,7 @@ func dumpDiskChaosOnFailure(t *testing.T, seed int64, db *database.DB, storeDir 
 			return
 		}
 		if dir := faultinject.ArtifactsDir(); dir != "" && db != nil {
-			if path, err := database.WriteScrubReport(dir, t.Name()+"-scrub", db.Scrub(nil)); err == nil {
+			if path, err := database.WriteScrubReport(dir, t.Name()+"-scrub", db.Scrub()); err == nil {
 				t.Logf("chaos scrub report: %s", path)
 			}
 		}

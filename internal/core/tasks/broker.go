@@ -71,6 +71,17 @@ type JobResult struct {
 	Output json.RawMessage
 }
 
+// Executor is a job queue that runs jobs out of process: a *Broker, or
+// a sharded *shard.Fleet of them. Submit queues a job with no limit on
+// how many, and fails only once the executor is closed; Results
+// delivers each job's result; Close stops the executor and, once the
+// deliveries in flight have landed, closes Results.
+type Executor interface {
+	Submit(j Job) error
+	Results() <-chan JobResult
+	Close()
+}
+
 // BrokerOptions configures the broker's fault-tolerance behaviour. The
 // zero value requeues on disconnect only: no leases, no retries,
 // in-memory queue.
@@ -95,11 +106,11 @@ type BrokerOptions struct {
 	// instead of binding addr — the hook chaos tests use to interpose
 	// faultinject.NetChaos on the accept path.
 	Listener net.Listener
-	// Admission, when non-nil, gates TrySubmit: jobs are offered to it
-	// before queueing and released back when their result is recorded.
-	// Submit bypasses it (trusted in-process callers keep their
-	// semantics); the gateway edge always uses TrySubmit.
-	Admission Admission
+	// Deprecated: Admission is ignored. Per-tenant admission is the
+	// gateway's (gateway.Controller), which submits only what it has
+	// admitted; the field stays declared because the benchmark module
+	// (benchmark/svc.go) still sets it.
+	Admission any
 }
 
 // Broker is the Celery-analogue job queue: it accepts worker
@@ -204,37 +215,13 @@ func (b *Broker) Closed() bool {
 // Submit queues a job for any worker. It is idempotent per job ID: a
 // job that already completed redelivers its recorded result instead of
 // executing again, and a job already queued or in flight is not queued
-// twice. With a durable queue this holds across broker restarts.
-func (b *Broker) Submit(j Job) { b.submit(j) }
-
-// TrySubmit is the admission-controlled submit path: with
-// BrokerOptions.Admission set, the job is offered to the controller
-// first and a *QuotaExceededError propagates to the caller instead of
-// queueing. The reservation is released when the job's result is
-// recorded — or immediately, if the broker turns out to be closed.
-func (b *Broker) TrySubmit(j Job) error {
-	adm := b.opts.Admission
-	if adm != nil {
-		if err := adm.Admit(j); err != nil {
-			return err
-		}
-	}
-	if !b.submit(j) {
-		if adm != nil {
-			adm.Release(j)
-		}
-		return fmt.Errorf("tasks: broker closed")
-	}
-	return nil
-}
-
-// submit is the shared enqueue path; it reports false when the broker
-// is closed (the only case where the job is dropped outright).
-func (b *Broker) submit(j Job) bool {
+// twice. With a durable queue this holds across broker restarts. It
+// fails only when the broker is closed, dropping the job.
+func (b *Broker) Submit(j Job) error {
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
-		return false
+		return fmt.Errorf("tasks: broker closed")
 	}
 	replay, queued := b.jobs.submit(j)
 	then := b.settledLocked(replay...) // delivered like a fresh result
@@ -243,13 +230,13 @@ func (b *Broker) submit(j Job) bool {
 	if queued {
 		b.dispatch()
 	}
-	return true
+	return nil
 }
 
 // settledLocked registers the deliveries among sts under b.mu, while
 // the broker is open, which orders them before stop closes resCh. The
 // function it returns, run once b.mu is released, schedules each retry
-// and frees and delivers each result off the caller's goroutine, so a
+// and delivers each result off the caller's goroutine, so a
 // slow Results consumer cannot stall a worker's read loop or a fleet
 // failover that resubmits thousands of finished jobs.
 func (b *Broker) settledLocked(sts ...settlement) func() {
@@ -264,7 +251,6 @@ func (b *Broker) settledLocked(sts ...settlement) func() {
 				b.retryAfter(st.job.ID, st.backoff)
 				continue
 			}
-			b.release(st.job)
 			go b.deliver(st.res)
 		}
 	}
@@ -282,15 +268,6 @@ func (b *Broker) retryAfter(id string, d time.Duration) {
 			b.dispatch()
 		}
 	})
-}
-
-// release frees the admission reservation for a job whose result just
-// became terminal. Must be called without b.mu held: controllers react
-// by dispatching parked work, which re-enters the submit path.
-func (b *Broker) release(j Job) {
-	if b.opts.Admission != nil {
-		b.opts.Admission.Release(j)
-	}
 }
 
 // Results returns the channel on which finished jobs are delivered.
@@ -347,15 +324,12 @@ func (b *Broker) stop(graceful bool) {
 	}
 	b.closed = true
 	close(b.done)
-	failed := b.jobs.stop(graceful)
+	b.jobs.stop(graceful)
 	conns := make([]net.Conn, 0, len(b.sessions))
 	for _, w := range b.sessions {
 		conns = append(conns, w.conn)
 	}
 	b.mu.Unlock()
-	for _, j := range failed {
-		b.release(j)
-	}
 	_ = b.ln.Close()
 	for _, c := range conns {
 		_ = c.Close()

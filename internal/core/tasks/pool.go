@@ -8,6 +8,11 @@
 //   - Broker/Worker, a TCP job queue (the Celery analogue) that can
 //     distribute jobs over multiple machines.
 //
+// The out-of-process queues, a Broker and shard.Fleet's sharded set of
+// brokers, are each an Executor: Submit, Results and Close. Neither
+// admits or refuses work while open; per-tenant quotas belong to the
+// multi-tenant gateway, which submits only the jobs it has admitted.
+//
 // "There is no limit to how many tasks may be passed": submission never
 // blocks the caller; tasks queue and run as capacity frees up.
 package tasks

@@ -436,8 +436,11 @@ func TestBrokerCloseFailsInFlightJobs(t *testing.T) {
 			t.Fatalf("%s: err = %q, want \"broker closed\"", id, res.Err)
 		}
 	}
-	// Close must be idempotent.
+	// Close must be idempotent, and a closed broker refuses new jobs.
 	b.Close()
+	if err := b.Submit(Job{ID: "late", Kind: "work"}); err == nil {
+		t.Fatal("a closed broker accepted a job")
+	}
 }
 
 // TestBrokerRequeueUnderConcurrentSubmits kills a worker while several

@@ -26,8 +26,7 @@ type Options struct {
 	// Dir resumes each shard from the primary it last had.
 	Dir string
 	// Broker is the per-shard broker template (heartbeat, lease, retry).
-	// Its DB, Listener, and Admission fields are overwritten by the
-	// fleet.
+	// Its DB and Listener fields are overwritten by the fleet.
 	Broker tasks.BrokerOptions
 	// LeaseTTL is the primary lease: a shard whose primary broker has
 	// been down this long gets its standby promoted (default 250ms —
@@ -39,11 +38,6 @@ type Options struct {
 	// the hook chaos tests use to interpose faultinject.NetChaos per
 	// shard. Called again for the promoted broker on every failover.
 	Listener func(shard int) (net.Listener, error)
-	// Admission, when non-nil, gates TrySubmit at the fleet edge and is
-	// released exactly once per job when its result is delivered.
-	// Per-shard brokers never see it: failover resubmission must not
-	// re-run admission for jobs the fleet already accepted.
-	Admission tasks.Admission
 }
 
 // shardState is one shard's mutable control-plane state, guarded by the
@@ -184,7 +178,6 @@ func (f *Fleet) openStore(shard, gen int) (*database.DB, error) {
 func (f *Fleet) startGen(s *shardState, gen int, primary *database.DB) error {
 	bo := f.opts.Broker
 	bo.DB, bo.Listener = primary, nil
-	bo.Admission = nil // admission lives at the fleet edge, not per shard
 	if f.opts.Listener != nil {
 		ln, err := f.opts.Listener(s.index)
 		if err != nil {
@@ -345,25 +338,20 @@ func (f *Fleet) failover(i int) {
 	shardFailovers.Inc()
 	shardEpoch.Set(float64(epoch))
 	for _, j := range resubmit {
-		broker.Submit(j)
+		_ = broker.Submit(j) // refused only if it stopped already: the next failover resubmits
 	}
 }
 
 // deliverResult forwards a result to the fleet channel if its job is
 // outstanding, and ends that: a copy a failover replays, or one a
-// deposed primary still buffered, finds the job delivered already. The
-// job's admission reservation is released before the (possibly slow)
-// channel send so freed capacity dispatches parked work promptly.
+// deposed primary still buffered, finds the job delivered already.
 func (f *Fleet) deliverResult(res tasks.JobResult) {
 	f.mu.Lock()
-	j, outstanding := f.outstanding[res.ID]
+	_, outstanding := f.outstanding[res.ID]
 	delete(f.outstanding, res.ID)
 	f.mu.Unlock()
 	if !outstanding {
 		return
-	}
-	if f.opts.Admission != nil {
-		f.opts.Admission.Release(j)
 	}
 	select {
 	case f.results <- res:
@@ -371,47 +359,24 @@ func (f *Fleet) deliverResult(res tasks.JobResult) {
 	}
 }
 
-// Submit routes a job to its owning shard. The job is tracked as
-// outstanding until its result is delivered, so a failover mid-flight
-// resubmits it to the promoted broker.
-func (f *Fleet) Submit(j tasks.Job) { f.route(j) }
-
-// TrySubmit is the admission-controlled submit path: with
-// Options.Admission set, the job is offered to the controller before it
-// is routed, and a *QuotaExceededError propagates to the caller instead
-// of queueing. The reservation is released when the job's result is
-// delivered — or immediately, if the fleet turns out to be closed.
-func (f *Fleet) TrySubmit(j tasks.Job) error {
-	adm := f.opts.Admission
-	if adm != nil {
-		if err := adm.Admit(j); err != nil {
-			return err
-		}
-	}
-	if !f.route(j) {
-		if adm != nil {
-			adm.Release(j)
-		}
-		return fmt.Errorf("shard: fleet closed")
-	}
-	return nil
-}
-
-// route tracks j as outstanding and submits it to its owning shard's
-// current primary. It reports false, dropping the job, when the fleet
-// is closed.
-func (f *Fleet) route(j tasks.Job) bool {
+// Submit routes a job to its owning shard's current primary. The job
+// is tracked as outstanding until its result is delivered, so a
+// failover mid-flight resubmits it to the promoted broker. It fails
+// only when the fleet is closed, dropping the job.
+func (f *Fleet) Submit(j tasks.Job) error {
 	shard := f.ring.Owner(j.ID)
 	f.mu.Lock()
 	if f.closed {
 		f.mu.Unlock()
-		return false
+		return fmt.Errorf("shard: fleet closed")
 	}
 	f.outstanding[j.ID] = j
 	b := f.shards[shard].broker
 	f.mu.Unlock()
-	b.Submit(j)
-	return true
+	// A primary that stopped since refuses the job, which stays
+	// outstanding: the failover that replaces it resubmits the job.
+	_ = b.Submit(j)
+	return nil
 }
 
 // Results is the fleet-wide result stream: exactly one delivery per job
@@ -502,30 +467,6 @@ func (f *Fleet) Health() error {
 		}
 	}
 	return nil
-}
-
-// Scrub runs one integrity-scrub pass over every shard primary, using
-// that shard's standby file store as the repair source: a blob the
-// primary quarantines is restored from the replicated copy when the
-// standby still verifies it. Returns one report per shard, indexed by
-// shard number.
-func (f *Fleet) Scrub() []*database.ScrubReport {
-	f.mu.Lock()
-	type pair struct{ primary, standby *database.DB }
-	pairs := make([]pair, 0, len(f.shards))
-	for _, s := range f.shards {
-		pairs = append(pairs, pair{s.primaryDB, s.standbyDB})
-	}
-	f.mu.Unlock()
-	reports := make([]*database.ScrubReport, len(pairs))
-	for i, p := range pairs {
-		var source database.RepairSource
-		if p.standby != nil {
-			source = database.FileRepair(p.standby.Files())
-		}
-		reports[i] = p.primary.Scrub(source)
-	}
-	return reports
 }
 
 // Close stops every broker, shipper, and monitor goroutine, closes the

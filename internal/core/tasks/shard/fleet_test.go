@@ -259,78 +259,6 @@ func TestFleetFailoverReplaysRecordedResults(t *testing.T) {
 	}
 }
 
-// countingAdmission admits every job but those named in reject, and
-// counts Admit and Release calls per job.
-type countingAdmission struct {
-	mu                 sync.Mutex
-	reject             map[string]bool
-	admitted, released map[string]int
-}
-
-func (a *countingAdmission) Admit(j tasks.Job) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.reject[j.ID] {
-		return &tasks.QuotaExceededError{Tenant: "t", Reason: "queue full"}
-	}
-	a.admitted[j.ID]++
-	return nil
-}
-
-func (a *countingAdmission) Release(j tasks.Job) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.released[j.ID]++
-}
-
-func (a *countingAdmission) counts(id string) (admitted, released int) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.admitted[id], a.released[id]
-}
-
-// TestFleetTrySubmitAdmitsAndReleasesOnce: the fleet's one guarded
-// submit path admits before routing, surfaces a rejection without
-// queueing, releases a delivered job exactly once, and releases at once
-// a job that a closed fleet drops.
-func TestFleetTrySubmitAdmitsAndReleasesOnce(t *testing.T) {
-	adm := &countingAdmission{
-		reject:   map[string]bool{"rejected": true},
-		admitted: map[string]int{}, released: map[string]int{},
-	}
-	f, err := NewFleet(Options{Shards: 2, Dir: t.TempDir(), Admission: adm})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < f.Shards(); i++ {
-		fleetWorker(t, f, i)
-	}
-	job := func(id string) tasks.Job { return tasks.Job{ID: id, Kind: "echo", Payload: json.RawMessage(`{}`)} }
-
-	var quota *tasks.QuotaExceededError
-	if err := f.TrySubmit(job("rejected")); !errors.As(err, &quota) {
-		t.Fatalf("rejected job: err = %v, want *QuotaExceededError", err)
-	}
-	if f.Outstanding() != 0 {
-		t.Fatalf("a rejected job is outstanding")
-	}
-	if err := f.TrySubmit(job("ok")); err != nil {
-		t.Fatal(err)
-	}
-	collectFleet(t, f, 1, 10*time.Second)
-	if a, r := adm.counts("ok"); a != 1 || r != 1 {
-		t.Fatalf("delivered job admitted %d and released %d times, want 1 and 1", a, r)
-	}
-
-	f.Close()
-	if err := f.TrySubmit(job("late")); err == nil {
-		t.Fatal("closed fleet accepted a job")
-	}
-	if a, r := adm.counts("late"); a != 1 || r != 1 {
-		t.Fatalf("job dropped by a closed fleet admitted %d and released %d times, want 1 and 1", a, r)
-	}
-}
-
 // countingWorker is a fleetWorker whose echo handler counts its runs.
 func countingWorker(t *testing.T, f *Fleet, runs *atomic.Int64) {
 	t.Helper()
@@ -433,6 +361,9 @@ func TestFleetRestartDeliversRecoveredJobs(t *testing.T) {
 		f1.Submit(tasks.Job{ID: fmt.Sprintf("run-%d", i), Kind: "echo", Payload: json.RawMessage(`{}`)})
 	}
 	f1.Close() // no worker ever connected: every job is parked
+	if err := f1.Submit(tasks.Job{ID: "late", Kind: "echo"}); err == nil {
+		t.Fatal("a closed fleet accepted a job")
+	}
 
 	f2, err := NewFleet(opts)
 	if err != nil {

@@ -237,57 +237,9 @@ func TestTmpSweepAtOpen(t *testing.T) {
 	}
 }
 
-// TestScrubQuarantinesAndRepairs: a blob corrupted on disk is detected
-// by the scrubber, quarantined (never served again), and restored from
-// a repair source that still holds a good copy.
-func TestScrubQuarantinesAndRepairs(t *testing.T) {
-	dir := t.TempDir()
-	db := MustOpen(dir).(*DB)
-	content := []byte("checkpoint payload to corrupt")
-	hash, err := db.Files().Put("cpt.1", content)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A healthy standby holding the same content is the repair source.
-	standby := MustOpen(t.TempDir())
-	if _, err := standby.Files().Put("cpt.1", content); err != nil {
-		t.Fatal(err)
-	}
-	defer standby.Close()
-
-	// Flip bits in the primary's on-disk blob.
-	dbtest.RotBlob(t, dir, content)
-
-	rep := db.Scrub(FileRepair(standby.Files()))
-	if rep.Corrupt != 1 || len(rep.Quarantined) != 1 || rep.Quarantined[0] != hash {
-		t.Fatalf("scrub report = %+v, want 1 corrupt/quarantined %s", rep, hash)
-	}
-	if len(rep.Repaired) != 1 || rep.Repaired[0] != hash {
-		t.Fatalf("scrub did not repair from source: %+v", rep)
-	}
-	// Quarantine dir holds the corrupt bytes for forensics.
-	if _, err := os.Stat(filepath.Join(dir, "quarantine", hash+".blob")); err != nil {
-		t.Fatalf("quarantined blob missing: %v", err)
-	}
-	// The repaired blob serves the original content again.
-	got, err := db.Files().Get(hash)
-	if err != nil || string(got) != string(content) {
-		t.Fatalf("repaired Get = (%q, %v)", got, err)
-	}
-	if raw := packContent(t, dir, hash); string(raw) != string(content) {
-		t.Fatalf("repaired blob on disk = %q", raw)
-	}
-	db.Close()
-	// The repair frame wins over the rotten one at the next load.
-	re := MustOpen(dir)
-	defer re.Close()
-	if got, err := re.Files().Get(hash); err != nil || string(got) != string(content) {
-		t.Fatalf("repaired blob after reopen = (%q, %v)", got, err)
-	}
-}
-
-// TestScrubQuarantineWithoutSource: with no repair source the corrupt
-// blob is quarantined and simply gone from the store.
+// TestScrubQuarantineWithoutSource: a blob corrupted on disk is
+// detected by the scrubber, its bytes are set aside for forensics, and
+// it is gone from the store: nothing holds a copy to repair it from.
 func TestScrubQuarantineWithoutSource(t *testing.T) {
 	dir := t.TempDir()
 	db := MustOpen(dir).(*DB)
@@ -297,9 +249,12 @@ func TestScrubQuarantineWithoutSource(t *testing.T) {
 		t.Fatal(err)
 	}
 	dbtest.RotBlob(t, dir, []byte("disk image"))
-	rep := db.Scrub(nil)
-	if rep.Corrupt != 1 || len(rep.Repaired) != 0 {
-		t.Fatalf("scrub report = %+v", rep)
+	rep := db.Scrub()
+	if rep.Corrupt != 1 || len(rep.Quarantined) != 1 || rep.Quarantined[0] != hash {
+		t.Fatalf("scrub report = %+v, want 1 corrupt/quarantined %s", rep, hash)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "quarantine", hash+".blob")); err != nil {
+		t.Fatalf("quarantined blob missing: %v", err)
 	}
 	if db.Files().Exists(hash) {
 		t.Fatal("corrupt blob still served after quarantine")
@@ -327,7 +282,7 @@ func TestScrubDetectsTornJournal(t *testing.T) {
 	if err := os.WriteFile(wal, mut, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	rep := db.Scrub(nil)
+	rep := db.Scrub()
 	if rep.TornJournals != 1 {
 		t.Fatalf("scrub saw %d torn journals, want 1 (report %+v)", rep.TornJournals, rep)
 	}
@@ -359,7 +314,7 @@ func TestScrubHealthyStoreUnderWrites(t *testing.T) {
 	compactions := dbCompactions.With("scrubbed_runs").Value()
 
 	// The interval never elapses: the goroutine below drives the passes.
-	scrubber := StartScrubber(db, time.Hour, nil)
+	scrubber := StartScrubber(db, time.Hour)
 	defer scrubber.Close()
 	var reps []*ScrubReport
 	stop, done := make(chan struct{}), make(chan struct{})
@@ -389,7 +344,7 @@ func TestScrubHealthyStoreUnderWrites(t *testing.T) {
 		t.Fatalf("%g compactions during the inserts, want several", n)
 	}
 
-	final := db.Scrub(nil)
+	final := db.Scrub()
 	for i, rep := range append(reps, final) {
 		if rep.Corrupt != 0 || rep.TornJournals != 0 || rep.Degraded != "" ||
 			rep.LockWait < 0 || rep.LockWait > rep.Duration {

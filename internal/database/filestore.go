@@ -255,7 +255,8 @@ func (fs *fileStore) readDurable(hash string) ([]byte, error) {
 // sets its durable bytes aside under <dir>/quarantine/ for forensics.
 // A legacy pair is moved there. A pack frame is copied there: the pack
 // is append-only, so the frame stays and every load skips it again
-// once its CRC fails, while a repair appends a new one.
+// once its CRC fails, while a later Put of the content appends a new
+// one.
 func (fs *fileStore) quarantine(hash string) {
 	fs.mu.Lock()
 	loc, durable := fs.where[hash]
@@ -345,8 +346,7 @@ func (fs *fileStore) loadPack(path string) error {
 		if !fr.ok {
 			// Corrupt content (bit rot) or a damaged header: keep the
 			// bytes for forensics rather than refusing to open the store.
-			// An earlier or later good frame for the hash still serves,
-			// and Scrub can repair it from a replica.
+			// An earlier or later good frame for the hash still serves.
 			_ = fs.quarantineBytes(quarantineName(fr.meta.Hash, fr.frame), data[fr.frame:fr.off+fr.n])
 			continue
 		}
@@ -408,8 +408,7 @@ func (fs *fileStore) loadLegacy(dir string) error {
 			if derr != nil || storage.HashBytes(dec) != meta.Hash {
 				// Corrupt content (torn write, bit rot). Quarantine it
 				// rather than refusing to open the store: the blob is
-				// never served, and Scrub can later repair it from a
-				// replica.
+				// never served.
 				fs.quarantineLegacy(meta.Hash)
 				continue
 			}

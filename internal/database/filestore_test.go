@@ -62,7 +62,7 @@ func TestFileStoreReadsLegacyBase64Blobs(t *testing.T) {
 	if !ok || m.Name != "vmlinux" {
 		t.Fatalf("legacy meta = %+v, %v", m, ok)
 	}
-	if rep := db.Scrub(nil); rep.Blobs != 3 || rep.Corrupt != 0 {
+	if rep := db.Scrub(); rep.Blobs != 3 || rep.Corrupt != 0 {
 		t.Fatalf("scrub of the mixed store = %+v, want 3 blobs and none corrupt", rep)
 	}
 	if err := db.Close(); err != nil {
@@ -71,7 +71,7 @@ func TestFileStoreReadsLegacyBase64Blobs(t *testing.T) {
 	re := MustOpen(dir).(*DB)
 	defer re.Close()
 	check(re)
-	if rep := re.Scrub(nil); rep.Blobs != 3 || rep.Corrupt != 0 {
+	if rep := re.Scrub(); rep.Blobs != 3 || rep.Corrupt != 0 {
 		t.Fatalf("scrub after reopen = %+v, want 3 blobs and none corrupt", rep)
 	}
 	// The legacy pairs must not be rewritten just because we opened them.
@@ -287,7 +287,7 @@ func TestPackUnframedTailSetAside(t *testing.T) {
 }
 
 // TestPackLastGoodFrameWins: a pack can hold several frames for one
-// hash (a scrub repair appends one). The last good frame's meta wins,
+// hash (a Put after a quarantine appends one). The last good frame's meta wins,
 // and a corrupt frame after it does not displace it.
 func TestPackLastGoodFrameWins(t *testing.T) {
 	dir := t.TempDir()
@@ -314,7 +314,7 @@ func TestPackLastGoodFrameWins(t *testing.T) {
 	if !ok || m.Name != "second" {
 		t.Fatalf("Stat = %+v, %v; want the second frame's meta", m, ok)
 	}
-	if rep := db.Scrub(nil); rep.Blobs != 1 || rep.Corrupt != 0 {
+	if rep := db.Scrub(); rep.Blobs != 1 || rep.Corrupt != 0 {
 		t.Fatalf("scrub = %+v, want the winning frame verified clean", rep)
 	}
 }

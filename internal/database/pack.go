@@ -19,9 +19,9 @@ import (
 //
 // The CRC covers the meta JSON and the content, and the content must
 // also hash to meta.Hash, so a frame verifies without trusting its
-// header. Blobs are never deleted from the pack: a scrub repair
-// appends a new frame, and at load the last good frame for a hash
-// wins.
+// header. Blobs are never deleted from the pack: a Put of content
+// whose frame was quarantined appends a new frame, and at load the last
+// good frame for a hash wins.
 //
 // Replay (scanPack) walks the frames from the start:
 //   - a complete frame that fails its CRC or content hash is reported

@@ -24,36 +24,12 @@ import (
 // discovering bit rot the day a result is re-derived from it.
 //
 // Corrupt blobs are quarantined: set aside under <dir>/quarantine/ and
-// evicted from memory so they are never served again, then repaired
-// when a RepairSource (the shard standby's file store, wired by
-// shard.Fleet) still holds a good copy. Journal and snapshot damage is
-// reported, not rewritten — the journal's torn-tail truncation at the
-// next open is the recovery path for those.
-
-// RepairSource supplies known-good blob content by hash — typically
-// the replicated standby of a shard. Ok is false when the source has
-// no (valid) copy.
-type RepairSource interface {
-	Blob(hash string) (data []byte, ok bool)
-}
-
-// FileRepair adapts a storage.FileStore (e.g. a standby's Files()) to
-// a RepairSource, re-verifying content against its hash so a corrupt
-// replica can never "repair" a primary.
-func FileRepair(fs FileStore) RepairSource { return fileRepair{fs} }
-
-type fileRepair struct{ fs FileStore }
-
-func (r fileRepair) Blob(hash string) ([]byte, bool) {
-	if r.fs == nil {
-		return nil, false
-	}
-	data, err := r.fs.Get(hash)
-	if err != nil || storage.HashBytes(data) != hash {
-		return nil, false
-	}
-	return data, true
-}
+// evicted from memory so they are never served again. Nothing repairs
+// them: no replica holds blobs (replication ships collection journals
+// only), so a quarantined blob is missing to every later reader.
+// Journal and snapshot damage is reported, not rewritten — the
+// journal's torn-tail truncation at the next open is the recovery path
+// for those.
 
 // ScrubReport summarizes one scrub pass.
 type ScrubReport struct {
@@ -73,18 +49,16 @@ type ScrubReport struct {
 	Blobs       int      `json:"blobs"`
 	Corrupt     int      `json:"corrupt"`               // blobs whose content no longer matches their hash
 	Quarantined []string `json:"quarantined,omitempty"` // hashes moved to <dir>/quarantine/
-	Repaired    []string `json:"repaired,omitempty"`    // hashes restored from the repair source
 
 	Degraded string `json:"degraded,omitempty"` // the store's degraded reason, if any
 }
 
 // Scrub walks the store's durable state once, verifying journals,
-// snapshots, and blob content hashes. Corrupt blobs are quarantined
-// (and repaired from source when possible); structural journal or
-// snapshot damage is counted for the report. In-memory stores scrub
-// trivially clean.
-func (db *DB) Scrub(source RepairSource) *ScrubReport {
-	return db.scrubWith(source, nil)
+// snapshots, and blob content hashes. Corrupt blobs are quarantined;
+// structural journal or snapshot damage is counted for the report.
+// In-memory stores scrub trivially clean.
+func (db *DB) Scrub() *ScrubReport {
+	return db.scrubWith(nil)
 }
 
 // scrubProgress remembers what earlier passes verified, so the
@@ -111,7 +85,7 @@ func newScrubProgress() *scrubProgress {
 }
 
 // scrubWith is Scrub with optional incremental progress.
-func (db *DB) scrubWith(source RepairSource, prog *scrubProgress) *ScrubReport {
+func (db *DB) scrubWith(prog *scrubProgress) *ScrubReport {
 	start := time.Now()
 	rep := &ScrubReport{Start: start.UTC()}
 	defer func() {
@@ -128,7 +102,7 @@ func (db *DB) scrubWith(source RepairSource, prog *scrubProgress) *ScrubReport {
 		return rep
 	}
 	db.scrubCollections(rep, prog)
-	db.scrubBlobs(rep, source, prog)
+	db.scrubBlobs(rep, prog)
 	return rep
 }
 
@@ -353,10 +327,8 @@ func snapshotParses(data []byte) bool {
 
 // scrubBlobs re-reads every blob's durable bytes — its pack frame, or
 // a legacy pair's .blob — and verifies its content hash. Corrupt blobs
-// are quarantined and, when the source has a good copy, stored again:
-// a repaired pack blob is a new frame, which wins over the bad one at
-// every later load.
-func (db *DB) scrubBlobs(rep *ScrubReport, source RepairSource, prog *scrubProgress) {
+// are quarantined.
+func (db *DB) scrubBlobs(rep *ScrubReport, prog *scrubProgress) {
 	for _, hash := range db.files.hashes() {
 		if prog != nil && prog.blobs[hash] {
 			continue // content-addressed and already verified this process
@@ -373,16 +345,8 @@ func (db *DB) scrubBlobs(rep *ScrubReport, source RepairSource, prog *scrubProgr
 			continue
 		}
 		rep.Corrupt++
-		meta, _ := db.files.Stat(hash)
 		db.files.quarantine(hash)
 		rep.Quarantined = append(rep.Quarantined, hash)
-		if source != nil {
-			if data, good := source.Blob(hash); good {
-				if _, err := db.files.Put(meta.Name, data); err == nil {
-					rep.Repaired = append(rep.Repaired, hash)
-				}
-			}
-		}
 	}
 }
 
@@ -399,8 +363,7 @@ func blobMatches(raw []byte, hash string) bool {
 // Scrubber runs Scrub on an interval in the background. The zero
 // interval scrubs every 5 minutes.
 type Scrubber struct {
-	db     *DB
-	source RepairSource
+	db *DB
 
 	mu   sync.Mutex
 	last *ScrubReport
@@ -423,12 +386,11 @@ type Scrubber struct {
 const fullScrubEvery = 16
 
 // StartScrubber launches a background integrity scrubber over db.
-// source may be nil (no repair path — quarantine only).
-func StartScrubber(db *DB, interval time.Duration, source RepairSource) *Scrubber {
+func StartScrubber(db *DB, interval time.Duration) *Scrubber {
 	if interval <= 0 {
 		interval = 5 * time.Minute
 	}
-	s := &Scrubber{db: db, source: source, stop: make(chan struct{}), done: make(chan struct{})}
+	s := &Scrubber{db: db, stop: make(chan struct{}), done: make(chan struct{})}
 	go func() {
 		defer close(s.done)
 		t := time.NewTicker(interval)
@@ -454,7 +416,7 @@ func (s *Scrubber) ScrubNow() *ScrubReport {
 		s.prog = newScrubProgress()
 	}
 	s.passes++
-	rep := s.db.scrubWith(s.source, s.prog)
+	rep := s.db.scrubWith(s.prog)
 	s.runMu.Unlock()
 	s.mu.Lock()
 	s.last = rep

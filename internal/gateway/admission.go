@@ -1,7 +1,7 @@
 package gateway
 
 import (
-	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"time"
@@ -15,8 +15,8 @@ import (
 // alone.
 const jobIDPrefix = "g/"
 
-// TenantOf extracts the tenant from a gateway job ID, or "" for jobs
-// submitted by trusted in-process callers (which bypass quotas).
+// TenantOf extracts the tenant from a gateway job ID, or "" for a job
+// ID the gateway did not mint.
 func TenantOf(jobID string) string {
 	if !strings.HasPrefix(jobID, jobIDPrefix) {
 		return ""
@@ -29,28 +29,34 @@ func TenantOf(jobID string) string {
 	return tenant
 }
 
-// Backend is the control plane the gateway submits into: a single
-// *tasks.Broker or a sharded *shard.Fleet, both of which expose the
-// admission-gated TrySubmit and a result stream.
-type Backend interface {
-	TrySubmit(j tasks.Job) error
-	Results() <-chan tasks.JobResult
+// QuotaExceededError reports a launch refused by admission control:
+// its jobs would overflow the tenant's in-flight cap plus queue bound.
+// The gateway maps it to HTTP 429 with a Retry-After header.
+type QuotaExceededError struct {
+	Tenant     string        // tenant whose quota refused the launch
+	Reason     string        // "queue full"
+	Limit      int           // the limit that was hit
+	RetryAfter time.Duration // suggested backoff before resubmitting
+}
+
+func (e *QuotaExceededError) Error() string {
+	return fmt.Sprintf("gateway: tenant %q over quota: %s (limit %d)", e.Tenant, e.Reason, e.Limit)
 }
 
 // tenantState is one tenant's admission bookkeeping.
 type tenantState struct {
-	inflight int         // jobs admitted to the backend, result pending
+	inflight int         // jobs submitted to the executor, result pending
 	parked   []tasks.Job // bounded queue awaiting capacity
 	lastSeq  uint64      // dispatch recency, for fair tie-breaking
 }
 
-// Controller implements tasks.Admission with per-tenant in-flight caps,
-// bounded parked queues, and weighted fair dispatch: when capacity
-// frees, the parked tenant with the lowest in-flight/weight ratio
-// dispatches next, so a tenant flooding its queue cannot starve a
-// lighter one. It is installed on the broker/fleet submit path
-// (BrokerOptions.Admission / shard.Options.Admission) and fed parked
-// work through Reserve + Kick by the gateway's launch handler.
+// Controller is the gateway's admission control: per-tenant in-flight
+// caps, bounded parked queues, and weighted fair dispatch. When
+// capacity frees, the parked tenant with the lowest in-flight/weight
+// ratio dispatches next, so a tenant flooding its queue cannot starve a
+// lighter one. The launch handler parks work with Reserve and Kick
+// submits it to the executor, one in-flight slot per job; the result
+// pump frees the slot with Release.
 type Controller struct {
 	// RetryAfter is the backoff hint attached to rejections (default 1s).
 	RetryAfter time.Duration
@@ -59,13 +65,13 @@ type Controller struct {
 	quotas   map[string]Quota
 	fallback Quota
 	state    map[string]*tenantState
-	admitted map[string]tasks.Job // job ID -> job, for idempotent Admit
+	admitted map[string]string // job ID -> tenant, for every slot held
 	seq      uint64
 
-	// dispatchMu serializes Kick loops so the capacity a pick observed
-	// cannot be claimed by a concurrent picker before Admit runs.
+	// dispatchMu serializes Kick loops, so jobs reach the executor in
+	// the order the fairness picks made.
 	dispatchMu sync.Mutex
-	submit     func(tasks.Job) error // backend TrySubmit; set by Bind
+	submit     func(tasks.Job) error // the executor's Submit; set by Bind
 	onDrop     func(tasks.Job, error)
 }
 
@@ -75,15 +81,15 @@ func NewController(cfg *Config) *Controller {
 	c := &Controller{
 		RetryAfter: time.Second,
 		state:      make(map[string]*tenantState),
-		admitted:   make(map[string]tasks.Job),
+		admitted:   make(map[string]string),
 	}
 	c.SetConfig(cfg)
 	return c
 }
 
-// Bind points the controller at the backend submit path and an optional
-// drop callback invoked when a parked job is lost because the backend
-// refused it terminally (e.g. closed during shutdown).
+// Bind points the controller at the executor's submit path and an
+// optional drop callback invoked when a parked job is lost because the
+// executor refused it (closed during shutdown).
 func (c *Controller) Bind(submit func(tasks.Job) error, onDrop func(tasks.Job, error)) {
 	c.dispatchMu.Lock()
 	c.submit = submit
@@ -128,60 +134,27 @@ func (c *Controller) stateLocked(tenant string) *tenantState {
 	return st
 }
 
-// Admit implements tasks.Admission: it reserves one in-flight slot for
-// the job's tenant or rejects with *tasks.QuotaExceededError. Jobs
-// without a gateway tenant prefix are always admitted untracked — the
-// in-process submit paths keep their semantics even with a controller
-// installed. Admit is idempotent per job ID, matching the durable
-// queue's resubmit deduplication.
-func (c *Controller) Admit(j tasks.Job) error {
-	tenant := TenantOf(j.ID)
-	if tenant == "" {
-		return nil
+// Release frees the in-flight slot a dispatched job holds, once its
+// result is read, and dispatches parked work into it. It is idempotent
+// per job ID: a durable broker redelivers a finished job's recorded
+// result when the job is submitted again, and only the first delivery
+// frees the slot.
+func (c *Controller) Release(jobID string) {
+	if c.free(jobID) {
+		c.Kick()
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.admitted[j.ID]; ok {
-		return nil
-	}
-	st := c.stateLocked(tenant)
-	q := c.quotaLocked(tenant)
-	if st.inflight >= q.MaxInFlight {
-		gwRejected.With(tenant, "in_flight").Inc()
-		return &tasks.QuotaExceededError{
-			Tenant: tenant, Reason: "max in-flight jobs",
-			Limit: q.MaxInFlight, RetryAfter: c.RetryAfter,
-		}
-	}
-	st.inflight++
-	c.admitted[j.ID] = j
-	gwAdmitted.With(tenant).Inc()
-	return nil
 }
 
-// Release implements tasks.Admission: the job's result is recorded, its
-// slot frees, and parked work dispatches. Unknown jobs are no-ops.
-func (c *Controller) Release(j tasks.Job) {
-	tenant := TenantOf(j.ID)
-	if tenant == "" {
-		return
-	}
+// free gives back the slot jobID holds, reporting whether it held one.
+func (c *Controller) free(jobID string) bool {
 	c.mu.Lock()
-	if _, ok := c.admitted[j.ID]; !ok {
-		c.mu.Unlock()
-		return
+	defer c.mu.Unlock()
+	tenant, ok := c.admitted[jobID]
+	if ok {
+		delete(c.admitted, jobID)
+		c.state[tenant].inflight--
 	}
-	delete(c.admitted, j.ID)
-	st := c.stateLocked(tenant)
-	if st.inflight > 0 {
-		st.inflight--
-	}
-	c.mu.Unlock()
-	// Kick asynchronously: Release can be reached from inside a submit
-	// call the dispatcher itself made (the broker's replay-of-done
-	// dedup path), where a synchronous Kick would self-deadlock on
-	// dispatchMu.
-	go c.Kick()
+	return ok
 }
 
 // Reserve parks a launch's jobs behind the tenant's queue bound,
@@ -196,7 +169,7 @@ func (c *Controller) Reserve(tenant string, jobs []tasks.Job) error {
 	q := c.quotaLocked(tenant)
 	if st.inflight+len(st.parked)+len(jobs) > q.MaxInFlight+q.MaxQueued {
 		gwRejected.With(tenant, "queue_full").Inc()
-		return &tasks.QuotaExceededError{
+		return &QuotaExceededError{
 			Tenant: tenant, Reason: "queue full",
 			Limit: q.MaxInFlight + q.MaxQueued, RetryAfter: c.RetryAfter,
 		}
@@ -229,45 +202,33 @@ func (c *Controller) CancelPrefix(tenant, prefix string) []tasks.Job {
 	return canceled
 }
 
-// Kick dispatches parked jobs while capacity allows, always picking the
+// Kick submits parked jobs while capacity allows, always picking the
 // tenant with the lowest in-flight/weight ratio (ties broken by least
-// recent dispatch). Loops are serialized: the fairness pick and the
-// Admit that consumes its capacity cannot interleave with another loop.
+// recent dispatch). Loops are serialized. A job the executor refuses
+// gives its slot back and is handed to onDrop, which fails its run.
 func (c *Controller) Kick() {
 	c.dispatchMu.Lock()
 	defer c.dispatchMu.Unlock()
 	if c.submit == nil {
 		return
 	}
-	skip := make(map[string]bool)
 	for {
-		j, tenant, ok := c.pick(skip)
+		j, ok := c.pick()
 		if !ok {
 			return
 		}
-		err := c.submit(j)
-		if err == nil {
-			continue
-		}
-		var quota *tasks.QuotaExceededError
-		if errors.As(err, &quota) {
-			// Lost a race with a direct TrySubmit; put the job back in
-			// front and try other tenants this round.
-			c.requeueFront(tenant, j)
-			skip[tenant] = true
-			continue
-		}
-		// Terminal refusal (backend closed): the job is dropped, not
-		// silently — the gateway's onDrop marks its run failed.
-		if c.onDrop != nil {
-			c.onDrop(j, err)
+		if err := c.submit(j); err != nil {
+			c.free(j.ID)
+			if c.onDrop != nil {
+				c.onDrop(j, err)
+			}
 		}
 	}
 }
 
-// pick pops the next job under the weighted-fair policy, or reports
-// none dispatchable.
-func (c *Controller) pick(skip map[string]bool) (tasks.Job, string, bool) {
+// pick pops the next job under the weighted-fair policy and reserves
+// its tenant's in-flight slot, or reports none dispatchable.
+func (c *Controller) pick() (tasks.Job, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var (
@@ -276,7 +237,7 @@ func (c *Controller) pick(skip map[string]bool) (tasks.Job, string, bool) {
 		bestRatio float64
 	)
 	for name, st := range c.state {
-		if skip[name] || len(st.parked) == 0 {
+		if len(st.parked) == 0 {
 			continue
 		}
 		q := c.quotaLocked(name)
@@ -290,20 +251,16 @@ func (c *Controller) pick(skip map[string]bool) (tasks.Job, string, bool) {
 		}
 	}
 	if best == nil {
-		return tasks.Job{}, "", false
+		return tasks.Job{}, false
 	}
 	j := best.parked[0]
 	best.parked = best.parked[1:]
 	c.seq++
 	best.lastSeq = c.seq
-	return j, bestName, true
-}
-
-func (c *Controller) requeueFront(tenant string, j tasks.Job) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st := c.stateLocked(tenant)
-	st.parked = append([]tasks.Job{j}, st.parked...)
+	best.inflight++
+	c.admitted[j.ID] = bestName
+	gwAdmitted.With(bestName).Inc()
+	return j, true
 }
 
 // InFlight reports a tenant's current admitted-but-unfinished count.

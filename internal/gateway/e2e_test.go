@@ -51,7 +51,6 @@ func TestEndToEndTwoTenantsShardedFleet(t *testing.T) {
 	db := database.MustOpen("")
 	defer db.Close()
 
-	ctrl := NewController(cfg)
 	f, err := shard.NewFleet(shard.Options{
 		Shards: 2,
 		Dir:    t.TempDir(),
@@ -62,7 +61,6 @@ func TestEndToEndTwoTenantsShardedFleet(t *testing.T) {
 		},
 		LeaseTTL:     120 * time.Millisecond,
 		ShipInterval: 10 * time.Millisecond,
-		Admission:    ctrl,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +96,7 @@ func TestEndToEndTwoTenantsShardedFleet(t *testing.T) {
 	// The full service-mode stack: gateway in front, statusd behind.
 	sd := statusd.New(db)
 	sd.Fleet = f
-	g := New(cfg, ctrl, f, db, sd.Handler())
+	g := New(cfg, nil, f, db, sd.Handler())
 	srv := httptest.NewServer(g.Handler())
 	defer srv.Close()
 	defer g.Wait()

@@ -1,6 +1,6 @@
 // Package gateway is gem5art's multi-tenant API edge: bearer-token
 // authentication, per-tenant database namespaces, admission-controlled
-// submit paths with weighted fair queueing, and a token-bucket rate
+// dispatch with weighted fair queueing, and a token-bucket rate
 // limiter in front of the HTTP surface. It grows the status daemon from
 // a read-mostly dashboard into a shared experiment service: several
 // groups submit sweeps to one broker or sharded fleet without seeing —
@@ -26,13 +26,12 @@ import (
 
 // Gateway serves the authenticated submit API in front of an inner
 // handler (normally the status daemon's read-only routes). Construct
-// with New, mount Handler, and Close after the backend's result channel
-// has closed.
+// with New, mount Handler, and Wait after closing the executor.
 type Gateway struct {
-	ctrl    *Controller
-	backend Backend
-	store   storage.Store
-	next    http.Handler
+	ctrl  *Controller
+	ex    tasks.Executor
+	store storage.Store
+	next  http.Handler
 
 	tenants atomic.Pointer[tenantSet]
 	limiter *limiter
@@ -50,27 +49,25 @@ type Gateway struct {
 // launchTally is one launch's run counts by terminal status.
 type launchTally struct{ total, done, failed, canceled int }
 
-// New wires a gateway over backend and store. ctrl is the admission
-// controller already installed in the backend's options (pass nil to
-// create a fresh one for backends without hooks). The controller is
-// bound to the backend's admission-gated submit path, and the result
-// pump starts consuming backend.Results() immediately — in service
-// mode the gateway is the sole consumer. next handles every route the
-// gateway does not own (pass nil for none).
-func New(cfg *Config, ctrl *Controller, backend Backend, store storage.Store, next http.Handler) *Gateway {
+// New wires a gateway over an executor and a store. ctrl is the
+// admission controller (pass nil for a fresh one over cfg's quotas); it
+// is bound to ex.Submit, and the result pump starts consuming
+// ex.Results() immediately: the gateway must be its only consumer. next
+// handles every route the gateway does not own (pass nil for none).
+func New(cfg *Config, ctrl *Controller, ex tasks.Executor, store storage.Store, next http.Handler) *Gateway {
 	if ctrl == nil {
 		ctrl = NewController(cfg)
 	}
 	g := &Gateway{
 		ctrl:    ctrl,
-		backend: backend,
+		ex:      ex,
 		store:   store,
 		next:    next,
 		limiter: newLimiter(),
 		tallies: make(map[string]*launchTally),
 	}
 	g.tenants.Store(newTenantSet(cfg))
-	g.ctrl.Bind(backend.TrySubmit, g.jobDropped)
+	g.ctrl.Bind(ex.Submit, g.jobDropped)
 	g.pump.Add(1)
 	go g.runPump()
 	return g
@@ -85,7 +82,7 @@ func (g *Gateway) Reload(cfg *Config) {
 }
 
 // Wait blocks until the result pump has drained, which happens once the
-// backend's result channel closes (fleet/broker Close).
+// executor's result channel closes (its Close).
 func (g *Gateway) Wait() { g.pump.Wait() }
 
 // Handler returns the gateway's route table. The gateway owns the
@@ -246,16 +243,17 @@ func (g *Gateway) handleWhoami(w http.ResponseWriter, r *http.Request, tenant *T
 	})
 }
 
-// runPump applies backend results to the owning tenant's run and launch
-// documents. Admission release happens inside the broker/fleet before
-// the result is delivered here; the pump only records outcomes.
+// runPump applies executor results to the owning tenant's run and
+// launch documents. It frees the job's in-flight slot first, so parked
+// work dispatches into it while the two commits run.
 func (g *Gateway) runPump() {
 	defer g.pump.Done()
-	for res := range g.backend.Results() {
+	for res := range g.ex.Results() {
 		tenant := TenantOf(res.ID)
 		if tenant == "" {
-			continue // in-process submit, not gateway-owned
+			continue // not a gateway job
 		}
+		g.ctrl.Release(res.ID)
 		set := storage.Doc{"status": "done", "output": decodeRaw(res.Output)}
 		if res.Err != "" {
 			set = storage.Doc{"status": "failed", "error": res.Err}
@@ -264,9 +262,9 @@ func (g *Gateway) runPump() {
 	}
 }
 
-// jobDropped is the controller's terminal-refusal callback: a parked
-// job was lost (backend closed mid-drain), so its run fails visibly
-// rather than staying "queued" forever.
+// jobDropped is the controller's refusal callback: a parked job was
+// lost (executor closed mid-drain), so its run fails visibly rather
+// than staying "queued" forever.
 func (g *Gateway) jobDropped(j tasks.Job, err error) {
 	if tenant := TenantOf(j.ID); tenant != "" {
 		g.applyResult(tenant, j.ID, storage.Doc{"status": "failed", "error": err.Error()})
@@ -356,7 +354,7 @@ func (g *Gateway) writeLaunchLocked(tenant, launchID string, t *launchTally, can
 // writeQuotaError renders an admission rejection as 429 + Retry-After;
 // anything else is a 500.
 func (g *Gateway) writeQuotaError(w http.ResponseWriter, err error) {
-	var quota *tasks.QuotaExceededError
+	var quota *QuotaExceededError
 	if errors.As(err, &quota) {
 		retryAfter(w, quota.RetryAfter)
 		writeJSON(w, http.StatusTooManyRequests, map[string]any{

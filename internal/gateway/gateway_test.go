@@ -23,28 +23,21 @@ func testConfig(tenants ...TenantConfig) *Config {
 	}
 }
 
-// stubBackend is an in-process Backend: it admits through the
-// controller like the real broker, records submissions, and completes
-// jobs only when the test says so — releasing before delivering, in the
-// broker's order.
+// stubBackend is an in-process tasks.Executor: it records submissions
+// and completes jobs only when the test says so. Admission and release
+// are the gateway's, so the stub does neither.
 type stubBackend struct {
-	adm tasks.Admission
 	res chan tasks.JobResult
 
 	mu        sync.Mutex
 	submitted []tasks.Job
 }
 
-func newStubBackend(adm tasks.Admission) *stubBackend {
-	return &stubBackend{adm: adm, res: make(chan tasks.JobResult, 1024)}
+func newStubBackend() *stubBackend {
+	return &stubBackend{res: make(chan tasks.JobResult, 1024)}
 }
 
-func (s *stubBackend) TrySubmit(j tasks.Job) error {
-	if s.adm != nil {
-		if err := s.adm.Admit(j); err != nil {
-			return err
-		}
-	}
+func (s *stubBackend) Submit(j tasks.Job) error {
 	s.mu.Lock()
 	s.submitted = append(s.submitted, j)
 	s.mu.Unlock()
@@ -52,6 +45,8 @@ func (s *stubBackend) TrySubmit(j tasks.Job) error {
 }
 
 func (s *stubBackend) Results() <-chan tasks.JobResult { return s.res }
+
+func (s *stubBackend) Close() { close(s.res) }
 
 // completeAll finishes every submitted-but-unfinished job and returns
 // how many it completed.
@@ -61,9 +56,6 @@ func (s *stubBackend) completeAll() int {
 	s.submitted = nil
 	s.mu.Unlock()
 	for _, j := range batch {
-		if s.adm != nil {
-			s.adm.Release(j)
-		}
 		s.res <- tasks.JobResult{ID: j.ID, Output: json.RawMessage(`{"ok":true}`)}
 	}
 	return len(batch)
@@ -81,13 +73,12 @@ func testGateway(t *testing.T, cfg *Config) (*Gateway, *stubBackend, *httptest.S
 	t.Helper()
 	db := database.MustOpen("")
 	t.Cleanup(func() { db.Close() })
-	ctrl := NewController(cfg)
-	backend := newStubBackend(ctrl)
-	g := New(cfg, ctrl, backend, db, nil)
+	backend := newStubBackend()
+	g := New(cfg, nil, backend, db, nil)
 	srv := httptest.NewServer(g.Handler())
 	t.Cleanup(func() {
 		srv.Close()
-		close(backend.res)
+		backend.Close()
 		g.Wait()
 	})
 	return g, backend, srv
@@ -463,9 +454,6 @@ func TestWeightedFairDispatch(t *testing.T) {
 	var mu sync.Mutex
 	var order []string
 	ctrl.Bind(func(j tasks.Job) error {
-		if err := ctrl.Admit(j); err != nil {
-			return err
-		}
 		mu.Lock()
 		order = append(order, TenantOf(j.ID))
 		mu.Unlock()
@@ -509,17 +497,14 @@ func TestConcurrentTenantsAdmissionUnderRace(t *testing.T) {
 	)
 	ctrl := NewController(cfg)
 
-	// The backend admits, then "finishes" each job from worker
-	// goroutines — releasing concurrently with new reservations.
+	// The executor "finishes" each job from worker goroutines, which
+	// release concurrently with new reservations.
 	type doneJob struct{ j tasks.Job }
 	doneCh := make(chan doneJob, 256)
 	var inflightMu sync.Mutex
 	peak := map[string]int{}
 	live := map[string]int{}
 	ctrl.Bind(func(j tasks.Job) error {
-		if err := ctrl.Admit(j); err != nil {
-			return err
-		}
 		tn := TenantOf(j.ID)
 		inflightMu.Lock()
 		live[tn]++
@@ -563,7 +548,7 @@ func TestConcurrentTenantsAdmissionUnderRace(t *testing.T) {
 				finMu.Lock()
 				finished[tn]++
 				finMu.Unlock()
-				ctrl.Release(d.j)
+				ctrl.Release(d.j.ID)
 			}
 		}()
 	}
@@ -589,28 +574,34 @@ func TestConcurrentTenantsAdmissionUnderRace(t *testing.T) {
 
 func TestAdmitIdempotentPerJobID(t *testing.T) {
 	cfg := testConfig(TenantConfig{ID: "alpha", Token: "t",
-		Quota: &Quota{MaxInFlight: 1, MaxQueued: 0, Weight: 1}})
+		Quota: &Quota{MaxInFlight: 1, MaxQueued: 1, Weight: 1}})
 	ctrl := NewController(cfg)
-	j := tasks.Job{ID: "g/alpha/l0/0"}
-	if err := ctrl.Admit(j); err != nil {
+	var submitted []string
+	ctrl.Bind(func(j tasks.Job) error {
+		submitted = append(submitted, j.ID)
+		return nil
+	}, nil)
+	if err := ctrl.Reserve("alpha", []tasks.Job{{ID: "g/alpha/l0/0"}, {ID: "g/alpha/l0/1"}}); err != nil {
 		t.Fatal(err)
 	}
-	// The durable queue can offer the same ID again; it must not consume
-	// a second slot or be rejected.
-	if err := ctrl.Admit(j); err != nil {
-		t.Fatalf("re-admit of same ID: %v", err)
+	ctrl.Kick()
+	if len(submitted) != 1 || ctrl.InFlight("alpha") != 1 || ctrl.Queued("alpha") != 1 {
+		t.Fatalf("after Kick: submitted %v, in-flight %d, queued %d; want 1, 1, 1",
+			submitted, ctrl.InFlight("alpha"), ctrl.Queued("alpha"))
 	}
-	if got := ctrl.InFlight("alpha"); got != 1 {
-		t.Fatalf("in-flight = %d, want 1", got)
+	// A durable broker redelivers a finished job's recorded result when
+	// the job is submitted again: the second release of one ID must not
+	// free the slot the next job took.
+	ctrl.Release("g/alpha/l0/0")
+	ctrl.Release("g/alpha/l0/0")
+	if len(submitted) != 2 || ctrl.InFlight("alpha") != 1 {
+		t.Fatalf("after a double release: submitted %v, in-flight %d; want 2 jobs, 1 in flight",
+			submitted, ctrl.InFlight("alpha"))
 	}
-	ctrl.Release(j)
-	ctrl.Release(j) // double release must not underflow
+	ctrl.Release("g/alpha/l0/1")
+	ctrl.Release("plain-job") // never dispatched: a no-op
 	if got := ctrl.InFlight("alpha"); got != 0 {
 		t.Fatalf("in-flight after release = %d, want 0", got)
-	}
-	// Untracked (in-process) jobs bypass quota entirely.
-	if err := ctrl.Admit(tasks.Job{ID: "plain-job"}); err != nil {
-		t.Fatalf("in-process job gated: %v", err)
 	}
 }
 

@@ -13,6 +13,6 @@ var (
 	gwAdmitted = telemetry.Default.CounterVec("gem5art_gateway_jobs_admitted_total",
 		"jobs granted an in-flight slot by admission control", "tenant")
 	gwRejected = telemetry.Default.CounterVec("gem5art_gateway_jobs_rejected_total",
-		"jobs or launches refused by admission control, by quota dimension",
+		"launches refused by admission control, by quota dimension",
 		"tenant", "reason")
 )

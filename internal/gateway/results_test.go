@@ -2,8 +2,11 @@ package gateway
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -28,8 +31,7 @@ func TestWaitReturnsAfterBrokerClose(t *testing.T) {
 	cfg := testConfig(TenantConfig{ID: "alpha", Token: "tok-alpha"})
 	db := database.MustOpen("")
 	defer db.Close()
-	ctrl := NewController(cfg)
-	b, err := tasks.NewBrokerWithOptions("127.0.0.1:0", tasks.BrokerOptions{Admission: ctrl})
+	b, err := tasks.NewBroker("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +42,7 @@ func TestWaitReturnsAfterBrokerClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	g := New(cfg, ctrl, b, db, nil)
+	g := New(cfg, nil, b, db, nil)
 	srv := httptest.NewServer(g.Handler())
 	defer srv.Close()
 
@@ -71,9 +73,8 @@ func TestNewGatewayHealsLaunchAfterCrash(t *testing.T) {
 	cfg := testConfig(TenantConfig{ID: "alpha", Token: "tok-alpha"})
 	db := database.MustOpen("")
 	defer db.Close()
-	ctrl := NewController(cfg)
-	backend := newStubBackend(ctrl)
-	g1 := New(cfg, ctrl, backend, db, nil)
+	backend := newStubBackend()
+	g1 := New(cfg, nil, backend, db, nil)
 	srv := httptest.NewServer(g1.Handler())
 	id, resp := submitLaunch(t, srv, "tok-alpha", 4)
 	if resp.StatusCode != http.StatusAccepted {
@@ -81,7 +82,7 @@ func TestNewGatewayHealsLaunchAfterCrash(t *testing.T) {
 	}
 	waitFor(t, func() bool { return backend.pending() == 4 }, "4 jobs dispatched")
 	srv.Close()
-	close(backend.res)
+	backend.Close()
 	g1.Wait()
 
 	// The crash window: run committed, launch document not.
@@ -94,14 +95,14 @@ func TestNewGatewayHealsLaunchAfterCrash(t *testing.T) {
 		t.Fatalf("launch document already counts the orphan: %v", d)
 	}
 
-	backend2 := newStubBackend(nil)
-	g2 := New(cfg, NewController(cfg), backend2, db, nil)
+	backend2 := newStubBackend()
+	g2 := New(cfg, nil, backend2, db, nil)
 	backend2.res <- okResult(jobs[1].ID)
 	backend2.res <- okResult(jobs[2].ID)
 	backend2.res <- okResult(jobs[2].ID) // delivered twice
 	backend2.res <- okResult(jobs[0].ID) // late copy of the orphan's result
 	backend2.res <- okResult(jobs[3].ID)
-	close(backend2.res)
+	backend2.Close()
 	g2.Wait()
 
 	d := launchDoc(db, "alpha", id)
@@ -141,5 +142,115 @@ func TestResultForCanceledRunLeavesItCanceled(t *testing.T) {
 	}
 	if d := launchDoc(g.store, "alpha", id); d["canceled"] != 3 || d["done"] != 1 || d["failed"] != 0 {
 		t.Fatalf("launch = %v, want done 1, canceled 3", d)
+	}
+}
+
+// TestAdmissionOverDurableBroker drives the gateway's admission through
+// a real durable broker and a TCP worker: a tenant's in-flight jobs
+// never exceed its cap, a resubmitted finished job is answered from the
+// broker's record and frees exactly the one slot it took, and a parked
+// job the closed broker refuses fails its run and gives its slot back.
+func TestAdmissionOverDurableBroker(t *testing.T) {
+	quota := func(n int) *Config {
+		return testConfig(TenantConfig{ID: "alpha", Token: "tok-alpha",
+			Quota: &Quota{MaxInFlight: n, MaxQueued: 16, Weight: 1}})
+	}
+	queue := database.MustOpen(t.TempDir())
+	defer queue.Close()
+	b, err := tasks.NewBrokerWithOptions("127.0.0.1:0", tasks.BrokerOptions{DB: queue})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+
+	// The worker takes twice the tenant's cap, so only admission keeps
+	// the handlers under it. While hold is set, handlers block on gate.
+	var live, peak atomic.Int32
+	var hold atomic.Bool
+	gate := make(chan struct{})
+	w, err := tasks.NewWorker(b.Addr(), 4, map[string]tasks.JobHandler{
+		"boot": func(json.RawMessage) (any, error) {
+			n := live.Add(1)
+			defer live.Add(-1)
+			for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+			}
+			if hold.Load() {
+				<-gate
+			} else {
+				time.Sleep(2 * time.Millisecond)
+			}
+			return map[string]any{"outcome": "ok"}, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Kill()
+	defer close(gate)
+
+	db := database.MustOpen("")
+	defer db.Close()
+	g := New(quota(2), nil, b, db, nil)
+	srv := httptest.NewServer(g.Handler())
+	defer srv.Close()
+
+	// The cap holds with a worker that has room for more.
+	first, resp := submitLaunch(t, srv, "tok-alpha", 8)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("launch: status %d", resp.StatusCode)
+	}
+	waitFor(t, func() bool { return launchDoc(db, "alpha", first)["status"] == "finished" }, "first launch finished")
+	if p := peak.Load(); p > 2 {
+		t.Fatalf("peak in-flight handlers = %d, cap 2", p)
+	}
+	waitFor(t, func() bool { return g.ctrl.InFlight("alpha") == 0 }, "every slot released")
+
+	// One job holds a slot while a finished job is submitted again: the
+	// broker replays its recorded result without running it, and the
+	// replay frees that job's slot and no other. A second replay, of a
+	// submit the gateway made no reservation for (as for a job a durable
+	// queue recovers after a restart), frees nothing.
+	hold.Store(true)
+	if _, resp := submitLaunch(t, srv, "tok-alpha", 1); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("held launch: status %d", resp.StatusCode)
+	}
+	waitFor(t, func() bool { return live.Load() == 1 }, "the held job running")
+	done := tasks.Job{ID: jobPrefix("alpha", first) + "0", Kind: "boot"}
+	if err := g.ctrl.Reserve("alpha", []tasks.Job{done}); err != nil {
+		t.Fatal(err)
+	}
+	g.ctrl.Kick()
+	waitFor(t, func() bool { return g.ctrl.InFlight("alpha") == 1 }, "the replay's slot freed")
+	if err := b.Submit(done); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(20 * time.Millisecond)
+	if got := g.ctrl.InFlight("alpha"); got != 1 {
+		t.Fatalf("in-flight after the replay = %d, want 1 (the held job)", got)
+	}
+	if n := b.Executions(done.ID); n != 1 {
+		t.Fatalf("finished job executed %d times, want 1", n)
+	}
+	if d := launchDoc(db, "alpha", first); d["done"] != 8 {
+		t.Fatalf("first launch after the replay = %v, want done 8", d)
+	}
+
+	// A job parked behind the cap meets a closed broker: its run fails
+	// through onDrop and its slot is freed, while the held job keeps its.
+	last, resp := submitLaunch(t, srv, "tok-alpha", 2)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("last launch: status %d", resp.StatusCode)
+	}
+	waitFor(t, func() bool { return live.Load() == 2 }, "two held jobs running")
+	b.Close()
+	g.Wait()
+	g.Reload(quota(3))
+	g.ctrl.Kick()
+	parked := Namespace(db, "alpha").Collection("runs").FindOne(storage.Doc{"job_id": jobPrefix("alpha", last) + "1"})
+	if parked["status"] != "failed" || !strings.Contains(fmt.Sprint(parked["error"]), "broker closed") {
+		t.Fatalf("parked run after the broker closed = %v, want failed: broker closed", parked)
+	}
+	if got := g.ctrl.InFlight("alpha"); got != 2 {
+		t.Fatalf("in-flight after the refusal = %d, want 2 (the held jobs)", got)
 	}
 }

@@ -67,7 +67,6 @@ type Result struct {
 	Insts      uint64
 	InstsPer   []uint64
 	Finished   bool // every core reached SYS exit
-	ROITicks   sim.Tick
 	Console    string
 	Mispredict uint64 // O3 only
 }
@@ -81,9 +80,6 @@ type System struct {
 	cores   []*core
 	stats   *sim.StatGroup
 	console bytes.Buffer
-
-	roiBegin sim.Tick
-	roiEnd   sim.Tick
 
 	trace     TraceFunc
 	traceLeft int64
@@ -209,18 +205,13 @@ func (s *System) LoadProgram(coreID int, prog *isa.Program) {
 // final batch.
 func noop() {}
 
-// sysHandler services SYS instructions for one core.
+// sysHandler services SYS instructions for one core. The ROI markers
+// (work_begin, work_end) and unknown functions do nothing.
 func (s *System) sysHandler(c *core) isa.SysHandler {
 	return func(fn int32, arg int64) bool {
 		switch fn {
 		case isa.SysExit:
 			return true
-		case isa.SysWorkBegin:
-			if s.roiBegin == 0 {
-				s.roiBegin = s.eq.Now()
-			}
-		case isa.SysWorkEnd:
-			s.roiEnd = s.eq.Now()
 		case isa.SysPrint:
 			s.console.WriteByte(byte(arg))
 		}
@@ -261,9 +252,6 @@ func (s *System) Run(maxTicks sim.Tick) Result {
 	// Run calls on one system never double-count.
 	sim.CountInstructions(res.Insts - s.reportedInsts)
 	s.reportedInsts = res.Insts
-	if s.roiEnd > s.roiBegin {
-		res.ROITicks = s.roiEnd - s.roiBegin
-	}
 	return res
 }
 

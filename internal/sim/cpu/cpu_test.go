@@ -193,13 +193,6 @@ func TestConsoleOutput(t *testing.T) {
 	}
 }
 
-func TestROIMeasurement(t *testing.T) {
-	res := runModel(t, Timing, 1, compute, 500)
-	if res.ROITicks == 0 || res.ROITicks > res.SimTicks {
-		t.Fatalf("ROI = %d of %d total", res.ROITicks, res.SimTicks)
-	}
-}
-
 func TestStatsIPC(t *testing.T) {
 	m := mem.NewClassic(1, mem.ClassicConfig{})
 	sys := NewSystem(Config{Model: O3, Cores: 1}, m)

@@ -225,7 +225,6 @@ func (s *Server) healthz(w http.ResponseWriter, _ *http.Request) {
 				"last_run":    rep.Start,
 				"corrupt":     rep.Corrupt,
 				"quarantined": len(rep.Quarantined),
-				"repaired":    len(rep.Repaired),
 			}
 		}
 	}
@@ -411,8 +410,7 @@ func (s *Server) cacheStats(w http.ResponseWriter, _ *http.Request) {
 }
 
 // scrubReport serves the background integrity scrubber's most recent
-// report — journals verified, blobs re-hashed, corruption quarantined
-// and repaired.
+// report — journals verified, blobs re-hashed, corruption quarantined.
 func (s *Server) scrubReport(w http.ResponseWriter, _ *http.Request) {
 	if s.Scrubber == nil {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "no scrubber attached"})

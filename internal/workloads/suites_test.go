@@ -107,7 +107,7 @@ func TestSPECBenchmarksAllRun(t *testing.T) {
 
 func TestBootExitProgramTerminates(t *testing.T) {
 	res := execProgram(t, BootExitProgram())
-	if res.Insts == 0 || res.ROITicks == 0 {
+	if res.Insts == 0 {
 		t.Fatalf("boot-exit: %+v", res)
 	}
 }
