@@ -121,6 +121,7 @@ microbench:
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzResultsFromDoc$$' -fuzztime 30s ./internal/core/run/
 	$(GO) test -run '^$$' -fuzz '^FuzzBlobPack$$' -fuzztime 30s ./internal/database/
+	$(GO) test -run '^$$' -fuzz '^FuzzJournal$$' -fuzztime 30s ./internal/database/
 	$(GO) test -run '^$$' -fuzz '^FuzzWaveRNG$$' -fuzztime 30s ./internal/sim/gpu/
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckpoint$$' -fuzztime 30s ./internal/sim/cpu/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRun$$' -fuzztime 30s ./internal/sim/cpu/

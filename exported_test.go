@@ -1,13 +1,18 @@
 package gem5art_test
 
 import (
+	"errors"
 	"go/ast"
+	"go/build/constraint"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path"
 	"reflect"
+	"runtime"
 	"slices"
 	"sort"
 	"strconv"
@@ -54,22 +59,22 @@ var stdlibMethods = map[string]bool{
 
 // TestEveryExportedNameHasAReader fails when an exported name has no
 // reader outside its own package's tests, unless keptExported says why
-// it stays. It covers two kinds of name:
+// it stays. Every package of both modules (this one and benchmark/),
+// with its tests, is type-checked from source; the standard library
+// comes from go/importer. It covers two kinds of name:
 //
 //   - an exported package-level func, type, const or var declared in
-//     non-test code of either module (this one and benchmark/), read
-//     if referenced from non-test code or from another package's test
-//     files: as a bare identifier within the declaring package, or as a
-//     selector on the declaring package's import name anywhere else;
+//     non-test code of either module, read if an identifier in non-test
+//     code or in another package's test files resolves to it;
 //   - an exported method, or interface method, declared in non-test
-//     code under internal/, cmd/ or examples/, read if a selector .Name
-//     appears in non-test code of either module or in another package's
-//     test files, or if the standard library calls it (stdlibMethods).
+//     code under internal/, cmd/ or examples/, read if a selector in
+//     non-test code of either module or in another package's test files
+//     resolves to it, or to an interface method its type implements,
+//     or if the standard library calls it (stdlibMethods).
 //
 // An external test package (foo_test) is the declaring package's own
-// test code. Names resolve by syntax only, so a method read through a
-// common name counts as read: the check can miss dead code, never flag
-// live code.
+// test code. Two types' methods of one name are two methods: a
+// selector reads the one it resolves to.
 func TestEveryExportedNameHasAReader(t *testing.T) {
 	dead, read, err := unreadExported(os.DirFS("."))
 	if err != nil {
@@ -128,6 +133,26 @@ func TestReaderCheckFlagsUnreadMethods(t *testing.T) {
 			},
 			dead: []string{"internal/lib/lib.go:5:10: gem5art/internal/lib.T.Probe"},
 		},
+		{
+			name: "one name on two types, one caller",
+			files: map[string]string{
+				"internal/lib/lib.go": "package lib\n\ntype DB struct{}\n\nfunc (DB) Scrub() {}\n\n" +
+					"type Fleet struct{}\n\nfunc (Fleet) Scrub() {}\n",
+				"internal/use/use.go": "package use\n\nimport \"gem5art/internal/lib\"\n\n" +
+					"func f() { lib.DB{}.Scrub(); _ = lib.Fleet{} }\n",
+			},
+			dead: []string{"internal/lib/lib.go:9:14: gem5art/internal/lib.Fleet.Scrub"},
+		},
+		{
+			name: "read through an interface it implements",
+			files: map[string]string{
+				"internal/lib/lib.go": "package lib\n\ntype DB struct{}\n\nfunc (DB) Scrub() int { return 0 }\n\n" +
+					"type Fleet struct{}\n\nfunc (Fleet) Scrub() {}\n",
+				"internal/use/use.go": "package use\n\nimport \"gem5art/internal/lib\"\n\n" +
+					"func f() { var s interface{ Scrub() } = lib.Fleet{}; s.Scrub(); _ = lib.DB{} }\n",
+			},
+			dead: []string{"internal/lib/lib.go:5:11: gem5art/internal/lib.DB.Scrub"},
+		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fsys := fstest.MapFS{}
@@ -145,21 +170,106 @@ func TestReaderCheckFlagsUnreadMethods(t *testing.T) {
 	}
 }
 
-// srcFile is one parsed Go file of the tree.
-type srcFile struct {
-	dir  string // import path of the directory
-	path string // slash path from the tree's root
-	test bool
-	ast  *ast.File
+// srcPkg is one directory's Go files, type-checked on demand.
+type srcPkg struct {
+	path   string      // import path
+	files  []*ast.File // non-test files
+	tests  []*ast.File // test files of the package itself
+	xtests []*ast.File // test files of its external test package
+
+	plain     *types.Package // the non-test files, as importers see them
+	info      *types.Info    // what plain's identifiers resolve to
+	withTests *types.Package // with tests too, as the external tests see it
 }
 
-// unreadExported parses every Go file under fsys, whose root is this
-// module's root, and returns the exported names and methods that have
-// no reader ("<position>: <key>", sorted), and the keys of the names
-// and methods that do.
+// tree type-checks a module tree's packages from source; other imports
+// come from std.
+type tree struct {
+	fset *token.FileSet
+	pkgs map[string]*srcPkg // import path → package
+	std  types.Importer
+	errs []error
+}
+
+// Import returns a tree package's non-test files type-checked, or a
+// standard-library package.
+func (tr *tree) Import(p string) (*types.Package, error) {
+	pkg := tr.pkgs[p]
+	if pkg == nil {
+		return tr.std.Import(p)
+	}
+	if pkg.plain == nil {
+		pkg.plain, pkg.info = tr.check(p, pkg.files, tr)
+	}
+	return pkg.plain, nil
+}
+
+// check type-checks files as package p, resolving imports with imp.
+func (tr *tree) check(p string, files []*ast.File, imp types.Importer) (*types.Package, *types.Info) {
+	info := &types.Info{Uses: map[*ast.Ident]types.Object{}, Selections: map[*ast.SelectorExpr]*types.Selection{}}
+	conf := types.Config{Importer: imp, Error: func(err error) { tr.errs = append(tr.errs, err) }}
+	pkg, _ := conf.Check(p, tr.fset, files, info)
+	return pkg, info
+}
+
+// dependsOn reports whether tree package p imports want, directly or
+// through other tree packages.
+func (tr *tree) dependsOn(p, want string) bool {
+	pkg := tr.pkgs[p]
+	if pkg == nil {
+		return false
+	}
+	for _, f := range pkg.files {
+		for _, spec := range f.Imports {
+			q, _ := strconv.Unquote(spec.Path.Value)
+			if q == want || tr.dependsOn(q, want) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// xtestImporter imports for an external test package, as go test
+// builds it: the package under test with its own tests, and every tree
+// package that imports it re-checked against that build.
+type xtestImporter struct {
+	*tree
+	own  *srcPkg
+	pkgs map[string]*types.Package // re-checked against own.withTests
+}
+
+func (x *xtestImporter) Import(p string) (*types.Package, error) {
+	if p == x.own.path {
+		return x.own.withTests, nil
+	}
+	if x.pkgs[p] != nil {
+		return x.pkgs[p], nil
+	}
+	if !x.tree.dependsOn(p, x.own.path) {
+		return x.tree.Import(p)
+	}
+	x.pkgs[p], _ = x.tree.check(p, x.tree.pkgs[p].files, x)
+	return x.pkgs[p], nil
+}
+
+// ifaceRead is a selector that resolves to an interface method: it
+// reads the method of that name of every type that implements the
+// interface.
+type ifaceRead struct {
+	iface *types.Interface
+	name  string
+	dir   string // import path of the reading file's package
+	test  bool
+}
+
+// unreadExported type-checks every Go package under fsys, whose root is
+// this module's root, and returns the exported names and methods that
+// have no reader ("<position>: <key>", sorted), and the keys of the
+// names and methods that do.
 func unreadExported(fsys fs.FS) (dead []string, read map[string]bool, err error) {
-	fset := token.NewFileSet()
-	var files []srcFile
+	tr := &tree{fset: token.NewFileSet(), pkgs: map[string]*srcPkg{}}
+	tr.std = importer.ForCompiler(tr.fset, "gc", nil)
 	err = fs.WalkDir(fsys, ".", func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -177,7 +287,10 @@ func unreadExported(fsys fs.FS) (dead []string, read map[string]bool, err error)
 		if err != nil {
 			return err
 		}
-		f, err := parser.ParseFile(fset, p, src, parser.SkipObjectResolution)
+		if !buildIncludes(src) {
+			return nil
+		}
+		f, err := parser.ParseFile(tr.fset, p, src, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
@@ -185,77 +298,139 @@ func unreadExported(fsys fs.FS) (dead []string, read map[string]bool, err error)
 		if rel := path.Dir(p); rel != "." {
 			dir += "/" + rel
 		}
-		files = append(files, srcFile{dir: dir, path: p, test: strings.HasSuffix(p, "_test.go"), ast: f})
+		pkg := tr.pkgs[dir]
+		if pkg == nil {
+			pkg = &srcPkg{path: dir}
+			tr.pkgs[dir] = pkg
+		}
+		switch {
+		case !strings.HasSuffix(p, "_test.go"):
+			pkg.files = append(pkg.files, f)
+		case strings.HasSuffix(f.Name.Name, "_test"):
+			pkg.xtests = append(pkg.xtests, f)
+		default:
+			pkg.tests = append(pkg.tests, f)
+		}
 		return nil
 	})
 	if err != nil {
 		return nil, nil, err
 	}
 
-	declared := map[string]token.Position{} // key → declaration
-	type method struct{ dir, name string }
-	methods := map[string]method{} // method key → declaring dir and name
-	for _, f := range files {
-		if f.test {
-			continue
-		}
-		for _, decl := range f.ast.Decls {
-			for _, id := range declNames(decl) {
-				if id.IsExported() {
-					declared[f.dir+"."+id.Name] = fset.Position(id.Pos())
+	// Type-check every package three ways — plain, with its tests, and
+	// its external tests — and note what each file's identifiers and
+	// selectors resolve to.
+	read = map[string]bool{}
+	var ifaces []ifaceRead
+	note := func(info *types.Info, files []*ast.File, dir string, test bool) {
+		counts := func(p string) bool { return !test || p != dir }
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.Ident:
+					if obj := info.Uses[n]; obj != nil && obj.Pkg() != nil && obj.Parent() == obj.Pkg().Scope() &&
+						tr.pkgs[obj.Pkg().Path()] != nil && counts(obj.Pkg().Path()) {
+						read[obj.Pkg().Path()+"."+obj.Name()] = true
+					}
+				case *ast.SelectorExpr:
+					sel := info.Selections[n]
+					if sel == nil {
+						break
+					}
+					fn, ok := sel.Obj().(*types.Func)
+					if !ok {
+						break
+					}
+					fn = fn.Origin()
+					if key, p := methodKey(fn); key != "" && counts(p) {
+						read[key] = true
+					}
+					if iface, ok := recvType(fn).Underlying().(*types.Interface); ok {
+						ifaces = append(ifaces, ifaceRead{iface, fn.Name(), dir, test})
+					}
 				}
+				return true
+			})
+		}
+	}
+	var dirs []string
+	for dir := range tr.pkgs {
+		dirs = append(dirs, dir)
+	}
+	sort.Strings(dirs)
+	for _, dir := range dirs {
+		pkg := tr.pkgs[dir]
+		if len(pkg.files) > 0 {
+			_, _ = tr.Import(dir) // a tree package: type errors go to tr.errs
+			note(pkg.info, pkg.files, dir, false)
+		}
+		if len(pkg.tests) > 0 {
+			var info *types.Info
+			pkg.withTests, info = tr.check(dir, append(slices.Clone(pkg.files), pkg.tests...), tr)
+			note(info, pkg.tests, dir, true)
+		}
+		if len(pkg.xtests) > 0 {
+			imp := types.Importer(tr)
+			if pkg.withTests != nil {
+				imp = &xtestImporter{tree: tr, own: pkg, pkgs: map[string]*types.Package{}}
 			}
+			_, info := tr.check(dir+"_test", pkg.xtests, imp)
+			note(info, pkg.xtests, dir, true)
 		}
-		if !methodScope(f.path) {
-			continue
-		}
-		for recv, ids := range methodDecls(f.ast) {
-			for _, id := range ids {
-				if id.IsExported() {
-					key := f.dir + "." + recv + "." + id.Name
-					declared[key] = fset.Position(id.Pos())
-					methods[key] = method{f.dir, id.Name}
-				}
-			}
-		}
+	}
+	if len(tr.errs) > 0 {
+		return nil, nil, errors.Join(tr.errs...)
 	}
 
-	read = map[string]bool{}
-	selected := map[string]bool{}           // .Name selected in non-test code
-	selectedInTest := map[string][]string{} // .Name → dirs of test files selecting it
-	for _, f := range files {
-		imports := map[string]string{} // local name → import path
-		for _, spec := range f.ast.Imports {
-			p, _ := strconv.Unquote(spec.Path.Value)
-			name := p[strings.LastIndex(p, "/")+1:]
-			if spec.Name != nil {
-				name = spec.Name.Name
-			}
-			imports[name] = p
+	// What is declared: every exported package-level name, and every
+	// exported method of a type declared under methodScope.
+	declared := map[string]token.Position{} // key → declaration
+	for _, dir := range dirs {
+		pkg := tr.pkgs[dir].plain
+		if pkg == nil {
+			continue
 		}
-		// An external test package (foo_test) is the declaring
-		// package's own test code, not another package.
-		own := !f.test && !strings.HasSuffix(f.ast.Name.Name, "_test")
-		refs(f.ast, func(id *ast.Ident) {
-			if own {
-				read[f.dir+"."+id.Name] = true
+		scope := pkg.Scope()
+		for _, name := range scope.Names() {
+			obj := scope.Lookup(name)
+			if obj.Exported() {
+				declared[dir+"."+name] = tr.fset.Position(obj.Pos())
 			}
-		}, func(pkg, name string) {
-			p, ok := imports[pkg]
-			if ok && (!f.test || p != f.dir) {
-				read[p+"."+name] = true
+			tn, ok := obj.(*types.TypeName)
+			if !ok || !methodScope(tr.fset.Position(obj.Pos()).Filename) {
+				continue
 			}
-		}, func(name string) {
-			if f.test {
-				selectedInTest[name] = append(selectedInTest[name], f.dir)
-			} else {
-				selected[name] = true
+			named, ok := tn.Type().(*types.Named)
+			if !ok {
+				continue
 			}
-		})
-	}
-	for key, m := range methods {
-		read[key] = selected[m.name] || stdlibMethods[m.name] ||
-			slices.ContainsFunc(selectedInTest[m.name], func(dir string) bool { return dir != m.dir })
+			var methods []*types.Func
+			for i := 0; i < named.NumMethods(); i++ {
+				methods = append(methods, named.Method(i))
+			}
+			if iface, ok := named.Underlying().(*types.Interface); ok {
+				for i := 0; i < iface.NumExplicitMethods(); i++ {
+					methods = append(methods, iface.ExplicitMethod(i))
+				}
+			}
+			for _, fn := range methods {
+				if !fn.Exported() {
+					continue
+				}
+				key, _ := methodKey(fn)
+				declared[key] = tr.fset.Position(fn.Pos())
+				if read[key] || stdlibMethods[fn.Name()] {
+					read[key] = true
+					continue
+				}
+				if _, isIface := named.Underlying().(*types.Interface); isIface {
+					continue
+				}
+				read[key] = slices.ContainsFunc(ifaces, func(r ifaceRead) bool {
+					return r.name == fn.Name() && (!r.test || r.dir != dir) && implements(named, r.iface)
+				})
+			}
+		}
 	}
 
 	for key, pos := range declared {
@@ -265,6 +440,48 @@ func unreadExported(fsys fs.FS) (dead []string, read map[string]bool, err error)
 	}
 	sort.Strings(dead)
 	return dead, read, nil
+}
+
+// recvType is the type that declares method fn, pointer stripped.
+func recvType(fn *types.Func) types.Type {
+	t := types.Unalias(fn.Type().(*types.Signature).Recv().Type())
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = types.Unalias(ptr.Elem())
+	}
+	return t
+}
+
+// methodKey returns "<import path>.<Recv>.<Name>" for a method of a
+// named type, and the import path; "" for any other.
+func methodKey(fn *types.Func) (key, pkgPath string) {
+	named, ok := recvType(fn).(*types.Named)
+	if !ok || fn.Pkg() == nil {
+		return "", ""
+	}
+	return fn.Pkg().Path() + "." + named.Origin().Obj().Name() + "." + fn.Name(), fn.Pkg().Path()
+}
+
+// implements reports whether the named type, or a pointer to it,
+// implements iface.
+func implements(named *types.Named, iface *types.Interface) bool {
+	if named.TypeParams().Len() > 0 {
+		return false
+	}
+	return types.Implements(named, iface) || types.Implements(types.NewPointer(named), iface)
+}
+
+// buildIncludes reports whether a file's //go:build line, if any, holds
+// for a plain (non-race) build on this host.
+func buildIncludes(src []byte) bool {
+	for _, line := range strings.Split(string(src), "\n") {
+		if strings.HasPrefix(line, "package ") {
+			break
+		}
+		if expr, err := constraint.Parse(line); err == nil {
+			return expr.Eval(func(tag string) bool { return tag == runtime.GOOS || tag == runtime.GOARCH })
+		}
+	}
+	return true
 }
 
 // methodScope reports whether the check covers the methods declared in
@@ -277,111 +494,4 @@ func methodScope(p string) bool {
 		}
 	}
 	return false
-}
-
-// declNames returns the names a package-level declaration introduces,
-// skipping methods.
-func declNames(decl ast.Decl) []*ast.Ident {
-	switch d := decl.(type) {
-	case *ast.FuncDecl:
-		if d.Recv == nil {
-			return []*ast.Ident{d.Name}
-		}
-	case *ast.GenDecl:
-		var ids []*ast.Ident
-		for _, spec := range d.Specs {
-			switch s := spec.(type) {
-			case *ast.TypeSpec:
-				ids = append(ids, s.Name)
-			case *ast.ValueSpec:
-				ids = append(ids, s.Names...)
-			}
-		}
-		return ids
-	}
-	return nil
-}
-
-// methodDecls returns the methods f declares, by receiver type name:
-// those of its func declarations and those of its package-level
-// interface types.
-func methodDecls(f *ast.File) map[string][]*ast.Ident {
-	byRecv := map[string][]*ast.Ident{}
-	for _, decl := range f.Decls {
-		switch d := decl.(type) {
-		case *ast.FuncDecl:
-			if d.Recv == nil {
-				continue
-			}
-			typ := d.Recv.List[0].Type
-			if star, ok := typ.(*ast.StarExpr); ok {
-				typ = star.X
-			}
-			switch x := typ.(type) {
-			case *ast.IndexExpr:
-				typ = x.X
-			case *ast.IndexListExpr:
-				typ = x.X
-			}
-			recv := typ.(*ast.Ident).Name
-			byRecv[recv] = append(byRecv[recv], d.Name)
-		case *ast.GenDecl:
-			for _, spec := range d.Specs {
-				s, ok := spec.(*ast.TypeSpec)
-				if !ok {
-					continue
-				}
-				iface, ok := s.Type.(*ast.InterfaceType)
-				if !ok {
-					continue
-				}
-				for _, m := range iface.Methods.List {
-					if _, ok := m.Type.(*ast.FuncType); ok {
-						byRecv[s.Name.Name] = append(byRecv[s.Name.Name], m.Names...)
-					}
-				}
-			}
-		}
-	}
-	return byRecv
-}
-
-// refs walks f and reports every identifier that may name a package-level
-// declaration of f's own package to bare, every pkg.Name selector to
-// qualified, and the name of every selector to selected. Declared names,
-// method receivers and the field or method half of a selector are not
-// bare references.
-func refs(f *ast.File, bare func(*ast.Ident), qualified func(pkg, name string), selected func(name string)) {
-	skip := map[*ast.Ident]bool{}
-	for _, decl := range f.Decls {
-		for _, id := range declNames(decl) {
-			skip[id] = true
-		}
-		if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv != nil {
-			skip[fd.Name] = true
-			ast.Inspect(fd.Recv, func(n ast.Node) bool {
-				if id, ok := n.(*ast.Ident); ok {
-					skip[id] = true
-				}
-				return true
-			})
-		}
-	}
-	ast.Inspect(f, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.ImportSpec:
-			return false
-		case *ast.SelectorExpr:
-			if x, ok := n.X.(*ast.Ident); ok {
-				qualified(x.Name, n.Sel.Name)
-			}
-			selected(n.Sel.Name)
-			skip[n.Sel] = true
-		case *ast.Ident:
-			if !skip[n] {
-				bare(n)
-			}
-		}
-		return true
-	})
 }

@@ -257,9 +257,9 @@ func (t *jobTable) drop(s session) bool {
 
 // stop keeps only the done jobs. Graceful (Close) parks the leased ones
 // as pending in the durable queue, or without one records every
-// unfinished job failed and returns it; otherwise (Kill) nothing is
+// unfinished job failed ("broker closed"); otherwise (Kill) nothing is
 // written, as in a crash.
-func (t *jobTable) stop(graceful bool) (failed []Job) {
+func (t *jobTable) stop(graceful bool) {
 	for id, e := range t.jobs {
 		switch {
 		case e.state == jobDone:
@@ -267,7 +267,6 @@ func (t *jobTable) stop(graceful bool) (failed []Job) {
 		case graceful && t.col == nil:
 			e.state, e.res = jobDone, JobResult{ID: id, Err: "broker closed"}
 			t.done++
-			failed = append(failed, e.job)
 			continue
 		case graceful && e.state == jobLeased:
 			t.savePending(e)
@@ -278,7 +277,6 @@ func (t *jobTable) stop(graceful bool) (failed []Job) {
 	t.order.Init()
 	clear(t.leases)
 	clear(t.load)
-	return failed
 }
 
 // result returns a job's recorded result.

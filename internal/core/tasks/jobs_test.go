@@ -245,21 +245,24 @@ func (m *jobModel) drop(s session) bool {
 	return any
 }
 
-// close is a graceful stop: the IDs it fails, sorted.
-func (m *jobModel) close() []string {
-	var failed []string
+// close is a graceful stop: it keeps only the done jobs, parking the
+// leased ones as pending in a durable store, or without one recording
+// every unfinished job failed.
+func (m *jobModel) close() {
 	for _, id := range m.sortedIDs() {
 		x := m.jobs[id]
 		switch {
 		case x.state == mDone:
+			continue
 		case m.durable && x.state == mLeased:
 			m.writePending(x)
 		case !m.durable:
 			x.state, x.res = mDone, JobResult{ID: id, Err: "broker closed"}
-			failed = append(failed, id)
+			continue
 		}
+		delete(m.jobs, id)
 	}
-	return failed
+	m.queue = nil
 }
 
 // recover is a new broker over the model's store.
@@ -574,12 +577,9 @@ func (h *jobHarness) step(op, a, b byte) {
 		h.tbl.stop(false)
 		h.open()
 	case opClose:
-		var failed []string
-		for _, j := range h.tbl.stop(true) {
-			failed = append(failed, j.ID)
-		}
-		sort.Strings(failed)
-		h.expect("close", failed, h.m.close())
+		h.tbl.stop(true)
+		h.m.close()
+		h.expect("close", viewTable(h.tbl), h.m.view())
 		h.open()
 	}
 	if err := tableInvariants(h.tbl); err != nil {

@@ -46,14 +46,10 @@ func (t TaskFunc) Execute(ctx context.Context) error { return t.Fn(ctx) }
 
 // Future is the handle returned by ApplyAsync.
 type Future struct {
-	id       string
 	done     chan struct{}
 	err      error
 	attempts int
 }
-
-// ID returns the task's identifier.
-func (f *Future) ID() string { return f.id }
 
 // Attempts reports how many times the task was executed, valid once the
 // future is done. 1 means it succeeded (or failed permanently) on the
@@ -118,7 +114,7 @@ func NewPool(workers int) *Pool {
 
 // ApplyAsync enqueues a task and returns its future. It never blocks.
 func (p *Pool) ApplyAsync(t Task) (*Future, error) {
-	fut := &Future{id: t.ID(), done: make(chan struct{})}
+	fut := &Future{done: make(chan struct{})}
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -141,15 +137,6 @@ func (p *Pool) ApplyAsync(t Task) (*Future, error) {
 func (p *Pool) SetRetryPolicy(rp RetryPolicy) {
 	p.mu.Lock()
 	p.retry = rp
-	p.mu.Unlock()
-}
-
-// SetInjector arms a fault injector consulted before each task
-// execution (site "pool.execute") — the test hook for crash, hang, and
-// transient-error recovery.
-func (p *Pool) SetInjector(in *faultinject.Injector) {
-	p.mu.Lock()
-	p.inject = in
 	p.mu.Unlock()
 }
 

@@ -84,7 +84,9 @@ func TestPoolRetriesTransientFault(t *testing.T) {
 	defer p.Close()
 	p.SetRetryPolicy(RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond})
 	in := faultinject.New(1, faultinject.Rule{Site: "pool.execute", Kind: faultinject.Transient})
-	p.SetInjector(in)
+	p.mu.Lock()
+	p.inject = in
+	p.mu.Unlock()
 	var ran atomic.Int64
 	f, err := p.ApplyAsync(TaskFunc{Name: "flaky", Fn: func(context.Context) error {
 		ran.Add(1)

@@ -383,9 +383,6 @@ func (f *Fleet) Submit(j tasks.Job) error {
 // ID across all shards and all failovers. Closed by Close.
 func (f *Fleet) Results() <-chan tasks.JobResult { return f.results }
 
-// Owner returns the shard index owning a key.
-func (f *Fleet) Owner(key string) int { return f.ring.Owner(key) }
-
 // Map returns the current epoch-numbered routing map.
 func (f *Fleet) Map() Map {
 	f.mu.Lock()

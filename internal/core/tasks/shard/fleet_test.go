@@ -88,7 +88,7 @@ func TestFleetRoutesAcrossShards(t *testing.T) {
 	owners := make(map[int]int)
 	for i := 0; i < jobs; i++ {
 		id := fmt.Sprintf("run-%03d", i)
-		owners[f.Owner(id)]++
+		owners[f.ring.Owner(id)]++
 		f.Submit(tasks.Job{ID: id, Kind: "echo", Payload: json.RawMessage(fmt.Sprintf(`{"n":%d}`, i))})
 	}
 	if len(owners) != 3 {
@@ -114,7 +114,7 @@ func TestFleetFailoverPromotesStandby(t *testing.T) {
 		fleetWorker(t, f, i)
 	}
 	const jobs = 40
-	victim := f.Owner("run-000") // kill the shard owning the first job
+	victim := f.ring.Owner("run-000") // kill the shard owning the first job
 	for i := 0; i < jobs; i++ {
 		f.Submit(tasks.Job{ID: fmt.Sprintf("run-%03d", i), Kind: "echo", Payload: json.RawMessage(`{}`)})
 	}

@@ -149,13 +149,6 @@ func (s *Shipper) Lag() int64 {
 	return lag
 }
 
-// Offset reports the standby's current applied byte offset.
-func (s *Shipper) Offset() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.offset
-}
-
 func (s *Shipper) updateLag() {
 	shardReplicationLag.With(strconv.Itoa(s.shard)).Set(float64(s.Lag()))
 }

@@ -105,7 +105,9 @@ func TestShipperResyncAfterJournalRegrow(t *testing.T) {
 	if _, err := sh.ShipOnce(); err != nil {
 		t.Fatal(err)
 	}
-	off := sh.Offset()
+	sh.mu.Lock()
+	off := sh.offset
+	sh.mu.Unlock()
 
 	// Reset, then regrow the journal well past the shipped offset.
 	if err := primary.Flush(); err != nil {

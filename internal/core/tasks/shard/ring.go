@@ -22,7 +22,6 @@ const DefaultVNodes = 64
 // after construction: rebalancing builds a new ring.
 type Ring struct {
 	points []ringPoint // sorted by hash
-	shards int
 }
 
 type ringPoint struct {
@@ -39,7 +38,7 @@ func NewRing(shards, vnodes int) *Ring {
 	if vnodes <= 0 {
 		vnodes = DefaultVNodes
 	}
-	r := &Ring{shards: shards, points: make([]ringPoint, 0, shards*vnodes)}
+	r := &Ring{points: make([]ringPoint, 0, shards*vnodes)}
 	for s := 0; s < shards; s++ {
 		for v := 0; v < vnodes; v++ {
 			r.points = append(r.points, ringPoint{
@@ -56,9 +55,6 @@ func NewRing(shards, vnodes int) *Ring {
 	})
 	return r
 }
-
-// Shards returns the ring's shard count.
-func (r *Ring) Shards() int { return r.shards }
 
 // Owner maps a key — a job ID, which for distributed runs is the
 // simcache run key — to the shard that owns it: the first virtual node

@@ -7,7 +7,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"strconv"
 
 	"gem5art/internal/database/storage"
 )
@@ -64,14 +63,7 @@ type journalWriter struct {
 	sync bool
 	recs int    // records appended since the last reset/replay
 	size int64  // current file size in bytes
-	gen  uint64 // bumped on every reset; replication readers carry it
-
-	// snapGen is the generation whose snapshot this process wrote and
-	// fsynced itself (set by compaction, which always bumps gen first —
-	// so 0 means "no snapshot written this process"). The incremental
-	// scrubber trusts a just-written snapshot instead of re-reading it;
-	// the periodic full pass re-verifies regardless.
-	snapGen uint64
+	gen  uint64 // bumped on every reset; replication readers and scrub carry it
 }
 
 // journalPath returns the wal path for a collection name.
@@ -217,22 +209,14 @@ func replayJournal(fs storage.FS, path string) (recs []journalRecord, goodBytes 
 	return recs, goodBytes, nil
 }
 
-// decodeJournalLine validates one framed line.
+// decodeJournalLine validates one framed line — the same CRC frame
+// check scrub makes — and decodes its payload.
 func decodeJournalLine(line []byte) (journalRecord, bool) {
 	var rec journalRecord
-	sp := bytes.IndexByte(line, ' ')
-	if sp != 8 {
+	if !validJournalFrame(line) {
 		return rec, false
 	}
-	want, err := strconv.ParseUint(string(line[:sp]), 16, 32)
-	if err != nil {
-		return rec, false
-	}
-	payload := line[sp+1:]
-	if crc32.ChecksumIEEE(payload) != uint32(want) {
-		return rec, false
-	}
-	if err := json.Unmarshal(payload, &rec); err != nil {
+	if err := json.Unmarshal(line[9:], &rec); err != nil {
 		return rec, false
 	}
 	return rec, true
@@ -301,7 +285,6 @@ func (c *collection) compact() {
 		c.db.degrade("compaction", err)
 		return
 	}
-	c.journal.snapGen = c.journal.gen
 	dbCompactions.With(c.name).Inc()
 }
 

@@ -68,7 +68,6 @@ func (c *collection) flushLocked() error {
 		if err := c.journal.reset(); err != nil {
 			return c.db.degrade("compaction", err)
 		}
-		c.journal.snapGen = c.journal.gen
 	}
 	return nil
 }

@@ -196,16 +196,6 @@ func (img *Image) ReadFile(path string) ([]byte, error) {
 	return b, nil
 }
 
-// List returns all paths in sorted order.
-func (img *Image) List() []string {
-	paths := make([]string, 0, len(img.Files))
-	for p := range img.Files {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	return paths
-}
-
 func appendString(out []byte, s string) []byte { return appendBytes(out, []byte(s)) }
 
 func appendBytes(out, b []byte) []byte {

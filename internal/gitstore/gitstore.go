@@ -83,23 +83,6 @@ func (r *Repo) RevParse(rev string) (string, error) {
 	return c.hash, nil
 }
 
-// ReadFile returns the content of one file at a revision.
-func (r *Repo) ReadFile(rev, path string) ([]byte, error) {
-	c, err := r.resolve(rev)
-	if err != nil {
-		return nil, err
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	data, ok := c.tree[path]
-	if !ok {
-		return nil, fmt.Errorf("gitstore: %s: no file %q at %s", r.url, path, rev)
-	}
-	out := make([]byte, len(data))
-	copy(out, data)
-	return out, nil
-}
-
 func (r *Repo) resolve(rev string) (*commit, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()

@@ -51,12 +51,12 @@ func TestCommitDeepCopiesInput(t *testing.T) {
 	src := Tree{"f": []byte("abc")}
 	h := r.Commit(src, "c")
 	src["f"][0] = 'Z'
-	got, err := r.ReadFile(h, "f")
+	got, err := r.Checkout(h)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(got) != "abc" {
-		t.Fatalf("history saw caller mutation: %q", got)
+	if string(got["f"]) != "abc" {
+		t.Fatalf("history saw caller mutation: %q", got["f"])
 	}
 }
 
@@ -113,14 +113,6 @@ func TestIdenticalTreesInDifferentReposDiffer(t *testing.T) {
 	tree := Tree{"f": []byte("same")}
 	if a.Commit(tree, "m") == b.Commit(tree, "m") {
 		t.Fatal("revision hash does not incorporate repository URL")
-	}
-}
-
-func TestReadFileMissing(t *testing.T) {
-	r := NewRepo("u")
-	h := r.Commit(Tree{"exists": []byte("y")}, "c")
-	if _, err := r.ReadFile(h, "missing"); err == nil {
-		t.Fatal("ReadFile of missing path succeeded")
 	}
 }
 

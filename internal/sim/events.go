@@ -44,9 +44,6 @@ func NewClock(hz uint64) Clock {
 	return Clock{Period: Tick(period)}
 }
 
-// Cycles converts a cycle count to ticks.
-func (c Clock) Cycles(n uint64) Tick { return Tick(n) * c.Period }
-
 // event is one scheduled callback, stored by value in the queue's heap.
 // Scheduling therefore allocates nothing: the only memory an event owns
 // is its slot in the heap's backing array, which the queue reuses.

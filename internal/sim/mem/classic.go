@@ -93,9 +93,6 @@ func NewClassic(cores int, cfg ClassicConfig) *Classic {
 	return c
 }
 
-// Kind implements System.
-func (c *Classic) Kind() string { return "classic" }
-
 // Store implements System.
 func (c *Classic) Store() *BackingStore { return c.store }
 

@@ -62,9 +62,6 @@ type System interface {
 	Store() *BackingStore
 	// Stats returns the hierarchy's statistics group.
 	Stats() *sim.StatGroup
-	// Kind returns the configuration label ("classic", "ruby.MI_example",
-	// "ruby.MESI_Two_Level") used in run configs and Figure 8's axes.
-	Kind() string
 	// Release clears the hierarchy's caches, directory and backing
 	// store and hands their memory back for the next system to reuse.
 	// Call it after the last read of the store; statistics stay

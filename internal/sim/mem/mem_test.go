@@ -393,18 +393,6 @@ func TestRubyMissSlowerThanClassicMiss(t *testing.T) {
 	}
 }
 
-func TestKindLabels(t *testing.T) {
-	if NewClassic(1, ClassicConfig{}).Kind() != "classic" {
-		t.Fatal("classic kind")
-	}
-	if NewRuby(1, MIExample, ClassicConfig{}).Kind() != "ruby.MI_example" {
-		t.Fatal("MI kind")
-	}
-	if NewRuby(1, MESITwoLevel, ClassicConfig{}).Kind() != "ruby.MESI_Two_Level" {
-		t.Fatal("MESI kind")
-	}
-}
-
 func TestAccessTypeString(t *testing.T) {
 	if Read.String() != "read" || Write.String() != "write" || Atomic.String() != "atomic" {
 		t.Fatal("AccessType strings")

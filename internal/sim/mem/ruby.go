@@ -91,9 +91,6 @@ func NewRuby(cores int, protocol Protocol, cfg ClassicConfig) *Ruby {
 	return r
 }
 
-// Kind implements System.
-func (r *Ruby) Kind() string { return "ruby." + string(r.protocol) }
-
 // Store implements System.
 func (r *Ruby) Store() *BackingStore { return r.store }
 
